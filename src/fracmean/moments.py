@@ -13,8 +13,10 @@ The power mean of order p is ((1/n) sum z_j**p)**(1/p) with principal
 branches throughout, and the geometric mean prod z_j**(1/n) at p = 0.
 """
 
+import collections
 import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -425,42 +427,71 @@ def _thread_count():
         return 1
 
 
+def _block_moments(vals):
+    """(count, mean, M2_re, M2_im) of one block of complex values, where M2
+    sums the squared deviations of each component from the block mean."""
+    mean = complex(np.mean(vals))
+    return (
+        vals.size,
+        mean,
+        float(np.sum((vals.real - mean.real) ** 2)),
+        float(np.sum((vals.imag - mean.imag) ** 2)),
+    )
+
+
+def _merge_moments(a, b):
+    """Pairwise update of Chan, Golub & LeVeque: the moments of the union of
+    two blocks, free of the cancellation in sum(x**2) - N * mean**2."""
+    n_a, mean_a, re_a, im_a = a
+    n_b, mean_b, re_b, im_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    w = n_a * n_b / n
+    return n, mean_a + delta * (n_b / n), re_a + re_b + delta.real ** 2 * w, im_a + im_b + delta.imag ** 2 * w
+
+
+def _ordered_partials(partial, blocks, threads):
+    """partial(idx) for idx in range(blocks), yielded in index order.
+
+    With threads > 1 at most 2 * threads blocks are in flight, so memory
+    does not grow with the block count.
+    """
+    if threads == 1 or blocks == 1:
+        yield from map(partial, range(blocks))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        window = collections.deque()
+        for idx in range(blocks):
+            window.append(pool.submit(partial, idx))
+            if len(window) > 2 * threads:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+
+
 def _mc_mean(per_block_values, total, mc):
     """Blockwise accumulation of a complex sample mean.
 
-    Each block owns a stream derived from (seed, block index) and blocks are
-    reduced in index order, so serial and FRACMEAN_THREADS > 1 runs produce
-    identical results.
+    Each block owns a stream derived from (seed, block index). A worker
+    reduces its block to moments and drops the values, so about one block
+    array per thread is alive at once; the moments are merged in block index
+    order, so serial and FRACMEAN_THREADS > 1 runs produce identical results.
     """
-    sizes = []
-    done = 0
-    while done < total:
-        size = min(mc.batch, total - done)
-        sizes.append(size)
-        done += size
-    threads = _thread_count()
-    if threads > 1 and len(sizes) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    blocks = -(-total // mc.batch)
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(per_block_values, range(len(sizes)), sizes))
-    else:
-        blocks = [per_block_values(idx, size) for idx, size in enumerate(sizes)]
-    s = 0.0 + 0.0j
-    ss_re = 0.0
-    ss_im = 0.0
-    for vals in blocks:  # fixed block order keeps the reduction deterministic
-        s += complex(np.sum(vals))
-        ss_re += float(np.sum(vals.real ** 2))
-        ss_im += float(np.sum(vals.imag ** 2))
-    mean = s / total
+    def partial(idx):
+        size = min(mc.batch, total - idx * mc.batch)
+        return _block_moments(per_block_values(idx, size))
+
+    partials = _ordered_partials(partial, blocks, _thread_count())
+    _, mean, m2_re, m2_im = functools.reduce(_merge_moments, partials)
     if total > 1:
-        var_re = max(ss_re - total * mean.real ** 2, 0.0) / (total - 1)
-        var_im = max(ss_im - total * mean.imag ** 2, 0.0) / (total - 1)
-        stderr = math.sqrt((var_re + var_im) / total)
+        stderr = math.sqrt((m2_re + m2_im) / (total - 1) / total)
     else:
         stderr = math.inf
-    return mean, stderr, len(sizes)
+    return mean, stderr, blocks
 
 
 def frac_moment_mc(model, alpha, lam, mc=None):

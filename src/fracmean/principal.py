@@ -4,6 +4,19 @@ Everything in this package fixes one branch: log z = log|z| + i*theta with
 theta in (-pi, pi], so the negative real axis carries theta = +pi.  Powers
 are z**lam = exp(lam * log z) with the convention 0**lam = 0 for every lam
 (including lam = 0).
+
+The array kernels work on the real and imaginary parts with real ufuncs
+instead of numpy's complex log.  For z = x + iy they take
+
+    L = log(hypot(x, y)),    theta = arctan2(y + 0.0, x),
+
+where hypot neither overflows nor underflows at extreme |z|, and adding
++0.0 turns y = -0.0 into +0.0 so the negative real axis keeps theta = +pi.
+With lam = a + ib a power is assembled in polar form,
+
+    z**lam = exp(a*L - b*theta) * (cos phi + i sin phi),  phi = a*theta + b*L,
+
+dropping the b terms when lam is real.
 """
 
 import cmath
@@ -53,19 +66,47 @@ def principal_pow(z, lam):
     return cmath.exp(complex(lam) * principal_log(z))
 
 
+def _theta(x, y):
+    # +0.0 maps y = -0.0 to +0.0, so the negative real axis keeps theta = +pi
+    return np.arctan2(y + 0.0, x)
+
+
 def np_principal_log(z):
     """Vectorized principal_log. Entries on the negative real axis get +pi."""
     z = np.asarray(z, dtype=complex)
-    # kill signed zeros in the imaginary part so the cut is approached from above
-    z = np.where(z.imag == 0.0, z.real + 0.0j, z)
-    return np.log(z)
+    out = np.empty(z.shape, dtype=complex)
+    out.real = np.log(np.hypot(z.real, z.imag))
+    out.imag = _theta(z.real, z.imag)
+    return out
 
 
 def np_principal_pow(z, lam):
     """Vectorized principal_pow with the 0**lam = 0 convention."""
     z = np.asarray(z, dtype=complex)
-    out = np.exp(complex(lam) * np_principal_log(np.where(z == 0, 1.0, z)))
-    return np.where(z == 0, 0.0 + 0.0j, out)
+    shape = z.shape
+    z = z.reshape(-1)  # 1-d, so ufuncs return arrays that can be reused in place
+    lam = complex(lam)
+    a, b = lam.real, lam.imag
+    x, y = z.real, z.imag
+    r = np.hypot(x, y)
+    zero = r == 0.0  # hypot(x, y) >= max(|x|, |y|), so only z = 0 gives 0
+    has_zero = zero.any()
+    if has_zero:
+        r[zero] = 1.0  # keeps the log finite; these entries are zeroed below
+    log_r, theta = np.log(r, out=r), _theta(x, y)
+    if b == 0.0:
+        mag = np.exp(np.multiply(a, log_r, out=log_r), out=log_r)
+        phi = np.multiply(a, theta, out=theta)
+    else:
+        mag = np.exp(a * log_r - b * theta)
+        phi = np.multiply(a, theta, out=theta)
+        phi += np.multiply(b, log_r, out=log_r)
+    out = np.empty(z.shape, dtype=complex)
+    np.multiply(mag, np.cos(phi), out=out.real)
+    np.multiply(mag, np.sin(phi, out=phi), out=out.imag)
+    if has_zero:
+        out[zero] = 0.0
+    return out.reshape(shape)
 
 
 def power_bound_constant(lam):

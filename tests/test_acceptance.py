@@ -7,8 +7,6 @@ unavoidable way documented in the project notes surfaces as an expected
 failure (xfail), never as a silent pass; any other failure is a hard red.
 """
 
-import pathlib
-
 import pytest
 
 from fracmean import verify
@@ -20,13 +18,12 @@ _NAMES[14] = "determinism of the full suite"
 
 
 @pytest.fixture(scope="module")
-def suite():
+def suite(tmp_path_factory):
     results, _passed = verify.run_suite(seed=SEED, include_determinism=True)
     lines = verify.format_lines(results)
     report = "\n".join([f"acceptance suite, seed {SEED}:"] + lines) + "\n"
     print("\n" + report, end="")
-    out_path = pathlib.Path(__file__).resolve().parent.parent / "acceptance_report.txt"
-    out_path.write_text(report)
+    (tmp_path_factory.mktemp("acceptance") / "acceptance_report.txt").write_text(report)
     return {r.cid: r for r in results}
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,30 @@ def test_frac_moment_mc_poincare_root():
     assert abs(est.value - cmath.exp(1j * math.pi / 4)) <= 4.0 * est.uncertainty
 
 
+def test_frac_moment_mc_stderr_survives_large_mean():
+    # sum(x**2) - N * mean**2 cancels to 0 at this mean; merged block M2 does not
+    atoms = 1e8 + 0.1 * np.arange(10)
+    est = frac_moment_mc(Empirical(tuple(atoms)), 0.0, 1.0, MCConfig(samples=100_000, seed=7))
+    want = np.std(0.1 * np.arange(10)) / math.sqrt(1e5)
+    assert abs(est.uncertainty - want) <= 0.1 * want
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_frac_moment_mc_memory_bounded_in_blocks(monkeypatch, threads):
+    monkeypatch.setenv("FRACMEAN_THREADS", threads)
+
+    def peak_bytes(blocks):
+        tracemalloc.start()
+        try:
+            frac_moment_mc(POIN, 0.0, 0.5, MCConfig(samples=blocks * 4096, seed=3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_bytes(16), peak_bytes(256)
+    assert large <= 1.5 * small, (small, large)
+
+
 def test_frac_moment_dispatch_and_meta():
     est = frac_moment(CAUCHY, 1j, -0.5)
     assert est.method is Route.CLOSED and est.uncertainty == 0.0
@@ -310,6 +335,18 @@ def test_mc_power_mean_sample_size_invariance():
                 mc=MCConfig(samples=60_000, seed=10),
             )
             assert abs(est.value - target) <= 4.0 * est.uncertainty
+
+
+def test_mc_power_mean_identical_across_thread_counts(monkeypatch):
+    spec = PowerMeanSpec(p=0.5, n=3)
+    mc = MCConfig(samples=20 * 1024, seed=7, batch=1024)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FRACMEAN_THREADS", threads)
+        est = power_mean_expectation(POIN, spec, Route.MONTE_CARLO, mc=mc)
+        assert est.meta["blocks"] == 20
+        runs.append((est.value, est.uncertainty))
+    assert runs[0] == runs[1]
 
 
 def test_t3_nonconstancy_exceeds_noise():

@@ -3,6 +3,7 @@ half-plane power bound."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fracmean.principal import (
     BranchDomainError,
     FracOrder,
     OrderRegion,
+    np_principal_log,
     np_principal_pow,
     power_bound_constant,
     principal_log,
@@ -87,6 +89,42 @@ def test_np_principal_pow_matches_scalar_and_handles_cut():
     got = np_principal_pow(zs, lam)
     for z, g in zip(zs, got):
         assert abs(g - principal_pow(z, lam)) < 1e-14 * max(abs(g), 1.0)
+
+
+# signed zeros, the cut approached with -0.0j, and magnitudes whose squares
+# overflow or underflow a double, so |z| must come from hypot
+_PARTS = (0.0, -0.0, 1.0, -2.5, 1e-300, -1e-300, 1e300, -1e300)
+CUT_POINTS = np.array([complex(x, y) for x in _PARTS for y in _PARTS if complex(x, y) != 0])
+CUT_ORDERS = (0.0, 1.0, 0.5, -0.5, -1.0, -0.7 + 0.2j, 0.3 + 3j, -0.4 - 3j, 1 - 3j, 3j)
+ZEROS = np.array([complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+
+
+def test_np_principal_log_matches_scalar_on_branch_cut_points():
+    got = np_principal_log(CUT_POINTS)
+    for z, g in zip(CUT_POINTS, got):
+        assert abs(g - principal_log(z)) <= 1e-14 * abs(principal_log(z)), z
+        if z.real < 0 and z.imag == 0.0:
+            assert g.imag == math.pi, z  # +pi also when the input carries -0.0j
+
+
+def test_np_principal_pow_matches_scalar_on_branch_cut_points():
+    assert any(z.real < 0 and math.copysign(1.0, z.imag) < 0 and z.imag == 0 for z in CUT_POINTS)
+    for lam in CUT_ORDERS:
+        got = np_principal_pow(CUT_POINTS, lam)
+        for z, g in zip(CUT_POINTS, got):
+            want = principal_pow(z, lam)
+            assert abs(g - want) <= 1e-14 * abs(want), (z, lam)
+
+
+def test_np_principal_pow_zero_to_any_order_is_zero_without_warning():
+    mixed = np.concatenate([ZEROS, CUT_POINTS])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for lam in CUT_ORDERS:
+            got = np_principal_pow(mixed, lam)
+            assert np.all(got[: len(ZEROS)] == 0), lam
+            assert np.all(got[len(ZEROS):] != 0), lam
+            assert np_principal_pow(0j, lam) == 0, lam
 
 
 def test_gamma_classic_values():
