@@ -52,9 +52,6 @@ __all__ = [
     "load_samples_csv",
 ]
 
-_EXP_FLOOR = -709.0  # exp() underflows well below this; clamp to exact zero
-
-
 class SupportError(ValueError):
     """Point or operation outside the support/validity of the law."""
 
@@ -202,28 +199,19 @@ def density(model, point):
     return d_const * math.exp(2.0 * d_const + expo) / (math.pi * y * y)
 
 
-def _cexp(z):
-    # exp for complex z that returns exact 0 instead of underflowing noisily
-    if z.real < _EXP_FLOOR:
-        return 0.0 + 0.0j
-    return cmath.exp(z)
-
-
 def char_fn(model, t):
     """E[exp(itZ)] for t >= 0 (closed form; sample average for Empirical)."""
     t = float(t)
     if t < 0:
         raise SupportError("char_fn is defined on t >= 0")
     if isinstance(model, Cauchy):
-        return _cexp(1j * model.gamma_point * t)
+        return cmath.exp(1j * model.gamma_point * t)
     if isinstance(model, ScaledT3):
-        return (1.0 + model.sigma * t) * _cexp((1j * model.mu - model.sigma) * t)
+        return (1.0 + model.sigma * t) * cmath.exp((1j * model.mu - model.sigma) * t)
     if isinstance(model, Poincare):
-        return _cexp((-1j * model.b / model.a - model.d_const / model.a) * t)
+        return cmath.exp((-1j * model.b / model.a - model.d_const / model.a) * t)
     atoms, weights = model.atoms, model.weights
-    expo = 1j * t * atoms
-    vals = np.where(expo.real < _EXP_FLOOR, 0.0 + 0.0j, np.exp(expo))
-    return complex(np.sum(weights * vals))
+    return complex(np.sum(weights * np.exp(1j * t * atoms)))
 
 
 def _char_k_cap(model):
@@ -258,14 +246,14 @@ def char_fn_derivative(model, k, t, sign=CharSign.MINUS_I):
                 "left transform of an upper-half-plane law diverges; use MINUS_I"
             )
         beta = model.gamma_point
-        return (-1j * beta) ** k * _cexp(1j * t * beta)
+        return (-1j * beta) ** k * cmath.exp(1j * t * beta)
     if isinstance(model, (Cauchy, ScaledT3)):
         # phi(t) = E[exp(itX)]; MINUS_I value is (-1)^k phi^(k)(t)
         if isinstance(model, Cauchy):
-            phik = (1j * model.gamma_point) ** k * _cexp(1j * model.gamma_point * t)
+            phik = (1j * model.gamma_point) ** k * cmath.exp(1j * model.gamma_point * t)
         else:
             c = complex(0.0, model.mu) - model.sigma
-            base = _cexp(c * t)
+            base = cmath.exp(c * t)
             if k == 0:
                 phik = (1.0 + model.sigma * t) * base
             else:
@@ -281,8 +269,7 @@ def char_fn_derivative(model, k, t, sign=CharSign.MINUS_I):
     else:
         expo = -1j * t * atoms
         pref = (1j) ** k
-    vals = np.where(expo.real < _EXP_FLOOR, 0.0 + 0.0j, np.exp(expo))
-    return pref * complex(np.sum(weights * atoms ** k * vals))
+    return pref * complex(np.sum(weights * atoms ** k * np.exp(expo)))
 
 
 def char_decay_rate(model):

@@ -13,6 +13,7 @@ The power mean of order p is ((1/n) sum z_j**p)**(1/p) with principal
 branches throughout, and the geometric mean prod z_j**(1/n) at p = 0.
 """
 
+import cmath
 import collections
 import dataclasses
 import enum
@@ -136,6 +137,9 @@ class PowerMeanSpec:
 # so the geometric limit is the *accurate* evaluation
 _P_GEOMETRIC_EPS = 1e-8
 
+# groups of frozen draws in the jackknife error of the ordinal branch
+_JACKKNIFE_GROUPS = 20
+
 
 def power_mean(values, p):
     """((1/n) sum z_j**p)**(1/p); the geometric mean prod z_j**(1/n) at p = 0.
@@ -235,14 +239,11 @@ def _shifted_moment(model, alpha, k):
 def _shifted_weighted_char(model, alpha, k, u):
     """E[(Z + alpha)**k exp(iu (Z + alpha))] via the transform derivatives."""
     alpha = complex(alpha)
-    phase = 1j * u * alpha
-    if phase.real < -709.0:
-        return 0.0 + 0.0j
     total = 0.0 + 0.0j
     for j in range(k + 1):
         ezj = 1j ** j * char_fn_derivative(model, j, u, CharSign.MINUS_I)
         total += math.comb(k, j) * alpha ** (k - j) * ezj
-    return np.exp(phase) * total
+    return np.exp(1j * u * alpha) * total
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +283,7 @@ def frac_moment_neg(model, alpha, lam, cfg=None):
 
     def g(t):
         osc = np.exp(-1j * im_l * math.log(t)) if im_l != 0.0 else 1.0
-        phase = 1j * alpha * t
-        if phase.real < -709.0:
-            return 0.0 + 0.0j
-        return osc * char_fn(model, t) * np.exp(phase)
+        return osc * char_fn(model, t) * np.exp(1j * alpha * t)
 
     res = integrate_singular_decaying(g, s, qcfg)
     scale = principal_pow(1j, lam) / gamma(-lam)
@@ -323,14 +321,7 @@ def _marchaud_atom(z, delta, cfg):
     upper half plane."""
     if z.imag > 0.0:
         qcfg = dataclasses.replace(cfg, truncation_decay=z.imag)
-
-        def f(u):
-            phase = 1j * u * z
-            if phase.real < -709.0:
-                return 0.0 + 0.0j
-            return np.exp(phase)
-
-        res = integrate_marchaud(1.0, f, delta, qcfg)
+        res = integrate_marchaud(1.0, lambda u: np.exp(1j * u * z), delta, qcfg)
         return res.value, res.err_estimate, res.evaluations
     # real atom: numeric head below u = 1, exact d0 part and a contour-rotated
     # oscillatory tail above
@@ -600,13 +591,57 @@ def _single_draw_powers(model, alpha, p, mc):
     return np_principal_pow(draws + alpha, p)
 
 
-class _NegTransform:
+class _WeightedPowers:
+    """Moments E[W^j e^{icW}], j = 0..jmax, of a discrete law of W.
+
+    Row j holds w_i * W_i**j.  The weights w_i are 1/N for N frozen draws,
+    so each moment is a sample mean, and the law's own weights for atoms, so
+    each moment is exact.  An evaluation is one complex exp into a reused
+    buffer, then a product and a pairwise sum per row, all on the calling
+    thread: a BLAS product would hand the reduction to a thread pool, and
+    einsum's running sum loses digits that the Marchaud difference quotient
+    then magnifies.
+    """
+
+    def __init__(self, values, weights, jmax):
+        self.values = values
+        self.rows = np.empty((jmax + 1, len(values)), dtype=complex)
+        self.rows[0] = weights
+        for j in range(1, jmax + 1):
+            np.multiply(self.rows[j - 1], values, out=self.rows[j])
+        self._buf = np.empty(len(values), dtype=complex)
+        self._prod = np.empty(len(values), dtype=complex)
+
+    def __call__(self, c):
+        buf = np.multiply(self.values, 1j * c, out=self._buf)
+        np.exp(buf, out=buf)
+        prod = self._prod
+        return np.array([np.multiply(row, buf, out=prod).sum() for row in self.rows])
+
+
+class _SingleDrawTransform:
+    """Set-up shared by the single-draw transforms of laws without a closed
+    single-draw expression: exact atoms, or frozen draws otherwise."""
+
+    def _set_weighted_powers(self, model, alpha, p, jmax, mc):
+        if isinstance(model, (TwoPoint, Empirical)):
+            self.kind = "atoms"
+            self.atoms = values = np_principal_pow(model.atoms + alpha, p)
+            weights = model.weights
+        else:
+            self.kind = "sampled"
+            self.samples = values = _single_draw_powers(model, alpha, p, mc)
+            weights = 1.0 / len(values)
+        self.kernel = _WeightedPowers(values, weights, jmax)
+        return values
+
+
+class _NegTransform(_SingleDrawTransform):
     """u -> E[exp(-i(u/n) W)]**n with W = (Z+alpha)**p, p < 0, plus its
     exponential decay rate."""
 
     def __init__(self, model, alpha, p, n, mc):
         self.n = n
-        self.kind = "sampled"
         g = getattr(model, "gamma_point", None)
         if isinstance(model, (Cauchy, ScaledT3)) and alpha.imag > 0:
             self.w = principal_pow(g + alpha, p)
@@ -621,86 +656,67 @@ class _NegTransform:
             self.w = principal_pow(model.gamma_point, p)
             self.kind = "poincare"
             self.decay = -self.w.imag
-        elif isinstance(model, (TwoPoint, Empirical)):
-            self.atoms = np_principal_pow(model.atoms + alpha, p)
-            self.weights = model.weights
-            self.kind = "atoms"
-            self.decay = -float(np.max(self.atoms.imag))
         else:
-            self.samples = _single_draw_powers(model, alpha, p, mc)
-            self.decay = -float(np.max(self.samples.imag))
+            values = self._set_weighted_powers(model, alpha, p, 0, mc)
+            self.decay = -float(np.max(values.imag))
         if self.decay <= 0:
             raise SupportError("single-draw transform does not decay; check alpha")
 
     def __call__(self, u):
         if self.kind in ("cauchy", "poincare"):
-            return _safe_exp(-1j * u * self.w)
+            return cmath.exp(-1j * u * self.w)
         if self.kind == "t3":
-            return (1.0 - self.poly * u / self.n) ** self.n * _safe_exp(-1j * u * self.w)
-        if self.kind == "atoms":
-            vals = _safe_exp_arr(-1j * (u / self.n) * self.atoms)
-            return complex(np.sum(self.weights * vals)) ** self.n
-        vals = _safe_exp_arr(-1j * (u / self.n) * self.samples)
-        return complex(np.mean(vals)) ** self.n
+            return (1.0 - self.poly * u / self.n) ** self.n * cmath.exp(-1j * u * self.w)
+        return complex(self.kernel(-u / self.n)[0]) ** self.n
 
 
-def _safe_exp(z):
-    if z.real < -709.0:
-        return 0.0 + 0.0j
-    return complex(np.exp(z))
-
-
-def _safe_exp_arr(z):
-    return np.where(np.real(z) < -709.0, 0.0 + 0.0j, np.exp(np.where(np.real(z) < -709.0, 0, z)))
-
-
-class _PosTransformDerivs:
+class _PosTransformDerivs(_SingleDrawTransform):
     """j-th derivatives of G(t) = E[exp(-i(t/n) W)] at t = -u, for
     W = (Z+alpha)**p with p > 0; used to assemble F = G**n."""
 
     def __init__(self, model, alpha, p, n, jmax, mc):
         self.n = n
-        self.jmax = jmax
-        self.kind = "sampled"
+        self._pref = np.array([(-1j / n) ** j for j in range(jmax + 1)])
+        self._fact = np.array([math.factorial(j) for j in range(jmax + 1)])
         if isinstance(model, Poincare) and alpha == 0:
             self.w = principal_pow(model.gamma_point, p)
             self.wj = np.array([principal_pow(model.gamma_point, p * j) for j in range(jmax + 1)])
             self.kind = "poincare"
             self.decay = self.w.imag
-        elif isinstance(model, (TwoPoint, Empirical)):
-            self.atoms = np_principal_pow(model.atoms + alpha, p)
-            self.weights = model.weights
-            self.kind = "atoms"
-            self.decay = float(np.min(self.atoms.imag))
         else:
-            self.samples = _single_draw_powers(model, alpha, p, mc)
-            self.decay = float(np.min(self.samples.imag))
+            values = self._set_weighted_powers(model, alpha, p, jmax, mc)
+            self.decay = float(np.min(values.imag))
         if self.decay <= 0:
             raise SupportError("single-draw transform does not decay; check alpha")
 
     def g_derivs(self, u):
         """[G^(j)(-u)] for j = 0..jmax; G^(j)(-u) = (-i/n)^j E[W^j e^{i(u/n)W}]."""
-        pref = np.array([(-1j / self.n) ** j for j in range(self.jmax + 1)])
         v = u / self.n
         if self.kind == "poincare":
-            return pref * self.wj * _safe_exp(1j * v * self.w)
-        if self.kind == "atoms":
-            base = _safe_exp_arr(1j * v * self.atoms)
-            mom = np.array(
-                [complex(np.sum(self.weights * self.atoms ** j * base)) for j in range(self.jmax + 1)]
-            )
-            return pref * mom
-        base = _safe_exp_arr(1j * v * self.samples)
-        mom = np.array(
-            [complex(np.mean(self.samples ** j * base)) for j in range(self.jmax + 1)]
-        )
-        return pref * mom
+            return self._pref * self.wj * cmath.exp(1j * v * self.w)
+        return self._pref * self.kernel(v)
 
     def f_deriv_k(self, u, k):
         """F^(k)(-u) with F = G**n, via a truncated series power."""
-        derivs = self.g_derivs(u)
-        coeffs = derivs / np.array([math.factorial(j) for j in range(self.jmax + 1)])
-        return _series_power_coeff(coeffs, self.n, k) * math.factorial(k)
+        return self._series_power(self.g_derivs(u), k)
+
+    def _series_power(self, derivs, k):
+        return _series_power_coeff(derivs / self._fact, self.n, k) * math.factorial(k)
+
+    def jackknife_sd(self, k):
+        """Delete-a-group jackknife standard error of F^(k)(0) over contiguous
+        groups of the frozen draws.  Each leave-one-out estimate comes from
+        the group sums of the u = 0 rows, not from a new pass."""
+        size = self.kernel.rows.shape[1]
+        if size < 2:
+            return math.inf  # one draw says nothing about its spread
+        groups = min(_JACKKNIFE_GROUPS, size)  # no empty group
+        starts = np.arange(groups) * size // groups
+        parts = np.add.reduceat(self.kernel.rows, starts, axis=1)
+        kept = 1.0 - np.diff(np.append(starts, size)) / size
+        loo = (parts.sum(axis=1, keepdims=True) - parts) / kept
+        est = np.array([self._series_power(self._pref * loo[:, g], k) for g in range(groups)])
+        return math.sqrt((groups - 1) / groups * np.sum(np.abs(est - est.mean()) ** 2))
 
 
 def _pm_closed(model, spec):
@@ -792,9 +808,11 @@ def _pm_frac_deriv(model, spec, cfg, mc):
         derivs = _PosTransformDerivs(model, complex(alpha), p, n, m, mc)
         f_m = derivs.f_deriv_k(0.0, m)
         value = principal_pow(-1j, -float(m)) * f_m
+        # |(-i)**-m| = 1, so the value spreads as f_m does; atoms and the
+        # closed Poincare transform are exact
         return MomentEstimate(
             value,
-            0.0 if derivs.kind in ("poincare", "atoms") else abs(value) * 1e-6,
+            derivs.jackknife_sd(m) if derivs.kind == "sampled" else 0.0,
             Route.QUAD_POS,
             {"route": "frac_deriv", "order": m, "ordinal": True, "transform": derivs.kind},
         )

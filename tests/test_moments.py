@@ -24,6 +24,7 @@ from fracmean.moments import (
     power_mean_expectation,
     t3_product_identity,
 )
+from fracmean.moments import _NegTransform, _PosTransformDerivs
 from fracmean.principal import BranchDomainError, principal_pow
 
 CAUCHY = Cauchy(0.0, 1.0)
@@ -322,6 +323,99 @@ def test_frac_deriv_ordinal_matches_mc():
 def test_frac_deriv_rejects_cauchy_positive():
     with pytest.raises(MomentExistenceError):
         power_mean_expectation(CAUCHY, PowerMeanSpec(p=0.5, n=2, alpha=1j), Route.FRAC_DERIV)
+
+
+def _loop_moments(values, weights, jmax, v):
+    """[E[W^j exp(ivW)] for j = 0..jmax], one pass per j: the reference for
+    the single-pass weighted-powers kernel.  weights=None means frozen draws."""
+    base = np.exp(1j * v * values)
+    if weights is None:
+        return np.array([complex(np.mean(values**j * base)) for j in range(jmax + 1)])
+    return np.array([complex(np.sum(weights * values**j * base)) for j in range(jmax + 1)])
+
+
+def _loop_scale(values, weights, jmax, v):
+    # sum of |terms|: the size a rounding error of the sum is measured against
+    mags = np.abs(np.exp(1j * v * values))
+    w = np.full(len(values), 1.0 / len(values)) if weights is None else weights
+    return np.array([np.sum(w * np.abs(values) ** j * mags) for j in range(jmax + 1)])
+
+
+def _assert_close_to_loop(got, want, scale):
+    for g, w, s in zip(np.atleast_1d(got), np.atleast_1d(want), np.atleast_1d(scale)):
+        if w == 0:
+            assert g == 0, (g, w)
+        else:
+            assert abs(g - w) <= 1e-13 * s, (g, w, s)
+
+
+KERNEL_US = (0.0, 1e-6, 1.0, 37.5, 1e4)
+# frozen draws (Poincare shifted off the closed case), empirical atoms (one
+# repeated) and atoms with uneven weights
+KERNEL_LAWS = (
+    (POIN, 0.5j, MCConfig(samples=2_000, seed=5)),
+    (Empirical((1 + 1j, -0.5 + 2j, 1 + 1j, 0.3 + 0.7j, 1 + 1j)), 0j, None),
+    (TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), 0j, None),
+)
+
+
+@pytest.mark.parametrize("law, alpha, mc", KERNEL_LAWS)
+def test_pos_transform_kernel_matches_per_j_loop(law, alpha, mc):
+    n, jmax = 2, 2
+    derivs = _PosTransformDerivs(law, alpha, 0.4, n, jmax, mc)
+    values = derivs.atoms if mc is None else derivs.samples
+    weights = law.weights if mc is None else None
+    pref = np.array([(-1j / n) ** j for j in range(jmax + 1)])
+    for u in KERNEL_US:
+        v = u / n
+        want = _loop_moments(values, weights, jmax, v)
+        _assert_close_to_loop(derivs.g_derivs(u), pref * want, _loop_scale(values, weights, jmax, v))
+    assert np.all(derivs.g_derivs(1e4) == 0)  # every term underflows
+
+
+@pytest.mark.parametrize("law, alpha, mc", KERNEL_LAWS)
+def test_neg_transform_kernel_matches_loop(law, alpha, mc):
+    n = 2
+    transform = _NegTransform(law, alpha, -0.5, n, mc)
+    values = transform.atoms if mc is None else transform.samples
+    weights = law.weights if mc is None else None
+    for u in KERNEL_US:
+        v = -u / n
+        want = _loop_moments(values, weights, 0, v)[0]
+        scale = _loop_scale(values, weights, 0, v)[0]
+        got = transform(u)
+        if want == 0:
+            assert got == 0
+        else:
+            # (m + e)**n - m**n ~ n m**(n-1) e
+            assert abs(got - want**n) <= n * 1e-13 * scale**n, (u, got, want**n)
+    assert transform(1e4) == 0  # every term underflows
+
+
+@pytest.mark.parametrize("p, n", [(-0.5, 2), (-0.4, 3), (0.4, 2), (0.5, 2), (0.6, 3)])
+def test_frac_deriv_atomic_law_matches_enumeration(p, n):
+    # negative-order, Marchaud and ordinal branches over exact atoms
+    tp = TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3)
+    spec = PowerMeanSpec(p=p, n=n)
+    est = power_mean_expectation(tp, spec, Route.FRAC_DERIV)
+    closed = power_mean_expectation(tp, spec, Route.CLOSED)
+    assert est.meta["transform"] == "atoms"
+    assert abs(est.value - closed.value) <= 1e-12
+
+
+def test_frac_deriv_ordinal_sampled_uncertainty_matches_seed_spread():
+    # the ordinal branch over frozen draws reports a jackknife standard error
+    # that neither under- nor overstates the spread across draw seeds
+    spec = PowerMeanSpec(p=0.5, n=2, alpha=1j)
+    ests = [
+        power_mean_expectation(T3, spec, Route.FRAC_DERIV, mc=MCConfig(samples=20_000, seed=seed))
+        for seed in range(1, 13)
+    ]
+    assert all(est.meta["ordinal"] and est.meta["transform"] == "sampled" for est in ests)
+    vals = np.array([est.value for est in ests])
+    spread = math.sqrt(np.var(vals.real) + np.var(vals.imag))
+    reported = float(np.median([est.uncertainty for est in ests]))
+    assert spread / 3.0 <= reported <= 3.0 * spread, (spread, reported)
 
 
 def test_mc_power_mean_sample_size_invariance():
