@@ -9,8 +9,6 @@ closed forms, fractional-order differentiation of characteristic functions
 from .gammafn import GammaPoleError, gamma
 from .principal import (
     BranchDomainError,
-    FracOrder,
-    OrderRegion,
     np_principal_pow,
     power_bound_constant,
     principal_log,
@@ -61,7 +59,6 @@ from .characterize import (
     LambdaSequence,
     blaschke_divergence_check,
     distinguish,
-    moment_function,
     muntz_divergence_check,
 )
 from .bounds import (

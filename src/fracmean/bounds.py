@@ -24,13 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
-    Cauchy,
-    Empirical,
+    AtomicLaw,
     MomentExistenceError,
-    Poincare,
-    ScaledT3,
     SupportError,
     TwoPoint,
+    model_support,
     sample,
     stream_generator,
 )
@@ -71,11 +69,9 @@ class BoundReport:
 
 def _support_class(model):
     """'upper' or 'lower' in the principal-argument sense, else SupportError."""
-    if isinstance(model, (Cauchy, ScaledT3, Poincare)):
+    if model_support(model) != "complex":
         return "upper"  # the real line sits inside the upper closure
-    atoms = model.atoms
-    if np.all(atoms.imag >= 0.0):
-        return "upper"
+    atoms = model.atoms  # only atomic laws have complex support
     on_neg_axis = (atoms.imag == 0.0) & (atoms.real < 0.0)
     if np.all(atoms.imag <= 0.0) and not np.any(on_neg_axis):
         return "lower"
@@ -86,11 +82,13 @@ def _support_class(model):
 
 def _abs_moment(model, p, mc):
     """(E[|Z|**p], stderr); exact for atomic laws, Monte Carlo otherwise."""
-    if isinstance(model, (TwoPoint, Empirical)):
+    if isinstance(model, AtomicLaw):
         val = float(np.sum(model.weights * np.abs(model.atoms) ** p))
         return val, 0.0
-    if isinstance(model, Cauchy) and abs(p) >= 1.0:
-        raise MomentExistenceError("E[|Z|^p] diverges for Cauchy at |p| >= 1")
+    if abs(p) >= model.max_moment:
+        raise MomentExistenceError(
+            f"E[|Z|^p] diverges for {type(model).__name__} at |p| >= {model.max_moment:g}"
+        )
     draws = np.abs(sample(model, mc.seed, mc.samples, stream=31)) ** p
     val = float(np.mean(draws))
     stderr = float(np.std(draws, ddof=1) / math.sqrt(len(draws)))
@@ -104,15 +102,14 @@ def _bound_report(model, p, divisor, estimator, mc, support_declared):
         if val is None:
             raise ValueError("no closed moment for this law; use estimator='mc'")
         moment_abs, m_err = abs(val), 0.0
-        if not isinstance(model, (TwoPoint, Empirical)):
+        if not isinstance(model, AtomicLaw):
             raise ValueError("closed absolute moments exist for atomic laws only")
-        abs_mom, a_err = _abs_moment(model, p, mc)
     elif estimator == "mc":
         est = frac_moment(model, 0.0, complex(p), route=Route.AUTO, mc=mc)
         moment_abs, m_err = abs(est.value), est.uncertainty
-        abs_mom, a_err = _abs_moment(model, p, mc)
     else:
         raise ValueError("estimator must be 'closed' or 'mc'")
+    abs_mom, a_err = _abs_moment(model, p, mc)
 
     if divisor <= 0.0:
         bound = math.inf
@@ -189,16 +186,6 @@ class SllnTrajectory:
         }
 
 
-def _log_moment_target(model):
-    if isinstance(model, Poincare):
-        return model.gamma_point  # exp(E[log Z]) = exp(log beta) = beta
-    atoms, weights = model.atoms, model.weights
-    if np.any(atoms == 0):
-        raise SupportError("geometric means need nonzero values")
-    mean_log = complex(np.sum(weights * np_principal_log(atoms)))
-    return complex(np.exp(mean_log))
-
-
 def geometric_slln_demo(model, n_max, seed, n_checkpoints=60):
     """Running geometric means prod_{j<=n} Z_j**(1/n) along one sample path,
     against the limit exp(E[log Z]).
@@ -206,13 +193,11 @@ def geometric_slln_demo(model, n_max, seed, n_checkpoints=60):
     Supported for laws in the closed upper half plane with a finite positive
     absolute moment (all built-ins that qualify).
     """
-    from .distributions import model_support
-
-    if model_support(model) not in ("upper",) or isinstance(model, (Cauchy, ScaledT3)):
+    if model_support(model) != "upper":
         raise SupportError("the demo needs an upper-half-plane law")
     if n_max < 10:
         raise ValueError("need n_max >= 10")
-    target = _log_moment_target(model)
+    target = model.geometric_mean()
     checkpoints = np.unique(
         np.geomspace(10, n_max, num=min(n_checkpoints, n_max)).astype(int)
     )

@@ -30,7 +30,6 @@ __all__ = [
     "AlphaSequence",
     "LambdaSequence",
     "DivergenceReport",
-    "moment_function",
     "disk_map",
     "alpha_sequence_from_tag",
     "lambda_sequence_from_tag",
@@ -46,11 +45,6 @@ __all__ = [
 class Verdict(enum.Enum):
     DIVERGENCE_INDICATED = "divergence_indicated"
     INCONCLUSIVE = "inconclusive"
-
-
-def moment_function(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
-    """F(alpha, lam) = E[(X + alpha)**lam]; delegates to the moment routes."""
-    return frac_moment(model, alpha, lam, route=route, cfg=cfg, mc=mc)
 
 
 def disk_map(z, a):

@@ -1,4 +1,4 @@
-"""Distribution families and their half-line characteristic transforms.
+"""Distribution families, one class each, and their half-line transforms.
 
 Built-in laws:
 
@@ -10,7 +10,28 @@ Built-in laws:
 * ``Poincare(a, b, c)`` on the upper half plane, density
   D e^{2D}/pi * exp(-(a(x^2+y^2)+2bx+c)/y) / y^2 with D = sqrt(ac-b^2);
   E[exp(itZ)] = exp(-i(b/a)t - (D/a)t) for t >= 0.
-* ``TwoPoint(z1, z2, w)`` and ``Empirical(samples)`` for discrete checks.
+* ``TwoPoint(z1, z2, w)`` and ``Empirical(samples)`` for discrete checks;
+  both are ``AtomicLaw``s with ``atoms`` and ``weights``.
+
+Each class is the one place that knows its family's formulas.  The routes in
+``moments`` and ``bounds`` ask a law only for these:
+
+* ``support`` ('real', 'upper' or 'complex'), ``max_moment`` (the supremum
+  r with E[|Z|^r] < inf) and ``decay`` (a rate r with
+  |E[exp(itZ)]| <~ K exp(-r t));
+* ``density(z)``, ``char(t)`` = E[exp(itZ)] and ``char_deriv(k, t)`` =
+  (-i)^k E[Z^k exp(itZ)], both for t >= 0, and ``sample(rng, n)``;
+* ``closed_moment(alpha, lam)``, ``closed_power_mean(p, n, alpha)`` and
+  ``geometric_mean()`` = exp(E[log Z]) of an upper-half-plane law;
+* ``single_draw(alpha)``: ``(point, factor, slack)`` such that for
+  W = (Z + alpha)^p with p < 0 and c >= 0,
+  E[exp(-icW)] = (1 - c p factor point^(p-1)) exp(-ic point^p), decaying at
+  the rate slack * (-Im point^p); None when no such closed form exists;
+* ``name`` (the family tag of the JSON form) and ``to_json()``.
+
+Adding a family means writing one class with these methods.  The
+module-level ``density``, ``char_fn``, ``char_fn_derivative``,
+``model_support`` and ``model_to_json`` check their arguments and delegate.
 
 Samplers are exact and deterministic given (seed, stream): Cauchy by inverse
 CDF, the t3 family by a rescaled Student draw, and the upper-half-plane law
@@ -20,26 +41,27 @@ y ~ InverseGaussian(mean D/a, shape 2 D^2 / a).
 
 import cmath
 import csv
-import enum
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .principal import BranchDomainError, np_principal_log, np_principal_pow, principal_pow
+
 __all__ = [
     "SupportError",
     "MomentExistenceError",
-    "CharSign",
+    "RouteUnavailableError",
     "Cauchy",
     "ScaledT3",
     "Poincare",
+    "AtomicLaw",
     "TwoPoint",
     "Empirical",
     "density",
     "char_fn",
     "char_fn_derivative",
-    "char_decay_rate",
     "model_support",
     "sample",
     "stream_generator",
@@ -52,6 +74,7 @@ __all__ = [
     "load_samples_csv",
 ]
 
+
 class SupportError(ValueError):
     """Point or operation outside the support/validity of the law."""
 
@@ -60,44 +83,131 @@ class MomentExistenceError(ValueError):
     """A required absolute moment of the law does not exist."""
 
 
-class CharSign(enum.Enum):
-    """Which half-line transform a derivative refers to.
-
-    MINUS_I differentiates s -> E[exp(-i s Z)] (evaluated at s = -t, i.e. on
-    the half-line where the transform of an upper-half-plane variable
-    converges); PLUS_I differentiates s -> E[exp(i s Z)] at s = -t.
-    """
-
-    MINUS_I = "minus_i"
-    PLUS_I = "plus_i"
+class RouteUnavailableError(ValueError):
+    """The requested route does not apply to this model/parameter combination."""
 
 
 @dataclass(frozen=True)
-class Cauchy:
+class _RealLineLaw:
+    """Location-scale law on the real line whose density has its pole at
+    gamma = mu + i*sigma.  The residue there gives the closed forms: for f
+    bounded and holomorphic on the upper half plane, E f(X) = f(gamma) for
+    Cauchy and f(gamma) - i*sigma*f'(gamma) for the t3 law.  Subclasses add
+    no fields."""
+
     mu: float
     sigma: float
 
+    support = "real"
+    _t3_factor = 0.0  # k in E f(X) = f(gamma) - i*sigma*k*f'(gamma)
+    _slack = 1.0  # share of sigma claimed as the transform's decay rate
+
     def __post_init__(self):
         if not self.sigma > 0:
-            raise ValueError("Cauchy needs sigma > 0")
+            raise ValueError(f"{type(self).__name__} needs sigma > 0")
 
     @property
     def gamma_point(self):
         return complex(self.mu, self.sigma)
 
-
-@dataclass(frozen=True)
-class ScaledT3:
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("ScaledT3 needs sigma > 0")
-
     @property
-    def gamma_point(self):
-        return complex(self.mu, self.sigma)
+    def decay(self):
+        return self._slack * self.sigma
+
+    def density(self, z):
+        if z.imag != 0.0:
+            raise SupportError(f"{type(self).__name__} density lives on the real line")
+        return self._density(z.real)
+
+    def closed_moment(self, alpha, lam):
+        if lam.real >= self.max_moment:
+            raise MomentExistenceError(
+                f"E[|Z|^{lam.real:g}] diverges for {type(self).__name__}"
+            )
+        if alpha.imag == 0.0 and lam.real <= -1.0:
+            raise MomentExistenceError("negative orders at real alpha need Re(lam) > -1")
+        return self._residue_moment(self.gamma_point + alpha, lam)
+
+    def closed_power_mean(self, p, n, alpha):
+        if p >= 0:
+            raise RouteUnavailableError(f"closed {self.name} power means cover p < 0 only")
+        if alpha.imag <= 0:
+            raise SupportError(f"{self.name} power means need alpha in the open upper half plane")
+        return self._residue_power_mean(self.gamma_point + alpha, p, n)
+
+    def single_draw(self, alpha):
+        closed = self.gamma_point + alpha, self._t3_factor * self.sigma, self._slack
+        return closed if alpha.imag > 0 else None
+
+    def geometric_mean(self):
+        raise SupportError("the geometric-mean limit needs an upper-half-plane law")
+
+    def to_json(self):
+        return {"dist": self.name, "params": {"mu": self.mu, "sigma": self.sigma}}
+
+
+class Cauchy(_RealLineLaw):
+    name = "cauchy"
+    max_moment = 1.0
+
+    def _density(self, x):
+        return self.sigma / math.pi / ((x - self.mu) ** 2 + self.sigma ** 2)
+
+    def char(self, t):
+        return cmath.exp(1j * self.gamma_point * t)
+
+    def char_deriv(self, k, t):
+        return (-1.0) ** k * ((1j * self.gamma_point) ** k * cmath.exp(1j * self.gamma_point * t))
+
+    def sample(self, rng, n):
+        u = rng.random(n)
+        return (self.mu + self.sigma * np.tan(math.pi * (u - 0.5))) + 0.0j
+
+    def _residue_moment(self, g, lam):
+        return principal_pow(g, lam)
+
+    def _residue_power_mean(self, g, p, n):
+        return g
+
+
+class ScaledT3(_RealLineLaw):
+    name = "t3"
+    max_moment = 3.0
+    _t3_factor = 1.0
+    _slack = 0.95  # leaves room for the (1 + sigma t) factor
+
+    def _density(self, x):
+        return 2.0 * self.sigma ** 3 / math.pi / abs(x - self.gamma_point) ** 4
+
+    def char(self, t):
+        return (1.0 + self.sigma * t) * cmath.exp((1j * self.mu - self.sigma) * t)
+
+    def char_deriv(self, k, t):
+        # (-1)^k phi^(k)(t) for phi(t) = (1 + sigma t) exp(c t)
+        c = complex(0.0, self.mu) - self.sigma
+        base = cmath.exp(c * t)
+        if k == 0:
+            phik = (1.0 + self.sigma * t) * base
+        else:
+            phik = (k * self.sigma * c ** (k - 1) + c ** k * (1.0 + self.sigma * t)) * base
+        return (-1.0) ** k * phik
+
+    def sample(self, rng, n):
+        t_draw = rng.standard_t(3, size=n)
+        return (self.mu + self.sigma * t_draw / math.sqrt(3.0)) + 0.0j
+
+    def _residue_moment(self, g, lam):
+        return principal_pow(g, lam - 1.0) * (g - 1j * lam * self.sigma)
+
+    def _residue_power_mean(self, g, p, n):
+        # the product form of t3_product_identity, free of cancellation
+        total = 0.0 + 0.0j
+        for k in range(n + 1):
+            prod = 1.0 + 0.0j
+            for j in range(k):
+                prod *= j * p - 1.0
+            total += math.comb(n, k) * (1j / (n * g)) ** k * prod
+        return g * total
 
 
 @dataclass(frozen=True)
@@ -105,6 +215,10 @@ class Poincare:
     a: float
     b: float
     c: float
+
+    name = "poincare"
+    support = "upper"
+    max_moment = math.inf
 
     def __post_init__(self):
         if not (self.a > 0 and self.c > 0 and self.a * self.c - self.b ** 2 > 0):
@@ -118,12 +232,109 @@ class Poincare:
     def gamma_point(self):
         return complex(-self.b / self.a, self.d_const / self.a)
 
+    @property
+    def decay(self):
+        return self.d_const / self.a
+
+    def density(self, z):
+        if z.imag <= 0.0:
+            raise SupportError("Poincare density lives on the open upper half plane")
+        x, y = z.real, z.imag
+        d_const = self.d_const
+        expo = -(self.a * (x * x + y * y) + 2.0 * self.b * x + self.c) / y
+        return d_const * math.exp(2.0 * d_const + expo) / (math.pi * y * y)
+
+    def char(self, t):
+        return cmath.exp((-1j * self.b / self.a - self.d_const / self.a) * t)
+
+    def char_deriv(self, k, t):
+        beta = self.gamma_point
+        return (-1j * beta) ** k * cmath.exp(1j * t * beta)
+
+    def sample(self, rng, n):
+        d_const = self.d_const
+        mean = d_const / self.a
+        shape = 2.0 * d_const ** 2 / self.a
+        y = _inverse_gaussian(rng, mean, shape, n)
+        x = -self.b / self.a + np.sqrt(y / (2.0 * self.a)) * rng.standard_normal(n)
+        return x + 1j * y
+
+    def closed_moment(self, alpha, lam):
+        return principal_pow(self.gamma_point, lam) if alpha == 0 else None
+
+    def closed_power_mean(self, p, n, alpha):
+        if alpha != 0:
+            raise RouteUnavailableError("closed Poincare power means need alpha = 0")
+        if abs(p) > 1:
+            raise RouteUnavailableError("closed Poincare power means need |p| <= 1")
+        return self.gamma_point
+
+    def single_draw(self, alpha):
+        return (self.gamma_point, 0.0, 1.0) if alpha == 0 else None
+
+    def geometric_mean(self):
+        return self.gamma_point  # exp(E[log Z]) = exp(log beta) = beta
+
+    def to_json(self):
+        return {"dist": self.name, "params": {"a": self.a, "b": self.b, "c": self.c}}
+
+
+class AtomicLaw:
+    """A law on finitely many atoms; subclasses provide ``atoms`` and
+    ``weights`` arrays.  Every expectation is an exact weighted sum."""
+
+    max_moment = math.inf
+
+    @property
+    def support(self):
+        atoms = self.atoms
+        if np.all(atoms.imag == 0.0):
+            return "real"
+        if np.all(atoms.imag >= 0.0):
+            return "upper"
+        return "complex"
+
+    @property
+    def decay(self):
+        return max(float(np.min(self.atoms.imag)), 0.0) * 0.999  # 0 for real atoms
+
+    def density(self, z):
+        raise SupportError("discrete law has no density")
+
+    def char(self, t):
+        return complex(np.sum(self.weights * np.exp(1j * t * self.atoms)))
+
+    def char_deriv(self, k, t):
+        atoms = self.atoms
+        return (-1j) ** k * complex(np.sum(self.weights * atoms ** k * np.exp(1j * t * atoms)))
+
+    def sample(self, rng, n):
+        atoms = self.atoms
+        return atoms[rng.choice(len(atoms), size=n, p=self.weights)]
+
+    def closed_moment(self, alpha, lam):
+        return complex(np.sum(self.weights * np_principal_pow(self.atoms + alpha, lam)))
+
+    def closed_power_mean(self, p, n, alpha):
+        raise RouteUnavailableError("no closed power-mean expectation for this law")
+
+    def single_draw(self, alpha):
+        return None
+
+    def geometric_mean(self):
+        atoms = self.atoms
+        if np.any(atoms == 0):
+            raise SupportError("geometric means need nonzero values")
+        return complex(np.exp(complex(np.sum(self.weights * np_principal_log(atoms)))))
+
 
 @dataclass(frozen=True)
-class TwoPoint:
+class TwoPoint(AtomicLaw):
     z1: complex
     z2: complex
     w: float
+
+    name = "twopoint"
 
     def __post_init__(self):
         if not 0.0 <= self.w <= 1.0:
@@ -137,10 +348,32 @@ class TwoPoint:
     def weights(self):
         return np.array([self.w, 1.0 - self.w])
 
+    def closed_power_mean(self, p, n, alpha):
+        from .moments import power_mean  # moments imports this module
+
+        # exact enumeration over the n-fold product law
+        atoms = self.atoms + alpha
+        if p <= 0 and np.any(atoms == 0):
+            raise BranchDomainError("power mean of order p <= 0 needs nonzero values")
+        total = 0.0 + 0.0j
+        for k in range(n + 1):
+            weight = math.comb(n, k) * self.w ** k * (1.0 - self.w) ** (n - k)
+            if weight == 0.0:
+                continue
+            values = np.array([atoms[0]] * k + [atoms[1]] * (n - k))
+            total += weight * power_mean(values, p)
+        return total
+
+    def to_json(self):
+        params = {"z1": [self.z1.real, self.z1.imag], "z2": [self.z2.real, self.z2.imag], "w": self.w}
+        return {"dist": self.name, "params": params}
+
 
 @dataclass(frozen=True)
-class Empirical:
+class Empirical(AtomicLaw):
     samples: tuple
+
+    name = "empirical"
 
     def __post_init__(self):
         if len(self.samples) == 0:
@@ -156,19 +389,13 @@ class Empirical:
         m = len(self.samples)
         return np.full(m, 1.0 / m)
 
+    def to_json(self):
+        return {"dist": self.name, "params": {"samples": [[z.real, z.imag] for z in self.samples]}}
+
 
 def model_support(model):
     """'real', 'upper' (closed upper half plane) or 'complex'."""
-    if isinstance(model, (Cauchy, ScaledT3)):
-        return "real"
-    if isinstance(model, Poincare):
-        return "upper"
-    atoms = model.atoms
-    if np.all(atoms.imag == 0.0):
-        return "real"
-    if np.all(atoms.imag >= 0.0):
-        return "upper"
-    return "complex"
+    return model.support
 
 
 def density(model, point):
@@ -178,111 +405,32 @@ def density(model, point):
     imaginary part); the upper-half-plane law takes z with Im z > 0.
     Discrete laws have no density.
     """
-    if isinstance(model, (TwoPoint, Empirical)):
-        raise SupportError("discrete law has no density")
-    z = complex(point)
-    if isinstance(model, Cauchy):
-        if z.imag != 0.0:
-            raise SupportError("Cauchy density lives on the real line")
-        x = z.real
-        return model.sigma / math.pi / ((x - model.mu) ** 2 + model.sigma ** 2)
-    if isinstance(model, ScaledT3):
-        if z.imag != 0.0:
-            raise SupportError("ScaledT3 density lives on the real line")
-        x = z.real
-        return 2.0 * model.sigma ** 3 / math.pi / abs(x - model.gamma_point) ** 4
-    if z.imag <= 0.0:
-        raise SupportError("Poincare density lives on the open upper half plane")
-    x, y = z.real, z.imag
-    d_const = model.d_const
-    expo = -(model.a * (x * x + y * y) + 2.0 * model.b * x + model.c) / y
-    return d_const * math.exp(2.0 * d_const + expo) / (math.pi * y * y)
+    return model.density(complex(point))
 
 
 def char_fn(model, t):
-    """E[exp(itZ)] for t >= 0 (closed form; sample average for Empirical)."""
+    """E[exp(itZ)] for t >= 0 (closed form; weighted sum for atomic laws)."""
     t = float(t)
     if t < 0:
         raise SupportError("char_fn is defined on t >= 0")
-    if isinstance(model, Cauchy):
-        return cmath.exp(1j * model.gamma_point * t)
-    if isinstance(model, ScaledT3):
-        return (1.0 + model.sigma * t) * cmath.exp((1j * model.mu - model.sigma) * t)
-    if isinstance(model, Poincare):
-        return cmath.exp((-1j * model.b / model.a - model.d_const / model.a) * t)
-    atoms, weights = model.atoms, model.weights
-    return complex(np.sum(weights * np.exp(1j * t * atoms)))
+    return model.char(t)
 
 
-def _char_k_cap(model):
-    # largest k with E[|Z|^k] < inf (inclusive cap on derivative order)
-    if isinstance(model, Cauchy):
-        return 0
-    if isinstance(model, ScaledT3):
-        return 2
-    return math.inf
-
-
-def char_fn_derivative(model, k, t, sign=CharSign.MINUS_I):
-    """k-th derivative of the half-line transform, pulled back to t >= 0.
-
-    For MINUS_I the function is f(s) = E[exp(-isZ)] and the derivative is
-    taken at s = -t, which equals (-i)^k E[Z^k exp(itZ)]; for PLUS_I it is
-    g(s) = E[exp(isZ)] at s = -t, i.e. (+i)^k E[Z^k exp(-itZ)].
-    """
+def char_fn_derivative(model, k, t):
+    """k-th derivative of f(s) = E[exp(-isZ)] at s = -t, for t >= 0, which
+    equals (-i)^k E[Z^k exp(itZ)]: the half-line where the transform of an
+    upper-half-plane variable converges."""
     if k < 0 or k != int(k):
         raise ValueError("derivative order must be a non-negative integer")
     k = int(k)
     t = float(t)
     if t < 0:
         raise SupportError("char_fn_derivative is defined on t >= 0")
-    if k > _char_k_cap(model):
+    if k >= model.max_moment:
         raise MomentExistenceError(
             f"E[|Z|^{k}] does not exist for {type(model).__name__}"
         )
-    if isinstance(model, Poincare):
-        if sign is CharSign.PLUS_I:
-            raise SupportError(
-                "left transform of an upper-half-plane law diverges; use MINUS_I"
-            )
-        beta = model.gamma_point
-        return (-1j * beta) ** k * cmath.exp(1j * t * beta)
-    if isinstance(model, (Cauchy, ScaledT3)):
-        # phi(t) = E[exp(itX)]; MINUS_I value is (-1)^k phi^(k)(t)
-        if isinstance(model, Cauchy):
-            phik = (1j * model.gamma_point) ** k * cmath.exp(1j * model.gamma_point * t)
-        else:
-            c = complex(0.0, model.mu) - model.sigma
-            base = cmath.exp(c * t)
-            if k == 0:
-                phik = (1.0 + model.sigma * t) * base
-            else:
-                phik = (k * model.sigma * c ** (k - 1) + c ** k * (1.0 + model.sigma * t)) * base
-        val = (-1.0) ** k * phik
-        if sign is CharSign.PLUS_I:
-            return val.conjugate()
-        return val
-    atoms, weights = model.atoms, model.weights
-    if sign is CharSign.MINUS_I:
-        expo = 1j * t * atoms
-        pref = (-1j) ** k
-    else:
-        expo = -1j * t * atoms
-        pref = (1j) ** k
-    return pref * complex(np.sum(weights * atoms ** k * np.exp(expo)))
-
-
-def char_decay_rate(model):
-    """Exponential decay rate r with |char_fn(t)| <~ K exp(-r t); 0 for laws
-    with atoms on the real line."""
-    if isinstance(model, Cauchy):
-        return model.sigma
-    if isinstance(model, ScaledT3):
-        return 0.95 * model.sigma  # leaves room for the (1 + sigma t) factor
-    if isinstance(model, Poincare):
-        return model.d_const / model.a
-    min_im = float(np.min(model.atoms.imag))
-    return max(min_im, 0.0) * 0.999
+    return model.char_deriv(k, t)
 
 
 def stream_generator(seed, stream=0):
@@ -302,22 +450,7 @@ def sample(model, seed, n, stream=0):
 
 
 def _sample_with(rng, model, n):
-    if isinstance(model, Cauchy):
-        u = rng.random(n)
-        return (model.mu + model.sigma * np.tan(math.pi * (u - 0.5))) + 0.0j
-    if isinstance(model, ScaledT3):
-        t_draw = rng.standard_t(3, size=n)
-        return (model.mu + model.sigma * t_draw / math.sqrt(3.0)) + 0.0j
-    if isinstance(model, Poincare):
-        d_const = model.d_const
-        mean = d_const / model.a
-        shape = 2.0 * d_const ** 2 / model.a
-        y = _inverse_gaussian(rng, mean, shape, n)
-        x = -model.b / model.a + np.sqrt(y / (2.0 * model.a)) * rng.standard_normal(n)
-        return x + 1j * y
-    atoms, weights = model.atoms, model.weights
-    idx = rng.choice(len(atoms), size=n, p=weights)
-    return atoms[idx]
+    return model.sample(rng, n)
 
 
 def _inverse_gaussian(rng, mean, shape, n):
@@ -416,25 +549,7 @@ def model_from_json(obj):
 
 
 def model_to_json(model):
-    if isinstance(model, Cauchy):
-        return {"dist": "cauchy", "params": {"mu": model.mu, "sigma": model.sigma}}
-    if isinstance(model, ScaledT3):
-        return {"dist": "t3", "params": {"mu": model.mu, "sigma": model.sigma}}
-    if isinstance(model, Poincare):
-        return {"dist": "poincare", "params": {"a": model.a, "b": model.b, "c": model.c}}
-    if isinstance(model, TwoPoint):
-        return {
-            "dist": "twopoint",
-            "params": {
-                "z1": [model.z1.real, model.z1.imag],
-                "z2": [model.z2.real, model.z2.imag],
-                "w": model.w,
-            },
-        }
-    return {
-        "dist": "empirical",
-        "params": {"samples": [[z.real, z.imag] for z in model.samples]},
-    }
+    return model.to_json()
 
 
 def samples_to_csv(samples, path):

@@ -24,19 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
-    Cauchy,
-    CharSign,
-    Empirical,
+    AtomicLaw,
     MomentExistenceError,
-    Poincare,
-    ScaledT3,
+    RouteUnavailableError,
     SupportError,
-    TwoPoint,
-    char_decay_rate,
     char_fn,
     char_fn_derivative,
     model_support,
-    model_to_json,
     sample,
     stream_generator,
 )
@@ -77,10 +71,6 @@ class Route(enum.Enum):
     MONTE_CARLO = "mc"
     FRAC_DERIV = "frac_deriv"  # power-mean route through the fractional operators
     AUTO = "auto"
-
-
-class RouteUnavailableError(ValueError):
-    """The requested route does not apply to this model/parameter combination."""
 
 
 @dataclass
@@ -186,54 +176,13 @@ def t3_product_identity(p, k):
 # closed forms
 
 
-def _max_pos_moment(model):
-    # supremum r with E[|Z|^r] < inf on the positive side
-    if isinstance(model, Cauchy):
-        return 1.0
-    if isinstance(model, ScaledT3):
-        return 3.0
-    return math.inf
-
-
 def closed_moment(model, alpha, lam):
     """E[(Z + alpha)**lam] in closed form, or None when the family has no
     closed expression for these arguments.
 
     Raises MomentExistenceError when the moment itself does not exist.
     """
-    alpha = complex(alpha)
-    lam = complex(lam)
-    if isinstance(model, (Cauchy, ScaledT3)):
-        cap = _max_pos_moment(model)
-        if lam.real >= cap:
-            raise MomentExistenceError(
-                f"E[|Z|^{lam.real:g}] diverges for {type(model).__name__}"
-            )
-        if alpha.imag == 0.0 and lam.real <= -1.0:
-            raise MomentExistenceError(
-                "negative orders at real alpha need Re(lam) > -1"
-            )
-        g = model.gamma_point + alpha
-        if isinstance(model, Cauchy):
-            return principal_pow(g, lam)
-        return principal_pow(g, lam - 1.0) * (g - 1j * lam * model.sigma)
-    if isinstance(model, Poincare):
-        if alpha != 0:
-            return None
-        return principal_pow(model.gamma_point, lam)
-    shifted = model.atoms + alpha
-    vals = np_principal_pow(shifted, lam)
-    return complex(np.sum(model.weights * vals))
-
-
-def _shifted_moment(model, alpha, k):
-    """E[(Z + alpha)**k] for integer k >= 0 via the transform derivatives."""
-    alpha = complex(alpha)
-    total = 0.0 + 0.0j
-    for j in range(k + 1):
-        ez_j = 1j ** j * char_fn_derivative(model, j, 0.0, CharSign.MINUS_I)
-        total += math.comb(k, j) * alpha ** (k - j) * ez_j
-    return total
+    return model.closed_moment(complex(alpha), complex(lam))
 
 
 def _shifted_weighted_char(model, alpha, k, u):
@@ -241,7 +190,7 @@ def _shifted_weighted_char(model, alpha, k, u):
     alpha = complex(alpha)
     total = 0.0 + 0.0j
     for j in range(k + 1):
-        ezj = 1j ** j * char_fn_derivative(model, j, u, CharSign.MINUS_I)
+        ezj = 1j ** j * char_fn_derivative(model, j, u)
         total += math.comb(k, j) * alpha ** (k - j) * ezj
     return np.exp(1j * u * alpha) * total
 
@@ -273,7 +222,7 @@ def frac_moment_neg(model, alpha, lam, cfg=None):
     if support == "complex":
         raise SupportError("negative orders need an upper-half-plane shift Z + alpha")
 
-    decay = char_decay_rate(model) + alpha.imag
+    decay = model.decay + alpha.imag
     if decay <= 0:
         raise SupportError("transform does not decay; increase Im(alpha)")
     qcfg = dataclasses.replace(cfg, truncation_decay=decay)
@@ -348,9 +297,11 @@ def frac_moment_pos(model, alpha, lam, cfg=None):
             "integer Re(lam) is an ordinary moment; compute it directly "
             "from the transform derivatives instead of the fractional route"
         )
-    if isinstance(model, Cauchy):
-        raise MomentExistenceError("positive-order moments are rejected for Cauchy")
-    if lam.real >= _max_pos_moment(model):
+    if model.max_moment <= 1.0:
+        raise MomentExistenceError(
+            f"positive-order moments need E[|Z|] < inf; rejected for {type(model).__name__}"
+        )
+    if lam.real >= model.max_moment:
         raise MomentExistenceError(
             f"E[|Z|^{lam.real:g}] diverges for {type(model).__name__}"
         )
@@ -361,11 +312,11 @@ def frac_moment_pos(model, alpha, lam, cfg=None):
     delta = lam - k
     scale = principal_pow(1j, delta) * delta / gamma(1.0 - delta)
 
-    if isinstance(model, (TwoPoint, Empirical)):
+    if isinstance(model, AtomicLaw):
         shifted = model.atoms + alpha
         if np.any(shifted.imag < 0):
             raise SupportError("shifted atoms must stay in the closed upper half plane")
-        if isinstance(model, Empirical) and np.any(shifted.imag == 0) and len(shifted) > 4:
+        if np.any(shifted.imag == 0) and len(shifted) > 4:
             raise SupportError(
                 "empirical law with real atoms: take Im(alpha) > 0 so the "
                 "transform decays"
@@ -388,9 +339,9 @@ def frac_moment_pos(model, alpha, lam, cfg=None):
             meta={"evaluations": evals, "k": k, "atomic": True, "quad": _cfg_meta(cfg)},
         )
 
-    decay = char_decay_rate(model) + alpha.imag
+    decay = model.decay + alpha.imag
     qcfg = dataclasses.replace(cfg, truncation_decay=decay)
-    d0 = _shifted_moment(model, alpha, k)
+    d0 = _shifted_weighted_char(model, alpha, k, 0.0)
 
     def f(u):
         return _shifted_weighted_char(model, alpha, k, u)
@@ -529,7 +480,7 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
 
     if route in (Route.CLOSED, Route.AUTO):
         if lam == 0:
-            val = closed_moment(model, alpha, 0.0) if isinstance(model, (TwoPoint, Empirical)) else 1.0 + 0.0j
+            val = closed_moment(model, alpha, 0.0) if isinstance(model, AtomicLaw) else 1.0 + 0.0j
             return MomentEstimate(val, 0.0, Route.CLOSED, {"auto": auto, "trivial_order": True})
         try:
             val = closed_moment(model, alpha, lam)
@@ -623,8 +574,10 @@ class _SingleDrawTransform:
     """Set-up shared by the single-draw transforms of laws without a closed
     single-draw expression: exact atoms, or frozen draws otherwise."""
 
+    kernel = None  # stays None for a closed single-draw transform
+
     def _set_weighted_powers(self, model, alpha, p, jmax, mc):
-        if isinstance(model, (TwoPoint, Empirical)):
+        if isinstance(model, AtomicLaw):
             self.kind = "atoms"
             self.atoms = values = np_principal_pow(model.atoms + alpha, p)
             weights = model.weights
@@ -642,20 +595,13 @@ class _NegTransform(_SingleDrawTransform):
 
     def __init__(self, model, alpha, p, n, mc):
         self.n = n
-        g = getattr(model, "gamma_point", None)
-        if isinstance(model, (Cauchy, ScaledT3)) and alpha.imag > 0:
-            self.w = principal_pow(g + alpha, p)
-            self.kind = "cauchy" if isinstance(model, Cauchy) else "t3"
-            self.poly = (
-                p * model.sigma * principal_pow(g + alpha, p - 1.0)
-                if isinstance(model, ScaledT3)
-                else 0.0
-            )
-            self.decay = -self.w.imag * (1.0 if isinstance(model, Cauchy) else 0.95)
-        elif isinstance(model, Poincare) and alpha == 0:
-            self.w = principal_pow(model.gamma_point, p)
-            self.kind = "poincare"
-            self.decay = -self.w.imag
+        closed = model.single_draw(alpha)
+        if closed is not None:
+            point, factor, slack = closed
+            self.kind = model.name
+            self.w = principal_pow(point, p)
+            self.poly = p * factor * principal_pow(point, p - 1.0) if factor else 0.0
+            self.decay = -self.w.imag * slack
         else:
             values = self._set_weighted_powers(model, alpha, p, 0, mc)
             self.decay = -float(np.max(values.imag))
@@ -663,11 +609,11 @@ class _NegTransform(_SingleDrawTransform):
             raise SupportError("single-draw transform does not decay; check alpha")
 
     def __call__(self, u):
-        if self.kind in ("cauchy", "poincare"):
-            return cmath.exp(-1j * u * self.w)
-        if self.kind == "t3":
+        if self.kernel is not None:
+            return complex(self.kernel(-u / self.n)[0]) ** self.n
+        if self.poly:
             return (1.0 - self.poly * u / self.n) ** self.n * cmath.exp(-1j * u * self.w)
-        return complex(self.kernel(-u / self.n)[0]) ** self.n
+        return cmath.exp(-1j * u * self.w)
 
 
 class _PosTransformDerivs(_SingleDrawTransform):
@@ -678,11 +624,15 @@ class _PosTransformDerivs(_SingleDrawTransform):
         self.n = n
         self._pref = np.array([(-1j / n) ** j for j in range(jmax + 1)])
         self._fact = np.array([math.factorial(j) for j in range(jmax + 1)])
-        if isinstance(model, Poincare) and alpha == 0:
-            self.w = principal_pow(model.gamma_point, p)
-            self.wj = np.array([principal_pow(model.gamma_point, p * j) for j in range(jmax + 1)])
-            self.kind = "poincare"
-            self.decay = self.w.imag
+        closed = model.single_draw(alpha)
+        # the t3 correction is worked out for the negative-order transform
+        # only; without it E f(Z) = f(point), and so for every derivative too
+        if closed is not None and closed[1] == 0.0:
+            point, _, slack = closed
+            self.w = principal_pow(point, p)
+            self.wj = np.array([principal_pow(point, p * j) for j in range(jmax + 1)])
+            self.kind = model.name
+            self.decay = self.w.imag * slack
         else:
             values = self._set_weighted_powers(model, alpha, p, jmax, mc)
             self.decay = float(np.min(values.imag))
@@ -692,7 +642,7 @@ class _PosTransformDerivs(_SingleDrawTransform):
     def g_derivs(self, u):
         """[G^(j)(-u)] for j = 0..jmax; G^(j)(-u) = (-i/n)^j E[W^j e^{i(u/n)W}]."""
         v = u / self.n
-        if self.kind == "poincare":
+        if self.kernel is None:
             return self._pref * self.wj * cmath.exp(1j * v * self.w)
         return self._pref * self.kernel(v)
 
@@ -719,52 +669,6 @@ class _PosTransformDerivs(_SingleDrawTransform):
         return math.sqrt((groups - 1) / groups * np.sum(np.abs(est - est.mean()) ** 2))
 
 
-def _pm_closed(model, spec):
-    p, n, alpha = spec.p, spec.n, spec.alpha
-    if isinstance(model, Cauchy):
-        if p >= 0:
-            raise RouteUnavailableError(
-                "Cauchy power means with p >= 0 are not integrable; closed "
-                "form exists for p < 0 only"
-            )
-        if alpha.imag <= 0:
-            raise SupportError("Cauchy power means need alpha in the open upper half plane")
-        return model.gamma_point + alpha
-    if isinstance(model, ScaledT3):
-        if p >= 0:
-            raise RouteUnavailableError("closed t3 power means cover p < 0 only")
-        if alpha.imag <= 0:
-            raise SupportError("t3 power means need alpha in the open upper half plane")
-        g = model.gamma_point + alpha
-        total = 0.0 + 0.0j
-        for k in range(n + 1):
-            prod = 1.0 + 0.0j
-            for j in range(k):
-                prod *= j * p - 1.0
-            total += math.comb(n, k) * (1j / (n * g)) ** k * prod
-        return g * total
-    if isinstance(model, Poincare):
-        if alpha != 0:
-            raise RouteUnavailableError("closed Poincare power means need alpha = 0")
-        if abs(p) > 1:
-            raise RouteUnavailableError("closed Poincare power means need |p| <= 1")
-        return model.gamma_point
-    if isinstance(model, TwoPoint):
-        # exact enumeration over the n-fold product law
-        atoms = model.atoms + alpha
-        if p <= 0 and np.any(atoms == 0):
-            raise BranchDomainError("power mean of order p <= 0 needs nonzero values")
-        total = 0.0 + 0.0j
-        for k in range(n + 1):
-            weight = math.comb(n, k) * model.w ** k * (1.0 - model.w) ** (n - k)
-            if weight == 0.0:
-                continue
-            values = np.array([atoms[0]] * k + [atoms[1]] * (n - k))
-            total += weight * power_mean(values, p)
-        return total
-    raise RouteUnavailableError("no closed power-mean expectation for this law")
-
-
 def _pm_frac_deriv(model, spec, cfg, mc):
     p, n, alpha = spec.p, spec.n, spec.alpha
     cfg = cfg or QuadratureConfig()
@@ -773,7 +677,7 @@ def _pm_frac_deriv(model, spec, cfg, mc):
         # geometric mean: E[prod Z_j**(1/n)] = E[Z**(1/n)]**n, no fractional
         # operator at p itself
         if n == 1:
-            val = _shifted_moment(model, alpha, 1)
+            val = complex(_shifted_weighted_char(model, alpha, 1, 0.0))
             return MomentEstimate(val, 0.0, Route.CLOSED, {"route": "frac_deriv", "geometric": True})
         inner = frac_moment_pos(model, alpha, 1.0 / n, cfg)
         value = principal_pow(inner.value, float(n))
@@ -798,9 +702,9 @@ def _pm_frac_deriv(model, spec, cfg, mc):
         }
         return MomentEstimate(scale * res.value, abs(scale) * res.err_estimate, Route.QUAD_NEG, meta)
     # p > 0
-    if _max_pos_moment(model) < 1.0 or isinstance(model, Cauchy):
+    if model.max_moment <= 1.0:
         raise MomentExistenceError(
-            "positive-order power means need Z in L^1; rejected for Cauchy"
+            f"positive-order power means need Z in L^1; rejected for {type(model).__name__}"
         )
     if abs(order - round(order)) < 1e-12:
         # 1/p is an integer m: the plain m-th derivative of the transform
@@ -866,7 +770,7 @@ def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
     auto = route is Route.AUTO
     if route in (Route.CLOSED, Route.AUTO):
         try:
-            val = _pm_closed(model, spec)
+            val = model.closed_power_mean(spec.p, spec.n, spec.alpha)
             return MomentEstimate(val, 0.0, Route.CLOSED, {"auto": auto, "n": spec.n, "p": spec.p})
         except (RouteUnavailableError, SupportError, BranchDomainError):
             if not auto:

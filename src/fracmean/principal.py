@@ -20,9 +20,7 @@ dropping the b terms when lam is real.
 """
 
 import cmath
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +32,6 @@ __all__ = [
     "np_principal_log",
     "np_principal_pow",
     "power_bound_constant",
-    "OrderRegion",
-    "FracOrder",
     "BranchDomainError",
 ]
 
@@ -120,30 +116,3 @@ def power_bound_constant(lam):
         raise BranchDomainError("power_bound_constant needs Re(lam) < 0")
     num = gamma(-lam.real).real * math.exp(math.pi * abs(lam.imag) / 2.0)
     return num / abs(gamma(-lam))
-
-
-class OrderRegion(enum.Enum):
-    """Sign of the real part of a fractional order, which selects the route."""
-
-    NEGATIVE_RE = "negative"
-    POSITIVE_RE = "positive"
-    ZERO = "zero"
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """A complex exponent with its region classification."""
-
-    lam: complex
-    region: OrderRegion
-
-    @classmethod
-    def classify(cls, lam):
-        lam = complex(lam)
-        if lam.real < 0:
-            region = OrderRegion.NEGATIVE_RE
-        elif lam.real > 0:
-            region = OrderRegion.POSITIVE_RE
-        else:
-            region = OrderRegion.ZERO
-        return cls(lam, region)

@@ -17,12 +17,11 @@ from fracmean.characterize import (
     disk_map,
     distinguish,
     lambda_sequence_from_tag,
-    moment_function,
     muntz_divergence_check,
     sequence_from_json,
 )
 from fracmean.distributions import Cauchy, ScaledT3
-from fracmean.moments import MCConfig, Route
+from fracmean.moments import MCConfig, Route, frac_moment
 
 CAUCHY = Cauchy(0.0, 1.0)
 T3 = ScaledT3(0.0, 1.0)
@@ -30,11 +29,12 @@ EULER_GAMMA = 0.5772156649015329
 
 
 def test_moment_function_delegates():
-    est = moment_function(CAUCHY, 1j, -0.5)
+    # the moment function F(alpha, lam) = E[(X + alpha)**lam] is frac_moment
+    est = frac_moment(CAUCHY, 1j, -0.5)
     assert abs(est.value - (0.5 - 0.5j)) < 1e-14
-    est = moment_function(T3, 1j, -0.5)
+    est = frac_moment(T3, 1j, -0.5)
     assert abs(est.value - (0.625 - 0.625j)) < 1e-14
-    est = moment_function(CAUCHY, 1j, 0.0)
+    est = frac_moment(CAUCHY, 1j, 0.0)
     assert est.value == 1.0
 
 

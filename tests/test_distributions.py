@@ -1,14 +1,16 @@
 """Densities, half-line transforms, derivatives, samplers, and wire formats."""
 
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import fracmean
 from fracmean.distributions import (
     Cauchy,
-    CharSign,
     Empirical,
     MomentExistenceError,
     Poincare,
@@ -149,9 +151,9 @@ def test_char_fn_derivative_order_zero_is_char_fn():
 
 
 def test_char_fn_derivative_examples():
-    got = char_fn_derivative(POIN, 1, 0.0, CharSign.MINUS_I)
+    got = char_fn_derivative(POIN, 1, 0.0)
     assert abs(got - 1.0) < 1e-15  # (-i) E[Z] = (-i)(i) = 1
-    got = char_fn_derivative(TwoPoint(1, -1, 0.5), 2, 0.0, CharSign.MINUS_I)
+    got = char_fn_derivative(TwoPoint(1, -1, 0.5), 2, 0.0)
     assert abs(got - (-1.0)) < 1e-15  # (-i)^2 E[Z^2] = -1
 
 
@@ -160,10 +162,10 @@ def test_char_fn_derivative_matches_finite_differences():
     for model in (T3, POIN, TwoPoint(0.5, 2.0, 0.25)):
         for k in (1, 2):
             for t in (0.5, 1.5):
-                got = char_fn_derivative(model, k, t, CharSign.MINUS_I)
+                got = char_fn_derivative(model, k, t)
                 fd = -(
-                    char_fn_derivative(model, k - 1, t + h, CharSign.MINUS_I)
-                    - char_fn_derivative(model, k - 1, t - h, CharSign.MINUS_I)
+                    char_fn_derivative(model, k - 1, t + h)
+                    - char_fn_derivative(model, k - 1, t - h)
                 ) / (2.0 * h)
                 assert abs(got - fd) < 1e-7 * max(1.0, abs(got))
 
@@ -173,7 +175,7 @@ def test_char_fn_derivative_sampler_cross_check():
     vals = -1j * draws
     mean = vals.mean()
     stderr = math.sqrt(vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / math.sqrt(len(vals))
-    closed = char_fn_derivative(POIN, 1, 0.0, CharSign.MINUS_I)
+    closed = char_fn_derivative(POIN, 1, 0.0)
     assert abs(mean - closed) <= 4.0 * stderr
 
 
@@ -182,16 +184,6 @@ def test_moment_existence_rejections():
         char_fn_derivative(CAUCHY, 1, 0.0)
     with pytest.raises(MomentExistenceError):
         char_fn_derivative(T3, 3, 0.0)
-    with pytest.raises(SupportError):
-        char_fn_derivative(POIN, 1, 0.5, CharSign.PLUS_I)
-
-
-def test_plus_i_sign_is_conjugate_for_real_laws():
-    for t in (0.0, 1.2):
-        for k in (0, 1, 2):
-            a = char_fn_derivative(T3, k, t, CharSign.PLUS_I)
-            b = char_fn_derivative(T3, k, t, CharSign.MINUS_I)
-            assert abs(a - b.conjugate()) < 1e-14
 
 
 # --- samplers ----------------------------------------------------------------
@@ -266,6 +258,19 @@ def test_model_support_classes():
     assert model_support(TwoPoint(1.0, -2.0, 0.5)) == "real"
     assert model_support(TwoPoint(1j, 1.0, 0.5)) == "upper"
     assert model_support(TwoPoint(1j, -1j, 0.5)) == "complex"
+
+
+def test_no_isinstance_dispatch_on_families():
+    # each family's formulas live in its class; the routes call its methods
+    families = {"Cauchy", "ScaledT3", "Poincare", "TwoPoint", "Empirical"}
+    sites = []
+    for path in sorted(pathlib.Path(fracmean.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+                if named & families:
+                    sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
 
 
 # --- wire formats ------------------------------------------------------------

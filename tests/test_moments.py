@@ -211,8 +211,6 @@ def test_frac_moment_mc_stderr_survives_large_mean():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_frac_moment_mc_memory_bounded_in_blocks(monkeypatch, threads):
-    monkeypatch.setenv("FRACMEAN_THREADS", threads)
-
     def peak_bytes(blocks):
         tracemalloc.start()
         try:
@@ -221,8 +219,38 @@ def test_frac_moment_mc_memory_bounded_in_blocks(monkeypatch, threads):
         finally:
             tracemalloc.stop()
 
-    small, large = peak_bytes(16), peak_bytes(256)
-    assert large <= 1.5 * small, (small, large)
+    # the reference is one worker's peak: with several workers the peak
+    # depends on whether their blocks overlap in time, so a reference taken
+    # on as many threads swings with the scheduler.  The warm-up runs on the
+    # tested thread count, so the lazy import of the executor is not measured.
+    monkeypatch.setenv("FRACMEAN_THREADS", threads)
+    frac_moment_mc(POIN, 0.0, 0.5, MCConfig(samples=16 * 4096, seed=3))
+    monkeypatch.setenv("FRACMEAN_THREADS", "1")
+    reference = peak_bytes(16)
+    monkeypatch.setenv("FRACMEAN_THREADS", threads)
+    large = peak_bytes(256)
+    assert large <= 1.5 * int(threads) * reference, (reference, large)
+
+
+@pytest.mark.parametrize(
+    "model, alpha, p, kind, has_closed",
+    [
+        (CAUCHY, 1j, -0.5, "cauchy", True),
+        (T3, 1j, -0.5, "t3", True),
+        (POIN, 0j, -0.5, "poincare", True),
+        (POIN, 0j, 0.5, "poincare", True),
+        (T3, 1j, 0.5, "sampled", False),
+        (POIN, 0.5j, -0.5, "sampled", False),
+        (TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), 0j, -0.5, "atoms", True),
+    ],
+)
+def test_frac_deriv_transform_kind_per_family(model, alpha, p, kind, has_closed):
+    spec = PowerMeanSpec(p=p, n=2, alpha=alpha)
+    est = power_mean_expectation(model, spec, Route.FRAC_DERIV, mc=MCConfig(samples=2000, seed=7))
+    assert est.meta["transform"] == kind
+    if has_closed:
+        closed = power_mean_expectation(model, spec, Route.CLOSED).value
+        assert abs(est.value - closed) <= 1e-10, (est.value, closed)
 
 
 def test_frac_moment_dispatch_and_meta():

@@ -11,8 +11,6 @@ import pytest
 from fracmean.gammafn import GammaPoleError, gamma
 from fracmean.principal import (
     BranchDomainError,
-    FracOrder,
-    OrderRegion,
     np_principal_log,
     np_principal_pow,
     power_bound_constant,
@@ -190,9 +188,3 @@ def test_half_plane_power_bound_is_exact_inequality():
         bound = power_bound_constant(lam) * abs(z.imag) ** lam.real
         assert abs(principal_pow(z, lam)) <= bound
         count += 1
-
-
-def test_frac_order_classification():
-    assert FracOrder.classify(-0.5).region is OrderRegion.NEGATIVE_RE
-    assert FracOrder.classify(1.5 + 2j).region is OrderRegion.POSITIVE_RE
-    assert FracOrder.classify(3j).region is OrderRegion.ZERO
