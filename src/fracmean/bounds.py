@@ -29,10 +29,9 @@ from .distributions import (
     SupportError,
     TwoPoint,
     model_support,
-    sample,
     stream_generator,
 )
-from .moments import MCConfig, Route, closed_moment, frac_moment
+from .moments import MCConfig, Route, _draw_block, _mc_mean, closed_moment, frac_moment
 from .principal import np_principal_log, np_principal_pow, principal_log, principal_pow
 
 __all__ = [
@@ -89,10 +88,12 @@ def _abs_moment(model, p, mc):
         raise MomentExistenceError(
             f"E[|Z|^p] diverges for {type(model).__name__} at |p| >= {model.max_moment:g}"
         )
-    draws = np.abs(sample(model, mc.seed, mc.samples, stream=31)) ** p
-    val = float(np.mean(draws))
-    stderr = float(np.std(draws, ddof=1) / math.sqrt(len(draws)))
-    return val, stderr
+
+    def block(idx, size):
+        return np.abs(_draw_block(model, mc.seed, idx, size)) ** p
+
+    mean, stderr, _ = _mc_mean(block, mc.samples, mc)
+    return mean.real, stderr
 
 
 def _bound_report(model, p, divisor, estimator, mc, support_declared):

@@ -40,6 +40,7 @@ from .distributions import (
     parse_params,
 )
 from .moments import (
+    _thread_count,
     MCConfig,
     PowerMeanSpec,
     Route,
@@ -454,6 +455,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _thread_count()  # a bad FRACMEAN_THREADS is a configuration error
         return _RUNNERS[args.command](args)
     except NonConvergenceError as exc:
         _error(args, "non-convergence", exc)

@@ -27,6 +27,9 @@ Each class is the one place that knows its family's formulas.  The routes in
   W = (Z + alpha)^p with p < 0 and c >= 0,
   E[exp(-icW)] = (1 - c p factor point^(p-1)) exp(-ic point^p), decaying at
   the rate slack * (-Im point^p); None when no such closed form exists;
+* ``nodes(level)``: points and weights of a rule for E f(Z), finer as the
+  level grows: the atoms, or quadrature over the density, which uses no pole
+  or closed value, so the (seedless) route built on it checks the closed forms;
 * ``name`` (the family tag of the JSON form) and ``to_json()``.
 
 Adding a family means writing one class with these methods.  The
@@ -48,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .principal import BranchDomainError, np_principal_log, np_principal_pow, principal_pow
+from .quad import tanh_sinh_nodes
 
 __all__ = [
     "SupportError",
@@ -85,6 +89,17 @@ class MomentExistenceError(ValueError):
 
 class RouteUnavailableError(ValueError):
     """The requested route does not apply to this model/parameter combination."""
+
+
+# rules drop nodes lighter than this: they barely move a moment, but the
+# farthest would set the transform's decay rate.  The density factors put on
+# tanh-sinh weights are about 1 at most, so lighter table nodes go first.
+_NODE_FLOOR = 1e-20
+
+
+def _heavy(points, weights):
+    keep = weights > _NODE_FLOOR
+    return points[keep], weights[keep]
 
 
 @dataclass(frozen=True)
@@ -142,6 +157,15 @@ class _RealLineLaw:
     def geometric_mean(self):
         raise SupportError("the geometric-mean limit needs an upper-half-plane law")
 
+    def nodes(self, level):
+        """x = mu + sigma tan(theta), tanh-sinh in theta, weighted by the
+        density times dx/dtheta = sigma sec^2(theta)."""
+        t, dist, w = tanh_sinh_nodes(level, _NODE_FLOOR)
+        tan = np.copysign(1.0, t) / np.tan(0.5 * math.pi * dist)  # tan(pi t / 2)
+        x = self.mu + self.sigma * tan
+        weights = self._density(x) * self.sigma * (1.0 + tan * tan) * (0.5 * math.pi) * w
+        return _heavy(x + 0.0j, weights)
+
     def to_json(self):
         return {"dist": self.name, "params": {"mu": self.mu, "sigma": self.sigma}}
 
@@ -177,7 +201,7 @@ class ScaledT3(_RealLineLaw):
     _slack = 0.95  # leaves room for the (1 + sigma t) factor
 
     def _density(self, x):
-        return 2.0 * self.sigma ** 3 / math.pi / abs(x - self.gamma_point) ** 4
+        return 2.0 * self.sigma ** 3 / math.pi / ((x - self.mu) ** 2 + self.sigma ** 2) ** 2
 
     def char(self, t):
         return (1.0 + self.sigma * t) * cmath.exp((1j * self.mu - self.sigma) * t)
@@ -275,6 +299,21 @@ class Poincare:
     def geometric_mean(self):
         return self.gamma_point  # exp(E[log Z]) = exp(log beta) = beta
 
+    def nodes(self, level):
+        """The sampler's factorization as a product rule: y by tanh-sinh in
+        log y = log(mean) + atanh(t) against the inverse-Gaussian density, at
+        a coarser step since it is smooth, and x | y by Gauss-Hermite of
+        order 8 * level."""
+        mean, shape = self.d_const / self.a, 2.0 * self.d_const ** 2 / self.a
+        t, dist, w = tanh_sinh_nodes(level - 2, _NODE_FLOOR)
+        y = mean * np.sqrt((2.0 - dist) / dist) ** np.copysign(1.0, t)
+        ig = np.sqrt(shape / (2.0 * math.pi * y ** 3)) * np.exp(-shape * (y - mean) ** 2 / (2.0 * mean ** 2 * y))
+        y, wy = _heavy(y, ig * y / (dist * (2.0 - dist)) * w)
+        xi, wx = np.polynomial.hermite.hermgauss(8 * level)
+        x = -self.b / self.a + np.sqrt(y / self.a)[:, None] * xi
+        weights = wy[:, None] * (wx / math.sqrt(math.pi))
+        return _heavy((x + 1j * y[:, None]).ravel(), weights.ravel())
+
     def to_json(self):
         return {"dist": self.name, "params": {"a": self.a, "b": self.b, "c": self.c}}
 
@@ -320,6 +359,9 @@ class AtomicLaw:
 
     def single_draw(self, alpha):
         return None
+
+    def nodes(self, level):
+        return self.atoms, self.weights
 
     def geometric_mean(self):
         atoms = self.atoms

@@ -31,7 +31,6 @@ from .distributions import (
     char_fn,
     char_fn_derivative,
     model_support,
-    sample,
     stream_generator,
 )
 from .gammafn import gamma
@@ -127,8 +126,9 @@ class PowerMeanSpec:
 # so the geometric limit is the *accurate* evaluation
 _P_GEOMETRIC_EPS = 1e-8
 
-# groups of frozen draws in the jackknife error of the ordinal branch
-_JACKKNIFE_GROUPS = 20
+# level of the node rules behind the single-draw transforms of laws without
+# a closed one; the route runs again one level up and reports the gap
+_NODE_LEVEL = 6
 
 
 def power_mean(values, p):
@@ -363,10 +363,9 @@ def _thread_count():
     import os
 
     raw = os.environ.get("FRACMEAN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"FRACMEAN_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _block_moments(vals):
@@ -536,22 +535,16 @@ def _series_power_coeff(g_coeffs, n, k):
     return out[k]
 
 
-def _single_draw_powers(model, alpha, p, mc):
-    """Frozen draws of W = (Z + alpha)**p for sampled transforms."""
-    draws = sample(model, mc.seed, mc.samples, stream=913)
-    return np_principal_pow(draws + alpha, p)
-
-
 class _WeightedPowers:
     """Moments E[W^j e^{icW}], j = 0..jmax, of a discrete law of W.
 
-    Row j holds w_i * W_i**j.  The weights w_i are 1/N for N frozen draws,
-    so each moment is a sample mean, and the law's own weights for atoms, so
-    each moment is exact.  An evaluation is one complex exp into a reused
-    buffer, then a product and a pairwise sum per row, all on the calling
-    thread: a BLAS product would hand the reduction to a thread pool, and
-    einsum's running sum loses digits that the Marchaud difference quotient
-    then magnifies.
+    Row j holds w_i * W_i**j at the points and weights of the law's node
+    rule: exact for atoms, a quadrature sum over a density, whose error
+    shows in the gap to the next level.  An evaluation is one complex exp
+    into a reused buffer, then a product and a pairwise sum per row, all on
+    the calling thread: a BLAS product would hand the reduction to a thread
+    pool, and einsum's running sum loses digits that the Marchaud difference
+    quotient then magnifies.
     """
 
     def __init__(self, values, weights, jmax):
@@ -572,19 +565,14 @@ class _WeightedPowers:
 
 class _SingleDrawTransform:
     """Set-up shared by the single-draw transforms of laws without a closed
-    single-draw expression: exact atoms, or frozen draws otherwise."""
+    single-draw expression: W at the points of the law's node rule."""
 
     kernel = None  # stays None for a closed single-draw transform
 
-    def _set_weighted_powers(self, model, alpha, p, jmax, mc):
-        if isinstance(model, AtomicLaw):
-            self.kind = "atoms"
-            self.atoms = values = np_principal_pow(model.atoms + alpha, p)
-            weights = model.weights
-        else:
-            self.kind = "sampled"
-            self.samples = values = _single_draw_powers(model, alpha, p, mc)
-            weights = 1.0 / len(values)
+    def _set_weighted_powers(self, model, alpha, p, jmax, level):
+        points, weights = model.nodes(level)
+        self.kind = "atoms" if isinstance(model, AtomicLaw) else "nodes"
+        self.atoms = values = np_principal_pow(points + alpha, p)
         self.kernel = _WeightedPowers(values, weights, jmax)
         return values
 
@@ -593,7 +581,7 @@ class _NegTransform(_SingleDrawTransform):
     """u -> E[exp(-i(u/n) W)]**n with W = (Z+alpha)**p, p < 0, plus its
     exponential decay rate."""
 
-    def __init__(self, model, alpha, p, n, mc):
+    def __init__(self, model, alpha, p, n, level):
         self.n = n
         closed = model.single_draw(alpha)
         if closed is not None:
@@ -603,7 +591,7 @@ class _NegTransform(_SingleDrawTransform):
             self.poly = p * factor * principal_pow(point, p - 1.0) if factor else 0.0
             self.decay = -self.w.imag * slack
         else:
-            values = self._set_weighted_powers(model, alpha, p, 0, mc)
+            values = self._set_weighted_powers(model, alpha, p, 0, level)
             self.decay = -float(np.max(values.imag))
         if self.decay <= 0:
             raise SupportError("single-draw transform does not decay; check alpha")
@@ -611,16 +599,14 @@ class _NegTransform(_SingleDrawTransform):
     def __call__(self, u):
         if self.kernel is not None:
             return complex(self.kernel(-u / self.n)[0]) ** self.n
-        if self.poly:
-            return (1.0 - self.poly * u / self.n) ** self.n * cmath.exp(-1j * u * self.w)
-        return cmath.exp(-1j * u * self.w)
+        return (1.0 - self.poly * u / self.n) ** self.n * cmath.exp(-1j * u * self.w)
 
 
 class _PosTransformDerivs(_SingleDrawTransform):
     """j-th derivatives of G(t) = E[exp(-i(t/n) W)] at t = -u, for
     W = (Z+alpha)**p with p > 0; used to assemble F = G**n."""
 
-    def __init__(self, model, alpha, p, n, jmax, mc):
+    def __init__(self, model, alpha, p, n, jmax, level):
         self.n = n
         self._pref = np.array([(-1j / n) ** j for j in range(jmax + 1)])
         self._fact = np.array([math.factorial(j) for j in range(jmax + 1)])
@@ -634,7 +620,7 @@ class _PosTransformDerivs(_SingleDrawTransform):
             self.kind = model.name
             self.decay = self.w.imag * slack
         else:
-            values = self._set_weighted_powers(model, alpha, p, jmax, mc)
+            values = self._set_weighted_powers(model, alpha, p, jmax, level)
             self.decay = float(np.min(values.imag))
         if self.decay <= 0:
             raise SupportError("single-draw transform does not decay; check alpha")
@@ -648,31 +634,14 @@ class _PosTransformDerivs(_SingleDrawTransform):
 
     def f_deriv_k(self, u, k):
         """F^(k)(-u) with F = G**n, via a truncated series power."""
-        return self._series_power(self.g_derivs(u), k)
-
-    def _series_power(self, derivs, k):
-        return _series_power_coeff(derivs / self._fact, self.n, k) * math.factorial(k)
-
-    def jackknife_sd(self, k):
-        """Delete-a-group jackknife standard error of F^(k)(0) over contiguous
-        groups of the frozen draws.  Each leave-one-out estimate comes from
-        the group sums of the u = 0 rows, not from a new pass."""
-        size = self.kernel.rows.shape[1]
-        if size < 2:
-            return math.inf  # one draw says nothing about its spread
-        groups = min(_JACKKNIFE_GROUPS, size)  # no empty group
-        starts = np.arange(groups) * size // groups
-        parts = np.add.reduceat(self.kernel.rows, starts, axis=1)
-        kept = 1.0 - np.diff(np.append(starts, size)) / size
-        loo = (parts.sum(axis=1, keepdims=True) - parts) / kept
-        est = np.array([self._series_power(self._pref * loo[:, g], k) for g in range(groups)])
-        return math.sqrt((groups - 1) / groups * np.sum(np.abs(est - est.mean()) ** 2))
+        return _series_power_coeff(self.g_derivs(u) / self._fact, self.n, k) * math.factorial(k)
 
 
-def _pm_frac_deriv(model, spec, cfg, mc):
+def _pm_frac_deriv(model, spec, cfg):
+    """A transform on a node rule runs at two levels: the finer value is
+    reported, and its uncertainty adds the gap, which must meet cfg's tolerance."""
     p, n, alpha = spec.p, spec.n, spec.alpha
     cfg = cfg or QuadratureConfig()
-    mc = mc or MCConfig()
     if abs(p) < _P_GEOMETRIC_EPS:
         # geometric mean: E[prod Z_j**(1/n)] = E[Z**(1/n)]**n, no fractional
         # operator at p itself
@@ -685,55 +654,51 @@ def _pm_frac_deriv(model, spec, cfg, mc):
         meta = dict(inner.meta)
         meta.update({"route": "frac_deriv", "geometric": True, "n": n})
         return MomentEstimate(value, unc, Route.QUAD_POS, meta)
+    coarse = _pm_frac_deriv_at(model, spec, cfg, _NODE_LEVEL)
+    if coarse.meta["transform"] != "nodes":
+        return coarse  # closed transforms and atoms are exact
+    est = _pm_frac_deriv_at(model, spec, cfg, _NODE_LEVEL + 1)
+    gap = abs(est.value - coarse.value)
+    if gap > max(cfg.abs_tol, cfg.rel_tol * abs(est.value)):
+        msg = f"node rules at levels {_NODE_LEVEL} and {_NODE_LEVEL + 1} disagree by {gap:.3e}"
+        raise NonConvergenceError(msg, value=est.value, err_estimate=gap)
+    # the ulps cover rounding in the transform sums and the series power
+    est.uncertainty += gap + 16.0 * math.ulp(abs(est.value))
+    est.meta.update({"level": _NODE_LEVEL + 1, "level_gap": gap})
+    return est
+
+
+def _pm_frac_deriv_at(model, spec, cfg, level):
+    p, n, alpha = spec.p, spec.n, spec.alpha
     order = 1.0 / p
     if p < 0:
         if model_support(model) == "real" and alpha.imag <= 0:
             raise SupportError("real-supported power means with p < 0 need Im(alpha) > 0")
-        transform = _NegTransform(model, complex(alpha), p, n, mc)
+        transform = _NegTransform(model, alpha, p, n, level)
         qcfg = dataclasses.replace(cfg, truncation_decay=transform.decay)
-        s = -order - 1.0
-        res = integrate_singular_decaying(transform, s, qcfg)
-        scale = principal_pow(-1j, order) / gamma(-order)
-        meta = {
-            "route": "frac_deriv",
-            "order": order,
-            "transform": transform.kind,
-            "evaluations": res.evaluations,
-        }
-        return MomentEstimate(scale * res.value, abs(scale) * res.err_estimate, Route.QUAD_NEG, meta)
-    # p > 0
-    if model.max_moment <= 1.0:
-        raise MomentExistenceError(
-            f"positive-order power means need Z in L^1; rejected for {type(model).__name__}"
-        )
-    if abs(order - round(order)) < 1e-12:
-        # 1/p is an integer m: the plain m-th derivative of the transform
-        m = int(round(order))
-        derivs = _PosTransformDerivs(model, complex(alpha), p, n, m, mc)
-        f_m = derivs.f_deriv_k(0.0, m)
-        value = principal_pow(-1j, -float(m)) * f_m
-        # |(-i)**-m| = 1, so the value spreads as f_m does; atoms and the
-        # closed Poincare transform are exact
-        return MomentEstimate(
-            value,
-            derivs.jackknife_sd(m) if derivs.kind == "sampled" else 0.0,
-            Route.QUAD_POS,
-            {"route": "frac_deriv", "order": m, "ordinal": True, "transform": derivs.kind},
-        )
-    k = int(math.floor(order))
-    delta = order - k
-    derivs = _PosTransformDerivs(model, complex(alpha), p, n, k, mc)
-    qcfg = dataclasses.replace(cfg, truncation_decay=derivs.decay)
-    d0 = derivs.f_deriv_k(0.0, k)
-    res = integrate_marchaud(d0, lambda u: derivs.f_deriv_k(u, k), delta, qcfg)
-    scale = principal_pow(-1j, -order) * delta / gamma(1.0 - delta)
-    meta = {
-        "route": "frac_deriv",
-        "order": order,
-        "transform": derivs.kind,
-        "evaluations": res.evaluations,
-    }
-    return MomentEstimate(scale * res.value, abs(scale) * res.err_estimate, Route.QUAD_POS, meta)
+        res = integrate_singular_decaying(transform, -order - 1.0, qcfg)
+        scale, method = principal_pow(-1j, order) / gamma(-order), Route.QUAD_NEG
+    else:
+        if model.max_moment <= 1.0:
+            raise MomentExistenceError(
+                f"positive-order power means need Z in L^1; rejected for {type(model).__name__}"
+            )
+        if abs(order - round(order)) < 1e-12:
+            # 1/p is an integer m: the plain m-th derivative of the transform
+            m = int(round(order))
+            transform = _PosTransformDerivs(model, alpha, p, n, m, level)
+            value = principal_pow(-1j, -float(m)) * transform.f_deriv_k(0.0, m)
+            meta = {"route": "frac_deriv", "order": m, "ordinal": True, "transform": transform.kind}
+            return MomentEstimate(value, 0.0, Route.QUAD_POS, meta)
+        k = int(math.floor(order))
+        delta = order - k
+        transform = _PosTransformDerivs(model, alpha, p, n, k, level)
+        qcfg = dataclasses.replace(cfg, truncation_decay=transform.decay)
+        d0 = transform.f_deriv_k(0.0, k)
+        res = integrate_marchaud(d0, lambda u: transform.f_deriv_k(u, k), delta, qcfg)
+        scale, method = principal_pow(-1j, -order) * delta / gamma(1.0 - delta), Route.QUAD_POS
+    meta = {"route": "frac_deriv", "order": order, "transform": transform.kind, "evaluations": res.evaluations}
+    return MomentEstimate(scale * res.value, abs(scale) * res.err_estimate, method, meta)
 
 
 def _pm_monte_carlo(model, spec, mc):
@@ -760,7 +725,8 @@ def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
 
     Route CLOSED covers the families with explicit formulas (and exact
     enumeration for two-point laws); FRAC_DERIV applies the fractional
-    operators to the n-th power of the single-draw transform; MONTE_CARLO
+    operators to the n-th power of the single-draw transform, deterministically
+    (it takes no mc); MONTE_CARLO
     averages power means over replications of n fresh draws.
     """
     if not isinstance(spec, PowerMeanSpec):
@@ -777,10 +743,10 @@ def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
                 raise
     if route in (Route.FRAC_DERIV, Route.AUTO):
         try:
-            est = _pm_frac_deriv(model, spec, cfg, mc)
+            est = _pm_frac_deriv(model, spec, cfg)
             est.meta["auto"] = auto
             return est
-        except (RouteUnavailableError, SupportError, MomentExistenceError, ValueError):
+        except (RouteUnavailableError, SupportError, MomentExistenceError, ValueError, NonConvergenceError):
             if not auto:
                 raise
     if route in (Route.MONTE_CARLO, Route.AUTO):

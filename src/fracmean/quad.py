@@ -9,10 +9,11 @@ Two entry points:
   ``int_0^inf (d0 - f(u)) / u**(1+delta) du`` with 0 < Re(delta) < 1.
 
 Both are built on one tanh-sinh (double exponential) trapezoid kernel with
-level refinement.  The Marchaud route needs special care at the origin: for
-small u the difference d0 - f(u) drowns in rounding noise while the weight
-u**(-1-delta) amplifies it, so below a fixed cut the ratio (d0 - f(u))/u is
-replaced by a fitted polynomial model whose moments integrate in closed form.
+level refinement; ``tanh_sinh_nodes`` gives the rule as arrays.  The
+Marchaud route needs special care at the origin: for small u the difference
+d0 - f(u) drowns in rounding noise while the weight u**(-1-delta) amplifies
+it, so below a fixed cut the ratio (d0 - f(u))/u is replaced by a fitted
+polynomial model whose moments integrate in closed form.
 """
 
 import math
@@ -30,6 +31,7 @@ __all__ = [
     "integrate_singular_decaying",
     "integrate_marchaud",
     "marchaud_unit_interval",
+    "tanh_sinh_nodes",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -130,6 +132,19 @@ def _de_sum_level(f, a, b, h, odd_only, counter):
                 tiny_run = 0
             k += step
     return total * h
+
+
+def tanh_sinh_nodes(level, floor):
+    """Tanh-sinh rule on (-1, 1) at spacing h = 2**-level out to |u| = 6, as
+    arrays (t, 1 - |t|, weight) without the nodes lighter than floor; the
+    distances stay resolved where t rounds to +-1."""
+    h = 2.0 ** -level
+    u = h * np.arange(-int(_U_MAX / h), int(_U_MAX / h) + 1)
+    w = 0.5 * math.pi * np.sinh(u)
+    e = np.exp(-2.0 * np.abs(w))
+    weight = 2.0 * math.pi * h * np.cosh(u) * e / (1.0 + e) ** 2  # h (pi/2) cosh(u) sech(w)**2
+    keep = weight > floor
+    return np.tanh(w)[keep], (2.0 * e / (1.0 + e))[keep], weight[keep]
 
 
 def _de_finite(f, a, b, cfg, counter, abs_tol=None, rel_tol=None):

@@ -2,11 +2,13 @@
 geometric-mean strong law."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracmean.bounds import (
+    _abs_moment,
     cancelling_pair_law,
     general_bound_check,
     geometric_slln_demo,
@@ -42,6 +44,21 @@ def test_poincare_half_plane_bound_mc():
     assert abs(rep.moment_abs - 1.0) < 1e-12  # |i**0.5| via the closed moment
     assert rep.satisfied
     assert rep.meta["estimator"] == "mc"
+
+
+def test_abs_moment_memory_bounded_in_blocks(monkeypatch):
+    def peak_bytes(blocks):
+        tracemalloc.start()
+        try:
+            _abs_moment(POIN, 0.5, MCConfig(samples=blocks * 4096, seed=3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setenv("FRACMEAN_THREADS", "1")
+    reference = peak_bytes(16)
+    large = peak_bytes(256)
+    assert large <= 1.5 * reference, (reference, large)
 
 
 def test_unit_p_is_vacuous_but_reported():

@@ -185,6 +185,16 @@ def test_exit_code_nonconvergence(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("threads", ["two", "", "0", "-1"])
+def test_exit_code_bad_thread_count(capsys, monkeypatch, threads):
+    monkeypatch.setenv("FRACMEAN_THREADS", threads)
+    code = main(["powermean", "--dist", "poincare", "--params", "a=1,b=0,c=1",
+                 "--p", "0.5", "--n", "2", "--route", "mc", "--mc-samples", "2000"])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and "FRACMEAN_THREADS" in error["message"]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fracmean", "--version"], capture_output=True, text=True

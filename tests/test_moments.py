@@ -24,8 +24,9 @@ from fracmean.moments import (
     power_mean_expectation,
     t3_product_identity,
 )
-from fracmean.moments import _NegTransform, _PosTransformDerivs
+from fracmean.moments import _NODE_LEVEL, _NegTransform, _PosTransformDerivs
 from fracmean.principal import BranchDomainError, principal_pow
+from fracmean.quad import NonConvergenceError, QuadratureConfig
 
 CAUCHY = Cauchy(0.0, 1.0)
 T3 = ScaledT3(0.0, 1.0)
@@ -239,8 +240,8 @@ def test_frac_moment_mc_memory_bounded_in_blocks(monkeypatch, threads):
         (T3, 1j, -0.5, "t3", True),
         (POIN, 0j, -0.5, "poincare", True),
         (POIN, 0j, 0.5, "poincare", True),
-        (T3, 1j, 0.5, "sampled", False),
-        (POIN, 0.5j, -0.5, "sampled", False),
+        (T3, 1j, 0.5, "nodes", False),
+        (POIN, 0.5j, -0.5, "nodes", False),
         (TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), 0j, -0.5, "atoms", True),
     ],
 )
@@ -355,18 +356,15 @@ def test_frac_deriv_rejects_cauchy_positive():
 
 def _loop_moments(values, weights, jmax, v):
     """[E[W^j exp(ivW)] for j = 0..jmax], one pass per j: the reference for
-    the single-pass weighted-powers kernel.  weights=None means frozen draws."""
+    the single-pass weighted-powers kernel."""
     base = np.exp(1j * v * values)
-    if weights is None:
-        return np.array([complex(np.mean(values**j * base)) for j in range(jmax + 1)])
     return np.array([complex(np.sum(weights * values**j * base)) for j in range(jmax + 1)])
 
 
 def _loop_scale(values, weights, jmax, v):
     # sum of |terms|: the size a rounding error of the sum is measured against
     mags = np.abs(np.exp(1j * v * values))
-    w = np.full(len(values), 1.0 / len(values)) if weights is None else weights
-    return np.array([np.sum(w * np.abs(values) ** j * mags) for j in range(jmax + 1)])
+    return np.array([np.sum(weights * np.abs(values) ** j * mags) for j in range(jmax + 1)])
 
 
 def _assert_close_to_loop(got, want, scale):
@@ -378,21 +376,20 @@ def _assert_close_to_loop(got, want, scale):
 
 
 KERNEL_US = (0.0, 1e-6, 1.0, 37.5, 1e4)
-# frozen draws (Poincare shifted off the closed case), empirical atoms (one
-# repeated) and atoms with uneven weights
+# the node rule of a density (Poincare shifted off the closed case), empirical
+# atoms (one repeated) and atoms with uneven weights; atoms have no level
 KERNEL_LAWS = (
-    (POIN, 0.5j, MCConfig(samples=2_000, seed=5)),
+    (POIN, 0.5j, _NODE_LEVEL),
     (Empirical((1 + 1j, -0.5 + 2j, 1 + 1j, 0.3 + 0.7j, 1 + 1j)), 0j, None),
     (TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), 0j, None),
 )
 
 
-@pytest.mark.parametrize("law, alpha, mc", KERNEL_LAWS)
-def test_pos_transform_kernel_matches_per_j_loop(law, alpha, mc):
+@pytest.mark.parametrize("law, alpha, level", KERNEL_LAWS)
+def test_pos_transform_kernel_matches_per_j_loop(law, alpha, level):
     n, jmax = 2, 2
-    derivs = _PosTransformDerivs(law, alpha, 0.4, n, jmax, mc)
-    values = derivs.atoms if mc is None else derivs.samples
-    weights = law.weights if mc is None else None
+    derivs = _PosTransformDerivs(law, alpha, 0.4, n, jmax, level)
+    values, weights = derivs.atoms, law.nodes(level)[1]
     pref = np.array([(-1j / n) ** j for j in range(jmax + 1)])
     for u in KERNEL_US:
         v = u / n
@@ -401,12 +398,11 @@ def test_pos_transform_kernel_matches_per_j_loop(law, alpha, mc):
     assert np.all(derivs.g_derivs(1e4) == 0)  # every term underflows
 
 
-@pytest.mark.parametrize("law, alpha, mc", KERNEL_LAWS)
-def test_neg_transform_kernel_matches_loop(law, alpha, mc):
+@pytest.mark.parametrize("law, alpha, level", KERNEL_LAWS)
+def test_neg_transform_kernel_matches_loop(law, alpha, level):
     n = 2
-    transform = _NegTransform(law, alpha, -0.5, n, mc)
-    values = transform.atoms if mc is None else transform.samples
-    weights = law.weights if mc is None else None
+    transform = _NegTransform(law, alpha, -0.5, n, level)
+    values, weights = transform.atoms, law.nodes(level)[1]
     for u in KERNEL_US:
         v = -u / n
         want = _loop_moments(values, weights, 0, v)[0]
@@ -417,7 +413,7 @@ def test_neg_transform_kernel_matches_loop(law, alpha, mc):
         else:
             # (m + e)**n - m**n ~ n m**(n-1) e
             assert abs(got - want**n) <= n * 1e-13 * scale**n, (u, got, want**n)
-    assert transform(1e4) == 0  # every term underflows
+    assert transform(1e5) == 0  # every term underflows
 
 
 @pytest.mark.parametrize("p, n", [(-0.5, 2), (-0.4, 3), (0.4, 2), (0.5, 2), (0.6, 3)])
@@ -431,19 +427,89 @@ def test_frac_deriv_atomic_law_matches_enumeration(p, n):
     assert abs(est.value - closed.value) <= 1e-12
 
 
-def test_frac_deriv_ordinal_sampled_uncertainty_matches_seed_spread():
-    # the ordinal branch over frozen draws reports a jackknife standard error
-    # that neither under- nor overstates the spread across draw seeds
-    spec = PowerMeanSpec(p=0.5, n=2, alpha=1j)
-    ests = [
-        power_mean_expectation(T3, spec, Route.FRAC_DERIV, mc=MCConfig(samples=20_000, seed=seed))
-        for seed in range(1, 13)
-    ]
-    assert all(est.meta["ordinal"] and est.meta["transform"] == "sampled" for est in ests)
-    vals = np.array([est.value for est in ests])
-    spread = math.sqrt(np.var(vals.real) + np.var(vals.imag))
-    reported = float(np.median([est.uncertainty for est in ests]))
-    assert spread / 3.0 <= reported <= 3.0 * spread, (spread, reported)
+def _rule_moments(law, alpha, p, level, c):
+    """[E[W^j exp(icW)] for j = 0, 1, 2] by the law's node rule."""
+    return _PosTransformDerivs(law, alpha, p, 1, 2, level).kernel(c)
+
+
+def test_t3_node_rule_exact_moments_at_zero():
+    # E[W] = (2i)**0.5 (1 - i/4) and E[W**2] = i for W = (X + i)**0.5
+    got = _rule_moments(T3, 1j, 0.5, _NODE_LEVEL, 0.0)
+    assert abs(got[0] - 1.0) <= 1e-13
+    assert abs(got[1] - (0.75 + 0.75j)) <= 1e-13
+    assert abs(got[2] - 1j) <= 1e-13
+
+
+def _t3_oracle(mp, p, c, j):
+    # the t3 density in theta = atan(x) is (2/pi) cos(theta)**2
+    def f(theta):
+        w = (mp.tan(theta) + 1j) ** p
+        return 2 / mp.pi * mp.cos(theta) ** 2 * w**j * mp.exp(1j * c * w)
+
+    cuts = [mp.atan(x) for x in (-10, -1, 0, 1, 10, 100, 1000)]
+    return complex(mp.quad(f, [-mp.pi / 2, *cuts, mp.pi / 2]))
+
+
+@pytest.mark.parametrize("p", [0.4, 0.5])
+def test_t3_node_rule_level_gap_bounds_error(p):
+    mp = pytest.importorskip("mpmath")
+    for c in (1.0, 5.0):
+        coarse = _rule_moments(T3, 1j, p, _NODE_LEVEL, c)
+        fine = _rule_moments(T3, 1j, p, _NODE_LEVEL + 1, c)
+        for j in range(3):
+            with mp.workdps(20):
+                err = abs(fine[j] - _t3_oracle(mp, p, c, j))
+            assert err <= abs(fine[j] - coarse[j]), (c, j, err, abs(fine[j] - coarse[j]))
+
+
+def _residue_power_mean(law, alpha, p, n):
+    # the value the closed forms would give by the residue argument; the
+    # node rules never see it
+    if law is T3:
+        return T3._residue_power_mean(T3.gamma_point + alpha, p, n)
+    return POIN.gamma_point + alpha
+
+
+NODE_GRID = [(T3, 1j, p) for p in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.9)] + [
+    (POIN, alpha, p) for alpha in (0.5j, 1 + 0.5j, 2j) for p in (-0.9, -0.5, -0.2, 0.3, 0.4, 0.7)
+]
+
+
+@pytest.mark.parametrize("law, alpha, p", NODE_GRID)
+def test_frac_deriv_node_rule_matches_residue_values(law, alpha, p):
+    for n in (2, 3, 5):
+        est = power_mean_expectation(law, PowerMeanSpec(p=p, n=n, alpha=alpha), Route.FRAC_DERIV)
+        assert est.meta["transform"] == "nodes" and est.meta["level"] == _NODE_LEVEL + 1
+        err = abs(est.value - _residue_power_mean(law, alpha, p, n))
+        assert err <= 1e-8 and err <= est.uncertainty, (n, err, est.uncertainty)
+
+
+def test_frac_deriv_ignores_monte_carlo_config():
+    spec = PowerMeanSpec(p=0.4, n=2, alpha=0.5j)
+    a = power_mean_expectation(POIN, spec, Route.FRAC_DERIV, mc=MCConfig(samples=10, seed=1))
+    b = power_mean_expectation(POIN, spec, Route.FRAC_DERIV, mc=MCConfig(samples=50_000, seed=99, batch=7))
+    assert a.value == b.value and a.uncertainty == b.uncertainty
+
+
+@pytest.mark.parametrize("p, n", [(-0.9, 2), (-0.9, 3), (-0.5, 2), (-0.5, 3)])
+def test_frac_deriv_real_shift_converges_or_says_so(p, n):
+    # at real alpha the shifted law comes close to the real axis, where the
+    # Gauss-Hermite rule converges slowly: a number must be honest, or none
+    try:
+        est = power_mean_expectation(POIN, PowerMeanSpec(p=p, n=n, alpha=0.3), Route.FRAC_DERIV)
+    except NonConvergenceError:
+        return
+    assert abs(est.value - (1j + 0.3)) <= est.uncertainty
+
+
+def test_auto_power_mean_falls_back_to_mc_when_quadrature_fails():
+    spec = PowerMeanSpec(-0.5, 2, 0.5j)
+    cfg = QuadratureConfig(max_level=3, rel_tol=1e-14, abs_tol=1e-16)
+    with pytest.raises(NonConvergenceError):
+        power_mean_expectation(POIN, spec, Route.FRAC_DERIV, cfg)
+    est = power_mean_expectation(POIN, spec, Route.AUTO, cfg, MCConfig(samples=20_000, seed=3))
+    assert est.method is Route.MONTE_CARLO and est.meta["auto"] is True
+    assert abs(est.value - 1.5j) <= 4.0 * est.uncertainty
 
 
 def test_mc_power_mean_sample_size_invariance():
