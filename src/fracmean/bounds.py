@@ -92,7 +92,7 @@ def _abs_moment(model, p, mc):
     def block(idx, size):
         return np.abs(_draw_block(model, mc.seed, idx, size)) ** p
 
-    mean, stderr, _ = _mc_mean(block, mc.samples, mc)
+    [(mean, stderr)], _ = _mc_mean(block, mc.samples, mc)
     return mean.real, stderr
 
 

@@ -34,7 +34,15 @@ from .distributions import (
     stream_generator,
 )
 from .gammafn import gamma
-from .principal import BranchDomainError, np_principal_log, np_principal_pow, principal_pow
+from .principal import (
+    BranchDomainError,
+    _log_from_polar,
+    _polar,
+    _pow_from_polar,
+    np_principal_log,
+    np_principal_pow,
+    principal_pow,
+)
 from .quad import (
     NonConvergenceError,
     QuadratureConfig,
@@ -147,12 +155,21 @@ def power_mean(values, p):
     return principal_pow(mean, 1.0 / p)
 
 
-def _power_mean_rows(draws, p):
-    # vectorized power mean along axis 1 of an (R, n) complex array
-    if abs(p) < _P_GEOMETRIC_EPS:
-        return np.exp(np.mean(np_principal_log(draws), axis=1))
-    means = np.mean(np_principal_pow(draws, p), axis=1)
-    return np_principal_pow(means, 1.0 / p)
+def _power_mean_rows(draws, ps):
+    """Power means along axis 1 of an (R, n) complex array: one row of R per
+    order in ps, all from one polar form of the draws."""
+    reps, n = draws.shape
+    _, _, zero = polar = _polar(draws.reshape(-1))
+    if zero is not None and min(ps) <= 0:
+        raise BranchDomainError("power mean of order p <= 0 needs nonzero values")
+    out = np.empty((len(ps), reps), dtype=complex)
+    for row, p in zip(out, ps):
+        if abs(p) < _P_GEOMETRIC_EPS:
+            row[:] = np.exp(np.mean(_log_from_polar(*polar).reshape(reps, n), axis=1))
+        else:
+            means = np.mean(_pow_from_polar(*polar, complex(p)).reshape(reps, n), axis=1)
+            row[:] = np_principal_pow(means, 1.0 / p)
+    return out
 
 
 def t3_product_identity(p, k):
@@ -413,7 +430,11 @@ def _ordered_partials(partial, blocks, threads):
 
 
 def _mc_mean(per_block_values, total, mc):
-    """Blockwise accumulation of a complex sample mean.
+    """Blockwise accumulation of complex sample means.
+
+    per_block_values(idx, size) returns one array of size values, or an
+    array with one row of size values per estimate; each row is reduced
+    separately.  Returns ([(mean, stderr) per row], blocks).
 
     Each block owns a stream derived from (seed, block index). A worker
     reduces its block to moments and drops the values, so about one block
@@ -424,15 +445,17 @@ def _mc_mean(per_block_values, total, mc):
 
     def partial(idx):
         size = min(mc.batch, total - idx * mc.batch)
-        return _block_moments(per_block_values(idx, size))
+        return [_block_moments(row) for row in np.atleast_2d(per_block_values(idx, size))]
 
-    partials = _ordered_partials(partial, blocks, _thread_count())
-    _, mean, m2_re, m2_im = functools.reduce(_merge_moments, partials)
-    if total > 1:
-        stderr = math.sqrt((m2_re + m2_im) / (total - 1) / total)
-    else:
-        stderr = math.inf
-    return mean, stderr, blocks
+    def merge(acc, part):
+        return [_merge_moments(a, b) for a, b in zip(acc, part)]
+
+    merged = functools.reduce(merge, _ordered_partials(partial, blocks, _thread_count()))
+    estimates = []
+    for _, mean, m2_re, m2_im in merged:
+        stderr = math.sqrt((m2_re + m2_im) / (total - 1) / total) if total > 1 else math.inf
+        estimates.append((mean, stderr))
+    return estimates, blocks
 
 
 def frac_moment_mc(model, alpha, lam, mc=None):
@@ -448,7 +471,7 @@ def frac_moment_mc(model, alpha, lam, mc=None):
         draws = _draw_block(model, mc.seed, idx, size)
         return np_principal_pow(draws + alpha, lam)
 
-    mean, stderr, blocks = _mc_mean(block, mc.samples, mc)
+    [(mean, stderr)], blocks = _mc_mean(block, mc.samples, mc)
     return MomentEstimate(
         value=mean,
         uncertainty=stderr,
@@ -642,6 +665,8 @@ def _pm_frac_deriv(model, spec, cfg):
     reported, and its uncertainty adds the gap, which must meet cfg's tolerance."""
     p, n, alpha = spec.p, spec.n, spec.alpha
     cfg = cfg or QuadratureConfig()
+    if p <= 0 and isinstance(model, AtomicLaw) and np.any((model.atoms + alpha == 0) & (model.weights > 0)):
+        raise BranchDomainError("power mean of order p <= 0 needs nonzero values")
     if abs(p) < _P_GEOMETRIC_EPS:
         # geometric mean: E[prod Z_j**(1/n)] = E[Z**(1/n)]**n, no fractional
         # operator at p itself
@@ -701,23 +726,32 @@ def _pm_frac_deriv_at(model, spec, cfg, level):
     return MomentEstimate(scale * res.value, abs(scale) * res.err_estimate, method, meta)
 
 
-def _pm_monte_carlo(model, spec, mc):
+def _pm_monte_carlo(model, specs, mc):
+    """One estimate per spec; the specs share n and alpha.  Every block of
+    draws serves every spec (common random numbers), so each estimate is the
+    one a call with that spec alone returns."""
     mc = mc or MCConfig()
-    p, n, alpha = spec.p, spec.n, spec.alpha
-    if p < 0 and model_support(model) == "real" and alpha.imag <= 0:
+    n, alpha = specs[0].n, specs[0].alpha
+    if any(spec.n != n or spec.alpha != alpha for spec in specs):
+        raise ValueError("Monte Carlo power means drawn together need one n and one alpha")
+    ps = [spec.p for spec in specs]
+    if min(ps) < 0 and model_support(model) == "real" and alpha.imag <= 0:
         raise SupportError("real-supported power means with p < 0 need Im(alpha) > 0")
 
     def block(idx, size):
         draws = _draw_block(model, mc.seed, idx, size * n).reshape(size, n) + alpha
-        return _power_mean_rows(draws, p)
+        return _power_mean_rows(draws, ps)
 
-    mean, stderr, blocks = _mc_mean(block, mc.samples, mc)
-    return MomentEstimate(
-        value=mean,
-        uncertainty=stderr,
-        method=Route.MONTE_CARLO,
-        meta={"seed": mc.seed, "replications": mc.samples, "n": n, "blocks": blocks},
-    )
+    estimates, blocks = _mc_mean(block, mc.samples, mc)
+    return [
+        MomentEstimate(
+            value=mean,
+            uncertainty=stderr,
+            method=Route.MONTE_CARLO,
+            meta={"seed": mc.seed, "replications": mc.samples, "n": n, "blocks": blocks},
+        )
+        for mean, stderr in estimates
+    ]
 
 
 def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
@@ -750,7 +784,7 @@ def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
             if not auto:
                 raise
     if route in (Route.MONTE_CARLO, Route.AUTO):
-        est = _pm_monte_carlo(model, spec, mc)
+        [est] = _pm_monte_carlo(model, [spec], mc)
         est.meta["auto"] = auto
         return est
     raise RouteUnavailableError(f"route {route} not applicable to power means")

@@ -6,17 +6,19 @@ are z**lam = exp(lam * log z) with the convention 0**lam = 0 for every lam
 (including lam = 0).
 
 The array kernels work on the real and imaginary parts with real ufuncs
-instead of numpy's complex log.  For z = x + iy they take
+instead of numpy's complex log.  For z = x + iy they take the polar form
 
-    L = log(hypot(x, y)),    theta = arctan2(y + 0.0, x),
+    L = log|z|,    theta = arctan2(y + 0.0, x),
 
-where hypot neither overflows nor underflows at extreme |z|, and adding
-+0.0 turns y = -0.0 into +0.0 so the negative real axis keeps theta = +pi.
-With lam = a + ib a power is assembled in polar form,
+where |z| is numpy's complex abs, which scales like hypot, so it neither
+overflows nor underflows at extreme |z| (and it runs on SIMD lanes), and
+adding +0.0 turns y = -0.0 into +0.0 so the negative real axis keeps
+theta = +pi.  With lam = a + ib a power is assembled from that polar form,
 
     z**lam = exp(a*L - b*theta) * (cos phi + i sin phi),  phi = a*theta + b*L,
 
-dropping the b terms when lam is real.
+dropping the b terms when lam is real.  One polar form serves any number of
+orders lam.
 """
 
 import cmath
@@ -67,42 +69,59 @@ def _theta(x, y):
     return np.arctan2(y + 0.0, x)
 
 
-def np_principal_log(z):
-    """Vectorized principal_log. Entries on the negative real axis get +pi."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape, dtype=complex)
-    out.real = np.log(np.hypot(z.real, z.imag))
-    out.imag = _theta(z.real, z.imag)
+def _polar(z):
+    """(log|z|, theta, zero) of a 1-d complex array; zero masks the entries
+    z = 0, whose log|z| is 0 so that no ufunc warns, or is None when there are
+    none.  Callers read the arrays and never write them."""
+    r = np.abs(z)
+    zero = r == 0.0  # |z| >= max(|x|, |y|), so only z = 0 gives 0
+    if zero.any():
+        r[zero] = 1.0
+    else:
+        zero = None
+    return np.log(r, out=r), _theta(z.real, z.imag), zero
+
+
+def _log_from_polar(log_r, theta, zero):
+    """log z from the polar form, with log 0 = -inf."""
+    out = np.empty(log_r.shape, dtype=complex)
+    out.real = log_r
+    out.imag = theta
+    if zero is not None:
+        out.real[zero] = -np.inf
     return out
+
+
+def _pow_from_polar(log_r, theta, zero, lam):
+    """z**lam from the polar form, with 0**lam = 0."""
+    a, b = lam.real, lam.imag
+    if b == 0.0:
+        mag = np.multiply(a, log_r)
+        phi = np.multiply(a, theta)
+    else:
+        mag = a * log_r - b * theta
+        phi = np.multiply(a, theta)
+        phi += b * log_r
+    np.exp(mag, out=mag)
+    out = np.empty(log_r.shape, dtype=complex)
+    np.multiply(mag, np.cos(phi), out=out.real)
+    np.multiply(mag, np.sin(phi, out=phi), out=out.imag)
+    if zero is not None:
+        out[zero] = 0.0
+    return out
+
+
+def np_principal_log(z):
+    """Vectorized principal_log. Entries on the negative real axis get +pi;
+    entries z = 0 get -inf, without a warning."""
+    z = np.asarray(z, dtype=complex)
+    return _log_from_polar(*_polar(z.reshape(-1))).reshape(z.shape)
 
 
 def np_principal_pow(z, lam):
     """Vectorized principal_pow with the 0**lam = 0 convention."""
     z = np.asarray(z, dtype=complex)
-    shape = z.shape
-    z = z.reshape(-1)  # 1-d, so ufuncs return arrays that can be reused in place
-    lam = complex(lam)
-    a, b = lam.real, lam.imag
-    x, y = z.real, z.imag
-    r = np.hypot(x, y)
-    zero = r == 0.0  # hypot(x, y) >= max(|x|, |y|), so only z = 0 gives 0
-    has_zero = zero.any()
-    if has_zero:
-        r[zero] = 1.0  # keeps the log finite; these entries are zeroed below
-    log_r, theta = np.log(r, out=r), _theta(x, y)
-    if b == 0.0:
-        mag = np.exp(np.multiply(a, log_r, out=log_r), out=log_r)
-        phi = np.multiply(a, theta, out=theta)
-    else:
-        mag = np.exp(a * log_r - b * theta)
-        phi = np.multiply(a, theta, out=theta)
-        phi += np.multiply(b, log_r, out=log_r)
-    out = np.empty(z.shape, dtype=complex)
-    np.multiply(mag, np.cos(phi), out=out.real)
-    np.multiply(mag, np.sin(phi, out=phi), out=out.imag)
-    if has_zero:
-        out[zero] = 0.0
-    return out.reshape(shape)
+    return _pow_from_polar(*_polar(z.reshape(-1)), complex(lam)).reshape(z.shape)
 
 
 def power_bound_constant(lam):

@@ -24,7 +24,7 @@ from fracmean.moments import (
     power_mean_expectation,
     t3_product_identity,
 )
-from fracmean.moments import _NODE_LEVEL, _NegTransform, _PosTransformDerivs
+from fracmean.moments import _NODE_LEVEL, _NegTransform, _PosTransformDerivs, _pm_monte_carlo
 from fracmean.principal import BranchDomainError, principal_pow
 from fracmean.quad import NonConvergenceError, QuadratureConfig
 
@@ -535,6 +535,48 @@ def test_mc_power_mean_identical_across_thread_counts(monkeypatch):
         assert est.meta["blocks"] == 20
         runs.append((est.value, est.uncertainty))
     assert runs[0] == runs[1]
+
+
+# the order groups of acceptance criteria 1-3, and an atomic law
+SHARED_DRAW_GROUPS = [
+    (CAUCHY, 1j, (-1.0, -0.5, -0.1)),
+    (T3, 1j, (-0.9, -0.1)),
+    (Poincare(1.0, 0.0, 1.0), 0j, (-1.0, -0.5, 0.0, 0.5, 1.0)),
+    (Poincare(2.0, 1.0, 1.0), 0j, (-1.0, -0.5, 0.0, 0.5, 1.0)),
+    (TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), 0j, (-0.5, 0.0, 0.5)),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("model, alpha, ps", SHARED_DRAW_GROUPS)
+def test_shared_draws_match_one_call_per_order_bitwise(monkeypatch, threads, n, model, alpha, ps):
+    monkeypatch.setenv("FRACMEAN_THREADS", threads)
+    mc = MCConfig(samples=2500, seed=7, batch=1024)  # the last block is partial
+    specs = [PowerMeanSpec(p=p, n=n, alpha=alpha) for p in ps]
+    grouped = _pm_monte_carlo(model, specs, mc)
+    for spec, est in zip(specs, grouped):
+        alone = power_mean_expectation(model, spec, Route.MONTE_CARLO, mc=mc)
+        assert (est.value, est.uncertainty) == (alone.value, alone.uncertainty), spec.p
+        assert est.meta["blocks"] == alone.meta["blocks"] == 3
+
+
+def test_shared_draws_need_one_n_and_one_alpha():
+    mc = MCConfig(samples=1000, seed=1)
+    with pytest.raises(ValueError, match="one n and one alpha"):
+        _pm_monte_carlo(POIN, [PowerMeanSpec(p=0.5, n=2), PowerMeanSpec(p=0.5, n=3)], mc)
+    with pytest.raises(ValueError, match="one n and one alpha"):
+        _pm_monte_carlo(POIN, [PowerMeanSpec(p=0.5, n=2), PowerMeanSpec(p=0.5, n=2, alpha=1j)], mc)
+
+
+@pytest.mark.parametrize("p", [-0.5, 0.0])
+@pytest.mark.parametrize("route", [Route.CLOSED, Route.FRAC_DERIV, Route.MONTE_CARLO, Route.AUTO])
+def test_power_mean_with_zero_value_and_p_nonpositive_raises_on_every_route(p, route):
+    # power_mean rejects a zero value at p <= 0, and so must every route: a
+    # zero draw would enter a Monte Carlo mean as 0**p = 0, or as log 0 = -inf
+    law = TwoPoint(0j, 1 + 1j, 0.5)
+    with pytest.raises(BranchDomainError):
+        power_mean_expectation(law, PowerMeanSpec(p=p, n=2), route, mc=MCConfig(samples=2000, seed=1))
 
 
 def test_t3_nonconstancy_exceeds_noise():

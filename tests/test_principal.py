@@ -90,7 +90,7 @@ def test_np_principal_pow_matches_scalar_and_handles_cut():
 
 
 # signed zeros, the cut approached with -0.0j, and magnitudes whose squares
-# overflow or underflow a double, so |z| must come from hypot
+# overflow or underflow a double, so |z| must be found without squaring
 _PARTS = (0.0, -0.0, 1.0, -2.5, 1e-300, -1e-300, 1e300, -1e300)
 CUT_POINTS = np.array([complex(x, y) for x in _PARTS for y in _PARTS if complex(x, y) != 0])
 CUT_ORDERS = (0.0, 1.0, 0.5, -0.5, -1.0, -0.7 + 0.2j, 0.3 + 3j, -0.4 - 3j, 1 - 3j, 3j)
@@ -123,6 +123,35 @@ def test_np_principal_pow_zero_to_any_order_is_zero_without_warning():
             assert np.all(got[: len(ZEROS)] == 0), lam
             assert np.all(got[len(ZEROS):] != 0), lam
             assert np_principal_pow(0j, lam) == 0, lam
+
+
+def _hypot_log(z):
+    # the reference kernel: |z| from hypot on the real and imaginary parts
+    return np.log(np.hypot(z.real, z.imag)) + 1j * np.arctan2(z.imag + 0.0, z.real)
+
+
+def _hypot_pow(z, lam):
+    log_r, theta = np.log(np.hypot(z.real, z.imag)), np.arctan2(z.imag + 0.0, z.real)
+    a, b = lam.real, lam.imag
+    mag, phi = np.exp(a * log_r - b * theta), a * theta + b * log_r
+    return mag * np.cos(phi) + 1j * mag * np.sin(phi)
+
+
+def test_array_kernels_match_hypot_reference_at_extreme_moduli():
+    # the moduli agree to about one ulp, which can move log|z| by one ulp of
+    # itself, and z**lam = exp(lam log z) by |lam| ulp(log|z|) relative: up
+    # to 1.1e-13 * |lam| at |z| = 1e+-300, a few eps near |z| = 1
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(43)
+    size = 100_000
+    z = 10.0 ** rng.uniform(-300.0, 300.0, size) * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
+    want = _hypot_log(z)
+    assert np.all(np.abs(np_principal_log(z) - want) <= 2.0 * eps * np.maximum(np.abs(want), 1.0))
+    log_mod = np.abs(np.log(np.abs(z)))
+    for lam in (0.5, -1.0, 0.3 + 3j):
+        want = _hypot_pow(z, complex(lam))
+        tol = 4.0 * eps * (1.0 + abs(lam) * (1.0 + log_mod)) * np.abs(want)
+        assert np.all(np.abs(np_principal_pow(z, lam) - want) <= tol), lam
 
 
 def test_gamma_classic_values():
