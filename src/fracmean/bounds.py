@@ -29,9 +29,10 @@ from .distributions import (
     SupportError,
     TwoPoint,
     model_support,
+    sample,
     stream_generator,
 )
-from .moments import MCConfig, Route, _draw_block, _mc_mean, closed_moment, frac_moment
+from .moments import MCConfig, Route, _mc_mean, closed_moment, frac_moment
 from .principal import np_principal_log, np_principal_pow, principal_log, principal_pow
 
 __all__ = [
@@ -90,7 +91,7 @@ def _abs_moment(model, p, mc):
         )
 
     def block(idx, size):
-        return np.abs(_draw_block(model, mc.seed, idx, size)) ** p
+        return np.abs(sample(model, mc.seed, size, stream=idx)) ** p
 
     [(mean, stderr)], _ = _mc_mean(block, mc.samples, mc)
     return mean.real, stderr
@@ -187,7 +188,10 @@ class SllnTrajectory:
         }
 
 
-def geometric_slln_demo(model, n_max, seed, n_checkpoints=60):
+_SLLN_CHECKPOINTS = 60  # log-spaced path lengths at which the running mean is read
+
+
+def geometric_slln_demo(model, n_max, seed):
     """Running geometric means prod_{j<=n} Z_j**(1/n) along one sample path,
     against the limit exp(E[log Z]).
 
@@ -200,7 +204,7 @@ def geometric_slln_demo(model, n_max, seed, n_checkpoints=60):
         raise ValueError("need n_max >= 10")
     target = model.geometric_mean()
     checkpoints = np.unique(
-        np.geomspace(10, n_max, num=min(n_checkpoints, n_max)).astype(int)
+        np.geomspace(10, n_max, num=min(_SLLN_CHECKPOINTS, n_max)).astype(int)
     )
     rng = stream_generator(seed, 0)
     from .distributions import _sample_with

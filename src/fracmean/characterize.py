@@ -64,17 +64,14 @@ class AlphaSequence:
 
     a: float
     points: tuple
-    truncation: int = 0
 
     def __post_init__(self):
         if self.a <= 0:
             raise ValueError("need a > 0")
         pts = tuple(complex(z) for z in self.points)
         object.__setattr__(self, "points", pts)
-        n_trunc = self.truncation or len(pts)
-        if n_trunc < 10:
+        if len(pts) < 10:
             raise ValueError("need at least 10 points for a divergence verdict")
-        object.__setattr__(self, "truncation", min(n_trunc, len(pts)))
 
 
 @dataclass(frozen=True)
@@ -83,15 +80,12 @@ class LambdaSequence:
 
     points: tuple
     im_bound: float = 0.0
-    truncation: int = 0
 
     def __post_init__(self):
         pts = tuple(complex(z) for z in self.points)
         object.__setattr__(self, "points", pts)
-        n_trunc = self.truncation or len(pts)
-        if n_trunc < 10:
+        if len(pts) < 10:
             raise ValueError("need at least 10 points for a divergence verdict")
-        object.__setattr__(self, "truncation", min(n_trunc, len(pts)))
 
 
 def alpha_sequence_from_tag(tag, a=1.0, n_terms=200):
@@ -167,11 +161,10 @@ def blaschke_divergence_check(spec):
     verdict.  Points with Im(z_n) <= a are a hard error."""
     if not isinstance(spec, AlphaSequence):
         raise TypeError("blaschke check needs an AlphaSequence")
-    pts = spec.points[: spec.truncation]
-    bad = [str(z) for z in pts if z.imag <= spec.a]
+    bad = [str(z) for z in spec.points if z.imag <= spec.a]
     if bad:
         raise ValueError(f"points must satisfy Im(z) > a = {spec.a:g}: {bad[:3]}")
-    terms = np.array([1.0 - abs(disk_map(z, spec.a)) for z in pts])
+    terms = np.array([1.0 - abs(disk_map(z, spec.a)) for z in spec.points])
     sums = np.cumsum(terms)
     verdict, slope = _divergence_verdict(sums)
     return DivergenceReport(sums, verdict, slope)
@@ -182,14 +175,13 @@ def muntz_divergence_check(spec):
     bound violations are reported in the result, not fatal."""
     if not isinstance(spec, LambdaSequence):
         raise TypeError("muntz check needs a LambdaSequence")
-    pts = spec.points[: spec.truncation]
     violations = []
-    for z in pts:
+    for z in spec.points:
         if z.real >= 0:
             raise ValueError(f"exponents must satisfy Re(lam) < 0, got {z}")
         if abs(z.imag) > spec.im_bound:
             violations.append(str(z))
-    terms = np.array([1.0 / (-z.real) for z in pts])
+    terms = np.array([1.0 / (-z.real) for z in spec.points])
     sums = np.cumsum(terms)
     verdict, slope = _divergence_verdict(sums)
     return DivergenceReport(sums, verdict, slope, violations)

@@ -361,13 +361,14 @@ class AtomicLaw:
         return None
 
     def nodes(self, level):
-        return self.atoms, self.weights
+        weights = self.weights
+        return self.atoms[weights > 0], weights[weights > 0]
 
     def geometric_mean(self):
-        atoms = self.atoms
+        atoms, weights = self.nodes(0)
         if np.any(atoms == 0):
             raise SupportError("geometric means need nonzero values")
-        return complex(np.exp(complex(np.sum(self.weights * np_principal_log(atoms)))))
+        return complex(np.exp(complex(np.sum(weights * np_principal_log(atoms)))))
 
 
 @dataclass(frozen=True)
@@ -395,7 +396,7 @@ class TwoPoint(AtomicLaw):
 
         # exact enumeration over the n-fold product law
         atoms = self.atoms + alpha
-        if p <= 0 and np.any(atoms == 0):
+        if p <= 0 and np.any((atoms == 0) & (self.weights > 0)):
             raise BranchDomainError("power mean of order p <= 0 needs nonzero values")
         total = 0.0 + 0.0j
         for k in range(n + 1):

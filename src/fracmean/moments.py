@@ -31,7 +31,7 @@ from .distributions import (
     char_fn,
     char_fn_derivative,
     model_support,
-    stream_generator,
+    sample,
 )
 from .gammafn import gamma
 from .principal import (
@@ -147,12 +147,7 @@ def power_mean(values, p):
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1 or len(values) == 0:
         raise ValueError("power_mean expects a nonempty 1-d collection")
-    if p <= 0 and np.any(values == 0):
-        raise BranchDomainError("power mean of order p <= 0 needs nonzero values")
-    if abs(p) < _P_GEOMETRIC_EPS:
-        return complex(np.exp(np.mean(np_principal_log(values))))
-    mean = complex(np.mean(np_principal_pow(values, p)))
-    return principal_pow(mean, 1.0 / p)
+    return complex(_power_mean_rows(values[None, :], [p])[0, 0])
 
 
 def _power_mean_rows(draws, ps):
@@ -242,7 +237,6 @@ def frac_moment_neg(model, alpha, lam, cfg=None):
     decay = model.decay + alpha.imag
     if decay <= 0:
         raise SupportError("transform does not decay; increase Im(alpha)")
-    qcfg = dataclasses.replace(cfg, truncation_decay=decay)
 
     s = -lam.real - 1.0
     im_l = lam.imag
@@ -251,7 +245,7 @@ def frac_moment_neg(model, alpha, lam, cfg=None):
         osc = np.exp(-1j * im_l * math.log(t)) if im_l != 0.0 else 1.0
         return osc * char_fn(model, t) * np.exp(1j * alpha * t)
 
-    res = integrate_singular_decaying(g, s, qcfg)
+    res = integrate_singular_decaying(g, s, decay, cfg)
     scale = principal_pow(1j, lam) / gamma(-lam)
     return MomentEstimate(
         value=scale * res.value,
@@ -262,7 +256,7 @@ def frac_moment_neg(model, alpha, lam, cfg=None):
             "decay": decay,
             "alpha": [alpha.real, alpha.imag],
             "lambda": [lam.real, lam.imag],
-            "quad": _cfg_meta(qcfg),
+            "quad": _cfg_meta(cfg),
         },
     )
 
@@ -272,13 +266,12 @@ def _phase_tail(z, delta, cfg):
     contour u = 1 + i*sign(z)*y on which the phase decays like exp(-|z| y)."""
     z = float(z.real) if isinstance(z, complex) else float(z)
     eps_dir = 1.0 if z > 0 else -1.0
-    qcfg = dataclasses.replace(cfg, truncation_decay=abs(z))
     phase0 = complex(math.cos(z), math.sin(z))
 
     def g(y):
         return math.exp(-eps_dir * y * z) * principal_pow(1.0 + 1j * eps_dir * y, -1.0 - delta)
 
-    res = integrate_singular_decaying(g, 0.0, qcfg)
+    res = integrate_singular_decaying(g, 0.0, abs(z), cfg)
     return 1j * eps_dir * phase0 * res.value, res.err_estimate, res.evaluations
 
 
@@ -286,8 +279,7 @@ def _marchaud_atom(z, delta, cfg):
     """int_0^inf (1 - exp(iuz)) u**(-1-delta) du for one atom z in the closed
     upper half plane."""
     if z.imag > 0.0:
-        qcfg = dataclasses.replace(cfg, truncation_decay=z.imag)
-        res = integrate_marchaud(1.0, lambda u: np.exp(1j * u * z), delta, qcfg)
+        res = integrate_marchaud(1.0, lambda u: np.exp(1j * u * z), delta, cfg)
         return res.value, res.err_estimate, res.evaluations
     # real atom: numeric head below u = 1, exact d0 part and a contour-rotated
     # oscillatory tail above
@@ -357,18 +349,17 @@ def frac_moment_pos(model, alpha, lam, cfg=None):
         )
 
     decay = model.decay + alpha.imag
-    qcfg = dataclasses.replace(cfg, truncation_decay=decay)
     d0 = _shifted_weighted_char(model, alpha, k, 0.0)
 
     def f(u):
         return _shifted_weighted_char(model, alpha, k, u)
 
-    res = integrate_marchaud(d0, f, delta, qcfg)
+    res = integrate_marchaud(d0, f, delta, cfg)
     return MomentEstimate(
         value=scale * res.value,
         uncertainty=abs(scale) * res.err_estimate,
         method=Route.QUAD_POS,
-        meta={"evaluations": res.evaluations, "k": k, "decay": decay, "quad": _cfg_meta(qcfg)},
+        meta={"evaluations": res.evaluations, "k": k, "decay": decay, "quad": _cfg_meta(cfg)},
     )
 
 
@@ -468,8 +459,7 @@ def frac_moment_mc(model, alpha, lam, mc=None):
         raise SupportError("real-supported law needs Im(alpha) > 0 for Re(lam) < 0")
 
     def block(idx, size):
-        draws = _draw_block(model, mc.seed, idx, size)
-        return np_principal_pow(draws + alpha, lam)
+        return np_principal_pow(sample(model, mc.seed, size, stream=idx) + alpha, lam)
 
     [(mean, stderr)], blocks = _mc_mean(block, mc.samples, mc)
     return MomentEstimate(
@@ -478,13 +468,6 @@ def frac_moment_mc(model, alpha, lam, mc=None):
         method=Route.MONTE_CARLO,
         meta={"seed": mc.seed, "samples": mc.samples, "blocks": blocks},
     )
-
-
-def _draw_block(model, seed, stream, size):
-    rng = stream_generator(seed, stream)
-    from .distributions import _sample_with
-
-    return _sample_with(rng, model, size)
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +683,7 @@ def _pm_frac_deriv_at(model, spec, cfg, level):
         if model_support(model) == "real" and alpha.imag <= 0:
             raise SupportError("real-supported power means with p < 0 need Im(alpha) > 0")
         transform = _NegTransform(model, alpha, p, n, level)
-        qcfg = dataclasses.replace(cfg, truncation_decay=transform.decay)
-        res = integrate_singular_decaying(transform, -order - 1.0, qcfg)
+        res = integrate_singular_decaying(transform, -order - 1.0, transform.decay, cfg)
         scale, method = principal_pow(-1j, order) / gamma(-order), Route.QUAD_NEG
     else:
         if model.max_moment <= 1.0:
@@ -718,9 +700,8 @@ def _pm_frac_deriv_at(model, spec, cfg, level):
         k = int(math.floor(order))
         delta = order - k
         transform = _PosTransformDerivs(model, alpha, p, n, k, level)
-        qcfg = dataclasses.replace(cfg, truncation_decay=transform.decay)
         d0 = transform.f_deriv_k(0.0, k)
-        res = integrate_marchaud(d0, lambda u: transform.f_deriv_k(u, k), delta, qcfg)
+        res = integrate_marchaud(d0, lambda u: transform.f_deriv_k(u, k), delta, cfg)
         scale, method = principal_pow(-1j, -order) * delta / gamma(1.0 - delta), Route.QUAD_POS
     meta = {"route": "frac_deriv", "order": order, "transform": transform.kind, "evaluations": res.evaluations}
     return MomentEstimate(scale * res.value, abs(scale) * res.err_estimate, method, meta)
@@ -739,7 +720,7 @@ def _pm_monte_carlo(model, specs, mc):
         raise SupportError("real-supported power means with p < 0 need Im(alpha) > 0")
 
     def block(idx, size):
-        draws = _draw_block(model, mc.seed, idx, size * n).reshape(size, n) + alpha
+        draws = sample(model, mc.seed, size * n, stream=idx).reshape(size, n) + alpha
         return _power_mean_rows(draws, ps)
 
     estimates, blocks = _mc_mean(block, mc.samples, mc)

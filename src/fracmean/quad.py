@@ -4,20 +4,23 @@ Two entry points:
 
 * ``integrate_singular_decaying`` handles ``int_0^inf t**s g(t) dt`` where the
   algebraic factor t**s (s > -1) carries an endpoint singularity and g decays
-  exponentially with a known rate.
+  exponentially at a rate the caller passes.
 * ``integrate_marchaud`` handles the difference quotient
   ``int_0^inf (d0 - f(u)) / u**(1+delta) du`` with 0 < Re(delta) < 1.
 
 Both are built on one tanh-sinh (double exponential) trapezoid kernel with
-level refinement; ``tanh_sinh_nodes`` gives the rule as arrays.  The
+level refinement.  ``tanh_sinh_nodes`` is the one place the rule is
+computed; the kernel reads each level's nodes from a table cached on first
+use, held as distances from the endpoints.  The
 Marchaud route needs special care at the origin: for small u the difference
 d0 - f(u) drowns in rounding noise while the weight u**(-1-delta) amplifies
 it, so below a fixed cut the ratio (d0 - f(u))/u is replaced by a fitted
 polynomial model whose moments integrate in closed form.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,15 +46,12 @@ class QuadratureConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_level: int = 10
-    truncation_decay: float = 1.0  # known exponential decay rate of the tail
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if not 3 <= self.max_level <= 14:
             raise ValueError("max_level must lie in [3, 14]")
-        if self.truncation_decay <= 0:
-            raise ValueError("truncation_decay must be positive")
 
 
 @dataclass
@@ -86,54 +86,6 @@ class _EvalCounter:
         self.count = 0
 
 
-def _de_sum_level(f, a, b, h, odd_only, counter):
-    """Trapezoid sum over tanh-sinh nodes at spacing h (odd multiples only
-    when refining a previous level)."""
-    half = 0.5 * (b - a)
-    total = 0.0 + 0.0j
-    if not odd_only:
-        # center node u = 0: t = midpoint, weight = half * pi/2
-        total += f(a + half) * (half * math.pi / 2.0)
-        counter.count += 1
-    step = 2 if odd_only else 1
-    for sign in (1.0, -1.0):
-        k = 1
-        tiny_run = 0
-        while True:
-            u = sign * k * h
-            if abs(u) > _U_MAX:
-                break
-            w = 0.5 * math.pi * math.sinh(u)
-            # stable distance from the nearer endpoint
-            if w >= 0.0:
-                dist = (b - a) / (1.0 + math.exp(2.0 * w))
-                t = b - dist
-            else:
-                dist = (b - a) / (1.0 + math.exp(-2.0 * w))
-                t = a + dist
-            aw = abs(w)
-            sech = 2.0 * math.exp(-aw) / (1.0 + math.exp(-2.0 * aw))
-            weight = half * (0.5 * math.pi) * math.cosh(u) * sech * sech
-            if weight == 0.0:
-                break
-            fv = f(t)
-            counter.count += 1
-            term = fv * weight
-            if not (math.isfinite(term.real) and math.isfinite(term.imag)):
-                raise NonConvergenceError(
-                    f"integrand not finite at t={t!r}", evaluations=counter.count
-                )
-            total += term
-            if abs(term) <= _EPS * abs(total) + 1e-300:
-                tiny_run += 1
-                if tiny_run >= 3:
-                    break
-            else:
-                tiny_run = 0
-            k += step
-    return total * h
-
-
 def tanh_sinh_nodes(level, floor):
     """Tanh-sinh rule on (-1, 1) at spacing h = 2**-level out to |u| = 6, as
     arrays (t, 1 - |t|, weight) without the nodes lighter than floor; the
@@ -147,25 +99,60 @@ def tanh_sinh_nodes(level, floor):
     return np.tanh(w)[keep], (2.0 * e / (1.0 + e))[keep], weight[keep]
 
 
-def _de_finite(f, a, b, cfg, counter, abs_tol=None, rel_tol=None):
+@functools.cache
+def _level_nodes(level):
+    """The nodes u = k h, k > 0, that level adds to the rule (every k at
+    level 0, odd k above) as (1 - |t|, weight) pairs of Python floats; the
+    rule is symmetric, so they serve both endpoints."""
+    _, dist, weight = tanh_sinh_nodes(level, 0.0)
+    side = slice(len(dist) // 2 + 1, None, 2 if level else 1)
+    return tuple(zip(dist[side].tolist(), weight[side].tolist()))
+
+
+def _de_sum_level(f, a, b, level, counter):
+    """The terms that level adds to the tanh-sinh sum of f over (a, b)."""
+    half = 0.5 * (b - a)
+    total = 0.0 + 0.0j
+    if level == 0:
+        total += f(a + half) * (half * math.pi / 2.0)  # center node u = 0
+        counter.count += 1
+    nodes = _level_nodes(level)
+    for end, sign in ((b, -1.0), (a, 1.0)):
+        tiny_run = 0
+        for dist, weight in nodes:
+            t = end + sign * half * dist
+            term = f(t) * (half * weight)
+            counter.count += 1
+            if not (math.isfinite(term.real) and math.isfinite(term.imag)):
+                raise NonConvergenceError(
+                    f"integrand not finite at t={t!r}", evaluations=counter.count
+                )
+            total += term
+            if abs(term) <= _EPS * abs(total) + 1e-300:
+                tiny_run += 1
+                if tiny_run >= 3:
+                    break
+            else:
+                tiny_run = 0
+    return total
+
+
+def _de_finite(f, a, b, cfg, counter):
     """Tanh-sinh integral of f over (a, b); f is never called at the endpoints.
 
-    Returns (value, err_estimate). Raises NonConvergenceError when the last
-    two refinements still disagree beyond tolerance at cfg.max_level.
+    An integral splits into at most two such segments, each held to half of
+    cfg.abs_tol.  Returns (value, err_estimate); raises NonConvergenceError
+    when the last two refinements still disagree beyond tolerance at cfg.max_level.
     """
-    if abs_tol is None:
-        abs_tol = cfg.abs_tol
-    if rel_tol is None:
-        rel_tol = cfg.rel_tol
-    h = 1.0
-    value = _de_sum_level(f, a, b, h, odd_only=False, counter=counter)
+    abs_tol = 0.5 * cfg.abs_tol
+    rel_tol = cfg.rel_tol
+    value = _de_sum_level(f, a, b, 0, counter)
     err = math.inf
-    for _level in range(1, cfg.max_level + 1):
-        h *= 0.5
-        refined = 0.5 * value + _de_sum_level(f, a, b, h, odd_only=True, counter=counter)
+    for level in range(1, cfg.max_level + 1):
+        refined = 0.5 * value + _de_sum_level(f, a, b, level, counter)
         err = abs(refined - value)
         value = refined
-        if _level >= 2 and err <= max(abs_tol, rel_tol * abs(value)):
+        if level >= 2 and err <= max(abs_tol, rel_tol * abs(value)):
             break
     floor = 4.0 * _EPS * abs(value)
     err = max(err, floor)
@@ -179,9 +166,8 @@ def _de_finite(f, a, b, cfg, counter, abs_tol=None, rel_tol=None):
     return value, err
 
 
-def _truncation_point(k_bound, s, cfg, tail_target):
+def _truncation_point(k_bound, s, c, tail_target):
     """Smallest T >= 2 with K * T**max(s,0) * exp(-c T) / c <= tail_target."""
-    c = cfg.truncation_decay
     t_pt = max(2.0, math.log(max(k_bound / (tail_target * c), 1.0)) / c)
     for _ in range(3):
         t_pt = max(
@@ -196,32 +182,34 @@ def _tail_bound(k_bound, s, t_pt, decay):
     return 2.0 * k_bound * t_pt ** max(s, 0.0) * math.exp(-decay * t_pt) / decay
 
 
-def integrate_singular_decaying(g, s, cfg=None):
+def integrate_singular_decaying(g, s, decay, cfg=None):
     """int_0^inf t**s g(t) dt for s > -1 and |g(t)| <= K exp(-decay t).
 
     The singular stretch (0, 1] and the smooth stretch [1, T] are both handled
-    by tanh-sinh; T comes from the declared decay rate and the absolute
+    by tanh-sinh; T comes from the caller's decay rate and the absolute
     tolerance, and the discarded tail is folded into the error estimate.
     """
     cfg = cfg or QuadratureConfig()
     s = float(s)
     if s <= -1.0:
         raise QuadraturePreconditionError("need s > -1 for integrability at 0")
+    if not decay > 0.0:
+        raise QuadraturePreconditionError("need a positive decay rate for the tail")
     counter = _EvalCounter()
 
     k_bound = 1e-300
     for t_probe in (0.25, 0.5, 1.0, 2.0, 4.0):
-        k_bound = max(k_bound, abs(g(t_probe)) * math.exp(cfg.truncation_decay * t_probe))
+        k_bound = max(k_bound, abs(g(t_probe)) * math.exp(decay * t_probe))
         counter.count += 1
     tail_target = 0.25 * cfg.abs_tol
-    t_pt = _truncation_point(k_bound, s, cfg, tail_target)
+    t_pt = _truncation_point(k_bound, s, decay, tail_target)
 
     def integrand(t):
         return (t ** s) * g(t)
 
-    v1, e1 = _de_finite(integrand, 0.0, 1.0, cfg, counter, abs_tol=0.5 * cfg.abs_tol)
-    v2, e2 = _de_finite(integrand, 1.0, t_pt, cfg, counter, abs_tol=0.5 * cfg.abs_tol)
-    tail = _tail_bound(k_bound, s, t_pt, cfg.truncation_decay)
+    v1, e1 = _de_finite(integrand, 0.0, 1.0, cfg, counter)
+    v2, e2 = _de_finite(integrand, 1.0, t_pt, cfg, counter)
+    tail = _tail_bound(k_bound, s, t_pt, decay)
     return IntegralResult(v1 + v2, e1 + e2 + tail, counter.count)
 
 
@@ -294,7 +282,7 @@ def marchaud_unit_interval(d0, f, delta, cfg=None):
     def mid_integrand(u):
         return (d0 - f(u)) * principal_pow(u, -1.0 - delta)
 
-    mid, mid_err = _de_finite(mid_integrand, a_cut, 1.0, cfg, counter, abs_tol=0.5 * cfg.abs_tol)
+    mid, mid_err = _de_finite(mid_integrand, a_cut, 1.0, cfg, counter)
     return IntegralResult(near + mid, near_err + mid_err, counter.count)
 
 
@@ -323,7 +311,7 @@ def integrate_marchaud(d0, f, delta, cfg=None):
             return 0.0 + 0.0j
         return f(1.0 / v) * principal_pow(v, delta - 1.0)
 
-    far_f, far_err = _de_finite(far_integrand, 0.0, 1.0, cfg, counter, abs_tol=0.5 * cfg.abs_tol)
+    far_f, far_err = _de_finite(far_integrand, 0.0, 1.0, cfg, counter)
 
     value = head.value + far_d0 - far_f
     return IntegralResult(value, head.err_estimate + far_err, counter.count)

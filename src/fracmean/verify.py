@@ -437,12 +437,14 @@ def _distinguisher(seed):
     )
     not_distinguished = 0
     for trial in range(100):
+        # distinguish spends the seeds s and s + 1 on its one pair, so each
+        # trial takes two seeds and no two trials share draws
         rep = distinguish(
             CAUCHY,
             Cauchy(0.0, 1.0),
             FixAlpha(1j, (-0.5,)),
             Route.MONTE_CARLO,
-            mc=MCConfig(samples=20_000, seed=seed + trial),
+            mc=MCConfig(samples=20_000, seed=seed + 2 * trial),
         )
         if not rep.distinct:
             not_distinguished += 1

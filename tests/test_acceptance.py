@@ -39,3 +39,23 @@ def test_criterion(suite, cid):
     if result.expected_failures:
         reasons = "; ".join(c.xfail_reason for c in result.expected_failures)
         pytest.xfail(f"documented defect: {reasons}")
+
+
+def test_distinguisher_trials_draw_from_distinct_seeds(monkeypatch):
+    # each same-law trial of criterion 11 must be independent of the others
+    import fracmean.characterize as characterize
+    from fracmean.moments import MomentEstimate, Route
+
+    real = characterize.frac_moment
+    seeds = []
+
+    def recording(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
+        if route is not Route.MONTE_CARLO:
+            return real(model, alpha, lam, route, cfg, mc)
+        seeds.append(mc.seed)
+        return MomentEstimate(0j, 1.0, Route.MONTE_CARLO)
+
+    monkeypatch.setattr(characterize, "frac_moment", recording)
+    verify._distinguisher(SEED)
+    assert len(seeds) == 200
+    assert len(set(seeds)) == 200

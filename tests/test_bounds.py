@@ -136,6 +136,10 @@ def test_slln_point_mass_trajectory_constant():
     traj = geometric_slln_demo(TwoPoint(1j, 1j, 0.5), 1000, seed=1)
     assert np.allclose(traj.values, 1j)
     assert abs(traj.target - 1j) < 1e-15  # exp(log i) up to rounding
+    # an atom of weight 0 never occurs, even at 0: the law is the point mass at i
+    traj = geometric_slln_demo(TwoPoint(0j, 1j, 0.0), 1000, seed=1)
+    assert np.allclose(traj.values, 1j)
+    assert abs(traj.target - 1j) < 1e-15
 
 
 def test_slln_poincare_converges():

@@ -579,6 +579,14 @@ def test_power_mean_with_zero_value_and_p_nonpositive_raises_on_every_route(p, r
         power_mean_expectation(law, PowerMeanSpec(p=p, n=2), route, mc=MCConfig(samples=2000, seed=1))
 
 
+@pytest.mark.parametrize("route", [Route.CLOSED, Route.FRAC_DERIV, Route.MONTE_CARLO, Route.AUTO])
+def test_zero_atom_of_weight_zero_is_ignored_on_every_route(route):
+    # the law is the point mass at 1+i; a weight-0 atom at 0 never occurs
+    law = TwoPoint(0j, 1 + 1j, 0.0)
+    est = power_mean_expectation(law, PowerMeanSpec(p=-0.5, n=2), route, mc=MCConfig(samples=2000, seed=1))
+    assert abs(est.value - (1 + 1j)) <= 1e-10
+
+
 def test_t3_nonconstancy_exceeds_noise():
     lo = power_mean_expectation(T3, PowerMeanSpec(p=-0.9, n=2, alpha=1j), Route.CLOSED)
     hi = power_mean_expectation(T3, PowerMeanSpec(p=-0.1, n=2, alpha=1j), Route.CLOSED)

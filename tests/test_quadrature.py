@@ -19,19 +19,19 @@ SQRT_PI = 1.7724538509055159
 
 
 def test_gamma_integral_singular_endpoint():
-    res = integrate_singular_decaying(lambda t: math.exp(-t), -0.5)
+    res = integrate_singular_decaying(lambda t: math.exp(-t), -0.5, 1.0)
     assert abs(res.value - SQRT_PI) <= 1e-9
     assert res.err_estimate >= abs(res.value - SQRT_PI)
     assert res.evaluations > 0
 
 
 def test_plain_exponential():
-    res = integrate_singular_decaying(lambda t: math.exp(-t), 0.0)
+    res = integrate_singular_decaying(lambda t: math.exp(-t), 0.0, 1.0)
     assert abs(res.value - 1.0) <= 1e-10
 
 
 def test_oscillatory_decaying_matches_gamma_times_power():
-    res = integrate_singular_decaying(lambda t: cmath.exp((1j - 1.0) * t), -0.5)
+    res = integrate_singular_decaying(lambda t: cmath.exp((1j - 1.0) * t), -0.5, 1.0)
     want = gamma(0.5) * principal_pow(1.0 - 1j, -0.5)
     assert abs(res.value - want) <= 1e-9
 
@@ -39,15 +39,14 @@ def test_oscillatory_decaying_matches_gamma_times_power():
 @pytest.mark.parametrize("s", [-0.9, -0.5, -0.1, 0.0])
 def test_gamma_self_test_grid(s):
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
-    res = integrate_singular_decaying(lambda t: math.exp(-t), s, cfg)
+    res = integrate_singular_decaying(lambda t: math.exp(-t), s, 1.0, cfg)
     want = gamma(s + 1.0).real
     assert abs(res.value - want) <= cfg.rel_tol * abs(want) + cfg.abs_tol
 
 
 def test_positive_power_weight():
     # t**3 e^-2t integrates to Gamma(4)/2**4
-    cfg = QuadratureConfig(truncation_decay=2.0)
-    res = integrate_singular_decaying(lambda t: math.exp(-2.0 * t), 3.0, cfg)
+    res = integrate_singular_decaying(lambda t: math.exp(-2.0 * t), 3.0, 2.0)
     want = 6.0 / 16.0
     assert abs(res.value - want) <= 1e-9
 
@@ -57,8 +56,8 @@ def test_linearity():
     g1 = lambda t: math.exp(-t)
     g2 = lambda t: cmath.exp((2j - 1.0) * t)
     a, b = 2.0 - 1j, 0.5j
-    combined = integrate_singular_decaying(lambda t: a * g1(t) + b * g2(t), -0.3, cfg)
-    parts = a * integrate_singular_decaying(g1, -0.3, cfg).value + b * integrate_singular_decaying(g2, -0.3, cfg).value
+    combined = integrate_singular_decaying(lambda t: a * g1(t) + b * g2(t), -0.3, 1.0, cfg)
+    parts = a * integrate_singular_decaying(g1, -0.3, 1.0, cfg).value + b * integrate_singular_decaying(g2, -0.3, 1.0, cfg).value
     tol = 3.0 * (combined.err_estimate + 1e-10)
     assert abs(combined.value - parts) <= tol
 
@@ -70,7 +69,7 @@ def test_refinement_monotonicity_of_error_estimate():
     for cap in (4, 5, 6):
         cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300, max_level=cap)
         try:
-            res = integrate_singular_decaying(lambda t: math.exp(-t), -0.5, cfg)
+            res = integrate_singular_decaying(lambda t: math.exp(-t), -0.5, 1.0, cfg)
             errs.append(res.err_estimate)
         except NonConvergenceError as exc:
             errs.append(exc.err_estimate)
@@ -79,13 +78,19 @@ def test_refinement_monotonicity_of_error_estimate():
 
 def test_precondition_s_out_of_range():
     with pytest.raises(QuadraturePreconditionError):
-        integrate_singular_decaying(lambda t: math.exp(-t), -1.0)
+        integrate_singular_decaying(lambda t: math.exp(-t), -1.0, 1.0)
+
+
+def test_precondition_decay_not_positive():
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(QuadraturePreconditionError):
+            integrate_singular_decaying(lambda t: math.exp(-t), -0.5, bad)
 
 
 def test_nonconvergence_raises_at_level_cap():
     cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-15, max_level=3)
     with pytest.raises(NonConvergenceError):
-        integrate_singular_decaying(lambda t: math.exp(-t), -0.9, cfg)
+        integrate_singular_decaying(lambda t: math.exp(-t), -0.9, 1.0, cfg)
 
 
 def test_marchaud_basic_identity():
@@ -135,5 +140,3 @@ def test_config_validation():
         QuadratureConfig(max_level=2)
     with pytest.raises(ValueError):
         QuadratureConfig(max_level=15)
-    with pytest.raises(ValueError):
-        QuadratureConfig(truncation_decay=0.0)
