@@ -28,7 +28,6 @@ from .distributions import (
     MomentExistenceError,
     SupportError,
     TwoPoint,
-    model_support,
     sample,
     stream_generator,
 )
@@ -69,7 +68,7 @@ class BoundReport:
 
 def _support_class(model):
     """'upper' or 'lower' in the principal-argument sense, else SupportError."""
-    if model_support(model) != "complex":
+    if model.support != "complex":
         return "upper"  # the real line sits inside the upper closure
     atoms = model.atoms  # only atomic laws have complex support
     on_neg_axis = (atoms.imag == 0.0) & (atoms.real < 0.0)
@@ -198,7 +197,7 @@ def geometric_slln_demo(model, n_max, seed):
     Supported for laws in the closed upper half plane with a finite positive
     absolute moment (all built-ins that qualify).
     """
-    if model_support(model) != "upper":
+    if model.support != "upper":
         raise SupportError("the demo needs an upper-half-plane law")
     if n_max < 10:
         raise ValueError("need n_max >= 10")

@@ -9,6 +9,8 @@ parallelism; parallel and serial runs emit identical numbers.
 """
 
 import argparse
+import csv
+import io
 import json
 import re
 import sys
@@ -35,7 +37,6 @@ from .distributions import (
     MomentExistenceError,
     SupportError,
     make_model,
-    model_to_json,
     parse_complex,
     parse_params,
 )
@@ -223,9 +224,11 @@ def _emit(args, config, result_json, csv_rows, start_time, extra_meta=None):
         text += "\n"
     else:
         header, rows = csv_rows
-        lines = [",".join(header)]
-        lines += [",".join(str(x) for x in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -251,7 +254,7 @@ def _run_moment(args):
     )
     config = {
         "command": "moment",
-        "model": model_to_json(model),
+        "model": model.to_json(),
         "alpha": [alpha.real, alpha.imag],
         "lambda": [lam.real, lam.imag],
         "route": args.route,
@@ -282,7 +285,7 @@ def _run_powermean(args):
     est = power_mean_expectation(model, spec, _PM_ROUTES[args.route], _quad_config(args), _mc_config(args))
     config = {
         "command": "powermean",
-        "model": model_to_json(model),
+        "model": model.to_json(),
         "alpha": [alpha.real, alpha.imag],
         "p": args.p,
         "n": args.n,
@@ -317,7 +320,7 @@ def _run_scan(args):
     )
     config = {
         "command": "scan",
-        "model": model_to_json(model),
+        "model": model.to_json(),
         "alpha": [alpha.real, alpha.imag],
         "p_grid": grid,
         "n": args.n,
@@ -326,16 +329,7 @@ def _run_scan(args):
         "mc_samples": args.mc_samples,
         "exploratory": args.exploratory,
     }
-    csv_rows = (
-        ["p", "re", "im", "uncertainty", "method"],
-        [
-            [row.p, row.estimate.value.real, row.estimate.value.imag, row.estimate.uncertainty, row.estimate.method.value]
-            if row.estimate
-            else [row.p, "", "", "", f"error: {row.error}"]
-            for row in table.rows
-        ],
-    )
-    _emit(args, config, table.to_json(), csv_rows, start)
+    _emit(args, config, table.to_json(), table.csv_rows(), start)
     return 0
 
 
@@ -360,8 +354,8 @@ def _run_characterize(args):
     report = distinguish(model_a, model_b, mode, route, _quad_config(args), _mc_config(args))
     config = {
         "command": "characterize.distinguish",
-        "model_a": model_to_json(model_a),
-        "model_b": model_to_json(model_b),
+        "model_a": model_a.to_json(),
+        "model_b": model_b.to_json(),
         "fix": args.fix,
         "value": [value.real, value.imag],
         "points": [[z.real, z.imag] for z in points],
@@ -388,7 +382,7 @@ def _run_bounds(args):
     config = {
         "command": "bounds",
         "check": args.check,
-        "model": model_to_json(model),
+        "model": model.to_json(),
         "p": args.p,
         "estimator": args.estimator,
         "seed": args.seed,
@@ -408,7 +402,7 @@ def _run_slln(args):
     traj = geometric_slln_demo(model, args.n_max, args.seed)
     config = {
         "command": "slln",
-        "model": model_to_json(model),
+        "model": model.to_json(),
         "n_max": args.n_max,
         "seed": args.seed,
     }

@@ -33,8 +33,9 @@ Each class is the one place that knows its family's formulas.  The routes in
 * ``name`` (the family tag of the JSON form) and ``to_json()``.
 
 Adding a family means writing one class with these methods.  The
-module-level ``density``, ``char_fn``, ``char_fn_derivative``,
-``model_support`` and ``model_to_json`` check their arguments and delegate.
+module-level ``density``, ``char_fn`` and ``char_fn_derivative`` check their
+arguments and delegate; callers read ``support`` and call ``to_json()`` on
+the law itself.
 
 Samplers are exact and deterministic given (seed, stream): Cauchy by inverse
 CDF, the t3 family by a rescaled Student draw, and the upper-half-plane law
@@ -66,14 +67,12 @@ __all__ = [
     "density",
     "char_fn",
     "char_fn_derivative",
-    "model_support",
     "sample",
     "stream_generator",
     "parse_complex",
     "parse_params",
     "make_model",
     "model_from_json",
-    "model_to_json",
     "samples_to_csv",
     "load_samples_csv",
 ]
@@ -436,11 +435,6 @@ class Empirical(AtomicLaw):
         return {"dist": self.name, "params": {"samples": [[z.real, z.imag] for z in self.samples]}}
 
 
-def model_support(model):
-    """'real', 'upper' (closed upper half plane) or 'complex'."""
-    return model.support
-
-
 def density(model, point):
     """Probability density at a point of the support.
 
@@ -589,10 +583,6 @@ def model_from_json(obj):
     if isinstance(obj, str):
         obj = json.loads(obj)
     return make_model(obj["dist"], obj.get("params", {}))
-
-
-def model_to_json(model):
-    return model.to_json()
 
 
 def samples_to_csv(samples, path):

@@ -30,7 +30,6 @@ from .distributions import (
     SupportError,
     char_fn,
     char_fn_derivative,
-    model_support,
     sample,
 )
 from .gammafn import gamma
@@ -215,50 +214,53 @@ def _cfg_meta(cfg):
     return {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "max_level": cfg.max_level}
 
 
-def frac_moment_neg(model, alpha, lam, cfg=None):
-    """E[(Z + alpha)**lam] for Re(lam) < 0 through the Riemann-Liouville
-    integral of the half-line transform:
+def _fractional_power(h, lam, decay, cfg, phase):
+    """E[Y**lam] from h(t) = E[Y**k exp(phase t Y)], with k = floor(Re lam)
+    for Re(lam) > 0 and k = 0 otherwise; phase is i for Y in the upper half
+    plane, -i in the lower.  Returns (value, uncertainty, evaluations) of
 
-        E[Z'**lam] = i**lam / Gamma(-lam) * int_0^inf t**(-lam-1) E[e^{itZ'}] dt
-
-    with Z' = Z + alpha.  Real-supported laws need Im(alpha) > 0.
+        Re lam < 0:  phase**lam / Gamma(-lam) int_0^inf t**(-lam-1) h(t) dt,  |h(t)| <~ e^{-decay t}
+        Re lam > 0:  phase**d d / Gamma(1-d) int_0^inf (h(0) - h(u)) / u**(1+d) du,  d = lam - k
+        integer lam: h(0), with no quadrature
     """
+    if lam.real < 0:
+        im_l = lam.imag
+        g = h if im_l == 0.0 else lambda t: np.exp(-1j * im_l * math.log(t)) * h(t)
+        res = integrate_singular_decaying(g, -lam.real - 1.0, decay, cfg)
+        scale = principal_pow(phase, lam) / gamma(-lam)
+    else:
+        delta = lam - math.floor(lam.real)
+        if delta == 0:
+            return complex(h(0.0)), 0.0, 0
+        res = integrate_marchaud(h(0.0), h, delta, cfg)
+        scale = principal_pow(phase, delta) * delta / gamma(1.0 - delta)
+    return scale * res.value, abs(scale) * res.err_estimate, res.evaluations
+
+
+def frac_moment_neg(model, alpha, lam, cfg=None):
+    """E[(Z + alpha)**lam] for Re(lam) < 0: the Riemann-Liouville integral
+    of E[exp(itZ')], Z' = Z + alpha.  Real-supported laws need Im(alpha) > 0."""
     cfg = cfg or QuadratureConfig()
     alpha = complex(alpha)
     lam = complex(lam)
     if lam.real >= 0:
         raise ValueError("frac_moment_neg needs Re(lam) < 0")
-    support = model_support(model)
-    if support == "real" and alpha.imag <= 0.0:
+    if model.support == "real" and alpha.imag <= 0.0:
         raise SupportError("real-supported law needs Im(alpha) > 0 for Re(lam) < 0")
-    if support == "complex":
+    if model.support == "complex":
         raise SupportError("negative orders need an upper-half-plane shift Z + alpha")
 
     decay = model.decay + alpha.imag
     if decay <= 0:
         raise SupportError("transform does not decay; increase Im(alpha)")
 
-    s = -lam.real - 1.0
-    im_l = lam.imag
+    def h(t):
+        return char_fn(model, t) * np.exp(1j * alpha * t)
 
-    def g(t):
-        osc = np.exp(-1j * im_l * math.log(t)) if im_l != 0.0 else 1.0
-        return osc * char_fn(model, t) * np.exp(1j * alpha * t)
-
-    res = integrate_singular_decaying(g, s, decay, cfg)
-    scale = principal_pow(1j, lam) / gamma(-lam)
-    return MomentEstimate(
-        value=scale * res.value,
-        uncertainty=abs(scale) * res.err_estimate,
-        method=Route.QUAD_NEG,
-        meta={
-            "evaluations": res.evaluations,
-            "decay": decay,
-            "alpha": [alpha.real, alpha.imag],
-            "lambda": [lam.real, lam.imag],
-            "quad": _cfg_meta(cfg),
-        },
-    )
+    value, unc, evals = _fractional_power(h, lam, decay, cfg, 1j)
+    meta = {"evaluations": evals, "decay": decay, "alpha": [alpha.real, alpha.imag],
+            "lambda": [lam.real, lam.imag], "quad": _cfg_meta(cfg)}
+    return MomentEstimate(value, unc, Route.QUAD_NEG, meta)
 
 
 def _phase_tail(z, delta, cfg):
@@ -290,12 +292,9 @@ def _marchaud_atom(z, delta, cfg):
 
 
 def frac_moment_pos(model, alpha, lam, cfg=None):
-    """E[(Z + alpha)**lam] for Re(lam) > 0, Re(lam) not an integer, through
-    the Marchaud difference quotient with k = floor(Re lam), delta = lam - k:
-
-        E[Z'**lam] = i**delta delta / Gamma(1-delta)
-                     * int_0^inf E[Z'**k (1 - e^{iuZ'})] / u**(1+delta) du.
-    """
+    """E[(Z + alpha)**lam] for Re(lam) > 0, Re(lam) not an integer: the
+    Marchaud difference quotient of E[Z'**k exp(iuZ')], Z' = Z + alpha,
+    k = floor(Re lam), summed atom by atom for an atomic law."""
     cfg = cfg or QuadratureConfig()
     alpha = complex(alpha)
     lam = complex(lam)
@@ -318,8 +317,6 @@ def frac_moment_pos(model, alpha, lam, cfg=None):
         raise SupportError("alpha must lie in the closed upper half plane")
 
     k = int(math.floor(lam.real))
-    delta = lam - k
-    scale = principal_pow(1j, delta) * delta / gamma(1.0 - delta)
 
     if isinstance(model, AtomicLaw):
         shifted = model.atoms + alpha
@@ -330,6 +327,8 @@ def frac_moment_pos(model, alpha, lam, cfg=None):
                 "empirical law with real atoms: take Im(alpha) > 0 so the "
                 "transform decays"
             )
+        delta = lam - k
+        scale = principal_pow(1j, delta) * delta / gamma(1.0 - delta)
         total = 0.0 + 0.0j
         err = 0.0
         evals = 0
@@ -349,18 +348,13 @@ def frac_moment_pos(model, alpha, lam, cfg=None):
         )
 
     decay = model.decay + alpha.imag
-    d0 = _shifted_weighted_char(model, alpha, k, 0.0)
 
-    def f(u):
+    def h(u):
         return _shifted_weighted_char(model, alpha, k, u)
 
-    res = integrate_marchaud(d0, f, delta, cfg)
-    return MomentEstimate(
-        value=scale * res.value,
-        uncertainty=abs(scale) * res.err_estimate,
-        method=Route.QUAD_POS,
-        meta={"evaluations": res.evaluations, "k": k, "decay": decay, "quad": _cfg_meta(cfg)},
-    )
+    value, unc, evals = _fractional_power(h, lam, decay, cfg, 1j)
+    meta = {"evaluations": evals, "k": k, "decay": decay, "quad": _cfg_meta(cfg)}
+    return MomentEstimate(value, unc, Route.QUAD_POS, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +449,7 @@ def frac_moment_mc(model, alpha, lam, mc=None):
     mc = mc or MCConfig()
     alpha = complex(alpha)
     lam = complex(lam)
-    if lam.real < 0 and model_support(model) == "real" and alpha.imag <= 0.0:
+    if lam.real < 0 and model.support == "real" and alpha.imag <= 0.0:
         raise SupportError("real-supported law needs Im(alpha) > 0 for Re(lam) < 0")
 
     def block(idx, size):
@@ -677,34 +671,35 @@ def _pm_frac_deriv(model, spec, cfg):
 
 
 def _pm_frac_deriv_at(model, spec, cfg, level):
+    """E[M_p] = E[S**(1/p)], S = (1/n) sum_j (Z_j + alpha)**p, from E[exp(-itS)]
+    for p < 0 (S in the lower half plane), else from derivatives of E[exp(iuS)]."""
     p, n, alpha = spec.p, spec.n, spec.alpha
     order = 1.0 / p
     if p < 0:
-        if model_support(model) == "real" and alpha.imag <= 0:
+        if model.support == "real" and alpha.imag <= 0:
             raise SupportError("real-supported power means with p < 0 need Im(alpha) > 0")
-        transform = _NegTransform(model, alpha, p, n, level)
-        res = integrate_singular_decaying(transform, -order - 1.0, transform.decay, cfg)
-        scale, method = principal_pow(-1j, order) / gamma(-order), Route.QUAD_NEG
+        h = transform = _NegTransform(model, alpha, p, n, level)
+        phase, method = -1j, Route.QUAD_NEG
     else:
         if model.max_moment <= 1.0:
             raise MomentExistenceError(
                 f"positive-order power means need Z in L^1; rejected for {type(model).__name__}"
             )
+        if order >= 171:
+            raise RouteUnavailableError(f"1/p = {order:g} needs {math.floor(order)}!, past the float range")
         if abs(order - round(order)) < 1e-12:
-            # 1/p is an integer m: the plain m-th derivative of the transform
-            m = int(round(order))
-            transform = _PosTransformDerivs(model, alpha, p, n, m, level)
-            value = principal_pow(-1j, -float(m)) * transform.f_deriv_k(0.0, m)
-            meta = {"route": "frac_deriv", "order": m, "ordinal": True, "transform": transform.kind}
-            return MomentEstimate(value, 0.0, Route.QUAD_POS, meta)
-        k = int(math.floor(order))
-        delta = order - k
+            order = round(order)  # a plain derivative of the transform
+        k = math.floor(order)
         transform = _PosTransformDerivs(model, alpha, p, n, k, level)
-        d0 = transform.f_deriv_k(0.0, k)
-        res = integrate_marchaud(d0, lambda u: transform.f_deriv_k(u, k), delta, cfg)
-        scale, method = principal_pow(-1j, -order) * delta / gamma(1.0 - delta), Route.QUAD_POS
-    meta = {"route": "frac_deriv", "order": order, "transform": transform.kind, "evaluations": res.evaluations}
-    return MomentEstimate(scale * res.value, abs(scale) * res.err_estimate, method, meta)
+
+        def h(u):  # i**k F^(k)(-u) = E[S**k exp(iuS)], exactly
+            return (1, 1j, -1, -1j)[k % 4] * transform.f_deriv_k(u, k)
+
+        phase, method = 1j, Route.QUAD_POS
+    value, unc, evals = _fractional_power(h, order, transform.decay, cfg, phase)
+    meta = {"route": "frac_deriv", "order": order, "transform": transform.kind}
+    meta.update({"evaluations": evals} if evals else {"ordinal": True})
+    return MomentEstimate(value, unc, method, meta)
 
 
 def _pm_monte_carlo(model, specs, mc):
@@ -716,7 +711,7 @@ def _pm_monte_carlo(model, specs, mc):
     if any(spec.n != n or spec.alpha != alpha for spec in specs):
         raise ValueError("Monte Carlo power means drawn together need one n and one alpha")
     ps = [spec.p for spec in specs]
-    if min(ps) < 0 and model_support(model) == "real" and alpha.imag <= 0:
+    if min(ps) < 0 and model.support == "real" and alpha.imag <= 0:
         raise SupportError("real-supported power means with p < 0 need Im(alpha) > 0")
 
     def block(idx, size):
@@ -789,20 +784,25 @@ class ScanTable:
     max_jump_pair: tuple | None
     max_jump_uncertainty: float
 
+    def csv_rows(self):
+        """(header, rows) of the CSV form; a failed point carries its error
+        in the method column."""
+        rows = [
+            [row.p, row.estimate.value.real, row.estimate.value.imag, row.estimate.uncertainty, row.estimate.method.value]
+            if row.estimate
+            else [row.p, "", "", "", f"error: {row.error}"]
+            for row in self.rows
+        ]
+        return ["p", "re", "im", "uncertainty", "method"], rows
+
     def to_csv(self, path):
         import csv as _csv
 
+        header, rows = self.csv_rows()
         with open(path, "w", newline="") as fh:
             writer = _csv.writer(fh)
-            writer.writerow(["p", "re", "im", "uncertainty", "method"])
-            for row in self.rows:
-                if row.estimate is None:
-                    writer.writerow([row.p, "", "", "", f"error: {row.error}"])
-                else:
-                    est = row.estimate
-                    writer.writerow(
-                        [row.p, repr(est.value.real), repr(est.value.imag), est.uncertainty, est.method.value]
-                    )
+            writer.writerow(header)
+            writer.writerows(rows)
 
     def to_json(self):
         return {

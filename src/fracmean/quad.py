@@ -205,7 +205,10 @@ def integrate_singular_decaying(g, s, decay, cfg=None):
     t_pt = _truncation_point(k_bound, s, decay, tail_target)
 
     def integrand(t):
-        return (t ** s) * g(t)
+        try:
+            return (t ** s) * g(t)
+        except OverflowError:  # a term past the float range, reported as a non-finite one
+            raise NonConvergenceError(f"integrand not finite at t={t!r}", evaluations=counter.count) from None
 
     v1, e1 = _de_finite(integrand, 0.0, 1.0, cfg, counter)
     v2, e2 = _de_finite(integrand, 1.0, t_pt, cfg, counter)

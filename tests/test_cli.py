@@ -1,5 +1,7 @@
 """The command-line front door: artifacts, determinism, exit codes."""
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -94,6 +96,20 @@ def test_scan_command(capsys, tmp_path):
     assert len(lines) == 4  # grid -0.5, 0.0, 0.5
 
 
+def test_scan_csv_quotes_error_rows(capsys):
+    # the error message holds commas; every row must still parse to 5 fields
+    code, out = run_cli(
+        capsys,
+        ["scan", "--dist", "t3", "--alpha", "0+1i", "--n", "1", "--p-grid=0.3,0.4",
+         "--route", "fracderiv", "--format", "csv"],
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["p", "re", "im", "uncertainty", "method"]
+    assert len(rows) == 3 and all(len(row) == 5 for row in rows)
+    assert rows[1][4].startswith("error: NonConvergenceError")
+
+
 def test_characterize_blaschke(capsys):
     blob = run_json(capsys, ["characterize", "blaschke", "--sequence", "harmonic", "--a", "1"])
     assert blob["result"]["verdict"] == "divergence_indicated"
@@ -183,6 +199,13 @@ def test_exit_code_nonconvergence(capsys):
                  "--alpha", "0+1i", "--lambda", "-0.9+0i", "--route", "quad",
                  "--rel-tol", "1e-14", "--abs-tol", "1e-15", "--max-level", "3"])
     assert code == 3
+
+
+def test_exit_code_order_too_large(capsys):
+    code = main(["powermean", "--dist", "t3", "--alpha", "0+1i", "--p", "0.002", "--n", "2",
+                 "--route", "fracderiv"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "RouteUnavailableError"
 
 
 @pytest.mark.parametrize("threads", ["two", "", "0", "-1"])

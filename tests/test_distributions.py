@@ -23,8 +23,6 @@ from fracmean.distributions import (
     load_samples_csv,
     make_model,
     model_from_json,
-    model_support,
-    model_to_json,
     parse_complex,
     parse_params,
     sample,
@@ -253,11 +251,11 @@ def test_two_point_and_empirical_samplers():
 
 
 def test_model_support_classes():
-    assert model_support(CAUCHY) == "real"
-    assert model_support(POIN) == "upper"
-    assert model_support(TwoPoint(1.0, -2.0, 0.5)) == "real"
-    assert model_support(TwoPoint(1j, 1.0, 0.5)) == "upper"
-    assert model_support(TwoPoint(1j, -1j, 0.5)) == "complex"
+    assert CAUCHY.support == "real"
+    assert POIN.support == "upper"
+    assert TwoPoint(1.0, -2.0, 0.5).support == "real"
+    assert TwoPoint(1j, 1.0, 0.5).support == "upper"
+    assert TwoPoint(1j, -1j, 0.5).support == "complex"
 
 
 def test_no_isinstance_dispatch_on_families():
@@ -302,7 +300,7 @@ def test_parse_params_and_make_model():
 
 def test_model_json_round_trip():
     for model in (CAUCHY, T3, POIN, TwoPoint(1j, -1.0, 0.5), Empirical((1j, 2.0))):
-        again = model_from_json(json.dumps(model_to_json(model)))
+        again = model_from_json(json.dumps(model.to_json()))
         assert again == model
 
 

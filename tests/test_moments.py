@@ -24,7 +24,7 @@ from fracmean.moments import (
     power_mean_expectation,
     t3_product_identity,
 )
-from fracmean.moments import _NODE_LEVEL, _NegTransform, _PosTransformDerivs, _pm_monte_carlo
+from fracmean.moments import _NODE_LEVEL, _NegTransform, _PosTransformDerivs, _fractional_power, _pm_monte_carlo
 from fracmean.principal import BranchDomainError, principal_pow
 from fracmean.quad import NonConvergenceError, QuadratureConfig
 
@@ -349,6 +349,44 @@ def test_frac_deriv_ordinal_matches_mc():
     assert abs(quad.value - mc.value) <= 4.0 * mc.uncertainty
 
 
+def _point_mass_h(y, lam, phase):
+    """h(t) = E[Y**k exp(phase t Y)] for Y = y, k = floor(Re lam) or 0."""
+    k = math.floor(lam.real) if lam.real > 0 else 0
+    return lambda t: y ** k * cmath.exp(phase * t * y)
+
+
+@pytest.mark.parametrize("lam", [-0.5, -0.5 + 0.3j, -1.7, 0.5, 1.5, 0.5 + 0.5j, 2])
+def test_fractional_power_point_mass_upper(lam):
+    y = 0.7 + 1.3j
+    value, unc, evals = _fractional_power(_point_mass_h(y, lam, 1j), lam, y.imag, QuadratureConfig(), 1j)
+    assert abs(value - principal_pow(y, lam)) <= 1e-12 * abs(principal_pow(y, lam))
+    if lam == 2:
+        assert (unc, evals) == (0.0, 0)  # the plain moment, no quadrature
+
+
+@pytest.mark.parametrize("lam", [-0.5, -0.5 + 0.3j, -1.7])
+def test_fractional_power_point_mass_lower(lam):
+    y = 0.7 - 1.3j
+    value, _, _ = _fractional_power(_point_mass_h(y, lam, -1j), lam, -y.imag, QuadratureConfig(), -1j)
+    assert abs(value - principal_pow(y, lam)) <= 1e-12 * abs(principal_pow(y, lam))
+
+
+def test_frac_deriv_large_orders_raise_documented_errors():
+    # 1/p = 500 would need 500! in the transform derivatives
+    t3_spec = PowerMeanSpec(p=0.002, n=2, alpha=1j)
+    with pytest.raises(RouteUnavailableError):
+        power_mean_expectation(T3, t3_spec, Route.FRAC_DERIV)
+    # (t**99) overflows inside the Riemann-Liouville integral
+    poin_spec = PowerMeanSpec(p=-0.01, n=2, alpha=0.5j)
+    with pytest.raises(NonConvergenceError):
+        power_mean_expectation(POIN, poin_spec, Route.FRAC_DERIV)
+    with pytest.raises(NonConvergenceError):
+        frac_moment_neg(CAUCHY, 1j, -150)
+    mc = MCConfig(samples=2000, seed=7)
+    for model, spec in ((T3, t3_spec), (POIN, poin_spec)):
+        assert power_mean_expectation(model, spec, Route.AUTO, mc=mc).method is Route.MONTE_CARLO
+
+
 def test_frac_deriv_rejects_cauchy_positive():
     with pytest.raises(MomentExistenceError):
         power_mean_expectation(CAUCHY, PowerMeanSpec(p=0.5, n=2, alpha=1j), Route.FRAC_DERIV)
@@ -654,3 +692,13 @@ def test_scan_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "p,re,im,uncertainty,method"
     assert len(lines) == 3
+
+
+def test_scan_csv_numbers_are_plain_floats(tmp_path):
+    # p = 1/2 takes the integer-order branch of the fractional operator
+    table = continuity_scan(POIN, 0j, 2, [0.5], Route.FRAC_DERIV)
+    path = tmp_path / "scan.csv"
+    table.to_csv(path)
+    _, row = path.read_text().splitlines()
+    p, re_part, im_part, unc, method = row.split(",")
+    assert abs(complex(float(re_part), float(im_part)) - 1j) < 1e-12 and method == "quad_pos"

@@ -25,6 +25,12 @@ def test_gamma_integral_singular_endpoint():
     assert res.evaluations > 0
 
 
+def test_power_overflow_is_nonconvergence():
+    # t**400 leaves the float range past t ~ 5.9, inside the integration range
+    with pytest.raises(NonConvergenceError, match="not finite"):
+        integrate_singular_decaying(lambda t: math.exp(-t), 400.0, 1.0)
+
+
 def test_plain_exponential():
     res = integrate_singular_decaying(lambda t: math.exp(-t), 0.0, 1.0)
     assert abs(res.value - 1.0) <= 1e-10
