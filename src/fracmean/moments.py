@@ -45,9 +45,11 @@ from .principal import (
 from .quad import (
     NonConvergenceError,
     QuadratureConfig,
+    _EPS,
+    _MARCHAUD_CUT,
     integrate_marchaud,
     integrate_singular_decaying,
-    marchaud_unit_interval,
+    marchaud_unit_interval,  # no caller here: perfbench/tracer.py wraps this name
 )
 
 __all__ = [
@@ -263,38 +265,37 @@ def frac_moment_neg(model, alpha, lam, cfg=None):
     return MomentEstimate(value, unc, Route.QUAD_NEG, meta)
 
 
-def _phase_tail(z, delta, cfg):
-    """int_1^inf exp(iuz) u**(-1-delta) du for real z != 0, via the rotated
-    contour u = 1 + i*sign(z)*y on which the phase decays like exp(-|z| y)."""
-    z = float(z.real) if isinstance(z, complex) else float(z)
-    eps_dir = 1.0 if z > 0 else -1.0
-    phase0 = complex(math.cos(z), math.sin(z))
+def _rotated_atoms(model, alpha, lam, k):
+    """(h, rounding) for an atomic law, with every atom z of Z' = Z + alpha
+    moved onto its steepest-descent ray u = e^{i phi} r, phi = pi/2 - arg z,
+    where e^{iuz} = e^{-|z| r}.  Between the two rays |e^{iuz}| <= 1, so by
+    Cauchy's theorem
 
-    def g(y):
-        return math.exp(-eps_dir * y * z) * principal_pow(1.0 + 1j * eps_dir * y, -1.0 - delta)
+        int_0^inf (1 - e^{iuz}) u**(-1-d) du = e^{-i phi d} int_0^inf (1 - e^{-|z| r}) r**(-1-d) dr,
 
-    res = integrate_singular_decaying(g, 0.0, abs(z), cfg)
-    return 1j * eps_dir * phase0 * res.value, res.err_estimate, res.evaluations
-
-
-def _marchaud_atom(z, delta, cfg):
-    """int_0^inf (1 - exp(iuz)) u**(-1-delta) du for one atom z in the closed
-    upper half plane."""
-    if z.imag > 0.0:
-        res = integrate_marchaud(1.0, lambda u: np.exp(1j * u * z), delta, cfg)
-        return res.value, res.err_estimate, res.evaluations
-    # real atom: numeric head below u = 1, exact d0 part and a contour-rotated
-    # oscillatory tail above
-    head = marchaud_unit_interval(1.0, lambda u: np.exp(1j * u * z), delta, cfg)
-    tail, tail_err, tail_evals = _phase_tail(z, delta, cfg)
-    value = head.value + 1.0 / delta - tail
-    return value, head.err_estimate + tail_err, head.evaluations + tail_evals
+    and h(u) = sum_j c_j e^{-|z_j| u}, c_j = w_j z_j**k e^{-i phi_j d}, d = lam - k,
+    is a sum of decaying exponentials: no term oscillates."""
+    points, weights = model.nodes(0)
+    z = points + alpha
+    if np.any(z.imag < 0):
+        raise SupportError("shifted atoms must stay in the closed upper half plane")
+    keep = z != 0  # 0**lam = 0 contributes nothing
+    z, weights = z[keep], weights[keep]
+    log_z = np_principal_log(z)  # the principal arg, so -x - 0i rotates like -x + 0i
+    d = lam - k
+    coef = weights * np.exp(k * log_z - 1j * d * (0.5 * math.pi - log_z.imag))
+    kernel = _WeightedPowers(1j * np.abs(z), coef, 0)
+    # h(0) - h(u) errs by up to 2 eps sum_j |c_j|, which the weight u**(-1-d)
+    # magnifies above the near-origin cut, unseen by the quadrature's estimate
+    noise = 2.0 * _EPS * float(np.sum(np.abs(coef))) * _MARCHAUD_CUT ** -d.real / d.real
+    scale = abs(d / gamma(1.0 - d)) * math.exp(-0.5 * math.pi * d.imag)  # |i**d d / Gamma(1 - d)|
+    return (lambda u: complex(kernel(u)[0])), scale * noise
 
 
 def frac_moment_pos(model, alpha, lam, cfg=None):
     """E[(Z + alpha)**lam] for Re(lam) > 0, Re(lam) not an integer: the
     Marchaud difference quotient of E[Z'**k exp(iuZ')], Z' = Z + alpha,
-    k = floor(Re lam), summed atom by atom for an atomic law."""
+    k = floor(Re lam), with the atoms of an atomic law on rotated rays."""
     cfg = cfg or QuadratureConfig()
     alpha = complex(alpha)
     lam = complex(lam)
@@ -305,10 +306,6 @@ def frac_moment_pos(model, alpha, lam, cfg=None):
             "integer Re(lam) is an ordinary moment; compute it directly "
             "from the transform derivatives instead of the fractional route"
         )
-    if model.max_moment <= 1.0:
-        raise MomentExistenceError(
-            f"positive-order moments need E[|Z|] < inf; rejected for {type(model).__name__}"
-        )
     if lam.real >= model.max_moment:
         raise MomentExistenceError(
             f"E[|Z|^{lam.real:g}] diverges for {type(model).__name__}"
@@ -317,44 +314,18 @@ def frac_moment_pos(model, alpha, lam, cfg=None):
         raise SupportError("alpha must lie in the closed upper half plane")
 
     k = int(math.floor(lam.real))
-
-    if isinstance(model, AtomicLaw):
-        shifted = model.atoms + alpha
-        if np.any(shifted.imag < 0):
-            raise SupportError("shifted atoms must stay in the closed upper half plane")
-        if np.any(shifted.imag == 0) and len(shifted) > 4:
-            raise SupportError(
-                "empirical law with real atoms: take Im(alpha) > 0 so the "
-                "transform decays"
-            )
-        delta = lam - k
-        scale = principal_pow(1j, delta) * delta / gamma(1.0 - delta)
-        total = 0.0 + 0.0j
-        err = 0.0
-        evals = 0
-        for w_j, z_j in zip(model.weights, shifted):
-            if z_j == 0 or w_j == 0.0:
-                continue  # 0**lam = 0 contributes nothing
-            m_val, m_err, m_ev = _marchaud_atom(z_j, delta, cfg)
-            zk = principal_pow(z_j, float(k)) if k else 1.0
-            total += w_j * zk * m_val
-            err += abs(w_j * zk) * m_err
-            evals += m_ev
-        return MomentEstimate(
-            value=scale * total,
-            uncertainty=abs(scale) * err,
-            method=Route.QUAD_POS,
-            meta={"evaluations": evals, "k": k, "atomic": True, "quad": _cfg_meta(cfg)},
-        )
-
     decay = model.decay + alpha.imag
+    if isinstance(model, AtomicLaw):
+        h, rounding = _rotated_atoms(model, alpha, lam, k)
+    else:
+        rounding = 0.0
 
-    def h(u):
-        return _shifted_weighted_char(model, alpha, k, u)
+        def h(u):
+            return _shifted_weighted_char(model, alpha, k, u)
 
     value, unc, evals = _fractional_power(h, lam, decay, cfg, 1j)
     meta = {"evaluations": evals, "k": k, "decay": decay, "quad": _cfg_meta(cfg)}
-    return MomentEstimate(value, unc, Route.QUAD_POS, meta)
+    return MomentEstimate(value, unc + rounding, Route.QUAD_POS, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +452,7 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
         if lam == 0:
             val = closed_moment(model, alpha, 0.0) if isinstance(model, AtomicLaw) else 1.0 + 0.0j
             return MomentEstimate(val, 0.0, Route.CLOSED, {"auto": auto, "trivial_order": True})
-        try:
-            val = closed_moment(model, alpha, lam)
-        except MomentExistenceError:
-            if auto:
-                val = None
-            else:
-                raise
+        val = closed_moment(model, alpha, lam)
         if val is not None:
             return MomentEstimate(val, 0.0, Route.CLOSED, {"auto": auto})
         if not auto:
@@ -507,11 +472,9 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
                 est = frac_moment_pos(model, alpha, lam, cfg)
             est.meta["auto"] = auto
             return est
-        except MomentExistenceError:
-            raise  # a nonexistent moment is not a route-selection problem
-        except (SupportError, ValueError, NonConvergenceError):
-            if not auto:
-                raise
+        except (ValueError, NonConvergenceError) as exc:
+            if not auto or isinstance(exc, MomentExistenceError):
+                raise  # a nonexistent moment is not a route-selection problem
     elif route in (Route.QUAD_NEG, Route.QUAD_POS):
         raise RouteUnavailableError("quadrature routes need Re(lam) != 0")
 
@@ -540,7 +503,8 @@ class _WeightedPowers:
 
     Row j holds w_i * W_i**j at the points and weights of the law's node
     rule: exact for atoms, a quadrature sum over a density, whose error
-    shows in the gap to the next level.  An evaluation is one complex exp
+    shows in the gap to the next level.  The rotated atoms of
+    frac_moment_pos give it complex weights.  An evaluation is one complex exp
     into a reused buffer, then a product and a pairwise sum per row, all on
     the calling thread: a BLAS product would hand the reduction to a thread
     pool, and einsum's running sum loses digits that the Marchaud difference
@@ -639,11 +603,13 @@ class _PosTransformDerivs(_SingleDrawTransform):
 
 def _pm_frac_deriv(model, spec, cfg):
     """A transform on a node rule runs at two levels: the finer value is
-    reported, and its uncertainty adds the gap, which must meet cfg's tolerance."""
+    reported, and its uncertainty adds the gap, which must meet cfg's tolerance.
+    Every result that is not CLOSED carries a rounding allowance."""
     p, n, alpha = spec.p, spec.n, spec.alpha
     cfg = cfg or QuadratureConfig()
     if p <= 0 and isinstance(model, AtomicLaw) and np.any((model.atoms + alpha == 0) & (model.weights > 0)):
         raise BranchDomainError("power mean of order p <= 0 needs nonzero values")
+    gap = 0.0
     if abs(p) < _P_GEOMETRIC_EPS:
         # geometric mean: E[prod Z_j**(1/n)] = E[Z**(1/n)]**n, no fractional
         # operator at p itself
@@ -655,18 +621,18 @@ def _pm_frac_deriv(model, spec, cfg):
         unc = n * abs(inner.value) ** (n - 1) * inner.uncertainty
         meta = dict(inner.meta)
         meta.update({"route": "frac_deriv", "geometric": True, "n": n})
-        return MomentEstimate(value, unc, Route.QUAD_POS, meta)
-    coarse = _pm_frac_deriv_at(model, spec, cfg, _NODE_LEVEL)
-    if coarse.meta["transform"] != "nodes":
-        return coarse  # closed transforms and atoms are exact
-    est = _pm_frac_deriv_at(model, spec, cfg, _NODE_LEVEL + 1)
-    gap = abs(est.value - coarse.value)
-    if gap > max(cfg.abs_tol, cfg.rel_tol * abs(est.value)):
-        msg = f"node rules at levels {_NODE_LEVEL} and {_NODE_LEVEL + 1} disagree by {gap:.3e}"
-        raise NonConvergenceError(msg, value=est.value, err_estimate=gap)
+        est = MomentEstimate(value, unc, Route.QUAD_POS, meta)
+    else:
+        est = _pm_frac_deriv_at(model, spec, cfg, _NODE_LEVEL)
+        if est.meta["transform"] == "nodes":
+            coarse, est = est, _pm_frac_deriv_at(model, spec, cfg, _NODE_LEVEL + 1)
+            gap = abs(est.value - coarse.value)
+            if gap > max(cfg.abs_tol, cfg.rel_tol * abs(est.value)):
+                msg = f"node rules at levels {_NODE_LEVEL} and {_NODE_LEVEL + 1} disagree by {gap:.3e}"
+                raise NonConvergenceError(msg, value=est.value, err_estimate=gap)
+            est.meta.update({"level": _NODE_LEVEL + 1, "level_gap": gap})
     # the ulps cover rounding in the transform sums and the series power
     est.uncertainty += gap + 16.0 * math.ulp(abs(est.value))
-    est.meta.update({"level": _NODE_LEVEL + 1, "level_gap": gap})
     return est
 
 
@@ -748,16 +714,16 @@ def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
         try:
             val = model.closed_power_mean(spec.p, spec.n, spec.alpha)
             return MomentEstimate(val, 0.0, Route.CLOSED, {"auto": auto, "n": spec.n, "p": spec.p})
-        except (RouteUnavailableError, SupportError, BranchDomainError):
-            if not auto:
+        except (ValueError, NonConvergenceError) as exc:
+            if not auto or isinstance(exc, MomentExistenceError):
                 raise
     if route in (Route.FRAC_DERIV, Route.AUTO):
         try:
             est = _pm_frac_deriv(model, spec, cfg)
             est.meta["auto"] = auto
             return est
-        except (RouteUnavailableError, SupportError, MomentExistenceError, ValueError, NonConvergenceError):
-            if not auto:
+        except (ValueError, NonConvergenceError) as exc:
+            if not auto or isinstance(exc, MomentExistenceError):
                 raise
     if route in (Route.MONTE_CARLO, Route.AUTO):
         [est] = _pm_monte_carlo(model, [spec], mc)

@@ -189,9 +189,16 @@ def test_exit_code_config_error(capsys):
 
 
 def test_exit_code_moment_error(capsys):
+    # E|Z|^1.5 diverges for Cauchy
     code = main(["moment", "--dist", "cauchy", "--params", "mu=0,sigma=1",
-                 "--alpha", "0+1i", "--lambda", "0.5+0i", "--route", "quad"])
+                 "--alpha", "0+1i", "--lambda", "1.5+0i", "--route", "quad"])
     assert code == 4
+
+
+def test_auto_power_mean_of_nonexistent_expectation_exits_4(capsys):
+    code = main(["powermean", "--dist", "cauchy", "--alpha", "0+1i", "--p", "0.5", "--n", "2"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "MomentExistenceError"
 
 
 def test_exit_code_nonconvergence(capsys):

@@ -7,7 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracmean.distributions import Cauchy, Empirical, MomentExistenceError, Poincare, ScaledT3, SupportError, TwoPoint
+from fracmean.distributions import (
+    Cauchy,
+    Empirical,
+    MomentExistenceError,
+    Poincare,
+    ScaledT3,
+    SupportError,
+    TwoPoint,
+    sample,
+)
 from fracmean.moments import (
     MCConfig,
     MomentEstimate,
@@ -176,11 +185,45 @@ def test_frac_moment_pos_t3_vs_closed(lam):
 
 def test_frac_moment_pos_rejections():
     with pytest.raises(MomentExistenceError):
-        frac_moment_pos(CAUCHY, 1j, 0.5)
+        frac_moment_pos(CAUCHY, 1j, 1.5)  # E|Z|^1.5 diverges
     with pytest.raises(MomentExistenceError):
         frac_moment_pos(T3, 1j, 3.2)
     with pytest.raises(ValueError):
         frac_moment_pos(POIN, 0.0, 2.0)  # integer order: not a fractional route
+
+
+@pytest.mark.parametrize("law, alpha", [(CAUCHY, 1j), (CAUCHY, 0.3), (CAUCHY, 0.0), (Cauchy(0.4, 2.0), 0.5j)])
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.9, 0.5 + 0.5j])
+def test_frac_moment_pos_cauchy_below_first_moment(law, alpha, lam):
+    # the Marchaud quotient needs E|Z|^Re(lam) < inf only, not E|Z| < inf
+    est = frac_moment_pos(law, alpha, lam)
+    want = closed_moment(law, alpha, lam)
+    assert abs(est.value - want) <= min(est.uncertainty, 1e-11 * abs(want))
+
+
+def test_frac_moment_pos_ten_real_atoms():
+    law = Empirical(tuple(np.random.default_rng(1).normal(size=10)))
+    est = frac_moment_pos(law, 0.0, 0.5)
+    want = closed_moment(law, 0.0, 0.5)
+    assert abs(est.value - want) <= min(est.uncertainty, 1e-12)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_frac_moment_pos_atoms_with_large_real_part(seed):
+    # Cauchy draws reach |Re z| in the hundreds (82, 202 and 700 at seed 3)
+    law = Empirical(tuple(sample(Cauchy(0.3, 1.0), seed, 200) + 0.5j))
+    est = frac_moment_pos(law, 1j, 0.5)
+    want = closed_moment(law, 1j, 0.5)
+    assert abs(est.value - want) <= est.uncertainty <= 1e-3 * abs(want)
+
+
+def test_frac_moment_pos_many_atoms_in_one_integral():
+    rng = np.random.default_rng(7)
+    law = Empirical(tuple(rng.normal(size=200) + 1j * rng.uniform(0.5, 2.0, 200)))
+    est = frac_moment_pos(law, 0.0, 0.5)
+    want = closed_moment(law, 0.0, 0.5)
+    assert abs(est.value - want) <= est.uncertainty
+    assert est.meta["evaluations"] <= 1000  # one Marchaud integral, not one per atom
 
 
 # --- Monte Carlo -----------------------------------------------------------------
@@ -390,6 +433,40 @@ def test_frac_deriv_large_orders_raise_documented_errors():
 def test_frac_deriv_rejects_cauchy_positive():
     with pytest.raises(MomentExistenceError):
         power_mean_expectation(CAUCHY, PowerMeanSpec(p=0.5, n=2, alpha=1j), Route.FRAC_DERIV)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_frac_deriv_geometric_mean_of_cauchy(n):
+    est = power_mean_expectation(CAUCHY, PowerMeanSpec(p=0.0, n=n, alpha=1j), Route.FRAC_DERIV)
+    assert est.method is Route.QUAD_POS
+    assert abs(est.value - 2j) <= min(est.uncertainty, 1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_frac_deriv_exact_transform_carries_rounding_allowance(p, n):
+    est = power_mean_expectation(POIN, PowerMeanSpec(p=p, n=n), Route.FRAC_DERIV)
+    assert est.meta["transform"] == "poincare"
+    assert 0.0 < est.uncertainty <= 1e-14
+    assert abs(est.value - 1j) <= est.uncertainty
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_auto_power_mean_refuses_nonexistent_expectation(p):
+    # E|M_p| diverges for Cauchy at p > 0; no route may return a number
+    with pytest.raises(MomentExistenceError):
+        power_mean_expectation(CAUCHY, PowerMeanSpec(p=p, n=2, alpha=1j), Route.AUTO)
+
+
+def test_auto_moment_refuses_nonexistent_moment():
+    with pytest.raises(MomentExistenceError):
+        frac_moment(CAUCHY, 1j, 1.0)
+
+
+def test_auto_geometric_mean_of_cauchy_takes_quadrature():
+    est = power_mean_expectation(CAUCHY, PowerMeanSpec(p=0.0, n=2, alpha=1j), Route.AUTO)
+    assert est.method is Route.QUAD_POS and est.meta["auto"] is True
+    assert abs(est.value - 2j) <= est.uncertainty
 
 
 def _loop_moments(values, weights, jmax, v):

@@ -12,7 +12,9 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracmean.distributions import Empirical
 from fracmean.gammafn import gamma
+from fracmean.moments import closed_moment, frac_moment_pos
 from fracmean.principal import np_principal_pow, principal_pow
 
 finite = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False, allow_infinity=False)
@@ -53,3 +55,28 @@ def test_principal_pow_matches_mpmath(r, theta, a, b):
     assert abs(principal_pow(z, lam) - want) <= 1e-13 * abs(want), (z, lam)
     got = np_principal_pow(np.array([z]), lam)[0]
     assert abs(got - want) <= 1e-13 * abs(want), (z, lam, got, want)
+
+
+atom_moduli = st.floats(min_value=0.1, max_value=10.0)
+real_atoms = st.tuples(atom_moduli, st.sampled_from([1.0, -1.0])).map(lambda t: complex(t[0] * t[1], 0.0))
+upper_atoms = st.tuples(atom_moduli, st.floats(min_value=0.0, max_value=math.pi)).map(lambda t: cmath.rect(*t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(real_atoms, upper_atoms), min_size=1, max_size=7),
+    st.floats(min_value=0.01, max_value=2.99),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+def test_rotated_atom_moments_match_closed_form(atoms, a, b):
+    # atoms on the real axis and in the upper half plane, every one on its
+    # own steepest-descent ray inside one Marchaud integral
+    hypothesis.assume(abs(a - round(a)) >= 0.02)
+    lam = complex(a, b)
+    law = Empirical(tuple(atoms))
+    est = frac_moment_pos(law, 0.0, lam)
+    want = closed_moment(law, 0.0, lam)
+    size = float(np.mean(np.abs(np_principal_pow(law.atoms, lam))))
+    err = abs(est.value - want)
+    assert err <= est.uncertainty, (atoms, lam, err, est.uncertainty)
+    assert err <= 1e-8 * size, (atoms, lam, err, size)
