@@ -32,6 +32,8 @@ from .distributions import (
     stream_generator,
 )
 from .moments import MCConfig, Route, _mc_mean, closed_moment, frac_moment
+# np_principal_pow, principal_log and principal_pow have no caller here:
+# perfbench/tracer.py wraps these names
 from .principal import np_principal_log, np_principal_pow, principal_log, principal_pow
 
 __all__ = [

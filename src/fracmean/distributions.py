@@ -16,9 +16,10 @@ Built-in laws:
 Each class is the one place that knows its family's formulas.  The routes in
 ``moments`` and ``bounds`` ask a law only for these:
 
-* ``support`` ('real', 'upper' or 'complex'), ``max_moment`` (the supremum
-  r with E[|Z|^r] < inf) and ``decay`` (a rate r with
-  |E[exp(itZ)]| <~ K exp(-r t));
+* ``support`` ('real', 'upper' or 'complex') and ``max_moment`` (the
+  supremum r with E[|Z|^r] < inf); a density law adds ``decay``, a rate r
+  with |E[exp(itZ)]| <~ K exp(-r t) (the quadrature routes move the atoms
+  of an atomic law onto rays where each decays at its own rate);
 * ``density(z)``, ``char(t)`` = E[exp(itZ)] and ``char_deriv(k, t)`` =
   (-i)^k E[Z^k exp(itZ)], both for t >= 0, and ``sample(rng, n)``;
 * ``closed_moment(alpha, lam)``, ``closed_power_mean(p, n, alpha)`` and
@@ -331,10 +332,6 @@ class AtomicLaw:
         if np.all(atoms.imag >= 0.0):
             return "upper"
         return "complex"
-
-    @property
-    def decay(self):
-        return max(float(np.min(self.atoms.imag)), 0.0) * 0.999  # 0 for real atoms
 
     def density(self, z):
         raise SupportError("discrete law has no density")

@@ -28,7 +28,7 @@ from .distributions import (
     MomentExistenceError,
     RouteUnavailableError,
     SupportError,
-    char_fn,
+    char_fn,  # no caller here: perfbench/tracer.py wraps this name
     char_fn_derivative,
     sample,
 )
@@ -239,69 +239,49 @@ def _fractional_power(h, lam, decay, cfg, phase):
     return scale * res.value, abs(scale) * res.err_estimate, res.evaluations
 
 
-def frac_moment_neg(model, alpha, lam, cfg=None):
-    """E[(Z + alpha)**lam] for Re(lam) < 0: the Riemann-Liouville integral
-    of E[exp(itZ')], Z' = Z + alpha.  Real-supported laws need Im(alpha) > 0."""
-    cfg = cfg or QuadratureConfig()
-    alpha = complex(alpha)
-    lam = complex(lam)
-    if lam.real >= 0:
-        raise ValueError("frac_moment_neg needs Re(lam) < 0")
-    if model.support == "real" and alpha.imag <= 0.0:
-        raise SupportError("real-supported law needs Im(alpha) > 0 for Re(lam) < 0")
-    if model.support == "complex":
-        raise SupportError("negative orders need an upper-half-plane shift Z + alpha")
-
-    decay = model.decay + alpha.imag
-    if decay <= 0:
-        raise SupportError("transform does not decay; increase Im(alpha)")
-
-    def h(t):
-        return char_fn(model, t) * np.exp(1j * alpha * t)
-
-    value, unc, evals = _fractional_power(h, lam, decay, cfg, 1j)
-    meta = {"evaluations": evals, "decay": decay, "alpha": [alpha.real, alpha.imag],
-            "lambda": [lam.real, lam.imag], "quad": _cfg_meta(cfg)}
-    return MomentEstimate(value, unc, Route.QUAD_NEG, meta)
-
-
 def _rotated_atoms(model, alpha, lam, k):
-    """(h, rounding) for an atomic law, with every atom z of Z' = Z + alpha
-    moved onto its steepest-descent ray u = e^{i phi} r, phi = pi/2 - arg z,
-    where e^{iuz} = e^{-|z| r}.  Between the two rays |e^{iuz}| <= 1, so by
-    Cauchy's theorem
+    """(h, decay, rounding) for an atomic law, with every atom z of
+    Z' = Z + alpha moved onto its steepest-descent ray u = e^{i phi} r,
+    phi = pi/2 - arg z, where e^{iuz} = e^{-|z| r}.  Between the two rays
+    |e^{iuz}| <= 1, so by Cauchy's theorem, with d = lam - k,
 
-        int_0^inf (1 - e^{iuz}) u**(-1-d) du = e^{-i phi d} int_0^inf (1 - e^{-|z| r}) r**(-1-d) dr,
+        Re d < 0:  int_0^inf u**(-1-d) e^{iuz} du = e^{-i phi d} int_0^inf r**(-1-d) e^{-|z| r} dr,
+        Re d > 0:  int_0^inf (1 - e^{iuz}) u**(-1-d) du = e^{-i phi d} int_0^inf (1 - e^{-|z| r}) r**(-1-d) dr,
 
-    and h(u) = sum_j c_j e^{-|z_j| u}, c_j = w_j z_j**k e^{-i phi_j d}, d = lam - k,
-    is a sum of decaying exponentials: no term oscillates."""
+    and h(u) = sum_j c_j e^{-|z_j| u}, c_j = w_j z_j**k e^{-i phi_j d}, is a
+    sum of exponentials decaying at the rate min_j |z_j|: no term oscillates."""
     points, weights = model.nodes(0)
     z = points + alpha
     if np.any(z.imag < 0):
         raise SupportError("shifted atoms must stay in the closed upper half plane")
-    keep = z != 0  # 0**lam = 0 contributes nothing
+    keep = z != 0  # 0**lam = 0 contributes nothing at Re(lam) > 0
+    if lam.real < 0 and not keep.all():
+        raise SupportError("negative orders need every shifted atom nonzero")
     z, weights = z[keep], weights[keep]
     log_z = np_principal_log(z)  # the principal arg, so -x - 0i rotates like -x + 0i
     d = lam - k
     coef = weights * np.exp(k * log_z - 1j * d * (0.5 * math.pi - log_z.imag))
-    kernel = _WeightedPowers(1j * np.abs(z), coef, 0)
-    # h(0) - h(u) errs by up to 2 eps sum_j |c_j|, which the weight u**(-1-d)
-    # magnifies above the near-origin cut, unseen by the quadrature's estimate
-    noise = 2.0 * _EPS * float(np.sum(np.abs(coef))) * _MARCHAUD_CUT ** -d.real / d.real
-    scale = abs(d / gamma(1.0 - d)) * math.exp(-0.5 * math.pi * d.imag)  # |i**d d / Gamma(1 - d)|
-    return (lambda u: complex(kernel(u)[0])), scale * noise
+    rates = np.abs(z)
+    kernel = _WeightedPowers(1j * rates, coef, 0)
+    rounding = 0.0
+    if lam.real > 0:
+        # h(0) - h(u) errs by up to 2 eps sum_j |c_j|, which the weight u**(-1-d)
+        # magnifies above the near-origin cut, unseen by the quadrature's estimate
+        noise = 2.0 * _EPS * float(np.sum(np.abs(coef))) * _MARCHAUD_CUT ** -d.real / d.real
+        rounding = abs(d / gamma(1.0 - d)) * math.exp(-0.5 * math.pi * d.imag) * noise  # |i**d d / Gamma(1 - d)|
+    decay = float(np.min(rates)) if rates.size else 0.0  # no atom left: h = 0
+    return (lambda u: complex(kernel(u)[0])), decay, rounding
 
 
-def frac_moment_pos(model, alpha, lam, cfg=None):
-    """E[(Z + alpha)**lam] for Re(lam) > 0, Re(lam) not an integer: the
-    Marchaud difference quotient of E[Z'**k exp(iuZ')], Z' = Z + alpha,
-    k = floor(Re lam), with the atoms of an atomic law on rotated rays."""
+def _quad_moment(model, alpha, lam, cfg):
+    """E[(Z + alpha)**lam], Re(lam) not zero or a positive integer, from the
+    fractional operator on h(u) = E[Z'**k exp(iuZ')], Z' = Z + alpha,
+    k = floor(Re lam) for Re(lam) > 0 and k = 0 otherwise, with the atoms of
+    an atomic law on rotated rays."""
     cfg = cfg or QuadratureConfig()
     alpha = complex(alpha)
     lam = complex(lam)
-    if lam.real <= 0:
-        raise ValueError("frac_moment_pos needs Re(lam) > 0")
-    if lam.real == int(lam.real):
+    if lam.real > 0 and lam.real == int(lam.real):
         raise ValueError(
             "integer Re(lam) is an ordinary moment; compute it directly "
             "from the transform derivatives instead of the fractional route"
@@ -313,19 +293,36 @@ def frac_moment_pos(model, alpha, lam, cfg=None):
     if alpha.imag < 0:
         raise SupportError("alpha must lie in the closed upper half plane")
 
-    k = int(math.floor(lam.real))
-    decay = model.decay + alpha.imag
+    k = max(math.floor(lam.real), 0)
     if isinstance(model, AtomicLaw):
-        h, rounding = _rotated_atoms(model, alpha, lam, k)
+        h, decay, rounding = _rotated_atoms(model, alpha, lam, k)
     else:
-        rounding = 0.0
-
-        def h(u):
-            return _shifted_weighted_char(model, alpha, k, u)
+        if lam.real < 0 and model.support == "real" and alpha.imag == 0.0:
+            raise SupportError("real-supported law needs Im(alpha) > 0 for Re(lam) < 0")
+        h = functools.partial(_shifted_weighted_char, model, alpha, k)
+        decay, rounding = model.decay + alpha.imag, 0.0
 
     value, unc, evals = _fractional_power(h, lam, decay, cfg, 1j)
     meta = {"evaluations": evals, "k": k, "decay": decay, "quad": _cfg_meta(cfg)}
-    return MomentEstimate(value, unc + rounding, Route.QUAD_POS, meta)
+    return MomentEstimate(value, unc + rounding, Route.QUAD_NEG if lam.real < 0 else Route.QUAD_POS, meta)
+
+
+def frac_moment_neg(model, alpha, lam, cfg=None):
+    """E[(Z + alpha)**lam] for Re(lam) < 0: the Riemann-Liouville integral
+    of E[exp(iuZ')], Z' = Z + alpha.  Real-supported density laws need
+    Im(alpha) > 0; the shifted atoms of an atomic law must be nonzero."""
+    if complex(lam).real >= 0:
+        raise ValueError("frac_moment_neg needs Re(lam) < 0")
+    return _quad_moment(model, alpha, lam, cfg)
+
+
+def frac_moment_pos(model, alpha, lam, cfg=None):
+    """E[(Z + alpha)**lam] for Re(lam) > 0, Re(lam) not an integer: the
+    Marchaud difference quotient of E[Z'**k exp(iuZ')], Z' = Z + alpha,
+    k = floor(Re lam)."""
+    if complex(lam).real <= 0:
+        raise ValueError("frac_moment_pos needs Re(lam) > 0")
+    return _quad_moment(model, alpha, lam, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +436,35 @@ def frac_moment_mc(model, alpha, lam, mc=None):
 # dispatch
 
 
+def _first_route(route, steps):
+    """The estimate of the first step that answers, with meta["auto"] set.
+
+    steps lists (route, call) pairs in order of preference.  An explicit
+    route runs only its own step.  AUTO skips a step that raises ValueError
+    or NonConvergenceError, except MomentExistenceError (a moment that does
+    not exist is not a route-selection problem) and the last step's error,
+    which propagate.
+    """
+    auto = route is Route.AUTO
+    calls = [call for step, call in steps if auto or step is route]
+    if not calls:
+        raise RouteUnavailableError(
+            f"route {route.value} does not apply here; try one of {[step.value for step, _ in steps]}"
+        )
+    for call in calls[:-1]:
+        try:
+            est = call()
+            break
+        except MomentExistenceError:
+            raise
+        except (ValueError, NonConvergenceError):
+            continue
+    else:
+        est = calls[-1]()
+    est.meta["auto"] = auto
+    return est
+
+
 def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
     """One fractional moment E[(Z + alpha)**lam] by the requested route.
 
@@ -446,41 +472,24 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
     """
     alpha = complex(alpha)
     lam = complex(lam)
-    auto = route is Route.AUTO
 
-    if route in (Route.CLOSED, Route.AUTO):
+    def closed():
         if lam == 0:
             val = closed_moment(model, alpha, 0.0) if isinstance(model, AtomicLaw) else 1.0 + 0.0j
-            return MomentEstimate(val, 0.0, Route.CLOSED, {"auto": auto, "trivial_order": True})
+            return MomentEstimate(val, 0.0, Route.CLOSED, {"trivial_order": True})
         val = closed_moment(model, alpha, lam)
-        if val is not None:
-            return MomentEstimate(val, 0.0, Route.CLOSED, {"auto": auto})
-        if not auto:
+        if val is None:
             raise RouteUnavailableError(
                 f"no closed form for {type(model).__name__} at alpha={alpha}, lam={lam}"
             )
+        return MomentEstimate(val, 0.0, Route.CLOSED)
 
-    if route in (Route.QUAD_NEG, Route.QUAD_POS, Route.AUTO) and lam.real != 0:
-        try:
-            if lam.real < 0:
-                if route is Route.QUAD_POS:
-                    raise RouteUnavailableError("Re(lam) < 0 uses the negative-order route")
-                est = frac_moment_neg(model, alpha, lam, cfg)
-            else:
-                if route is Route.QUAD_NEG:
-                    raise RouteUnavailableError("Re(lam) > 0 uses the positive-order route")
-                est = frac_moment_pos(model, alpha, lam, cfg)
-            est.meta["auto"] = auto
-            return est
-        except (ValueError, NonConvergenceError) as exc:
-            if not auto or isinstance(exc, MomentExistenceError):
-                raise  # a nonexistent moment is not a route-selection problem
-    elif route in (Route.QUAD_NEG, Route.QUAD_POS):
-        raise RouteUnavailableError("quadrature routes need Re(lam) != 0")
-
-    est = frac_moment_mc(model, alpha, lam, mc)
-    est.meta["auto"] = auto
-    return est
+    steps = [(Route.CLOSED, closed)]
+    if lam.real != 0:
+        quad = Route.QUAD_NEG if lam.real < 0 else Route.QUAD_POS
+        steps.append((quad, lambda: _quad_moment(model, alpha, lam, cfg)))
+    steps.append((Route.MONTE_CARLO, lambda: frac_moment_mc(model, alpha, lam, mc)))
+    return _first_route(route, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +513,7 @@ class _WeightedPowers:
     Row j holds w_i * W_i**j at the points and weights of the law's node
     rule: exact for atoms, a quadrature sum over a density, whose error
     shows in the gap to the next level.  The rotated atoms of
-    frac_moment_pos give it complex weights.  An evaluation is one complex exp
+    _quad_moment give it complex weights.  An evaluation is one complex exp
     into a reused buffer, then a product and a pairwise sum per row, all on
     the calling thread: a BLAS product would hand the reduction to a thread
     pool, and einsum's running sum loses digits that the Marchaud difference
@@ -709,27 +718,16 @@ def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
         raise TypeError("spec must be a PowerMeanSpec")
     if spec.exploratory and route is not Route.MONTE_CARLO:
         raise RouteUnavailableError("|p| > 1 exploration is Monte Carlo only")
-    auto = route is Route.AUTO
-    if route in (Route.CLOSED, Route.AUTO):
-        try:
-            val = model.closed_power_mean(spec.p, spec.n, spec.alpha)
-            return MomentEstimate(val, 0.0, Route.CLOSED, {"auto": auto, "n": spec.n, "p": spec.p})
-        except (ValueError, NonConvergenceError) as exc:
-            if not auto or isinstance(exc, MomentExistenceError):
-                raise
-    if route in (Route.FRAC_DERIV, Route.AUTO):
-        try:
-            est = _pm_frac_deriv(model, spec, cfg)
-            est.meta["auto"] = auto
-            return est
-        except (ValueError, NonConvergenceError) as exc:
-            if not auto or isinstance(exc, MomentExistenceError):
-                raise
-    if route in (Route.MONTE_CARLO, Route.AUTO):
-        [est] = _pm_monte_carlo(model, [spec], mc)
-        est.meta["auto"] = auto
-        return est
-    raise RouteUnavailableError(f"route {route} not applicable to power means")
+
+    def closed():
+        val = model.closed_power_mean(spec.p, spec.n, spec.alpha)
+        return MomentEstimate(val, 0.0, Route.CLOSED, {"n": spec.n, "p": spec.p})
+
+    return _first_route(route, [
+        (Route.CLOSED, closed),
+        (Route.FRAC_DERIV, lambda: _pm_frac_deriv(model, spec, cfg)),
+        (Route.MONTE_CARLO, lambda: _pm_monte_carlo(model, [spec], mc)[0]),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fracmean import moments
 from fracmean.distributions import (
     Cauchy,
     Empirical,
@@ -147,6 +148,12 @@ def test_frac_moment_neg_preconditions():
         frac_moment_neg(CAUCHY, 1j, 0.5)
     with pytest.raises(SupportError):
         frac_moment_neg(CAUCHY, 0.0, -0.5)  # Im(alpha) = 0, real support
+    with pytest.raises(SupportError):
+        # Z - 0.5i leaves the upper half plane, where the transform no longer
+        # gives the moment: (beta + alpha)**lam = 1 - i, Monte Carlo 0.87 - 0.34i
+        frac_moment_neg(POIN, -0.5j, -0.5)
+    with pytest.raises(SupportError):
+        frac_moment_neg(TwoPoint(0j, 1j, 0.5), 0.0, -0.5)  # a zero atom at a negative order
 
 
 @pytest.mark.parametrize("lam,want", [(0.5, cmath.exp(1j * math.pi / 4)), (1.5, principal_pow(1j, 1.5))])
@@ -308,6 +315,60 @@ def test_frac_moment_dispatch_and_meta():
     assert est.value == 1.0 and est.method is Route.CLOSED
     with pytest.raises(RouteUnavailableError):
         frac_moment(POIN, 1j, 0.5, route=Route.CLOSED)
+
+
+_LADDER_MC = MCConfig(samples=2000, seed=1)
+# each dispatcher at arguments where every step answers: (call, steps, routes
+# without a step), a step being (owner, name, route, method of its estimate)
+_LADDERS = {
+    "moment": (
+        lambda route: frac_moment(POIN, 0.0, -0.5, route, mc=_LADDER_MC),
+        [
+            (moments, "closed_moment", Route.CLOSED, Route.CLOSED),
+            (moments, "_quad_moment", Route.QUAD_NEG, Route.QUAD_NEG),
+            (moments, "frac_moment_mc", Route.MONTE_CARLO, Route.MONTE_CARLO),
+        ],
+        [Route.QUAD_POS, Route.FRAC_DERIV],
+    ),
+    "power_mean": (
+        lambda route: power_mean_expectation(POIN, PowerMeanSpec(p=-0.5, n=2), route, mc=_LADDER_MC),
+        [
+            (Poincare, "closed_power_mean", Route.CLOSED, Route.CLOSED),
+            (moments, "_pm_frac_deriv", Route.FRAC_DERIV, Route.QUAD_NEG),
+            (moments, "_pm_monte_carlo", Route.MONTE_CARLO, Route.MONTE_CARLO),
+        ],
+        [Route.QUAD_NEG, Route.QUAD_POS],
+    ),
+}
+
+
+def _raising(exc):
+    def step(*args, **kwargs):
+        raise exc("raised by the test")
+
+    return step
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("ladder", sorted(_LADDERS))
+def test_route_ladder_of_both_dispatchers(monkeypatch, ladder, index):
+    call, steps, foreign = _LADDERS[ladder]
+    for route in foreign:  # an explicit route without a step of its own
+        with pytest.raises(RouteUnavailableError):
+            call(route)
+    for owner, name, _, _ in steps[:index]:
+        monkeypatch.setattr(owner, name, _raising(NonConvergenceError))
+    owner, name, route, method = steps[index]
+    est = call(Route.AUTO)  # the failed steps are skipped
+    assert est.method is method and est.meta["auto"] is True
+    est = call(route)
+    assert est.method is method and est.meta["auto"] is False
+    monkeypatch.setattr(owner, name, _raising(NonConvergenceError))
+    with pytest.raises(NonConvergenceError):  # no later step answers for it
+        call(route)
+    monkeypatch.setattr(owner, name, _raising(MomentExistenceError))
+    with pytest.raises(MomentExistenceError):
+        call(Route.AUTO)
 
 
 # --- power-mean expectations -------------------------------------------------------
