@@ -84,8 +84,9 @@ def _support_class(model):
 def _abs_moment(model, p, mc):
     """(E[|Z|**p], stderr); exact for atomic laws, Monte Carlo otherwise."""
     if isinstance(model, AtomicLaw):
-        val = float(np.sum(model.weights * np.abs(model.atoms) ** p))
-        return val, 0.0
+        model.check_negative_order(0.0, p)
+        atoms, weights = model.nodes(0)
+        return float(np.sum(weights * np.abs(atoms) ** p)), 0.0
     if abs(p) >= model.max_moment:
         raise MomentExistenceError(
             f"E[|Z|^p] diverges for {type(model).__name__} at |p| >= {model.max_moment:g}"

@@ -31,7 +31,10 @@ Each class is the one place that knows its family's formulas.  The routes in
 * ``nodes(level)``: points and weights of a rule for E f(Z), finer as the
   level grows: the atoms, or quadrature over the density, which uses no pole
   or closed value, so the (seedless) route built on it checks the closed forms;
-* ``name`` (the family tag of the JSON form) and ``to_json()``.
+* ``name`` (the family tag of the JSON form) and ``to_json()``;
+* of an atomic law, ``check_negative_order(alpha, lam)``, which raises
+  MomentExistenceError where an atom of positive weight sits at -alpha and
+  Re(lam) < 0.
 
 Adding a family means writing one class with these methods.  The
 module-level ``density``, ``char_fn`` and ``char_fn_derivative`` check their
@@ -46,6 +49,7 @@ y ~ InverseGaussian(mean D/a, shape 2 D^2 / a).
 
 import cmath
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -184,8 +188,12 @@ class Cauchy(_RealLineLaw):
         return (-1.0) ** k * ((1j * self.gamma_point) ** k * cmath.exp(1j * self.gamma_point * t))
 
     def sample(self, rng, n):
-        u = rng.random(n)
-        return (self.mu + self.sigma * np.tan(math.pi * (u - 0.5))) + 0.0j
+        x = rng.random(n)
+        x -= 0.5
+        x *= math.pi
+        np.tan(x, out=x)
+        x *= self.sigma
+        return _complex_draws(x, self.mu)
 
     def _residue_moment(self, g, lam):
         return principal_pow(g, lam)
@@ -217,8 +225,10 @@ class ScaledT3(_RealLineLaw):
         return (-1.0) ** k * phik
 
     def sample(self, rng, n):
-        t_draw = rng.standard_t(3, size=n)
-        return (self.mu + self.sigma * t_draw / math.sqrt(3.0)) + 0.0j
+        x = rng.standard_t(3, size=n)
+        x *= self.sigma
+        x /= math.sqrt(3.0)
+        return _complex_draws(x, self.mu)
 
     def _residue_moment(self, g, lam):
         return principal_pow(g, lam - 1.0) * (g - 1j * lam * self.sigma)
@@ -280,8 +290,10 @@ class Poincare:
         mean = d_const / self.a
         shape = 2.0 * d_const ** 2 / self.a
         y = _inverse_gaussian(rng, mean, shape, n)
-        x = -self.b / self.a + np.sqrt(y / (2.0 * self.a)) * rng.standard_normal(n)
-        return x + 1j * y
+        x = np.divide(y, 2.0 * self.a)
+        np.sqrt(x, out=x)
+        x *= rng.standard_normal(n)
+        return _complex_draws(x, -self.b / self.a, y)
 
     def closed_moment(self, alpha, lam):
         return principal_pow(self.gamma_point, lam) if alpha == 0 else None
@@ -309,13 +321,25 @@ class Poincare:
         y = mean * np.sqrt((2.0 - dist) / dist) ** np.copysign(1.0, t)
         ig = np.sqrt(shape / (2.0 * math.pi * y ** 3)) * np.exp(-shape * (y - mean) ** 2 / (2.0 * mean ** 2 * y))
         y, wy = _heavy(y, ig * y / (dist * (2.0 - dist)) * w)
-        xi, wx = np.polynomial.hermite.hermgauss(8 * level)
+        xi, wx = _hermite_rule(8 * level)
         x = -self.b / self.a + np.sqrt(y / self.a)[:, None] * xi
-        weights = wy[:, None] * (wx / math.sqrt(math.pi))
+        weights = wy[:, None] * wx
         return _heavy((x + 1j * y[:, None]).ravel(), weights.ravel())
 
     def to_json(self):
         return {"dist": self.name, "params": {"a": self.a, "b": self.b, "c": self.c}}
+
+
+@functools.cache
+def _hermite_rule(order):
+    """Gauss-Hermite points and weights for E f(N), N ~ Normal(0, 1/2), as
+    read-only arrays: the table does not depend on the law, and building it
+    costs most of a Poincare node rule."""
+    points, weights = np.polynomial.hermite.hermgauss(order)
+    weights = weights / math.sqrt(math.pi)
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
 
 
 class AtomicLaw:
@@ -348,7 +372,16 @@ class AtomicLaw:
         return atoms[rng.choice(len(atoms), size=n, p=self.weights)]
 
     def closed_moment(self, alpha, lam):
+        self.check_negative_order(alpha, lam)
         return complex(np.sum(self.weights * np_principal_pow(self.atoms + alpha, lam)))
+
+    def check_negative_order(self, alpha, lam):
+        """MomentExistenceError when Re(lam) < 0 and an atom of positive
+        weight sits at -alpha, where E[|Z + alpha|^Re(lam)] diverges."""
+        if complex(lam).real < 0 and np.any(self.nodes(0)[0] + alpha == 0):
+            raise MomentExistenceError(
+                f"E[|Z + alpha|^{complex(lam).real:g}] diverges: an atom of positive weight sits at -alpha"
+            )
 
     def closed_power_mean(self, p, n, alpha):
         raise RouteUnavailableError("no closed power-mean expectation for this law")
@@ -488,16 +521,36 @@ def _sample_with(rng, model, n):
 
 
 def _inverse_gaussian(rng, mean, shape, n):
-    # Michael-Schucany-Haas: one chi^2_1 draw plus a size-biased coin flip
-    nu = rng.standard_normal(n)
-    y = nu * nu
-    x = (
-        mean
-        + mean * mean * y / (2.0 * shape)
-        - (mean / (2.0 * shape)) * np.sqrt(4.0 * mean * shape * y + (mean * y) ** 2)
-    )
-    u = rng.random(n)
-    return np.where(u <= mean / (mean + x), x, mean * mean / x)
+    # Michael-Schucany-Haas: one chi^2_1 draw y plus a size-biased coin flip,
+    # x = mean + mean^2 y / (2 shape) - mean / (2 shape) sqrt(4 mean shape y + (mean y)^2),
+    # kept with probability mean / (mean + x), else replaced by mean^2 / x
+    y = rng.standard_normal(n)
+    np.square(y, out=y)
+    x = np.multiply(y, mean * mean)
+    x /= 2.0 * shape
+    x += mean
+    root = np.multiply(y, mean)
+    np.square(root, out=root)
+    y *= 4.0 * mean * shape
+    root += y
+    np.sqrt(root, out=root)
+    root *= mean / (2.0 * shape)
+    x -= root
+    ratio = np.divide(mean, np.add(x, mean, out=root), out=root)
+    keep = rng.random(n) <= ratio
+    np.divide(mean * mean, x, out=x, where=~keep)
+    return x
+
+
+def _complex_draws(x, shift, y=0.0):
+    """One complex array with real part shift + x and imaginary part y: the
+    bits of (shift + x) + 1j * y for y >= 0, with no temporaries.  That sum
+    adds +0.0 to the real part, which only turns -0.0 into +0.0, so adding
+    +0.0 to the shift gives the same bits."""
+    out = np.empty(x.shape, dtype=complex)
+    np.add(x, shift + 0.0, out=out.real)
+    out.imag = y
+    return out
 
 
 _COMPLEX_GRAMMAR = "expected a+bi / a-bi with no spaces (e.g. 0+1i, -0.5+0i, 2, 1i)"

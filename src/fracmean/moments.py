@@ -15,7 +15,6 @@ branches throughout, and the geometric mean prod z_j**(1/n) at p = 0.
 
 import cmath
 import collections
-import dataclasses
 import enum
 import functools
 import math
@@ -161,11 +160,48 @@ def _power_mean_rows(draws, ps):
     out = np.empty((len(ps), reps), dtype=complex)
     for row, p in zip(out, ps):
         if abs(p) < _P_GEOMETRIC_EPS:
-            row[:] = np.exp(np.mean(_log_from_polar(*polar).reshape(reps, n), axis=1))
+            row[:] = np.exp(_row_means(_log_from_polar(*polar).reshape(reps, n)))
         else:
-            means = np.mean(_pow_from_polar(*polar, complex(p)).reshape(reps, n), axis=1)
+            means = _row_means(_pow_from_polar(*polar, complex(p)).reshape(reps, n))
             row[:] = np_principal_pow(means, 1.0 / p)
     return out
+
+
+def _row_means(values):
+    """np.mean(values, axis=1) of an (R, n) complex array, bit for bit, from
+    n column additions: numpy runs its reduction loop once per row, which
+    costs several times the additions at small n."""
+    n = values.shape[1]
+    total = _pairwise_columns(values, 0, n)
+    return np.true_divide(total, n, out=total)
+
+
+def _pairwise_columns(values, lo, hi):
+    """Sum of columns lo..hi-1 in the order of numpy's pairwise sum of one
+    row: sequential below 4 terms; up to 64 terms, four accumulators joined
+    as (a0 + a1) + (a2 + a3) and then the remaining terms; above that, the
+    two halves split at a multiple of 4 terms.  numpy adds the sum to an
+    initial +0.0; starting each accumulator at its term + 0.0 gives the same
+    bits, since it only turns -0.0 into +0.0."""
+    m = hi - lo
+    if m > 64:
+        mid = lo + (m - m % 8) // 2
+        total = _pairwise_columns(values, lo, mid)
+        total += _pairwise_columns(values, mid, hi)
+        return total
+    width = 1 if m < 4 else 4
+    acc = [values[:, lo + q] + 0.0 for q in range(width)]
+    stop = hi - m % width
+    for j in range(lo + width, stop, width):
+        for q in range(width):
+            acc[q] += values[:, j + q]
+    if width == 4:
+        acc[0] += acc[1]
+        acc[2] += acc[3]
+        acc[0] += acc[2]
+    for j in range(stop, hi):
+        acc[0] += values[:, j]
+    return acc[0]
 
 
 def t3_product_identity(p, k):
@@ -216,10 +252,11 @@ def _cfg_meta(cfg):
     return {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "max_level": cfg.max_level}
 
 
-def _fractional_power(h, lam, decay, cfg, phase):
+def _fractional_power(h, lam, decay, cfg, phase, amplitude=0.0):
     """E[Y**lam] from h(t) = E[Y**k exp(phase t Y)], with k = floor(Re lam)
     for Re(lam) > 0 and k = 0 otherwise; phase is i for Y in the upper half
-    plane, -i in the lower.  Returns (value, uncertainty, evaluations) of
+    plane, -i in the lower; amplitude is a known K in the decay bound of h,
+    or 0.  Returns (value, uncertainty, evaluations) of
 
         Re lam < 0:  phase**lam / Gamma(-lam) int_0^inf t**(-lam-1) h(t) dt,  |h(t)| <~ e^{-decay t}
         Re lam > 0:  phase**d d / Gamma(1-d) int_0^inf (h(0) - h(u)) / u**(1+d) du,  d = lam - k
@@ -228,7 +265,7 @@ def _fractional_power(h, lam, decay, cfg, phase):
     if lam.real < 0:
         im_l = lam.imag
         g = h if im_l == 0.0 else lambda t: np.exp(-1j * im_l * math.log(t)) * h(t)
-        res = integrate_singular_decaying(g, -lam.real - 1.0, decay, cfg)
+        res = integrate_singular_decaying(g, -lam.real - 1.0, decay, cfg, amplitude)
         scale = principal_pow(phase, lam) / gamma(-lam)
     else:
         delta = lam - math.floor(lam.real)
@@ -240,7 +277,7 @@ def _fractional_power(h, lam, decay, cfg, phase):
 
 
 def _rotated_atoms(model, alpha, lam, k):
-    """(h, decay, rounding) for an atomic law, with every atom z of
+    """(h, decay, amplitude, rounding) for an atomic law, with every atom z of
     Z' = Z + alpha moved onto its steepest-descent ray u = e^{i phi} r,
     phi = pi/2 - arg z, where e^{iuz} = e^{-|z| r}.  Between the two rays
     |e^{iuz}| <= 1, so by Cauchy's theorem, with d = lam - k,
@@ -249,28 +286,36 @@ def _rotated_atoms(model, alpha, lam, k):
         Re d > 0:  int_0^inf (1 - e^{iuz}) u**(-1-d) du = e^{-i phi d} int_0^inf (1 - e^{-|z| r}) r**(-1-d) dr,
 
     and h(u) = sum_j c_j e^{-|z_j| u}, c_j = w_j z_j**k e^{-i phi_j d}, is a
-    sum of exponentials decaying at the rate min_j |z_j|: no term oscillates."""
+    sum of exponentials decaying at the rate min_j |z_j|: no term oscillates.
+    Its amplitude sum_j |c_j| bounds |h(u)| e^{u min_j |z_j|}, which terms of
+    opposite phase can hide from probes of h."""
     points, weights = model.nodes(0)
     z = points + alpha
     if np.any(z.imag < 0):
         raise SupportError("shifted atoms must stay in the closed upper half plane")
+    model.check_negative_order(alpha, lam)
     keep = z != 0  # 0**lam = 0 contributes nothing at Re(lam) > 0
-    if lam.real < 0 and not keep.all():
-        raise SupportError("negative orders need every shifted atom nonzero")
     z, weights = z[keep], weights[keep]
     log_z = np_principal_log(z)  # the principal arg, so -x - 0i rotates like -x + 0i
     d = lam - k
     coef = weights * np.exp(k * log_z - 1j * d * (0.5 * math.pi - log_z.imag))
     rates = np.abs(z)
     kernel = _WeightedPowers(1j * rates, coef, 0)
+    amplitude = float(np.sum(np.abs(coef)))
     rounding = 0.0
     if lam.real > 0:
         # h(0) - h(u) errs by up to 2 eps sum_j |c_j|, which the weight u**(-1-d)
         # magnifies above the near-origin cut, unseen by the quadrature's estimate
-        noise = 2.0 * _EPS * float(np.sum(np.abs(coef))) * _MARCHAUD_CUT ** -d.real / d.real
+        noise = 2.0 * _EPS * amplitude * _MARCHAUD_CUT ** -d.real / d.real
         rounding = abs(d / gamma(1.0 - d)) * math.exp(-0.5 * math.pi * d.imag) * noise  # |i**d d / Gamma(1 - d)|
+    else:
+        # each term w_j z_j**lam sums r**(-1-lam) e^{-|z_j| r} over nodes where
+        # |z_j| r reaches a few |lam|, and e^{-|z_j| r} inherits the rounding
+        # of r times that exponent, unseen by the level gap and the tail bound
+        sizes = weights * np.exp((lam * log_z).real)  # |w_j z_j**lam|
+        rounding = 8.0 * _EPS * (1.0 + abs(lam)) * float(np.sum(sizes))
     decay = float(np.min(rates)) if rates.size else 0.0  # no atom left: h = 0
-    return (lambda u: complex(kernel(u)[0])), decay, rounding
+    return (lambda u: complex(kernel(u)[0])), decay, amplitude, rounding
 
 
 def _quad_moment(model, alpha, lam, cfg):
@@ -295,14 +340,14 @@ def _quad_moment(model, alpha, lam, cfg):
 
     k = max(math.floor(lam.real), 0)
     if isinstance(model, AtomicLaw):
-        h, decay, rounding = _rotated_atoms(model, alpha, lam, k)
+        h, decay, amplitude, rounding = _rotated_atoms(model, alpha, lam, k)
     else:
         if lam.real < 0 and model.support == "real" and alpha.imag == 0.0:
             raise SupportError("real-supported law needs Im(alpha) > 0 for Re(lam) < 0")
         h = functools.partial(_shifted_weighted_char, model, alpha, k)
-        decay, rounding = model.decay + alpha.imag, 0.0
+        decay, amplitude, rounding = model.decay + alpha.imag, 0.0, 0.0
 
-    value, unc, evals = _fractional_power(h, lam, decay, cfg, 1j)
+    value, unc, evals = _fractional_power(h, lam, decay, cfg, 1j, amplitude)
     meta = {"evaluations": evals, "k": k, "decay": decay, "quad": _cfg_meta(cfg)}
     return MomentEstimate(value, unc + rounding, Route.QUAD_NEG if lam.real < 0 else Route.QUAD_POS, meta)
 
@@ -310,7 +355,8 @@ def _quad_moment(model, alpha, lam, cfg):
 def frac_moment_neg(model, alpha, lam, cfg=None):
     """E[(Z + alpha)**lam] for Re(lam) < 0: the Riemann-Liouville integral
     of E[exp(iuZ')], Z' = Z + alpha.  Real-supported density laws need
-    Im(alpha) > 0; the shifted atoms of an atomic law must be nonzero."""
+    Im(alpha) > 0; an atom of positive weight at -alpha makes the moment
+    diverge (MomentExistenceError)."""
     if complex(lam).real >= 0:
         raise ValueError("frac_moment_neg needs Re(lam) < 0")
     return _quad_moment(model, alpha, lam, cfg)
@@ -413,12 +459,16 @@ def _mc_mean(per_block_values, total, mc):
 
 def frac_moment_mc(model, alpha, lam, mc=None):
     """Monte Carlo E[(Z + alpha)**lam] with componentwise standard error
-    combined as sqrt(var_re + var_im) / sqrt(N)."""
+    combined as sqrt(var_re + var_im) / sqrt(N).  At Re(lam) < 0 an atom of
+    positive weight at -alpha raises MomentExistenceError, and a
+    real-supported density law needs Im(alpha) > 0."""
     mc = mc or MCConfig()
     alpha = complex(alpha)
     lam = complex(lam)
-    if lam.real < 0 and model.support == "real" and alpha.imag <= 0.0:
-        raise SupportError("real-supported law needs Im(alpha) > 0 for Re(lam) < 0")
+    if isinstance(model, AtomicLaw):
+        model.check_negative_order(alpha, lam)
+    elif lam.real < 0 and model.support == "real" and alpha.imag <= 0.0:
+        raise SupportError("real-supported density law needs Im(alpha) > 0 for Re(lam) < 0")
 
     def block(idx, size):
         return np_principal_pow(sample(model, mc.seed, size, stream=idx) + alpha, lam)
@@ -786,18 +836,35 @@ class ScanTable:
 
 def continuity_scan(model, alpha, n, p_grid, route=Route.AUTO, cfg=None, mc=None, exploratory=False):
     """Power-mean expectations over a grid of p, with the maximum
-    adjacent-pair jump as a continuity diagnostic.  Per-point failures are
+    adjacent-pair jump as a continuity diagnostic.
+
+    Every row is the estimate power_mean_expectation returns for its p
+    alone at mc's seed.  On route MONTE_CARLO the orders of one sign share
+    one call, and so one pass over the draws (common random numbers); the
+    guards against negative and zero orders differ by sign only, so a group
+    fails exactly where its points would fail alone.  Per-point failures are
     recorded and the scan continues."""
     mc = mc or MCConfig()
-    rows = []
-    for idx, p in enumerate(p_grid):
-        spec = PowerMeanSpec(p=float(p), n=n, alpha=alpha, exploratory=exploratory)
-        point_mc = dataclasses.replace(mc, seed=mc.seed + 7919 * idx)
+    ps = [float(p) for p in p_grid]
+    specs = [PowerMeanSpec(p=p, n=n, alpha=alpha, exploratory=exploratory) for p in ps]
+    if route is Route.MONTE_CARLO:
+        groups = [[idx for idx, p in enumerate(ps) if (p > 0) - (p < 0) == sign] for sign in (-1, 0, 1)]
+    else:
+        groups = [[idx] for idx in range(len(ps))]
+    rows = [None] * len(ps)
+    for group in filter(None, groups):
         try:
-            est = power_mean_expectation(model, spec, route, cfg, point_mc)
-            rows.append(ScanRow(float(p), est))
+            if route is Route.MONTE_CARLO:
+                ests = _pm_monte_carlo(model, [specs[idx] for idx in group], mc)
+                for est in ests:
+                    est.meta["auto"] = False  # as power_mean_expectation tags an explicit route
+            else:
+                ests = [power_mean_expectation(model, specs[group[0]], route, cfg, mc)]
+            for idx, est in zip(group, ests):
+                rows[idx] = ScanRow(ps[idx], est)
         except Exception as exc:  # per-point errors recorded, scan continues
-            rows.append(ScanRow(float(p), None, f"{type(exc).__name__}: {exc}"))
+            for idx in group:
+                rows[idx] = ScanRow(ps[idx], None, f"{type(exc).__name__}: {exc}")
     max_jump = 0.0
     max_pair = None
     max_unc = 0.0

@@ -182,12 +182,15 @@ def _tail_bound(k_bound, s, t_pt, decay):
     return 2.0 * k_bound * t_pt ** max(s, 0.0) * math.exp(-decay * t_pt) / decay
 
 
-def integrate_singular_decaying(g, s, decay, cfg=None):
+def integrate_singular_decaying(g, s, decay, cfg=None, amplitude=0.0):
     """int_0^inf t**s g(t) dt for s > -1 and |g(t)| <= K exp(-decay t).
 
     The singular stretch (0, 1] and the smooth stretch [1, T] are both handled
     by tanh-sinh; T comes from the caller's decay rate and the absolute
     tolerance, and the discarded tail is folded into the error estimate.
+    K is the larger of amplitude, a bound the caller may know, and
+    |g(t)| exp(decay t) at five probes, which terms that cancel there can
+    understate.
     """
     cfg = cfg or QuadratureConfig()
     s = float(s)
@@ -197,7 +200,7 @@ def integrate_singular_decaying(g, s, decay, cfg=None):
         raise QuadraturePreconditionError("need a positive decay rate for the tail")
     counter = _EvalCounter()
 
-    k_bound = 1e-300
+    k_bound = max(amplitude, 1e-300)
     for t_probe in (0.25, 0.5, 1.0, 2.0, 4.0):
         k_bound = max(k_bound, abs(g(t_probe)) * math.exp(decay * t_probe))
         counter.count += 1

@@ -14,7 +14,7 @@ from fracmean.bounds import (
     geometric_slln_demo,
     half_plane_bound_check,
 )
-from fracmean.distributions import Cauchy, Poincare, SupportError, TwoPoint
+from fracmean.distributions import Cauchy, MomentExistenceError, Poincare, SupportError, TwoPoint
 from fracmean.moments import MCConfig, closed_moment
 
 POIN = Poincare(1.0, 0.0, 1.0)
@@ -37,6 +37,19 @@ def test_point_mass_at_i_moments_agree():
         assert abs(rep.moment_abs - 1.0) < 1e-14
         assert abs(rep.abs_moment - 1.0) < 1e-14
         assert rep.satisfied
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_atom_absolute_moments():
+    # an atom of weight 0 at 0 is no atom: the law is the point mass at i
+    rep = half_plane_bound_check(TwoPoint(0j, 1j, 0.0), -0.5, estimator="closed")
+    assert rep.abs_moment == 1.0 and rep.satisfied
+    # with positive weight there, E|Z|^-0.5 diverges
+    with pytest.raises(MomentExistenceError):
+        _abs_moment(TwoPoint(0j, 1j, 0.5), -0.5, MCConfig())
+    with pytest.raises(MomentExistenceError):
+        half_plane_bound_check(TwoPoint(0j, 1j, 0.5), -0.5, estimator="closed")
+    assert _abs_moment(TwoPoint(0j, 1j, 0.5), 0.5, MCConfig()) == (0.5, 0.0)
 
 
 def test_poincare_half_plane_bound_mc():

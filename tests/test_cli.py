@@ -201,6 +201,15 @@ def test_auto_power_mean_of_nonexistent_expectation_exits_4(capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "MomentExistenceError"
 
 
+@pytest.mark.parametrize("route", ["closed", "quad", "mc", "auto"])
+def test_zero_atom_at_negative_order_exits_4(capsys, route):
+    # E|Z|^-0.5 diverges when an atom of positive weight sits at 0
+    code = main(["moment", "--dist", "twopoint", "--params", "z1=0+0i,z2=0+1i,w=0.5",
+                 "--lambda", "-0.5+0i", "--route", route, "--mc-samples", "2000"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "MomentExistenceError"
+
+
 def test_exit_code_nonconvergence(capsys):
     code = main(["moment", "--dist", "cauchy", "--params", "mu=0,sigma=1",
                  "--alpha", "0+1i", "--lambda", "-0.9+0i", "--route", "quad",

@@ -1,6 +1,7 @@
 """Densities, half-line transforms, derivatives, samplers, and wire formats."""
 
 import ast
+import hashlib
 import json
 import math
 import pathlib
@@ -10,6 +11,7 @@ import pytest
 
 import fracmean
 from fracmean.distributions import (
+    _hermite_rule,
     Cauchy,
     Empirical,
     MomentExistenceError,
@@ -27,6 +29,7 @@ from fracmean.distributions import (
     parse_params,
     sample,
     samples_to_csv,
+    stream_generator,
 )
 
 CAUCHY = Cauchy(0.0, 1.0)
@@ -238,6 +241,70 @@ def test_sampler_determinism_and_stream_split():
     c = sample(POIN, 5, 1000, stream=1)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# SHA-256 of sample(law, 7, 10_000, stream=3).tobytes(), taken with numpy 2.4
+# before the samplers computed in place; any change of stream or of
+# floating-point operations shows here
+SAMPLE_SHA256 = {
+    Cauchy(0.5, 2.0): "fc987232a002d8f0c0786e004a25b50f48e1f6892cb5fb1d5750e6f4db3b169b",
+    ScaledT3(-0.0, 1.5): "574dee2bd42634bdea294c1c60b610b86f4948f3b3038a53373dedd21c2907c1",
+    Poincare(2.0, 1.0, 1.0): "408e68a2c0eea542b2dc1cf58792629bfee80dbddb2de1ca86a771febd0a3f83",
+    Poincare(1.0, 0.0, 1.0): "6d4a17468c4888395114e5286797d0c28cc8a381b6f8172dd36e82557d0b0220",
+}
+
+
+@pytest.mark.skipif(not np.__version__.startswith("2.4."), reason="pins taken with numpy 2.4")
+@pytest.mark.parametrize("law", list(SAMPLE_SHA256), ids=repr)
+def test_sampler_bytes_pinned(law):
+    draws = sample(law, 7, 10_000, stream=3)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_SHA256[law]
+
+
+def _reference_draws(law, rng, n):
+    """The sampler expressions as first written, with their temporaries."""
+    if isinstance(law, Cauchy):
+        return (law.mu + law.sigma * np.tan(math.pi * (rng.random(n) - 0.5))) + 0.0j
+    if isinstance(law, ScaledT3):
+        return (law.mu + law.sigma * rng.standard_t(3, size=n) / math.sqrt(3.0)) + 0.0j
+    mean, shape = law.d_const / law.a, 2.0 * law.d_const ** 2 / law.a
+    nu = rng.standard_normal(n)
+    y = nu * nu
+    x = mean + mean * mean * y / (2.0 * shape) - (mean / (2.0 * shape)) * np.sqrt(
+        4.0 * mean * shape * y + (mean * y) ** 2
+    )
+    u = rng.random(n)
+    y = np.where(u <= mean / (mean + x), x, mean * mean / x)
+    x = -law.b / law.a + np.sqrt(y / (2.0 * law.a)) * rng.standard_normal(n)
+    return x + 1j * y
+
+
+@pytest.mark.parametrize(
+    "law",
+    [Cauchy(0.0, 1.0), Cauchy(-0.0, 3.0), ScaledT3(0.0, 1.0), ScaledT3(-2.5, 0.2),
+     Poincare(1.0, 0.0, 1.0), Poincare(2.0, 1.0, 1.0), Poincare(0.5, -0.3, 3.0)],
+    ids=repr,
+)
+def test_in_place_samplers_match_their_expressions(law):
+    for seed, stream in ((0, 0), (7, 5), (123_456_789, 2)):
+        got = sample(law, seed, 5000, stream=stream)
+        want = _reference_draws(law, stream_generator(seed, stream), 5000)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_poincare_nodes_share_a_read_only_hermite_table():
+    points, weights = _hermite_rule(48)
+    assert _hermite_rule(48)[0] is points
+    with pytest.raises(ValueError):
+        points[0] = 0.0
+    xi, wx = np.polynomial.hermite.hermgauss(48)
+    assert points.tobytes() == xi.tobytes()
+    assert weights.tobytes() == (wx / math.sqrt(math.pi)).tobytes()
+    # the same bits as a rule built from a fresh table
+    law = Poincare(2.0, 1.0, 1.0)
+    z, w = law.nodes(6)
+    assert z.tobytes() == law.nodes(6)[0].tobytes() and w.tobytes() == law.nodes(6)[1].tobytes()
+    assert abs(np.sum(w * z) - law.gamma_point) <= 1e-12
 
 
 def test_two_point_and_empirical_samplers():

@@ -57,6 +57,18 @@ def test_power_mean_idempotency():
     assert abs(power_mean([1j, 1j, 1j], 0.0) - 1j) < 1e-15
 
 
+def test_row_means_are_numpy_means_bit_for_bit():
+    # numpy's pairwise order changes at 4 terms (four accumulators) and again
+    # above 64 (recursive halves), so cover both switches and beyond
+    rng = np.random.default_rng(5)
+    for n in range(1, 301):
+        scale = np.exp(rng.uniform(-30.0, 30.0, (33, n)))
+        values = (rng.standard_normal((33, n)) + 1j * rng.standard_normal((33, n))) * scale
+        assert moments._row_means(values).tobytes() == np.mean(values, axis=1).tobytes(), n
+    zeros = np.full((2, 5), complex(-0.0, -0.0))  # numpy's sum starts at +0.0
+    assert moments._row_means(zeros).tobytes() == np.mean(zeros, axis=1).tobytes()
+
+
 def test_power_mean_zero_rejection():
     with pytest.raises(BranchDomainError):
         power_mean([1j, 0.0], -0.5)
@@ -152,7 +164,7 @@ def test_frac_moment_neg_preconditions():
         # Z - 0.5i leaves the upper half plane, where the transform no longer
         # gives the moment: (beta + alpha)**lam = 1 - i, Monte Carlo 0.87 - 0.34i
         frac_moment_neg(POIN, -0.5j, -0.5)
-    with pytest.raises(SupportError):
+    with pytest.raises(MomentExistenceError):
         frac_moment_neg(TwoPoint(0j, 1j, 0.5), 0.0, -0.5)  # a zero atom at a negative order
 
 
@@ -233,6 +245,22 @@ def test_frac_moment_pos_many_atoms_in_one_integral():
     assert est.meta["evaluations"] <= 1000  # one Marchaud integral, not one per atom
 
 
+@pytest.mark.parametrize(
+    "atoms,lam",
+    [
+        ((4.0, 0.5, -0.625), -2.9375),  # opposite phases cancel where the tail bound probes h
+        ((1.0, 4.0, 0.1015625), -2.890625),  # a small atom: |z|**lam near 750
+        ((3.0, 0.109375), -2.75 + 0.5j),
+        ((1.0, 4.0, 0.125), -2.982272740512139),
+    ],
+)
+def test_frac_moment_neg_atoms_near_order_minus_three(atoms, lam):
+    # examples the rotated-atom property test found, each understated at first
+    law = Empirical(atoms)
+    est = frac_moment_neg(law, 0.0, lam)
+    assert abs(est.value - closed_moment(law, 0.0, lam)) <= est.uncertainty
+
+
 # --- Monte Carlo -----------------------------------------------------------------
 
 
@@ -240,6 +268,25 @@ def test_frac_moment_mc_point_mass():
     est = frac_moment_mc(TwoPoint(1j, 1j, 0.5), 0.0, 2.0, MCConfig(samples=4096, seed=1))
     assert abs(est.value - (-1.0)) < 1e-12
     assert est.uncertainty < 1e-12
+
+
+@pytest.mark.parametrize("route", [Route.CLOSED, Route.QUAD_NEG, Route.MONTE_CARLO, Route.AUTO])
+def test_zero_atom_at_negative_order_has_no_moment(route):
+    # E|Z|^-0.5 diverges at the atom 0; the 0**lam = 0 convention must not hide it
+    with pytest.raises(MomentExistenceError):
+        frac_moment(TwoPoint(0j, 1j, 0.5), 0.0, -0.5, route=route, mc=MCConfig(samples=4096, seed=1))
+    # an atom of weight 0 at 0 is no atom at all
+    est = frac_moment(TwoPoint(0j, 1j, 0.0), 0.0, -0.5, route=route, mc=MCConfig(samples=4096, seed=1))
+    assert abs(est.value - principal_pow(1j, -0.5)) <= 1e-10
+
+
+def test_frac_moment_mc_real_atoms_at_negative_order():
+    law = TwoPoint(2.0, -1.0, 0.5)
+    closed = frac_moment(law, 0.0, -0.5, route=Route.CLOSED)
+    est = frac_moment(law, 0.0, -0.5, route=Route.MONTE_CARLO, mc=MCConfig(samples=20_000, seed=3))
+    assert abs(est.value - closed.value) <= 4.0 * est.uncertainty
+    with pytest.raises(SupportError):  # density laws keep their guard
+        frac_moment_mc(CAUCHY, 0.0, -0.5, MCConfig(samples=4096, seed=1))
 
 
 def test_frac_moment_mc_cauchy_inverse():
@@ -820,6 +867,45 @@ def test_continuity_scan_records_errors_and_continues():
     table = continuity_scan(CAUCHY, 1j, 2, grid, Route.CLOSED)
     assert table.rows[0].estimate is not None
     assert table.rows[1].estimate is None and "Route" in table.rows[1].error
+
+
+@pytest.mark.parametrize(
+    "route,alpha,grid",
+    [
+        (Route.MONTE_CARLO, 0.5j, [-1.0, -0.4, -1e-9, 0.0, 1e-9, 0.3, 0.8, 1.0]),
+        (Route.AUTO, 0.3, [-0.6, 0.4]),  # no closed form, and the node rules fail: Monte Carlo
+    ],
+    ids=["mc", "auto"],
+)
+def test_scan_rows_equal_single_calls_at_the_scan_seed(route, alpha, grid):
+    mc = MCConfig(samples=3000, seed=11, batch=1024)
+    table = continuity_scan(POIN, alpha, 2, grid, route, mc=mc)
+    for row, p in zip(table.rows, grid):
+        alone = power_mean_expectation(POIN, PowerMeanSpec(p=p, n=2, alpha=alpha), route, mc=mc)
+        assert row.error is None and row.estimate == alone
+
+
+@pytest.mark.parametrize(
+    "model,failing,error",
+    [
+        (TwoPoint(0j, 1 + 1j, 0.5), lambda p: p <= 0, BranchDomainError),  # zero draws
+        (CAUCHY, lambda p: p < 0, SupportError),  # real support at real alpha
+    ],
+    ids=["twopoint-zero-atom", "cauchy-real-alpha"],
+)
+def test_mixed_sign_monte_carlo_scan_fails_only_where_single_calls_fail(model, failing, error):
+    mc = MCConfig(samples=3000, seed=4)
+    grid = [-0.8, -0.2, 0.0, 0.4, 1.0]
+    table = continuity_scan(model, 0j, 2, grid, Route.MONTE_CARLO, mc=mc)
+    for row, p in zip(table.rows, grid):
+        spec = PowerMeanSpec(p=p, n=2)
+        if failing(p):
+            with pytest.raises(error) as exc:
+                power_mean_expectation(model, spec, Route.MONTE_CARLO, mc=mc)
+            assert row.estimate is None and row.error == f"{error.__name__}: {exc.value}"
+        else:
+            assert row.error is None
+            assert row.estimate == power_mean_expectation(model, spec, Route.MONTE_CARLO, mc=mc)
 
 
 def test_scan_csv_export(tmp_path):
