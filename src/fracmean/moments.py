@@ -37,6 +37,7 @@ from .principal import (
     _log_from_polar,
     _polar,
     _pow_from_polar,
+    _scaled_phasor,
     np_principal_log,
     np_principal_pow,
     principal_pow,
@@ -45,7 +46,6 @@ from .quad import (
     NonConvergenceError,
     QuadratureConfig,
     _EPS,
-    _MARCHAUD_CUT,
     integrate_marchaud,
     integrate_singular_decaying,
     marchaud_unit_interval,  # no caller here: perfbench/tracer.py wraps this name
@@ -160,7 +160,8 @@ def _power_mean_rows(draws, ps):
     out = np.empty((len(ps), reps), dtype=complex)
     for row, p in zip(out, ps):
         if abs(p) < _P_GEOMETRIC_EPS:
-            row[:] = np.exp(_row_means(_log_from_polar(*polar).reshape(reps, n)))
+            logs = _row_means(_log_from_polar(*polar).reshape(reps, n))
+            _scaled_phasor(np.exp(logs.real), logs.imag.copy(), out=row)
         else:
             means = _row_means(_pow_from_polar(*polar, complex(p)).reshape(reps, n))
             row[:] = np_principal_pow(means, 1.0 / p)
@@ -255,8 +256,9 @@ def _cfg_meta(cfg):
 def _fractional_power(h, lam, decay, cfg, phase, amplitude=0.0):
     """E[Y**lam] from h(t) = E[Y**k exp(phase t Y)], with k = floor(Re lam)
     for Re(lam) > 0 and k = 0 otherwise; phase is i for Y in the upper half
-    plane, -i in the lower; amplitude is a known K in the decay bound of h,
-    or 0.  Returns (value, uncertainty, evaluations) of
+    plane, -i in the lower; amplitude is a known K in the decay bound of h
+    that also bounds the terms h sums, or 0.  Returns (value, uncertainty,
+    evaluations) of
 
         Re lam < 0:  phase**lam / Gamma(-lam) int_0^inf t**(-lam-1) h(t) dt,  |h(t)| <~ e^{-decay t}
         Re lam > 0:  phase**d d / Gamma(1-d) int_0^inf (h(0) - h(u)) / u**(1+d) du,  d = lam - k
@@ -271,7 +273,7 @@ def _fractional_power(h, lam, decay, cfg, phase, amplitude=0.0):
         delta = lam - math.floor(lam.real)
         if delta == 0:
             return complex(h(0.0)), 0.0, 0
-        res = integrate_marchaud(h(0.0), h, delta, cfg)
+        res = integrate_marchaud(h(0.0), h, delta, cfg, amplitude)
         scale = principal_pow(phase, delta) * delta / gamma(1.0 - delta)
     return scale * res.value, abs(scale) * res.err_estimate, res.evaluations
 
@@ -302,13 +304,8 @@ def _rotated_atoms(model, alpha, lam, k):
     rates = np.abs(z)
     kernel = _WeightedPowers(1j * rates, coef, 0)
     amplitude = float(np.sum(np.abs(coef)))
-    rounding = 0.0
-    if lam.real > 0:
-        # h(0) - h(u) errs by up to 2 eps sum_j |c_j|, which the weight u**(-1-d)
-        # magnifies above the near-origin cut, unseen by the quadrature's estimate
-        noise = 2.0 * _EPS * amplitude * _MARCHAUD_CUT ** -d.real / d.real
-        rounding = abs(d / gamma(1.0 - d)) * math.exp(-0.5 * math.pi * d.imag) * noise  # |i**d d / Gamma(1 - d)|
-    else:
+    rounding = 0.0  # at Re(lam) > 0 the Marchaud integral bounds it from amplitude
+    if lam.real < 0:
         # each term w_j z_j**lam sums r**(-1-lam) e^{-|z_j| r} over nodes where
         # |z_j| r reaches a few |lam|, and e^{-|z_j| r} inherits the rounding
         # of r times that exponent, unseen by the level gap and the tail bound
@@ -563,25 +560,27 @@ class _WeightedPowers:
     Row j holds w_i * W_i**j at the points and weights of the law's node
     rule: exact for atoms, a quadrature sum over a density, whose error
     shows in the gap to the next level.  The rotated atoms of
-    _quad_moment give it complex weights.  An evaluation is one complex exp
-    into a reused buffer, then a product and a pairwise sum per row, all on
-    the calling thread: a BLAS product would hand the reduction to a thread
+    _quad_moment give it complex weights.  An evaluation forms
+    e^{icW} = e^{-c Im W} e^{ic Re W}, the phasor from one tangent, into
+    reused buffers, then a product and a pairwise sum per row, all on the
+    calling thread: a BLAS product would hand the reduction to a thread
     pool, and einsum's running sum loses digits that the Marchaud difference
     quotient then magnifies.
     """
 
     def __init__(self, values, weights, jmax):
-        self.values = values
         self.rows = np.empty((jmax + 1, len(values)), dtype=complex)
         self.rows[0] = weights
         for j in range(1, jmax + 1):
             np.multiply(self.rows[j - 1], values, out=self.rows[j])
+        self._re, self._im = values.real.copy(), values.imag.copy()
+        self._mag, self._phi = np.empty(len(values)), np.empty(len(values))
         self._buf = np.empty(len(values), dtype=complex)
         self._prod = np.empty(len(values), dtype=complex)
 
     def __call__(self, c):
-        buf = np.multiply(self.values, 1j * c, out=self._buf)
-        np.exp(buf, out=buf)
+        mag = np.exp(np.multiply(self._im, -c, out=self._mag), out=self._mag)
+        buf = _scaled_phasor(mag, np.multiply(self._re, c, out=self._phi), out=self._buf)
         prod = self._prod
         return np.array([np.multiply(row, buf, out=prod).sum() for row in self.rows])
 

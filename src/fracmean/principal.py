@@ -18,7 +18,11 @@ theta = +pi.  With lam = a + ib a power is assembled from that polar form,
     z**lam = exp(a*L - b*theta) * (cos phi + i sin phi),  phi = a*theta + b*L,
 
 dropping the b terms when lam is real.  One polar form serves any number of
-orders lam.
+orders lam.  The unit phasor comes from one tangent t = tan(phi/2), as
+cos phi = 2/(1+t**2) - 1 and sin phi = t * 2/(1+t**2), because numpy runs
+tan on SIMD lanes where cos, sin and complex exp may be scalar libm.  It is
+formed before the scaling by exp(a*L - b*theta), so that a tiny modulus
+such as |-1e-300| does not underflow inside 2/(1+t**2).
 """
 
 import cmath
@@ -92,6 +96,18 @@ def _log_from_polar(log_r, theta, zero):
     return out
 
 
+def _scaled_phasor(mag, phi, out=None):
+    """mag * e^{i phi} for real arrays mag and phi, through t = tan(phi/2);
+    phi is overwritten."""
+    t = np.tan(np.multiply(phi, 0.5, out=phi), out=phi)
+    q = np.multiply(t, t)
+    np.divide(2.0, np.add(q, 1.0, out=q), out=q)  # 2/(1+t**2)
+    out = np.empty(phi.shape, dtype=complex) if out is None else out
+    np.multiply(np.subtract(q, 1.0, out=out.real), mag, out=out.real)
+    np.multiply(np.multiply(t, q, out=q), mag, out=out.imag)
+    return out
+
+
 def _pow_from_polar(log_r, theta, zero, lam):
     """z**lam from the polar form, with 0**lam = 0."""
     a, b = lam.real, lam.imag
@@ -102,10 +118,7 @@ def _pow_from_polar(log_r, theta, zero, lam):
         mag = a * log_r - b * theta
         phi = np.multiply(a, theta)
         phi += b * log_r
-    np.exp(mag, out=mag)
-    out = np.empty(log_r.shape, dtype=complex)
-    np.multiply(mag, np.cos(phi), out=out.real)
-    np.multiply(mag, np.sin(phi, out=phi), out=out.imag)
+    out = _scaled_phasor(np.exp(mag, out=mag), phi)
     if zero is not None:
         out[zero] = 0.0
     return out

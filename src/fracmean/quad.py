@@ -225,8 +225,19 @@ _MARCHAUD_FIT_HI = 1e-2
 _MARCHAUD_PROBE_LO = 1e-6     # probe window for the Lipschitz precondition
 
 
-def _near_origin_model(d0, f, counter):
-    """Least-squares cubic model of the ratio (d0 - f(u))/u near the origin.
+@functools.cache
+def _fit_window():
+    """Abscissae of the near-origin fit, the cubic basis on them and its
+    pseudo-inverse, from lstsq: np.linalg.pinv's SVD maps more of LAPACK."""
+    us = np.logspace(math.log10(_MARCHAUD_FIT_LO), math.log10(_MARCHAUD_FIT_HI), 12)
+    basis = np.stack([np.ones_like(us), us, us ** 2, us ** 3], axis=1)
+    return us, basis, np.linalg.lstsq(basis, np.eye(len(us)), rcond=None)[0]
+
+
+def _near_origin_model(d0, f, delta, noise, counter):
+    """int_0^cut (d0 - f(u)) / u**(1+delta) du from a least-squares cubic
+    model of the ratio (d0 - f(u))/u near the origin, and its error bound,
+    where noise bounds the rounding of each difference d0 - f(u).
 
     Fitting the ratio rather than the difference keeps the fit weights
     uniform across the log-spaced window, so the leading coefficient is not
@@ -248,25 +259,32 @@ def _near_origin_model(d0, f, counter):
                     "d0 - f(u) is not Lipschitz at the origin: "
                     f"|d0 - f(u)|/u grows like u^{slope:.2f}"
                 )
-    us = np.logspace(math.log10(_MARCHAUD_FIT_LO), math.log10(_MARCHAUD_FIT_HI), 12)
+    us, basis, pinv = _fit_window()
     ratio_vals = np.empty(len(us), dtype=complex)
     for i, u in enumerate(us):
         ratio_vals[i] = (d0 - f(u)) / u
         counter.count += 1
-    basis = np.stack([np.ones_like(us), us, us ** 2, us ** 3], axis=1).astype(complex)
-    coef, *_ = np.linalg.lstsq(basis, ratio_vals, rcond=None)
+    coef = pinv @ ratio_vals
     residual = float(np.max(np.abs(ratio_vals - basis @ coef)))
-    return coef, residual
+    # int_0^a (c0 + c1 u + c2 u^2 + c3 u^3) u^(-delta) du, the ratio model
+    # times u restoring the difference
+    a_cut = _MARCHAUD_CUT
+    mom = np.array([principal_pow(a_cut, (m + 1) - delta) / ((m + 1) - delta) for m in range(4)])
+    # the model is linear in the ratios, each off by up to noise/u
+    rounding = noise * float(np.abs(mom @ pinv) @ (1.0 / us))
+    return complex(mom @ coef), residual * a_cut ** (1.0 - delta.real) / (1.0 - delta.real) + rounding
 
 
-def marchaud_unit_interval(d0, f, delta, cfg=None):
+def marchaud_unit_interval(d0, f, delta, cfg=None, amplitude=0.0):
     """int_0^1 (d0 - f(u)) / u**(1+delta) du, with the cancellation-safe
     near-origin treatment but no far field.
 
     Below the cut at u = 1e-4 the difference d0 - f(u) drowns in rounding
     noise while u**(-1-delta) amplifies it, so there the ratio model from
     the clean window takes over and its moments integrate in closed form;
-    the fit residual joins the error estimate.
+    the fit residual joins the error estimate.  So does the rounding of
+    d0 - f(u), up to 2 eps max(amplitude, |d0|) at every u, where amplitude
+    bounds the terms that f sums, as the weight magnifies it on both pieces.
     """
     cfg = cfg or QuadratureConfig()
     delta = complex(delta)
@@ -274,31 +292,25 @@ def marchaud_unit_interval(d0, f, delta, cfg=None):
         raise QuadraturePreconditionError("need 0 < Re(delta) < 1")
     d0 = complex(d0)
     counter = _EvalCounter()
-
-    coef, residual = _near_origin_model(d0, f, counter)
-    a_cut = _MARCHAUD_CUT
-    # int_0^a (c0 + c1 u + c2 u^2 + c3 u^3) u^(-delta) du, the ratio model
-    # times u restoring the difference
-    near = sum(
-        coef[m] * principal_pow(a_cut, (m + 1) - delta) / ((m + 1) - delta)
-        for m in range(4)
-    )
-    near_err = (residual + _EPS * abs(d0)) * a_cut ** (1.0 - delta.real) / (1.0 - delta.real)
+    noise = 2.0 * _EPS * max(amplitude, abs(d0))
+    near, near_err = _near_origin_model(d0, f, delta, noise, counter)
 
     def mid_integrand(u):
         return (d0 - f(u)) * principal_pow(u, -1.0 - delta)
 
-    mid, mid_err = _de_finite(mid_integrand, a_cut, 1.0, cfg, counter)
+    mid, mid_err = _de_finite(mid_integrand, _MARCHAUD_CUT, 1.0, cfg, counter)
+    mid_err += noise * (_MARCHAUD_CUT ** -delta.real - 1.0) / delta.real
     return IntegralResult(near + mid, near_err + mid_err, counter.count)
 
 
-def integrate_marchaud(d0, f, delta, cfg=None):
+def integrate_marchaud(d0, f, delta, cfg=None, amplitude=0.0):
     """int_0^inf (d0 - f(u)) / u**(1+delta) du for 0 < Re(delta) < 1.
 
     Requires |d0 - f(u)| <= L u near the origin (checked numerically) and
     d0 - f(u) bounded, with f itself decaying so the far field converges
     after the exact split int_1^inf d0 u**(-1-delta) du = d0 / delta; the
     decaying remainder is integrated through the substitution u = 1/v.
+    amplitude is as in marchaud_unit_interval.
     """
     cfg = cfg or QuadratureConfig()
     delta = complex(delta)
@@ -306,7 +318,7 @@ def integrate_marchaud(d0, f, delta, cfg=None):
         raise QuadraturePreconditionError("need 0 < Re(delta) < 1")
     d0 = complex(d0)
 
-    head = marchaud_unit_interval(d0, f, delta, cfg)
+    head = marchaud_unit_interval(d0, f, delta, cfg, amplitude)
     counter = _EvalCounter()
     counter.count = head.evaluations
 

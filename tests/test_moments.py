@@ -34,8 +34,15 @@ from fracmean.moments import (
     power_mean_expectation,
     t3_product_identity,
 )
-from fracmean.moments import _NODE_LEVEL, _NegTransform, _PosTransformDerivs, _fractional_power, _pm_monte_carlo
-from fracmean.principal import BranchDomainError, principal_pow
+from fracmean.moments import (
+    _NODE_LEVEL,
+    _NegTransform,
+    _PosTransformDerivs,
+    _WeightedPowers,
+    _fractional_power,
+    _pm_monte_carlo,
+)
+from fracmean.principal import BranchDomainError, np_principal_pow, principal_pow
 from fracmean.quad import NonConvergenceError, QuadratureConfig
 
 CAUCHY = Cauchy(0.0, 1.0)
@@ -637,6 +644,19 @@ def test_neg_transform_kernel_matches_loop(law, alpha, level):
             # (m + e)**n - m**n ~ n m**(n-1) e
             assert abs(got - want**n) <= n * 1e-13 * scale**n, (u, got, want**n)
     assert transform(1e5) == 0  # every term underflows
+
+
+@pytest.mark.parametrize("law, alpha, level", KERNEL_LAWS)
+def test_weighted_powers_match_complex_exp_formula(law, alpha, level):
+    # the tangent phasor against one complex exp of icW per point, the
+    # formula it replaced, to a few ulps of the sum of |terms|
+    points, weights = law.nodes(level)
+    values = np_principal_pow(points + alpha, 0.4)
+    kernel = _WeightedPowers(values, weights, 2)
+    for c in KERNEL_US:  # W in the upper half plane, so c >= 0 keeps |e^{icW}| <= 1
+        old = np.array([(row * np.exp(values * (1j * c))).sum() for row in kernel.rows])
+        scale = _loop_scale(values, weights, 2, c)
+        assert np.all(np.abs(kernel(c) - old) <= 4.0 * np.finfo(float).eps * scale), c
 
 
 @pytest.mark.parametrize("p, n", [(-0.5, 2), (-0.4, 3), (0.4, 2), (0.5, 2), (0.6, 3)])

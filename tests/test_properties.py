@@ -9,13 +9,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 mpmath = pytest.importorskip("mpmath")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracmean.distributions import Empirical
 from fracmean.gammafn import gamma
 from fracmean.moments import closed_moment, frac_moment_neg, frac_moment_pos
-from fracmean.principal import np_principal_pow, principal_pow
+from fracmean.principal import _scaled_phasor, np_principal_pow, principal_pow
 
 finite = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False, allow_infinity=False)
 
@@ -57,6 +57,41 @@ def test_principal_pow_matches_mpmath(r, theta, a, b):
     assert abs(got - want) <= 1e-13 * abs(want), (z, lam, got, want)
 
 
+EPS = np.finfo(float).eps
+
+
+def test_scaled_phasor_matches_mpmath_out_to_huge_angles():
+    rng = np.random.default_rng(47)
+    far = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-3.0, 9.0, 2000)
+    phi = np.concatenate([rng.uniform(-4.0, 4.0, 2000), far, [math.pi, -math.pi, 0.5 * math.pi, 1e9, -1e9]])
+    got = _scaled_phasor(np.ones_like(phi), phi.copy())
+    want = np.array([complex(mpmath.expj(p)) for p in phi.tolist()])
+    assert np.max(np.abs(got - want)) <= 2.0 * EPS
+
+
+def test_scaled_phasor_scales_a_tiny_modulus_without_underflow():
+    # (-1e-300)**1: phi = pi, where 1 + tan(phi/2)**2 is about 2.7e32
+    got = _scaled_phasor(np.array([1e-300]), np.array([math.pi]))[0]
+    assert got.real == -1e-300
+    assert abs(got.imag - 1e-300 * math.sin(math.pi)) <= 2.0 * EPS * 1e-300 * math.sin(math.pi)
+    got = np_principal_pow(np.array([-1e-300]), 1.0)[0]
+    assert abs(got + 1e-300) <= 4.0 * EPS * (2.0 + math.log(1e300)) * 1e-300, got
+
+
+def test_np_principal_pow_matches_mpmath_at_extreme_moduli():
+    # the tolerance of the hypot-reference test in test_principal.py: one ulp
+    # of log|z| moves z**lam by |lam| ulp(log|z|) relative
+    rng = np.random.default_rng(53)
+    size = 1000
+    z = 10.0 ** rng.uniform(-300.0, 300.0, size) * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
+    z[:4] = [-2.5, complex(-2.5, -0.0), -1e-300, complex(-1e300, -0.0)]  # the cut takes theta = +pi
+    log_mod = np.abs(np.log(np.abs(z)))
+    for lam in (0.5, -1.0, -0.7 + 0.2j, 0.3 + 3j):
+        want = np.array([_mp_pow(w, lam) for w in z.tolist()])
+        tol = 4.0 * EPS * (1.0 + abs(lam) * (1.0 + log_mod)) * np.abs(want)
+        assert np.all(np.abs(np_principal_pow(z, lam) - want) <= tol), lam
+
+
 atom_moduli = st.floats(min_value=0.1, max_value=10.0)
 real_atoms = st.tuples(atom_moduli, st.sampled_from([1.0, -1.0])).map(lambda t: complex(t[0] * t[1], 0.0))
 upper_atoms = st.tuples(atom_moduli, st.floats(min_value=0.0, max_value=math.pi)).map(lambda t: cmath.rect(*t))
@@ -68,6 +103,12 @@ upper_atoms = st.tuples(atom_moduli, st.floats(min_value=0.0, max_value=math.pi)
     st.one_of(st.floats(min_value=-2.99, max_value=-0.1), st.floats(min_value=0.01, max_value=2.99)),
     st.floats(min_value=-1.0, max_value=1.0),
     st.sampled_from([0.0, 0.5]),
+)
+# the rounding of d0 - f(u) that the near-origin model extrapolates to u = 0
+@example(
+    [0.9172890062609872 + 0j, 0.9172890062609872 + 0j, cmath.rect(0.25, 1.617679733056225),
+     cmath.rect(0.25, 2.97265625), 0.9140625 + 0j],
+    2.9175879834558676, 0.0, 0.0,
 )
 def test_rotated_atom_moments_match_closed_form(atoms, a, b, shift):
     # atoms on the real axis and in the upper half plane, every one on its
