@@ -23,15 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import moments
 from .distributions import (
     AtomicLaw,
     MomentExistenceError,
     SupportError,
     TwoPoint,
-    sample,
     stream_generator,
 )
-from .moments import MCConfig, Route, _mc_mean, closed_moment, frac_moment
+from .moments import MCConfig, Route, closed_moment, frac_moment
+from .montecarlo import _block_draws
 # np_principal_pow, principal_log and principal_pow have no caller here:
 # perfbench/tracer.py wraps these names
 from .principal import np_principal_log, np_principal_pow, principal_log, principal_pow
@@ -92,10 +93,14 @@ def _abs_moment(model, p, mc):
             f"E[|Z|^p] diverges for {type(model).__name__} at |p| >= {model.max_moment:g}"
         )
 
-    def block(idx, size):
-        return np.abs(sample(model, mc.seed, size, stream=idx)) ** p
+    def block(first, count):
+        draws, _, ws = _block_draws(model, mc, first, count)
+        values = np.abs(draws, out=ws.take("scratch.1", draws.size))
+        values **= p  # the scalar fast paths of ** (square, sqrt, ...) as in values ** p
+        return values
 
-    [(mean, stderr)], _ = _mc_mean(block, mc.samples, mc)
+    # through the module, so that a wrapper of moments._mc_mean sees these calls
+    [(mean, stderr)], _ = moments._mc_mean(block, mc.samples, mc)
     return mean.real, stderr
 
 
@@ -215,7 +220,8 @@ def geometric_slln_demo(model, n_max, seed):
     log_sum = 0.0 + 0.0j
     done = 0
     for n_stop in checkpoints:
-        block = _sample_with(rng, model, int(n_stop - done))
+        count = int(n_stop - done)
+        block = _sample_with([(rng, count)], model, count)
         log_sum += complex(np.sum(np_principal_log(block)))
         done = int(n_stop)
         values.append(complex(np.exp(log_sum / done)))

@@ -41,7 +41,6 @@ from .distributions import (
     parse_params,
 )
 from .moments import (
-    _thread_count,
     MCConfig,
     PowerMeanSpec,
     Route,
@@ -50,6 +49,7 @@ from .moments import (
     frac_moment,
     power_mean_expectation,
 )
+from .montecarlo import _thread_count
 from .principal import BranchDomainError
 from .quad import NonConvergenceError, QuadraturePreconditionError, QuadratureConfig
 from . import verify as verify_mod

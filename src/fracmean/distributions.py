@@ -21,7 +21,10 @@ Each class is the one place that knows its family's formulas.  The routes in
   with |E[exp(itZ)]| <~ K exp(-r t) (the quadrature routes move the atoms
   of an atomic law onto rays where each decays at its own rate);
 * ``density(z)``, ``char(t)`` = E[exp(itZ)] and ``char_deriv(k, t)`` =
-  (-i)^k E[Z^k exp(itZ)], both for t >= 0, and ``sample(rng, n)``;
+  (-i)^k E[Z^k exp(itZ)], both for t >= 0, and ``sample(streams, out, ws)``,
+  which fills ``out`` with draws, part by part from each (generator, count)
+  pair of ``streams`` in turn, taking its scratch arrays from the workspace
+  ``ws``;
 * ``closed_moment(alpha, lam)``, ``closed_power_mean(p, n, alpha)`` and
   ``geometric_mean()`` = exp(E[log Z]) of an upper-half-plane law;
 * ``single_draw(alpha)``: ``(point, factor, slack)`` such that for
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .principal import BranchDomainError, np_principal_log, np_principal_pow, principal_pow
+from .principal import FRESH, BranchDomainError, np_principal_log, np_principal_pow, principal_pow
 from .quad import tanh_sinh_nodes
 
 __all__ = [
@@ -187,13 +190,13 @@ class Cauchy(_RealLineLaw):
     def char_deriv(self, k, t):
         return (-1.0) ** k * ((1j * self.gamma_point) ** k * cmath.exp(1j * self.gamma_point * t))
 
-    def sample(self, rng, n):
-        x = rng.random(n)
+    def sample(self, streams, out, ws):
+        x = _per_stream(streams, ws.take("scratch.0", out.size), _uniforms)
         x -= 0.5
         x *= math.pi
         np.tan(x, out=x)
         x *= self.sigma
-        return _complex_draws(x, self.mu)
+        return _complex_draws(x, self.mu, out)
 
     def _residue_moment(self, g, lam):
         return principal_pow(g, lam)
@@ -224,11 +227,11 @@ class ScaledT3(_RealLineLaw):
             phik = (k * self.sigma * c ** (k - 1) + c ** k * (1.0 + self.sigma * t)) * base
         return (-1.0) ** k * phik
 
-    def sample(self, rng, n):
-        x = rng.standard_t(3, size=n)
+    def sample(self, streams, out, ws):
+        x = _per_stream(streams, ws.take("scratch.0", out.size), _standard_t3)
         x *= self.sigma
         x /= math.sqrt(3.0)
-        return _complex_draws(x, self.mu)
+        return _complex_draws(x, self.mu, out)
 
     def _residue_moment(self, g, lam):
         return principal_pow(g, lam - 1.0) * (g - 1j * lam * self.sigma)
@@ -285,15 +288,15 @@ class Poincare:
         beta = self.gamma_point
         return (-1j * beta) ** k * cmath.exp(1j * t * beta)
 
-    def sample(self, rng, n):
+    def sample(self, streams, out, ws):
         d_const = self.d_const
         mean = d_const / self.a
         shape = 2.0 * d_const ** 2 / self.a
-        y = _inverse_gaussian(rng, mean, shape, n)
-        x = np.divide(y, 2.0 * self.a)
+        y = _inverse_gaussian(streams, mean, shape, out.size, ws)
+        x = np.divide(y, 2.0 * self.a, out=ws.take("scratch.0", out.size))
         np.sqrt(x, out=x)
-        x *= rng.standard_normal(n)
-        return _complex_draws(x, -self.b / self.a, y)
+        x *= _per_stream(streams, ws.take("scratch.2", out.size), _normals)
+        return _complex_draws(x, -self.b / self.a, out, y)
 
     def closed_moment(self, alpha, lam):
         return principal_pow(self.gamma_point, lam) if alpha == 0 else None
@@ -367,9 +370,13 @@ class AtomicLaw:
         atoms = self.atoms
         return (-1j) ** k * complex(np.sum(self.weights * atoms ** k * np.exp(1j * t * atoms)))
 
-    def sample(self, rng, n):
-        atoms = self.atoms
-        return atoms[rng.choice(len(atoms), size=n, p=self.weights)]
+    def sample(self, streams, out, ws):
+        atoms, weights = self.atoms, self.weights
+
+        def draw(rng, part):
+            np.take(atoms, rng.choice(len(atoms), size=part.size, p=weights), out=part)
+
+        return _per_stream(streams, out, draw)
 
     def closed_moment(self, alpha, lam):
         self.check_negative_order(alpha, lam)
@@ -512,24 +519,53 @@ def sample(model, seed, n, stream=0):
     """n i.i.d. draws as a complex array; deterministic given (seed, stream)."""
     if n < 1:
         raise ValueError("need n >= 1 draws")
-    rng = stream_generator(seed, stream)
-    return _sample_with(rng, model, int(n))
+    n = int(n)
+    return _sample_with([(stream_generator(seed, stream), n)], model, n)
 
 
-def _sample_with(rng, model, n):
-    return model.sample(rng, n)
+def _sample_with(streams, model, n, out=None, ws=FRESH):
+    """n draws of the law, from each (generator, count) pair of streams in
+    turn, written into out when given; the samplers take their scratch
+    arrays from ws.  Each generator makes the calls, in the same order,
+    that it would make for its count alone, so its draws do not depend on
+    the other streams."""
+    return model.sample(streams, np.empty(n, dtype=complex) if out is None else out, ws)
 
 
-def _inverse_gaussian(rng, mean, shape, n):
+def _per_stream(streams, out, draw):
+    """out filled part by part: draw(rng, part) for each (rng, count) pair
+    of streams, on the next count entries."""
+    lo = 0
+    for rng, count in streams:
+        draw(rng, out[lo : lo + count])
+        lo += count
+    return out
+
+
+def _uniforms(rng, part):
+    rng.random(part.size, out=part)
+
+
+def _normals(rng, part):
+    rng.standard_normal(part.size, out=part)
+
+
+def _standard_t3(rng, part):
+    part[:] = rng.standard_t(3, size=part.size)  # standard_t takes no out=
+
+
+def _inverse_gaussian(streams, mean, shape, n, ws):
+    """n inverse-Gaussian draws in the slot scratch.1 of ws; the slots
+    scratch.0 and scratch.2 are free again when it returns."""
     # Michael-Schucany-Haas: one chi^2_1 draw y plus a size-biased coin flip,
     # x = mean + mean^2 y / (2 shape) - mean / (2 shape) sqrt(4 mean shape y + (mean y)^2),
     # kept with probability mean / (mean + x), else replaced by mean^2 / x
-    y = rng.standard_normal(n)
+    y = _per_stream(streams, ws.take("scratch.0", n), _normals)
     np.square(y, out=y)
-    x = np.multiply(y, mean * mean)
+    x = np.multiply(y, mean * mean, out=ws.take("scratch.1", n))
     x /= 2.0 * shape
     x += mean
-    root = np.multiply(y, mean)
+    root = np.multiply(y, mean, out=ws.take("scratch.2", n))
     np.square(root, out=root)
     y *= 4.0 * mean * shape
     root += y
@@ -537,17 +573,16 @@ def _inverse_gaussian(rng, mean, shape, n):
     root *= mean / (2.0 * shape)
     x -= root
     ratio = np.divide(mean, np.add(x, mean, out=root), out=root)
-    keep = rng.random(n) <= ratio
-    np.divide(mean * mean, x, out=x, where=~keep)
+    keep = np.less_equal(_per_stream(streams, y, _uniforms), ratio, out=ws.take("scratch.mask", n, bool))
+    np.divide(mean * mean, x, out=x, where=np.logical_not(keep, out=keep))
     return x
 
 
-def _complex_draws(x, shift, y=0.0):
-    """One complex array with real part shift + x and imaginary part y: the
-    bits of (shift + x) + 1j * y for y >= 0, with no temporaries.  That sum
-    adds +0.0 to the real part, which only turns -0.0 into +0.0, so adding
-    +0.0 to the shift gives the same bits."""
-    out = np.empty(x.shape, dtype=complex)
+def _complex_draws(x, shift, out, y=0.0):
+    """The complex array out with real part shift + x and imaginary part y:
+    the bits of (shift + x) + 1j * y for y >= 0, with no temporaries.  That
+    sum adds +0.0 to the real part, which only turns -0.0 into +0.0, so
+    adding +0.0 to the shift gives the same bits."""
     np.add(x, shift + 0.0, out=out.real)
     out.imag = y
     return out

@@ -14,7 +14,6 @@ branches throughout, and the geometric mean prod z_j**(1/n) at p = 0.
 """
 
 import cmath
-import collections
 import enum
 import functools
 import math
@@ -29,19 +28,20 @@ from .distributions import (
     SupportError,
     char_fn,  # no caller here: perfbench/tracer.py wraps this name
     char_fn_derivative,
-    sample,
 )
 from .gammafn import gamma
 from .principal import (
+    FRESH,
     BranchDomainError,
-    _log_from_polar,
+    _phasor,
     _polar,
-    _pow_from_polar,
     _scaled_phasor,
     np_principal_log,
     np_principal_pow,
     principal_pow,
 )
+# _mc_mean is called through this module, where perfbench/tracer.py wraps it
+from .montecarlo import _block_draws, _mc_mean
 from .quad import (
     NonConvergenceError,
     QuadratureConfig,
@@ -144,65 +144,87 @@ def power_mean(values, p):
 
     p < 0 (and p = 0) require every value to be nonzero.
     """
-    values = np.asarray(values, dtype=complex)
+    values = np.array(values, dtype=complex)  # a copy: the kernel overwrites it
     if values.ndim != 1 or len(values) == 0:
         raise ValueError("power_mean expects a nonempty 1-d collection")
     return complex(_power_mean_rows(values[None, :], [p])[0, 0])
 
 
-def _power_mean_rows(draws, ps):
+def _power_mean_rows(draws, ps, ws=FRESH, out=None):
     """Power means along axis 1 of an (R, n) complex array: one row of R per
-    order in ps, all from one polar form of the draws."""
+    order in ps, all from one polar form of the draws, into out when given.
+    The draws are spent: for each order their memory holds the real and
+    imaginary parts of the powers, whose columns are then summed in place."""
     reps, n = draws.shape
-    _, _, zero = polar = _polar(draws.reshape(-1))
+    flat = draws.reshape(-1)
+    log_r, theta, zero = _polar(flat, ws, "scratch")
     if zero is not None and min(ps) <= 0:
         raise BranchDomainError("power mean of order p <= 0 needs nonzero values")
-    out = np.empty((len(ps), reps), dtype=complex)
+    parts = flat.view(float).reshape(2, -1)
+    re, im = parts
+    out = np.empty((len(ps), reps), dtype=complex) if out is None else out
     for row, p in zip(out, ps):
-        if abs(p) < _P_GEOMETRIC_EPS:
-            logs = _row_means(_log_from_polar(*polar).reshape(reps, n))
-            _scaled_phasor(np.exp(logs.real), logs.imag.copy(), out=row)
+        if abs(p) < _P_GEOMETRIC_EPS:  # exp of the mean of log z
+            np.copyto(re, log_r)
+            np.copyto(im, theta)
+            if zero is not None:
+                re[zero] = -np.inf
+            means = _row_means(parts.reshape(2, reps, n), row)
+            mag, phi = re[:reps], im[:reps]
+            np.copyto(phi, means.imag)
+            _scaled_phasor(np.exp(means.real, out=mag), phi, row, ws)
         else:
-            means = _row_means(_pow_from_polar(*polar, complex(p)).reshape(reps, n))
-            row[:] = np_principal_pow(means, 1.0 / p)
+            np.exp(np.multiply(p, log_r, out=re), out=re)
+            _phasor(re, np.multiply(p, theta, out=im), re, im, ws)
+            if zero is not None:
+                parts[:, zero] = 0.0
+            np_principal_pow(_row_means(parts.reshape(2, reps, n), row), 1.0 / p, out=row, ws=ws)
     return out
 
 
-def _row_means(values):
-    """np.mean(values, axis=1) of an (R, n) complex array, bit for bit, from
-    n column additions: numpy runs its reduction loop once per row, which
-    costs several times the additions at small n."""
-    n = values.shape[1]
-    total = _pairwise_columns(values, 0, n)
-    return np.true_divide(total, n, out=total)
+def _row_means(parts, out):
+    """np.mean(parts[0] + 1j * parts[1], axis=1) of a (2, R, n) array of real
+    and imaginary parts, bit for bit, into the complex array out, from n
+    column additions: numpy runs its reduction loop once per row, which
+    costs several times the additions at small n, and a complex addition
+    adds the parts separately.  The columns are summed in place, so parts
+    is overwritten."""
+    n = parts.shape[-1]
+    _pairwise_columns(parts, 0, n)
+    out.real = parts[0, :, 0]
+    out.imag = parts[1, :, 0]
+    return np.true_divide(out, n, out=out)
 
 
 def _pairwise_columns(values, lo, hi):
-    """Sum of columns lo..hi-1 in the order of numpy's pairwise sum of one
-    row: sequential below 4 terms; up to 64 terms, four accumulators joined
-    as (a0 + a1) + (a2 + a3) and then the remaining terms; above that, the
-    two halves split at a multiple of 4 terms.  numpy adds the sum to an
-    initial +0.0; starting each accumulator at its term + 0.0 gives the same
-    bits, since it only turns -0.0 into +0.0."""
+    """Sum of columns lo..hi-1 (along the last axis) into column lo, in the
+    order of numpy's pairwise sum of one row: sequential below 4 terms; up
+    to 64 terms, four accumulators joined as (a0 + a1) + (a2 + a3) and then
+    the remaining terms; above that, the two halves split at a multiple of 4
+    terms.  numpy adds the sum to an initial +0.0; starting each accumulator
+    at its term + 0.0 gives the same bits, since it only turns -0.0 into
+    +0.0."""
     m = hi - lo
     if m > 64:
         mid = lo + (m - m % 8) // 2
-        total = _pairwise_columns(values, lo, mid)
-        total += _pairwise_columns(values, mid, hi)
-        return total
+        _pairwise_columns(values, lo, mid)
+        _pairwise_columns(values, mid, hi)
+        values[..., lo] += values[..., mid]
+        return
     width = 1 if m < 4 else 4
-    acc = [values[:, lo + q] + 0.0 for q in range(width)]
+    acc = [values[..., lo + q] for q in range(width)]
+    for col in acc:
+        col += 0.0
     stop = hi - m % width
     for j in range(lo + width, stop, width):
         for q in range(width):
-            acc[q] += values[:, j + q]
+            acc[q] += values[..., j + q]
     if width == 4:
         acc[0] += acc[1]
         acc[2] += acc[3]
         acc[0] += acc[2]
     for j in range(stop, hi):
-        acc[0] += values[:, j]
-    return acc[0]
+        acc[0] += values[..., j]
 
 
 def t3_product_identity(p, k):
@@ -372,88 +394,6 @@ def frac_moment_pos(model, alpha, lam, cfg=None):
 # Monte Carlo
 
 
-def _thread_count():
-    import os
-
-    raw = os.environ.get("FRACMEAN_THREADS", "1")
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise ValueError(f"FRACMEAN_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def _block_moments(vals):
-    """(count, mean, M2_re, M2_im) of one block of complex values, where M2
-    sums the squared deviations of each component from the block mean."""
-    mean = complex(np.mean(vals))
-    return (
-        vals.size,
-        mean,
-        float(np.sum((vals.real - mean.real) ** 2)),
-        float(np.sum((vals.imag - mean.imag) ** 2)),
-    )
-
-
-def _merge_moments(a, b):
-    """Pairwise update of Chan, Golub & LeVeque: the moments of the union of
-    two blocks, free of the cancellation in sum(x**2) - N * mean**2."""
-    n_a, mean_a, re_a, im_a = a
-    n_b, mean_b, re_b, im_b = b
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    w = n_a * n_b / n
-    return n, mean_a + delta * (n_b / n), re_a + re_b + delta.real ** 2 * w, im_a + im_b + delta.imag ** 2 * w
-
-
-def _ordered_partials(partial, blocks, threads):
-    """partial(idx) for idx in range(blocks), yielded in index order.
-
-    With threads > 1 at most 2 * threads blocks are in flight, so memory
-    does not grow with the block count.
-    """
-    if threads == 1 or blocks == 1:
-        yield from map(partial, range(blocks))
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        window = collections.deque()
-        for idx in range(blocks):
-            window.append(pool.submit(partial, idx))
-            if len(window) > 2 * threads:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
-
-
-def _mc_mean(per_block_values, total, mc):
-    """Blockwise accumulation of complex sample means.
-
-    per_block_values(idx, size) returns one array of size values, or an
-    array with one row of size values per estimate; each row is reduced
-    separately.  Returns ([(mean, stderr) per row], blocks).
-
-    Each block owns a stream derived from (seed, block index). A worker
-    reduces its block to moments and drops the values, so about one block
-    array per thread is alive at once; the moments are merged in block index
-    order, so serial and FRACMEAN_THREADS > 1 runs produce identical results.
-    """
-    blocks = -(-total // mc.batch)
-
-    def partial(idx):
-        size = min(mc.batch, total - idx * mc.batch)
-        return [_block_moments(row) for row in np.atleast_2d(per_block_values(idx, size))]
-
-    def merge(acc, part):
-        return [_merge_moments(a, b) for a, b in zip(acc, part)]
-
-    merged = functools.reduce(merge, _ordered_partials(partial, blocks, _thread_count()))
-    estimates = []
-    for _, mean, m2_re, m2_im in merged:
-        stderr = math.sqrt((m2_re + m2_im) / (total - 1) / total) if total > 1 else math.inf
-        estimates.append((mean, stderr))
-    return estimates, blocks
-
-
 def frac_moment_mc(model, alpha, lam, mc=None):
     """Monte Carlo E[(Z + alpha)**lam] with componentwise standard error
     combined as sqrt(var_re + var_im) / sqrt(N).  At Re(lam) < 0 an atom of
@@ -467,8 +407,10 @@ def frac_moment_mc(model, alpha, lam, mc=None):
     elif lam.real < 0 and model.support == "real" and alpha.imag <= 0.0:
         raise SupportError("real-supported density law needs Im(alpha) > 0 for Re(lam) < 0")
 
-    def block(idx, size):
-        return np_principal_pow(sample(model, mc.seed, size, stream=idx) + alpha, lam)
+    def block(first, count):
+        draws, _, ws = _block_draws(model, mc, first, count)
+        np.add(draws, alpha, out=draws)
+        return np_principal_pow(draws, lam, out=draws, ws=ws)
 
     [(mean, stderr)], blocks = _mc_mean(block, mc.samples, mc)
     return MomentEstimate(
@@ -738,9 +680,10 @@ def _pm_monte_carlo(model, specs, mc):
     if min(ps) < 0 and model.support == "real" and alpha.imag <= 0:
         raise SupportError("real-supported power means with p < 0 need Im(alpha) > 0")
 
-    def block(idx, size):
-        draws = sample(model, mc.seed, size * n, stream=idx).reshape(size, n) + alpha
-        return _power_mean_rows(draws, ps)
+    def block(first, count):
+        draws, rows, ws = _block_draws(model, mc, first, count, n, len(ps))
+        np.add(draws, alpha, out=draws)
+        return _power_mean_rows(draws.reshape(-1, n), ps, ws, rows)
 
     estimates, blocks = _mc_mean(block, mc.samples, mc)
     return [

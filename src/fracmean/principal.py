@@ -23,6 +23,10 @@ cos phi = 2/(1+t**2) - 1 and sin phi = t * 2/(1+t**2), because numpy runs
 tan on SIMD lanes where cos, sin and complex exp may be scalar libm.  It is
 formed before the scaling by exp(a*L - b*theta), so that a tiny modulus
 such as |-1e-300| does not underflow inside 2/(1+t**2).
+
+The kernels take their arrays from a Workspace when given one, so that a
+Monte Carlo worker reuses the same memory for every group of blocks instead
+of allocating, and faulting in, fresh temporaries each time.
 """
 
 import cmath
@@ -68,22 +72,54 @@ def principal_pow(z, lam):
     return cmath.exp(complex(lam) * principal_log(z))
 
 
-def _theta(x, y):
-    # +0.0 maps y = -0.0 to +0.0, so the negative real axis keeps theta = +pi
-    return np.arctan2(y + 0.0, x)
+class Workspace:
+    """Scratch arrays kept for reuse.  take(key, shape, dtype) returns slot
+    key as an array of that shape, and grows the slot when it is too small.
+    A slot holds one array at a time: what a caller still needs must sit in
+    a slot that nothing in between takes.  A key always has one dtype.
+
+    The slots of a Monte Carlo group, in the order of use: draws (the
+    group's draws, whose memory then holds the parts of each order's
+    powers, followed by its power means, one row per order); scratch.0-2 and
+    scratch.mask (a sampler's temporaries, then the polar form of the draws
+    in 0, 1 and mask and the phasor's 2/(1+t**2) in 2, then the block
+    moments' deviations in 0 or absolute values in 1); pow.0-2 and pow.mask
+    (the polar form and temporaries of np_principal_pow)."""
+
+    def __init__(self):
+        self._slots = {}
+
+    def take(self, key, shape, dtype=float):
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        slot = self._slots.get(key)
+        if slot is None or slot.size < size:
+            slot = self._slots[key] = np.empty(size, dtype)
+        return slot[:size].reshape(shape) if isinstance(shape, tuple) else slot[:size]
 
 
-def _polar(z):
-    """(log|z|, theta, zero) of a 1-d complex array; zero masks the entries
-    z = 0, whose log|z| is 0 so that no ufunc warns, or is None when there are
-    none.  Callers read the arrays and never write them."""
-    r = np.abs(z)
-    zero = r == 0.0  # |z| >= max(|x|, |y|), so only z = 0 gives 0
-    if zero.any():
+class _Fresh:
+    """The workspace of one-off calls: every take is a new array."""
+
+    def take(self, key, shape, dtype=float):
+        return np.empty(shape, dtype)
+
+
+FRESH = _Fresh()
+
+
+def _polar(z, ws=FRESH, key="pow"):
+    """(log|z|, theta, zero) of a 1-d complex array, in the slots key.0,
+    key.1 and key.mask of ws; zero masks the entries z = 0, whose log|z|
+    is 0 so that no ufunc warns, or is None when there are none."""
+    r = np.abs(z, out=ws.take(key + ".0", z.shape))
+    zero = np.equal(r, 0.0, out=ws.take(key + ".mask", z.shape, bool))
+    if zero.any():  # |z| >= max(|x|, |y|), so only z = 0 gives 0
         r[zero] = 1.0
     else:
         zero = None
-    return np.log(r, out=r), _theta(z.real, z.imag), zero
+    # +0.0 maps y = -0.0 to +0.0, so the negative real axis keeps theta = +pi
+    theta = np.add(z.imag, 0.0, out=ws.take(key + ".1", z.shape))
+    return np.log(r, out=r), np.arctan2(theta, z.real, out=theta), zero
 
 
 def _log_from_polar(log_r, theta, zero):
@@ -96,29 +132,38 @@ def _log_from_polar(log_r, theta, zero):
     return out
 
 
-def _scaled_phasor(mag, phi, out=None):
+def _phasor(mag, phi, re, im, ws=FRESH):
+    """The real and imaginary parts of mag * e^{i phi}, for real arrays mag
+    and phi, into re and im, through t = tan(phi/2); re may be mag and im
+    may be phi.  phi is overwritten."""
+    t = np.tan(np.multiply(phi, 0.5, out=phi), out=phi)
+    q = np.multiply(t, t, out=ws.take("scratch.2", t.shape))
+    np.divide(2.0, np.add(q, 1.0, out=q), out=q)  # 2/(1+t**2)
+    np.multiply(np.multiply(t, q, out=t), mag, out=im)
+    np.multiply(np.subtract(q, 1.0, out=q), mag, out=re)
+
+
+def _scaled_phasor(mag, phi, out=None, ws=FRESH):
     """mag * e^{i phi} for real arrays mag and phi, through t = tan(phi/2);
     phi is overwritten."""
-    t = np.tan(np.multiply(phi, 0.5, out=phi), out=phi)
-    q = np.multiply(t, t)
-    np.divide(2.0, np.add(q, 1.0, out=q), out=q)  # 2/(1+t**2)
     out = np.empty(phi.shape, dtype=complex) if out is None else out
-    np.multiply(np.subtract(q, 1.0, out=out.real), mag, out=out.real)
-    np.multiply(np.multiply(t, q, out=q), mag, out=out.imag)
+    _phasor(mag, phi, out.real, out.imag, ws)
     return out
 
 
-def _pow_from_polar(log_r, theta, zero, lam):
-    """z**lam from the polar form, with 0**lam = 0."""
+def _pow_from_polar(log_r, theta, zero, lam, out=None, ws=FRESH):
+    """z**lam from the polar form, with 0**lam = 0, computed in the arrays
+    of the polar form, which are lost."""
     a, b = lam.real, lam.imag
-    if b == 0.0:
-        mag = np.multiply(a, log_r)
-        phi = np.multiply(a, theta)
-    else:
-        mag = a * log_r - b * theta
-        phi = np.multiply(a, theta)
-        phi += b * log_r
-    out = _scaled_phasor(np.exp(mag, out=mag), phi)
+    if b != 0.0:  # mag = a L - b theta, phi = a theta + b L
+        b_theta = np.multiply(b, theta, out=ws.take("scratch.2", theta.shape))
+        b_log_r = np.multiply(b, log_r, out=ws.take("pow.2", log_r.shape))
+    mag = np.multiply(a, log_r, out=log_r)
+    phi = np.multiply(a, theta, out=theta)
+    if b != 0.0:
+        mag -= b_theta
+        phi += b_log_r
+    out = _scaled_phasor(np.exp(mag, out=mag), phi, out, ws)
     if zero is not None:
         out[zero] = 0.0
     return out
@@ -131,10 +176,13 @@ def np_principal_log(z):
     return _log_from_polar(*_polar(z.reshape(-1))).reshape(z.shape)
 
 
-def np_principal_pow(z, lam):
-    """Vectorized principal_pow with the 0**lam = 0 convention."""
+def np_principal_pow(z, lam, out=None, ws=FRESH):
+    """Vectorized principal_pow with the 0**lam = 0 convention.  out may be
+    z itself; ws lends the scratch arrays."""
     z = np.asarray(z, dtype=complex)
-    return _pow_from_polar(*_polar(z.reshape(-1)), complex(lam)).reshape(z.shape)
+    if out is not None:
+        out = out.reshape(-1)
+    return _pow_from_polar(*_polar(z.reshape(-1), ws), complex(lam), out, ws).reshape(z.shape)
 
 
 def power_bound_constant(lam):

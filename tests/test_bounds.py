@@ -14,6 +14,7 @@ from fracmean.bounds import (
     geometric_slln_demo,
     half_plane_bound_check,
 )
+from fracmean import moments
 from fracmean.distributions import Cauchy, MomentExistenceError, Poincare, SupportError, TwoPoint
 from fracmean.moments import MCConfig, closed_moment
 
@@ -72,6 +73,21 @@ def test_abs_moment_memory_bounded_in_blocks(monkeypatch):
     reference = peak_bytes(16)
     large = peak_bytes(256)
     assert large <= 1.5 * reference, (reference, large)
+
+
+def test_abs_moment_reduces_through_the_moments_module(monkeypatch):
+    # wrappers of moments._mc_mean (the benchmark's tracer) see criterion 9's
+    # absolute moments only if bounds calls it through the module
+    calls = []
+    original = moments._mc_mean
+
+    def counting(per_block_values, total, mc):
+        calls.append(total)
+        return original(per_block_values, total, mc)
+
+    monkeypatch.setattr(moments, "_mc_mean", counting)
+    _abs_moment(POIN, 0.5, MCConfig(samples=5000, seed=3))
+    assert calls == [5000]
 
 
 def test_unit_p_is_vacuous_but_reported():

@@ -2,12 +2,19 @@
 
 import cmath
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fracmean import moments
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
+from fracmean import bounds, moments, montecarlo
 from fracmean.distributions import (
     Cauchy,
     Empirical,
@@ -71,9 +78,16 @@ def test_row_means_are_numpy_means_bit_for_bit():
     for n in range(1, 301):
         scale = np.exp(rng.uniform(-30.0, 30.0, (33, n)))
         values = (rng.standard_normal((33, n)) + 1j * rng.standard_normal((33, n))) * scale
-        assert moments._row_means(values).tobytes() == np.mean(values, axis=1).tobytes(), n
+        assert _row_means(values).tobytes() == np.mean(values, axis=1).tobytes(), n
     zeros = np.full((2, 5), complex(-0.0, -0.0))  # numpy's sum starts at +0.0
-    assert moments._row_means(zeros).tobytes() == np.mean(zeros, axis=1).tobytes()
+    assert _row_means(zeros).tobytes() == np.mean(zeros, axis=1).tobytes()
+
+
+def _row_means(values):
+    """moments._row_means of a complex array, which it reads as an array of
+    real and imaginary parts and overwrites."""
+    out = np.empty(len(values), dtype=complex)
+    return moments._row_means(np.stack([values.real, values.imag]), out)
 
 
 def test_power_mean_zero_rejection():
@@ -325,9 +339,11 @@ def test_frac_moment_mc_memory_bounded_in_blocks(monkeypatch, threads):
             tracemalloc.stop()
 
     # the reference is one worker's peak: with several workers the peak
-    # depends on whether their blocks overlap in time, so a reference taken
+    # depends on whether their groups overlap in time, so a reference taken
     # on as many threads swings with the scheduler.  The warm-up runs on the
-    # tested thread count, so the lazy import of the executor is not measured.
+    # tested thread count, so every worker's workspace is built before the
+    # measurements; what either of them traces beyond it is per-call state,
+    # which must not grow with the block count.
     monkeypatch.setenv("FRACMEAN_THREADS", threads)
     frac_moment_mc(POIN, 0.0, 0.5, MCConfig(samples=16 * 4096, seed=3))
     monkeypatch.setenv("FRACMEAN_THREADS", "1")
@@ -778,6 +794,95 @@ def test_mc_power_mean_identical_across_thread_counts(monkeypatch):
         assert est.meta["blocks"] == 20
         runs.append((est.value, est.uncertainty))
     assert runs[0] == runs[1]
+
+
+def _reference_mc(model, mc, block_values):
+    """The block-at-a-time loop: block idx reduced alone from the stream
+    (mc.seed, idx), its moments merged in index order; [(mean, stderr)] per
+    row of block_values(draws of the block, replications)."""
+    merged = None
+    for idx in range(-(-mc.samples // mc.batch)):
+        size = min(mc.batch, mc.samples - idx * mc.batch)
+        rows = np.atleast_2d(block_values(lambda per_row: sample(model, mc.seed, size * per_row, stream=idx), size))
+        part = []
+        for vals in rows:
+            mean = complex(np.mean(vals))
+            part.append((vals.size, mean, float(np.sum((vals.real - mean.real) ** 2)), float(np.sum((vals.imag - mean.imag) ** 2))))
+        merged = part if merged is None else [montecarlo._merge_moments(a, b) for a, b in zip(merged, part)]
+    total = mc.samples
+    return [(mean, math.sqrt((re + im) / (total - 1) / total)) for _, mean, re, im in merged]
+
+
+@pytest.mark.parametrize("model, alpha", [(POIN, 0j), (CAUCHY, 1j), (T3, 0.5j), (TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), 0j)])
+def test_every_monte_carlo_caller_gives_the_block_loop_bits_at_any_thread_count(monkeypatch, model, alpha):
+    # a partial last block, and a last group with fewer blocks than the others
+    batch = 1024
+    span = montecarlo._GROUP_ROWS // batch
+    mc = MCConfig(samples=(2 * span + span // 2) * batch + 17, seed=11, batch=batch)
+    ps, n, lam, p_abs = (-0.5, 0.0, 0.5), 3, complex(0.4, 0.3), 0.7
+    specs = [PowerMeanSpec(p=p, n=n, alpha=alpha) for p in ps]
+
+    def power_means(draws, size):
+        return moments._power_mean_rows(draws(n).reshape(size, n) + alpha, ps)
+
+    want = {
+        "power means": _reference_mc(model, mc, power_means),
+        "moment": _reference_mc(model, mc, lambda draws, size: np_principal_pow(draws(1) + alpha, lam)),
+        "abs moment": _reference_mc(model, mc, lambda draws, size: np.abs(draws(1)) ** p_abs),
+    }
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("FRACMEAN_THREADS", threads)
+        est = frac_moment_mc(model, alpha, lam, mc)
+        got = {
+            "power means": [(e.value, e.uncertainty) for e in _pm_monte_carlo(model, specs, mc)],
+            "moment": [(est.value, est.uncertainty)],
+        }
+        if not isinstance(model, TwoPoint):  # atomic laws sum their atoms
+            mean, stderr = bounds._abs_moment(model, p_abs, mc)
+            got["abs moment"] = [(complex(mean), stderr)]
+        for name, values in got.items():
+            assert values == want[name], (name, threads)
+
+
+def test_many_workers_on_short_switches_merge_every_block_in_order(monkeypatch):
+    # more workers than cores, handing the interpreter lock over every few
+    # microseconds: a lost or reordered group would change the bits
+    mc = MCConfig(samples=60 * 256 + 3, seed=4, batch=256)
+    specs = [PowerMeanSpec(p=p, n=2) for p in (-0.5, 0.5)]
+    monkeypatch.setenv("FRACMEAN_THREADS", "1")
+    want = [(e.value, e.uncertainty) for e in _pm_monte_carlo(POIN, specs, mc)]
+    monkeypatch.setattr(montecarlo, "_GROUP_ROWS", 512)  # two blocks a group, 31 groups
+    monkeypatch.setenv("FRACMEAN_THREADS", "5")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            assert [(e.value, e.uncertainty) for e in _pm_monte_carlo(POIN, specs, mc)] == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_failing_block_raises_and_leaves_no_thread(monkeypatch, threads):
+    monkeypatch.setenv("FRACMEAN_THREADS", threads)
+    law = TwoPoint(0j, 1 + 1j, 0.5)  # a zero draw has no power of order p < 0
+    mc = MCConfig(samples=4 * montecarlo._GROUP_ROWS, seed=5, batch=1024)
+    before = threading.active_count()
+    with pytest.raises(BranchDomainError):
+        power_mean_expectation(law, PowerMeanSpec(p=-0.5, n=2), Route.MONTE_CARLO, mc=mc)
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_monte_carlo_blocks_take_no_page_faults(monkeypatch):
+    # every block of the call reuses the worker's workspace, so after one
+    # warm-up call no block allocates, and faults in, memory of its own size
+    monkeypatch.setenv("FRACMEAN_THREADS", "1")
+    spec, mc = PowerMeanSpec(p=0.5, n=5), MCConfig(samples=64 * 4096, seed=3)
+    power_mean_expectation(POIN, spec, Route.MONTE_CARLO, mc=mc)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    power_mean_expectation(POIN, spec, Route.MONTE_CARLO, mc=mc)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
 # the order groups of acceptance criteria 1-3, and an atomic law
