@@ -12,6 +12,12 @@ the weaker divisor cos(p pi) works for |p| < 1/2, and for |p| > 1/2 nothing
 survives: two unit-modulus atoms whose p-th powers are antipodal give
 E[Z**p] = 0 while E[|Z|**p] = 1.
 
+E[|Z|**p] has three estimators, each exact over the atoms of an atomic law:
+'closed' takes atomic laws only; 'rule' sums the law's node rule at two
+levels and reports the gap plus a few ulps, refusing real-line densities,
+whose rule is not graded toward the branch point z = 0 of |z|**p; 'mc' is
+Monte Carlo with its standard error.
+
 Half-plane support is checked on principal arguments.  The upper closure
 {Im z >= 0} is always admissible, but a lower law may not touch the open
 negative real axis: those points carry argument +pi, land on the far end of
@@ -27,11 +33,12 @@ from . import moments
 from .distributions import (
     AtomicLaw,
     MomentExistenceError,
+    RouteUnavailableError,
     SupportError,
     TwoPoint,
     stream_generator,
 )
-from .moments import MCConfig, Route, closed_moment, frac_moment
+from .moments import _NODE_LEVEL, MCConfig, Route, closed_moment, frac_moment
 from .montecarlo import _block_draws
 # np_principal_pow, principal_log and principal_pow have no caller here:
 # perfbench/tracer.py wraps these names
@@ -82,8 +89,9 @@ def _support_class(model):
     )
 
 
-def _abs_moment(model, p, mc):
-    """(E[|Z|**p], stderr); exact for atomic laws, Monte Carlo otherwise."""
+def _abs_moment(model, p, mc, estimator="mc"):
+    """(E[|Z|**p], uncertainty); exact for atomic laws, else from the node
+    rule at two levels (estimator 'rule') or by Monte Carlo."""
     if isinstance(model, AtomicLaw):
         model.check_negative_order(0.0, p)
         atoms, weights = model.nodes(0)
@@ -92,6 +100,15 @@ def _abs_moment(model, p, mc):
         raise MomentExistenceError(
             f"E[|Z|^p] diverges for {type(model).__name__} at |p| >= {model.max_moment:g}"
         )
+    if estimator == "rule":
+        if model.support == "real":
+            raise RouteUnavailableError("the real-line node rules are not graded toward x = 0; use estimator='mc'")
+        coarse, fine = (
+            float(np.sum(weights * np.abs(points) ** p))
+            for points, weights in (model.nodes(_NODE_LEVEL), model.nodes(_NODE_LEVEL + 1))
+        )
+        # the ulps cover rounding, where the gap between levels can be exactly 0
+        return fine, abs(fine - coarse) + 16.0 * math.ulp(fine)
 
     def block(first, count):
         draws, _, ws = _block_draws(model, mc, first, count)
@@ -113,12 +130,12 @@ def _bound_report(model, p, divisor, estimator, mc, support_declared):
         moment_abs, m_err = abs(val), 0.0
         if not isinstance(model, AtomicLaw):
             raise ValueError("closed absolute moments exist for atomic laws only")
-    elif estimator == "mc":
+    elif estimator in ("mc", "rule"):
         est = frac_moment(model, 0.0, complex(p), route=Route.AUTO, mc=mc)
         moment_abs, m_err = abs(est.value), est.uncertainty
     else:
-        raise ValueError("estimator must be 'closed' or 'mc'")
-    abs_mom, a_err = _abs_moment(model, p, mc)
+        raise ValueError("estimator must be 'closed', 'rule' or 'mc'")
+    abs_mom, a_err = _abs_moment(model, p, mc, estimator)
 
     if divisor <= 0.0:
         bound = math.inf

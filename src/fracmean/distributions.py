@@ -31,9 +31,11 @@ Each class is the one place that knows its family's formulas.  The routes in
   W = (Z + alpha)^p with p < 0 and c >= 0,
   E[exp(-icW)] = (1 - c p factor point^(p-1)) exp(-ic point^p), decaying at
   the rate slack * (-Im point^p); None when no such closed form exists;
-* ``nodes(level)``: points and weights of a rule for E f(Z), finer as the
-  level grows: the atoms, or quadrature over the density, which uses no pole
-  or closed value, so the (seedless) route built on it checks the closed forms;
+* ``nodes(level, alpha)``: points and weights of a rule for E f(Z), finer
+  as the level grows: the atoms, or quadrature over the density, which uses
+  no pole or closed value, so the (seedless) route built on it checks the
+  closed forms; the Poincare rule is sinh-graded toward the branch point
+  -alpha of (z + alpha)**p, the others ignore alpha;
 * ``name`` (the family tag of the JSON form) and ``to_json()``;
 * of an atomic law, ``check_negative_order(alpha, lam)``, which raises
   MomentExistenceError where an atom of positive weight sits at -alpha and
@@ -52,7 +54,6 @@ y ~ InverseGaussian(mean D/a, shape 2 D^2 / a).
 
 import cmath
 import csv
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -164,9 +165,9 @@ class _RealLineLaw:
     def geometric_mean(self):
         raise SupportError("the geometric-mean limit needs an upper-half-plane law")
 
-    def nodes(self, level):
+    def nodes(self, level, alpha=0j):
         """x = mu + sigma tan(theta), tanh-sinh in theta, weighted by the
-        density times dx/dtheta = sigma sec^2(theta)."""
+        density times dx/dtheta = sigma sec^2(theta); alpha is ignored."""
         t, dist, w = tanh_sinh_nodes(level, _NODE_FLOOR)
         tan = np.copysign(1.0, t) / np.tan(0.5 * math.pi * dist)  # tan(pi t / 2)
         x = self.mu + self.sigma * tan
@@ -314,35 +315,39 @@ class Poincare:
     def geometric_mean(self):
         return self.gamma_point  # exp(E[log Z]) = exp(log beta) = beta
 
-    def nodes(self, level):
-        """The sampler's factorization as a product rule: y by tanh-sinh in
+    def nodes(self, level, alpha=0j):
+        """The sampler's factorization as a product rule graded toward the
+        branch point -alpha of (z + alpha)**p: y by tanh-sinh in
         log y = log(mean) + atanh(t) against the inverse-Gaussian density, at
-        a coarser step since it is smooth, and x | y by Gauss-Hermite of
-        order 8 * level."""
+        a coarser step since it is smooth; x | y by x = -Re(alpha) + h sinh(v),
+        h = y + Im(alpha), and midpoints in v over +-9 standard deviations s
+        (lighter nodes fall under the weight floor).  The branch points sit
+        at v = +-i pi/2 for every y, however small h is (the sinh
+        transformation of Elliott and Johnston).  Nodes lie h cosh(v) apart
+        in x, widest away from the branch point, so the step is 0.7 s over
+        that spacing 3 s beyond the mean.  Both steps halve per level, so
+        the gap between levels bounds the error."""
         mean, shape = self.d_const / self.a, 2.0 * self.d_const ** 2 / self.a
         t, dist, w = tanh_sinh_nodes(level - 2, _NODE_FLOOR)
         y = mean * np.sqrt((2.0 - dist) / dist) ** np.copysign(1.0, t)
         ig = np.sqrt(shape / (2.0 * math.pi * y ** 3)) * np.exp(-shape * (y - mean) ** 2 / (2.0 * mean ** 2 * y))
         y, wy = _heavy(y, ig * y / (dist * (2.0 - dist)) * w)
-        xi, wx = _hermite_rule(8 * level)
-        x = -self.b / self.a + np.sqrt(y / self.a)[:, None] * xi
-        weights = wy[:, None] * wx
-        return _heavy((x + 1j * y[:, None]).ravel(), weights.ravel())
+        centre, sd, height = -self.b / self.a, np.sqrt(y / (2.0 * self.a)), y + alpha.imag
+        offset = centre + alpha.real  # the mean of x | y, measured from -Re(alpha)
+        lo = np.arcsinh((offset - 9.0 * sd) / height)
+        step = 0.7 * 2.0 ** (6 - level) * sd / np.hypot(height, np.abs(offset) + 3.0 * sd)
+        count = np.ceil((np.arcsinh((offset + 9.0 * sd) / height) - lo) / step).astype(int)
+        row = np.repeat(np.arange(y.size), count)
+        k = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+        v = lo[row] + step[row] * (k + 0.5)
+        x = height[row] * np.sinh(v) - alpha.real
+        # the normal density of x | y times dx/dv = h cosh(v)
+        scale = np.sqrt(self.a / (math.pi * y)) * wy * step * height
+        weights = scale[row] * np.cosh(v) * np.exp(-self.a * (x - centre) ** 2 / y[row])
+        return _heavy(x + 1j * y[row], weights)
 
     def to_json(self):
         return {"dist": self.name, "params": {"a": self.a, "b": self.b, "c": self.c}}
-
-
-@functools.cache
-def _hermite_rule(order):
-    """Gauss-Hermite points and weights for E f(N), N ~ Normal(0, 1/2), as
-    read-only arrays: the table does not depend on the law, and building it
-    costs most of a Poincare node rule."""
-    points, weights = np.polynomial.hermite.hermgauss(order)
-    weights = weights / math.sqrt(math.pi)
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return points, weights
 
 
 class AtomicLaw:
@@ -396,7 +401,7 @@ class AtomicLaw:
     def single_draw(self, alpha):
         return None
 
-    def nodes(self, level):
+    def nodes(self, level, alpha=0j):
         weights = self.weights
         return self.atoms[weights > 0], weights[weights > 0]
 

@@ -529,12 +529,13 @@ class _WeightedPowers:
 
 class _SingleDrawTransform:
     """Set-up shared by the single-draw transforms of laws without a closed
-    single-draw expression: W at the points of the law's node rule."""
+    single-draw expression: W at the points of the law's node rule, graded
+    toward the branch point -alpha of W."""
 
     kernel = None  # stays None for a closed single-draw transform
 
     def _set_weighted_powers(self, model, alpha, p, jmax, level):
-        points, weights = model.nodes(level)
+        points, weights = model.nodes(level, alpha)
         self.kind = "atoms" if isinstance(model, AtomicLaw) else "nodes"
         self.atoms = values = np_principal_pow(points + alpha, p)
         self.kernel = _WeightedPowers(values, weights, jmax)

@@ -372,7 +372,7 @@ def _appendix_bounds(seed):
                 float(rng.uniform(0.4, 2.5)) + 0.6,
             )
             rep = half_plane_bound_check(
-                model, p, estimator="mc", mc=MCConfig(samples=20_000, seed=seed + trial)
+                model, p, estimator="rule", mc=MCConfig(samples=20_000, seed=seed + trial)
             )
         else:
             model = TwoPoint(

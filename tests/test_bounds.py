@@ -15,7 +15,14 @@ from fracmean.bounds import (
     half_plane_bound_check,
 )
 from fracmean import moments
-from fracmean.distributions import Cauchy, MomentExistenceError, Poincare, SupportError, TwoPoint
+from fracmean.distributions import (
+    Cauchy,
+    MomentExistenceError,
+    Poincare,
+    RouteUnavailableError,
+    SupportError,
+    TwoPoint,
+)
 from fracmean.moments import MCConfig, closed_moment
 
 POIN = Poincare(1.0, 0.0, 1.0)
@@ -88,6 +95,48 @@ def test_abs_moment_reduces_through_the_moments_module(monkeypatch):
     monkeypatch.setattr(moments, "_mc_mean", counting)
     _abs_moment(POIN, 0.5, MCConfig(samples=5000, seed=3))
     assert calls == [5000]
+
+
+def _criterion_9_poincare_laws(seed, count):
+    """The first count (law, p) pairs of criterion 9's Poincare trials,
+    drawn as that criterion draws them."""
+    rng = np.random.default_rng(seed)
+    laws = []
+    for trial in range(2 * count):
+        p = float(rng.uniform(-1.0, 1.0))
+        if trial % 2:
+            a, b, c = (float(rng.uniform(0.4, 2.5)), float(rng.uniform(-0.7, 0.7)), float(rng.uniform(0.4, 2.5)))
+            laws.append((Poincare(a, b, c + 0.6), p))
+        else:
+            rng.normal(size=4), rng.uniform(0.0, 1.0)  # the two-point trial's draws
+    return laws
+
+
+def test_rule_estimator_gap_is_honest_on_criterion_9_laws():
+    for law, p in _criterion_9_poincare_laws(7, 50):
+        value, unc = _abs_moment(law, p, None, "rule")
+        z, w = law.nodes(10)
+        err = abs(value - float(np.sum(w * np.abs(z) ** p)))
+        assert err <= unc, (law, p, err, unc)
+
+
+def test_rule_estimator_draws_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the rule estimator ran Monte Carlo")
+
+    monkeypatch.setattr(moments, "_mc_mean", refuse)
+    rep = half_plane_bound_check(POIN, -0.5, estimator="rule")
+    assert rep.satisfied and rep.meta["estimator"] == "rule"
+    assert rep.tolerance < 1e-8
+    # atomic laws stay exact
+    assert _abs_moment(TwoPoint(1j, -1.0, 0.5), 0.5, None, "rule") == (1.0, 0.0)
+
+
+def test_rule_estimator_refuses_real_line_densities():
+    with pytest.raises(RouteUnavailableError):
+        half_plane_bound_check(Cauchy(0.0, 1.0), 0.5, estimator="rule")
+    with pytest.raises(ValueError, match="'closed', 'rule' or 'mc'"):
+        half_plane_bound_check(POIN, 0.5, estimator="nodes")
 
 
 def test_unit_p_is_vacuous_but_reported():

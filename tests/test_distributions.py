@@ -11,7 +11,6 @@ import pytest
 
 import fracmean
 from fracmean.distributions import (
-    _hermite_rule,
     Cauchy,
     Empirical,
     MomentExistenceError,
@@ -31,6 +30,7 @@ from fracmean.distributions import (
     samples_to_csv,
     stream_generator,
 )
+from fracmean.principal import np_principal_pow, principal_pow
 
 CAUCHY = Cauchy(0.0, 1.0)
 T3 = ScaledT3(0.0, 1.0)
@@ -292,19 +292,52 @@ def test_in_place_samplers_match_their_expressions(law):
         assert got.tobytes() == want.tobytes()
 
 
-def test_poincare_nodes_share_a_read_only_hermite_table():
-    points, weights = _hermite_rule(48)
-    assert _hermite_rule(48)[0] is points
-    with pytest.raises(ValueError):
-        points[0] = 0.0
-    xi, wx = np.polynomial.hermite.hermgauss(48)
-    assert points.tobytes() == xi.tobytes()
-    assert weights.tobytes() == (wx / math.sqrt(math.pi)).tobytes()
-    # the same bits as a rule built from a fresh table
-    law = Poincare(2.0, 1.0, 1.0)
+# the corners of the parameter box of criterion 9 (a in [0.4, 2.5],
+# b in [-0.7, 0.7], c in [1.0, 3.1]) with a*c > b**2, and a law near the real
+# axis (D/a = 0.04)
+GRADED_LAWS = [
+    Poincare(0.4, -0.7, 3.1), Poincare(0.4, 0.7, 3.1), Poincare(2.5, -0.7, 1.0),
+    Poincare(2.5, 0.7, 1.0), Poincare(2.5, -0.7, 3.1), Poincare(2.5, 0.7, 3.1),
+    Poincare(2.5, 0.7, 0.2),
+]
+
+
+def _rule_sums(law, f, alpha, levels):
+    return [np.sum(w * f(z)) for z, w in (law.nodes(level, alpha) for level in levels)]
+
+
+def _gap_bound(coarse, fine):
+    """The uncertainty the node-rule routes report: the level gap plus 16 ulps."""
+    return abs(fine - coarse) + 16.0 * math.ulp(abs(fine))
+
+
+@pytest.mark.parametrize("law", GRADED_LAWS + [Poincare(2.0, 1.0, 1.0)], ids=repr)
+def test_poincare_rule_powers_match_closed_beta_powers(law):
+    # E[Z**lam] = beta**lam; at alpha = 0 the rule is graded toward z = 0
     z, w = law.nodes(6)
     assert z.tobytes() == law.nodes(6)[0].tobytes() and w.tobytes() == law.nodes(6)[1].tobytes()
+    z, w = law.nodes(7)  # the level the node-rule routes report
     assert abs(np.sum(w * z) - law.gamma_point) <= 1e-12
+    for lam in (-0.9, -0.5, 0.3, 1.0, 0.7 + 0.5j, -0.4 - 0.8j):
+        coarse, fine = _rule_sums(law, lambda z: np_principal_pow(z, lam), 0j, (6, 7))
+        err = abs(fine - principal_pow(law.gamma_point, lam))
+        assert err <= _gap_bound(coarse, fine), (lam, err, _gap_bound(coarse, fine))
+
+
+@pytest.mark.parametrize("law", GRADED_LAWS, ids=repr)
+@pytest.mark.parametrize("alpha", [0j, 0.5j, 1 + 0.5j, 1 + 0j])
+def test_poincare_rule_absolute_moments_within_level_gap(law, alpha):
+    for p in (-0.9, -0.3, 0.5, 0.9):
+        f = lambda z: np.abs(z + alpha) ** p
+        coarse, fine, reference = (s.real for s in _rule_sums(law, f, alpha, (6, 7, 10)))
+        err = abs(fine - reference)
+        assert err <= _gap_bound(coarse, fine), (p, err, _gap_bound(coarse, fine))
+
+
+def test_real_line_and_atomic_rules_ignore_alpha():
+    for law in (Cauchy(0.5, 2.0), ScaledT3(-1.0, 0.5), TwoPoint(1j, -1.0, 0.25)):
+        for got, want in zip(law.nodes(5, 1 + 0.5j), law.nodes(5)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_two_point_and_empirical_samplers():

@@ -351,6 +351,37 @@ def test_frac_moment_mc_memory_bounded_in_blocks(monkeypatch, threads):
     monkeypatch.setenv("FRACMEAN_THREADS", threads)
     large = peak_bytes(256)
     assert large <= 1.5 * int(threads) * reference, (reference, large)
+    # numpy's own buffers (about 71 KB) dominate those peaks and hide small
+    # per-group state, so also count what montecarlo.py holds when the last
+    # group's moments are ready: the fold keeps a few groups' moments (about
+    # 470 bytes each), however many blocks the call has
+    small, large = (_montecarlo_bytes_at_last_group(monkeypatch, blocks) for blocks in (16, 256))
+    assert large <= small + 8192, (small, large)
+
+
+def _montecarlo_bytes_at_last_group(monkeypatch, blocks):
+    """Bytes allocated in montecarlo.py and still held when the block moments
+    of the last group to finish are ready, in a frac_moment_mc call."""
+    original, held, done, lock = montecarlo._block_moments, [], [0], threading.Lock()
+
+    def probe(rows, batch, ws):
+        parts = original(rows, batch, ws)
+        with lock:
+            done[0] += len(parts)
+            if done[0] == blocks:
+                snapshot = tracemalloc.take_snapshot()
+                mine = snapshot.filter_traces([tracemalloc.Filter(True, montecarlo.__file__)])
+                held.append(sum(stat.size for stat in mine.statistics("filename")))
+        return parts
+
+    monkeypatch.setattr(montecarlo, "_block_moments", probe)
+    tracemalloc.start()
+    try:
+        frac_moment_mc(POIN, 0.0, 0.5, MCConfig(samples=blocks * 4096, seed=3))
+    finally:
+        tracemalloc.stop()
+        monkeypatch.setattr(montecarlo, "_block_moments", original)
+    return held[0]
 
 
 @pytest.mark.parametrize(
@@ -635,7 +666,7 @@ KERNEL_LAWS = (
 def test_pos_transform_kernel_matches_per_j_loop(law, alpha, level):
     n, jmax = 2, 2
     derivs = _PosTransformDerivs(law, alpha, 0.4, n, jmax, level)
-    values, weights = derivs.atoms, law.nodes(level)[1]
+    values, weights = derivs.atoms, law.nodes(level, alpha)[1]
     pref = np.array([(-1j / n) ** j for j in range(jmax + 1)])
     for u in KERNEL_US:
         v = u / n
@@ -648,7 +679,7 @@ def test_pos_transform_kernel_matches_per_j_loop(law, alpha, level):
 def test_neg_transform_kernel_matches_loop(law, alpha, level):
     n = 2
     transform = _NegTransform(law, alpha, -0.5, n, level)
-    values, weights = transform.atoms, law.nodes(level)[1]
+    values, weights = transform.atoms, law.nodes(level, alpha)[1]
     for u in KERNEL_US:
         v = -u / n
         want = _loop_moments(values, weights, 0, v)[0]
@@ -666,7 +697,7 @@ def test_neg_transform_kernel_matches_loop(law, alpha, level):
 def test_weighted_powers_match_complex_exp_formula(law, alpha, level):
     # the tangent phasor against one complex exp of icW per point, the
     # formula it replaced, to a few ulps of the sum of |terms|
-    points, weights = law.nodes(level)
+    points, weights = law.nodes(level, alpha)
     values = np_principal_pow(points + alpha, 0.4)
     kernel = _WeightedPowers(values, weights, 2)
     for c in KERNEL_US:  # W in the upper half plane, so c >= 0 keeps |e^{icW}| <= 1
@@ -743,6 +774,35 @@ def test_frac_deriv_node_rule_matches_residue_values(law, alpha, p):
         assert err <= 1e-8 and err <= est.uncertainty, (n, err, est.uncertainty)
 
 
+# the corners of criterion 9's parameter box with a*c > b**2, and a law near
+# the real axis (D/a = 0.04)
+GRADED_LAWS = [
+    Poincare(0.4, -0.7, 3.1), Poincare(0.4, 0.7, 3.1), Poincare(2.5, -0.7, 1.0),
+    Poincare(2.5, 0.7, 1.0), Poincare(2.5, -0.7, 3.1), Poincare(2.5, 0.7, 3.1),
+    Poincare(2.5, 0.7, 0.2),
+]
+
+
+@pytest.mark.parametrize("law", GRADED_LAWS, ids=repr)
+@pytest.mark.parametrize("alpha", [0.5j, 1 + 0.5j])
+def test_frac_deriv_graded_rule_gives_beta_plus_alpha(law, alpha):
+    # E f(Z) = f(beta) for f bounded and holomorphic on the upper half plane,
+    # so E[M_p] = beta + alpha; the rule is graded toward -alpha, not beta
+    for p in (-0.9, 0.4):
+        est = power_mean_expectation(law, PowerMeanSpec(p=p, n=2, alpha=alpha), Route.FRAC_DERIV)
+        assert est.meta["transform"] == "nodes"
+        err = abs(est.value - (law.gamma_point + alpha))
+        assert err <= est.uncertainty, (p, err, est.uncertainty)
+
+
+@pytest.mark.parametrize("p", [-0.5, 0.4])
+def test_frac_deriv_poincare_level_gap_well_inside_tolerance(p):
+    # the two Poincare cells of the fracderiv_sampled benchmark
+    cfg = QuadratureConfig()
+    est = power_mean_expectation(POIN, PowerMeanSpec(p=p, n=2, alpha=0.5j), Route.FRAC_DERIV, cfg)
+    assert est.meta["level_gap"] <= cfg.rel_tol * abs(est.value) / 4.0
+
+
 def test_frac_deriv_ignores_monte_carlo_config():
     spec = PowerMeanSpec(p=0.4, n=2, alpha=0.5j)
     a = power_mean_expectation(POIN, spec, Route.FRAC_DERIV, mc=MCConfig(samples=10, seed=1))
@@ -752,8 +812,9 @@ def test_frac_deriv_ignores_monte_carlo_config():
 
 @pytest.mark.parametrize("p, n", [(-0.9, 2), (-0.9, 3), (-0.5, 2), (-0.5, 3)])
 def test_frac_deriv_real_shift_converges_or_says_so(p, n):
-    # at real alpha the shifted law comes close to the real axis, where the
-    # Gauss-Hermite rule converges slowly: a number must be honest, or none
+    # at real alpha the shifted law reaches the real axis; the node rule is
+    # graded toward -alpha, but the transform can decay too slowly along the
+    # real ray to converge (p=-0.5, n=3): a number must be honest, or none
     try:
         est = power_mean_expectation(POIN, PowerMeanSpec(p=p, n=n, alpha=0.3), Route.FRAC_DERIV)
     except NonConvergenceError:
