@@ -16,7 +16,7 @@ from fracmean.bounds import (
     geometric_slln_demo,
     half_plane_bound_check,
 )
-from fracmean.distributions import Poincare, TwoPoint
+from fracmean.distributions import Poincare, ScaledT3, TwoPoint
 from fracmean.moments import MCConfig
 
 print("tight case: equal weights on {1, -1}")
@@ -26,9 +26,12 @@ for p in (0.25, 0.5, 0.75):
     print(f"  p={p}: E|Z|^p = {rep.abs_moment:.6f}  |EZ^p| = {rep.moment_abs:.6f}  slack = {rep.slack:+.2e}")
 
 print()
-print("upper-half-plane law, Monte Carlo absolute moment")
-rep = half_plane_bound_check(Poincare(1, 0, 1), 0.5, estimator="mc", mc=MCConfig(samples=200_000, seed=8))
-print(f"  E|Z|^0.5 = {rep.abs_moment:.5f} <= bound {rep.bound:.5f}  (satisfied: {rep.satisfied})")
+print("upper-half-plane law: absolute moment from a node rule graded toward 0")
+rep = half_plane_bound_check(Poincare(1, 0, 1), 0.5)
+print(f"  E|Z|^0.5 = {rep.abs_moment:.10f} <= bound {rep.bound:.10f}  (satisfied: {rep.satisfied})")
+print("symmetric real-line law, where the bound holds with equality: Monte Carlo absolute moment")
+rep = half_plane_bound_check(ScaledT3(0, 1), 0.5, mc=MCConfig(samples=200_000, seed=8))
+print(f"  E|Z|^0.5 = {rep.abs_moment:.5f}, bound {rep.bound:.5f} +- {rep.tolerance:.5f}  (satisfied: {rep.satisfied})")
 
 print()
 print("antipodal powers break everything once |p| > 1/2")

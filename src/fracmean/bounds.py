@@ -12,11 +12,10 @@ the weaker divisor cos(p pi) works for |p| < 1/2, and for |p| > 1/2 nothing
 survives: two unit-modulus atoms whose p-th powers are antipodal give
 E[Z**p] = 0 while E[|Z|**p] = 1.
 
-E[|Z|**p] has three estimators, each exact over the atoms of an atomic law:
-'closed' takes atomic laws only; 'rule' sums the law's node rule at two
-levels and reports the gap plus a few ulps, refusing real-line densities,
-whose rule is not graded toward the branch point z = 0 of |z|**p; 'mc' is
-Monte Carlo with its standard error.
+With estimator 'mc', E[|Z|**p] of an upper-half-plane density sums its
+node rule, graded toward the branch point 0 of |z|**p, at two levels (the
+gap plus a few ulps is its uncertainty); a real-line density, whose rule is
+not graded toward 0, falls back to Monte Carlo.  Atoms are summed exactly.
 
 Half-plane support is checked on principal arguments.  The upper closure
 {Im z >= 0} is always admissible, but a lower law may not touch the open
@@ -33,7 +32,6 @@ from . import moments
 from .distributions import (
     AtomicLaw,
     MomentExistenceError,
-    RouteUnavailableError,
     SupportError,
     TwoPoint,
     stream_generator,
@@ -89,9 +87,9 @@ def _support_class(model):
     )
 
 
-def _abs_moment(model, p, mc, estimator="mc"):
-    """(E[|Z|**p], uncertainty); exact for atomic laws, else from the node
-    rule at two levels (estimator 'rule') or by Monte Carlo."""
+def _abs_moment(model, p, mc):
+    """(E[|Z|**p], uncertainty); exact for atomic laws, from the node rule
+    at two levels for upper-half-plane densities, else by Monte Carlo."""
     if isinstance(model, AtomicLaw):
         model.check_negative_order(0.0, p)
         atoms, weights = model.nodes(0)
@@ -100,9 +98,7 @@ def _abs_moment(model, p, mc, estimator="mc"):
         raise MomentExistenceError(
             f"E[|Z|^p] diverges for {type(model).__name__} at |p| >= {model.max_moment:g}"
         )
-    if estimator == "rule":
-        if model.support == "real":
-            raise RouteUnavailableError("the real-line node rules are not graded toward x = 0; use estimator='mc'")
+    if model.support == "upper":
         coarse, fine = (
             float(np.sum(weights * np.abs(points) ** p))
             for points, weights in (model.nodes(_NODE_LEVEL), model.nodes(_NODE_LEVEL + 1))
@@ -130,12 +126,12 @@ def _bound_report(model, p, divisor, estimator, mc, support_declared):
         moment_abs, m_err = abs(val), 0.0
         if not isinstance(model, AtomicLaw):
             raise ValueError("closed absolute moments exist for atomic laws only")
-    elif estimator in ("mc", "rule"):
+    elif estimator == "mc":
         est = frac_moment(model, 0.0, complex(p), route=Route.AUTO, mc=mc)
         moment_abs, m_err = abs(est.value), est.uncertainty
     else:
-        raise ValueError("estimator must be 'closed', 'rule' or 'mc'")
-    abs_mom, a_err = _abs_moment(model, p, mc, estimator)
+        raise ValueError("estimator must be 'closed' or 'mc'")
+    abs_mom, a_err = _abs_moment(model, p, mc)
 
     if divisor <= 0.0:
         bound = math.inf

@@ -151,7 +151,7 @@ def build_parser():
     p_bounds.add_argument("--check", choices=("half-plane", "general"), required=True)
     _add_model(p_bounds)
     p_bounds.add_argument("--p", type=float, required=True)
-    p_bounds.add_argument("--estimator", choices=("mc", "closed", "rule"), default="mc")
+    p_bounds.add_argument("--estimator", choices=("mc", "closed"), default="mc")
     _add_common(p_bounds, with_quad=False)
 
     p_slln = sub.add_parser("slln", help="running geometric means against exp(E[log Z])")

@@ -325,8 +325,9 @@ class Poincare:
         at v = +-i pi/2 for every y, however small h is (the sinh
         transformation of Elliott and Johnston).  Nodes lie h cosh(v) apart
         in x, widest away from the branch point, so the step is 0.7 s over
-        that spacing 3 s beyond the mean.  Both steps halve per level, so
-        the gap between levels bounds the error."""
+        that spacing 4.5 s beyond the mean, where the slowest-decaying terms
+        of a single-draw transform still carry weight.  Both steps halve per
+        level, so the gap between levels bounds the error."""
         mean, shape = self.d_const / self.a, 2.0 * self.d_const ** 2 / self.a
         t, dist, w = tanh_sinh_nodes(level - 2, _NODE_FLOOR)
         y = mean * np.sqrt((2.0 - dist) / dist) ** np.copysign(1.0, t)
@@ -335,7 +336,7 @@ class Poincare:
         centre, sd, height = -self.b / self.a, np.sqrt(y / (2.0 * self.a)), y + alpha.imag
         offset = centre + alpha.real  # the mean of x | y, measured from -Re(alpha)
         lo = np.arcsinh((offset - 9.0 * sd) / height)
-        step = 0.7 * 2.0 ** (6 - level) * sd / np.hypot(height, np.abs(offset) + 3.0 * sd)
+        step = 0.7 * 2.0 ** (6 - level) * sd / np.hypot(height, np.abs(offset) + 4.5 * sd)
         count = np.ceil((np.arcsinh((offset + 9.0 * sd) / height) - lo) / step).astype(int)
         row = np.repeat(np.arange(y.size), count)
         k = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)

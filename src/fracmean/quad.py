@@ -109,16 +109,18 @@ def _level_nodes(level):
     return tuple(zip(dist[side].tolist(), weight[side].tolist()))
 
 
-def _de_sum_level(f, a, b, level, counter):
-    """The terms that level adds to the tanh-sinh sum of f over (a, b)."""
+def _de_sum_level(f, a, b, level, counter, reach=(1.0, 1.0)):
+    """The terms that level adds to the tanh-sinh sum of f over (a, b), and
+    per end (b, then a) the |term| and 1 - |t| of its largest term."""
     half = 0.5 * (b - a)
     total = 0.0 + 0.0j
     if level == 0:
         total += f(a + half) * (half * math.pi / 2.0)  # center node u = 0
         counter.count += 1
     nodes = _level_nodes(level)
-    for end, sign in ((b, -1.0), (a, 1.0)):
-        tiny_run = 0
+    peaks = []
+    for end, sign, limit in ((b, -1.0, reach[0]), (a, 1.0, reach[1])):
+        tiny_run, peak = 0, (0.0, 1.0)
         for dist, weight in nodes:
             t = end + sign * half * dist
             term = f(t) * (half * weight)
@@ -128,13 +130,15 @@ def _de_sum_level(f, a, b, level, counter):
                     f"integrand not finite at t={t!r}", evaluations=counter.count
                 )
             total += term
+            peak = max(peak, (abs(term), dist))
             if abs(term) <= _EPS * abs(total) + 1e-300:
                 tiny_run += 1
-                if tiny_run >= 3:
+                if tiny_run >= 3 and dist < limit:
                     break
             else:
                 tiny_run = 0
-    return total
+        peaks.append(peak)
+    return total, peaks
 
 
 def _de_finite(f, a, b, cfg, counter):
@@ -146,10 +150,13 @@ def _de_finite(f, a, b, cfg, counter):
     """
     abs_tol = 0.5 * cfg.abs_tol
     rel_tol = cfg.rel_tol
-    value = _de_sum_level(f, a, b, 0, counter)
+    value, peaks = _de_sum_level(f, a, b, 0, counter)
+    # a walk stops after three negligible terms, but not short of its side's largest
+    # level-0 term: an integrand held near one end can be negligible at the centre
+    reach = tuple(dist if term > _EPS * abs(value) else 1.0 for term, dist in peaks)
     err = math.inf
     for level in range(1, cfg.max_level + 1):
-        refined = 0.5 * value + _de_sum_level(f, a, b, level, counter)
+        refined = 0.5 * value + _de_sum_level(f, a, b, level, counter, reach)[0]
         err = abs(refined - value)
         value = refined
         if level >= 2 and err <= max(abs_tol, rel_tol * abs(value)):

@@ -350,6 +350,19 @@ def _power_bound(seed):
     ]
 
 
+def _half_plane_laws(seed):
+    """Criterion 9's random (law, p) pairs: Poincare at odd trials, two-point at even."""
+    rng = np.random.default_rng(seed)
+    for trial in range(1000):
+        p = float(rng.uniform(-1.0, 1.0))
+        if trial % 2:
+            a, b, c = (float(rng.uniform(0.4, 2.5)), float(rng.uniform(-0.7, 0.7)), float(rng.uniform(0.4, 2.5)))
+            yield Poincare(a, b, c + 0.6), p
+        else:
+            z1, z2 = (complex(rng.normal(), abs(rng.normal())) for _ in range(2))
+            yield TwoPoint(z1, z2, float(rng.uniform(0.0, 1.0))), p
+
+
 @_criterion(9, "absolute-moment comparison suite")
 def _appendix_bounds(seed):
     checks = []
@@ -361,25 +374,13 @@ def _appendix_bounds(seed):
     checks.append(
         CheckResult("tight two-point law: |slack| <= 1e-14 on the p grid", worst_slack <= 1e-14, {"worst_slack": worst_slack})
     )
-    rng = np.random.default_rng(seed)
     failures = 0
-    for trial in range(1000):
-        p = float(rng.uniform(-1.0, 1.0))
-        if trial % 2:
-            model = Poincare(
-                float(rng.uniform(0.4, 2.5)),
-                float(rng.uniform(-0.7, 0.7)),
-                float(rng.uniform(0.4, 2.5)) + 0.6,
-            )
+    for trial, (model, p) in enumerate(_half_plane_laws(seed)):
+        if trial % 2:  # a Poincare law
             rep = half_plane_bound_check(
-                model, p, estimator="rule", mc=MCConfig(samples=20_000, seed=seed + trial)
+                model, p, estimator="mc", mc=MCConfig(samples=20_000, seed=seed + trial)
             )
         else:
-            model = TwoPoint(
-                complex(rng.normal(), abs(rng.normal())),
-                complex(rng.normal(), abs(rng.normal())),
-                float(rng.uniform(0.0, 1.0)),
-            )
             rep = half_plane_bound_check(model, p, estimator="closed")
         if not rep.satisfied:
             failures += 1

@@ -1,12 +1,14 @@
 """Fractional absolute moment vs absolute fractional moment, and the
 geometric-mean strong law."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fracmean import verify
 from fracmean.bounds import (
     _abs_moment,
     cancelling_pair_law,
@@ -19,13 +21,14 @@ from fracmean.distributions import (
     Cauchy,
     MomentExistenceError,
     Poincare,
-    RouteUnavailableError,
+    ScaledT3,
     SupportError,
     TwoPoint,
 )
 from fracmean.moments import MCConfig, closed_moment
 
 POIN = Poincare(1.0, 0.0, 1.0)
+T3 = ScaledT3(0.0, 1.0)
 
 
 def test_tight_two_point_case_has_zero_slack():
@@ -71,7 +74,7 @@ def test_abs_moment_memory_bounded_in_blocks(monkeypatch):
     def peak_bytes(blocks):
         tracemalloc.start()
         try:
-            _abs_moment(POIN, 0.5, MCConfig(samples=blocks * 4096, seed=3))
+            _abs_moment(T3, 0.5, MCConfig(samples=blocks * 4096, seed=3))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -83,8 +86,9 @@ def test_abs_moment_memory_bounded_in_blocks(monkeypatch):
 
 
 def test_abs_moment_reduces_through_the_moments_module(monkeypatch):
-    # wrappers of moments._mc_mean (the benchmark's tracer) see criterion 9's
-    # absolute moments only if bounds calls it through the module
+    # wrappers of moments._mc_mean (the benchmark's tracer) see the Monte
+    # Carlo absolute moments of real-line laws only if bounds calls it
+    # through the module
     calls = []
     original = moments._mc_mean
 
@@ -93,50 +97,26 @@ def test_abs_moment_reduces_through_the_moments_module(monkeypatch):
         return original(per_block_values, total, mc)
 
     monkeypatch.setattr(moments, "_mc_mean", counting)
-    _abs_moment(POIN, 0.5, MCConfig(samples=5000, seed=3))
+    _abs_moment(T3, 0.5, MCConfig(samples=5000, seed=3))
     assert calls == [5000]
 
 
-def _criterion_9_poincare_laws(seed, count):
-    """The first count (law, p) pairs of criterion 9's Poincare trials,
-    drawn as that criterion draws them."""
-    rng = np.random.default_rng(seed)
-    laws = []
-    for trial in range(2 * count):
-        p = float(rng.uniform(-1.0, 1.0))
-        if trial % 2:
-            a, b, c = (float(rng.uniform(0.4, 2.5)), float(rng.uniform(-0.7, 0.7)), float(rng.uniform(0.4, 2.5)))
-            laws.append((Poincare(a, b, c + 0.6), p))
-        else:
-            rng.normal(size=4), rng.uniform(0.0, 1.0)  # the two-point trial's draws
-    return laws
-
-
-def test_rule_estimator_gap_is_honest_on_criterion_9_laws():
-    for law, p in _criterion_9_poincare_laws(7, 50):
-        value, unc = _abs_moment(law, p, None, "rule")
+def test_abs_moment_rule_gap_is_honest_on_criterion_9_laws():
+    poincare = (pair for pair in verify._half_plane_laws(7) if isinstance(pair[0], Poincare))
+    for law, p in itertools.islice(poincare, 50):
+        value, unc = _abs_moment(law, p, None)
         z, w = law.nodes(10)
         err = abs(value - float(np.sum(w * np.abs(z) ** p)))
         assert err <= unc, (law, p, err, unc)
 
 
-def test_rule_estimator_draws_nothing(monkeypatch):
+def test_upper_half_plane_abs_moment_draws_nothing(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the rule estimator ran Monte Carlo")
+        raise AssertionError("E[|Z|^p] of an upper-half-plane density ran Monte Carlo")
 
     monkeypatch.setattr(moments, "_mc_mean", refuse)
-    rep = half_plane_bound_check(POIN, -0.5, estimator="rule")
-    assert rep.satisfied and rep.meta["estimator"] == "rule"
-    assert rep.tolerance < 1e-8
-    # atomic laws stay exact
-    assert _abs_moment(TwoPoint(1j, -1.0, 0.5), 0.5, None, "rule") == (1.0, 0.0)
-
-
-def test_rule_estimator_refuses_real_line_densities():
-    with pytest.raises(RouteUnavailableError):
-        half_plane_bound_check(Cauchy(0.0, 1.0), 0.5, estimator="rule")
-    with pytest.raises(ValueError, match="'closed', 'rule' or 'mc'"):
-        half_plane_bound_check(POIN, 0.5, estimator="nodes")
+    rep = half_plane_bound_check(POIN, -0.5, estimator="mc")
+    assert rep.satisfied and rep.tolerance < 1e-8
 
 
 def test_unit_p_is_vacuous_but_reported():

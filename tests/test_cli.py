@@ -136,26 +136,6 @@ def test_bounds_command(capsys):
     assert abs(blob["result"]["slack"]) < 1e-12
 
 
-def test_bounds_rule_estimator(capsys):
-    blob = run_json(
-        capsys,
-        ["bounds", "--check", "half-plane", "--dist", "poincare",
-         "--params", "a=1,b=0,c=1", "--p", "0.5", "--estimator", "rule"],
-    )
-    result = blob["result"]
-    assert result["satisfied"] is True and result["meta"]["estimator"] == "rule"
-    # E|Z|^p for Poincare(1,0,1) is a seedless node-rule sum with a gap-sized tolerance
-    assert 0.0 < result["tolerance"] < 1e-8
-    assert abs(result["moment_abs"] - 1.0) < 1e-12
-
-
-def test_bounds_rule_estimator_refuses_real_line_density_exits_4(capsys):
-    code = main(["bounds", "--check", "half-plane", "--dist", "cauchy",
-                 "--params", "mu=0,sigma=1", "--p", "0.5", "--estimator", "rule"])
-    assert code == 4
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "RouteUnavailableError"
-
-
 def test_slln_command(capsys):
     blob = run_json(
         capsys,

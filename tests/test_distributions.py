@@ -31,6 +31,7 @@ from fracmean.distributions import (
     stream_generator,
 )
 from fracmean.principal import np_principal_pow, principal_pow
+from graded_laws import GRADED_LAWS
 
 CAUCHY = Cauchy(0.0, 1.0)
 T3 = ScaledT3(0.0, 1.0)
@@ -292,16 +293,6 @@ def test_in_place_samplers_match_their_expressions(law):
         assert got.tobytes() == want.tobytes()
 
 
-# the corners of the parameter box of criterion 9 (a in [0.4, 2.5],
-# b in [-0.7, 0.7], c in [1.0, 3.1]) with a*c > b**2, and a law near the real
-# axis (D/a = 0.04)
-GRADED_LAWS = [
-    Poincare(0.4, -0.7, 3.1), Poincare(0.4, 0.7, 3.1), Poincare(2.5, -0.7, 1.0),
-    Poincare(2.5, 0.7, 1.0), Poincare(2.5, -0.7, 3.1), Poincare(2.5, 0.7, 3.1),
-    Poincare(2.5, 0.7, 0.2),
-]
-
-
 def _rule_sums(law, f, alpha, levels):
     return [np.sum(w * f(z)) for z, w in (law.nodes(level, alpha) for level in levels)]
 
@@ -316,7 +307,6 @@ def test_poincare_rule_powers_match_closed_beta_powers(law):
     # E[Z**lam] = beta**lam; at alpha = 0 the rule is graded toward z = 0
     z, w = law.nodes(6)
     assert z.tobytes() == law.nodes(6)[0].tobytes() and w.tobytes() == law.nodes(6)[1].tobytes()
-    z, w = law.nodes(7)  # the level the node-rule routes report
     assert abs(np.sum(w * z) - law.gamma_point) <= 1e-12
     for lam in (-0.9, -0.5, 0.3, 1.0, 0.7 + 0.5j, -0.4 - 0.8j):
         coarse, fine = _rule_sums(law, lambda z: np_principal_pow(z, lam), 0j, (6, 7))

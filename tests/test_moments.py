@@ -51,6 +51,7 @@ from fracmean.moments import (
 )
 from fracmean.principal import BranchDomainError, np_principal_pow, principal_pow
 from fracmean.quad import NonConvergenceError, QuadratureConfig
+from graded_laws import GRADED_LAWS
 
 CAUCHY = Cauchy(0.0, 1.0)
 T3 = ScaledT3(0.0, 1.0)
@@ -774,25 +775,16 @@ def test_frac_deriv_node_rule_matches_residue_values(law, alpha, p):
         assert err <= 1e-8 and err <= est.uncertainty, (n, err, est.uncertainty)
 
 
-# the corners of criterion 9's parameter box with a*c > b**2, and a law near
-# the real axis (D/a = 0.04)
-GRADED_LAWS = [
-    Poincare(0.4, -0.7, 3.1), Poincare(0.4, 0.7, 3.1), Poincare(2.5, -0.7, 1.0),
-    Poincare(2.5, 0.7, 1.0), Poincare(2.5, -0.7, 3.1), Poincare(2.5, 0.7, 3.1),
-    Poincare(2.5, 0.7, 0.2),
-]
-
-
 @pytest.mark.parametrize("law", GRADED_LAWS, ids=repr)
 @pytest.mark.parametrize("alpha", [0.5j, 1 + 0.5j])
 def test_frac_deriv_graded_rule_gives_beta_plus_alpha(law, alpha):
     # E f(Z) = f(beta) for f bounded and holomorphic on the upper half plane,
     # so E[M_p] = beta + alpha; the rule is graded toward -alpha, not beta
-    for p in (-0.9, 0.4):
-        est = power_mean_expectation(law, PowerMeanSpec(p=p, n=2, alpha=alpha), Route.FRAC_DERIV)
+    for p, n in ((-0.9, 2), (0.4, 2), (-0.5, 5)):
+        est = power_mean_expectation(law, PowerMeanSpec(p=p, n=n, alpha=alpha), Route.FRAC_DERIV)
         assert est.meta["transform"] == "nodes"
         err = abs(est.value - (law.gamma_point + alpha))
-        assert err <= est.uncertainty, (p, err, est.uncertainty)
+        assert err <= est.uncertainty, (p, n, err, est.uncertainty)
 
 
 @pytest.mark.parametrize("p", [-0.5, 0.4])
@@ -801,6 +793,7 @@ def test_frac_deriv_poincare_level_gap_well_inside_tolerance(p):
     cfg = QuadratureConfig()
     est = power_mean_expectation(POIN, PowerMeanSpec(p=p, n=2, alpha=0.5j), Route.FRAC_DERIV, cfg)
     assert est.meta["level_gap"] <= cfg.rel_tol * abs(est.value) / 4.0
+    assert est.meta["level_gap"] <= 1e-13  # 3.6e-15 at p = -0.5, 2.8e-14 at p = 0.4
 
 
 def test_frac_deriv_ignores_monte_carlo_config():
@@ -898,7 +891,7 @@ def test_every_monte_carlo_caller_gives_the_block_loop_bits_at_any_thread_count(
             "power means": [(e.value, e.uncertainty) for e in _pm_monte_carlo(model, specs, mc)],
             "moment": [(est.value, est.uncertainty)],
         }
-        if not isinstance(model, TwoPoint):  # atomic laws sum their atoms
+        if model.support == "real":  # atomic laws sum their atoms, Poincare its node rule
             mean, stderr = bounds._abs_moment(model, p_abs, mc)
             got["abs moment"] = [(complex(mean), stderr)]
         for name, values in got.items():

@@ -42,6 +42,18 @@ def test_oscillatory_decaying_matches_gamma_times_power():
     assert abs(res.value - want) <= 1e-9
 
 
+def test_mass_near_one_end_survives_a_larger_far_end():
+    # a slow stated decay stretches [1, T] to T ~ 3354: the integrand is
+    # e^-500 at the centre but 1e-60 near T, so a walk from the centre toward
+    # t = 1 meets three negligible terms before the mass at every level past
+    # the first, and must not stop there
+    def g(t):
+        return math.exp(-t / 3.0) + 1e-60 * math.exp(-(((t - 2500.0) / 200.0) ** 2))
+
+    res = integrate_singular_decaying(g, 0.0, 0.01)
+    assert abs(res.value - 3.0) <= 1e-9
+
+
 @pytest.mark.parametrize("s", [-0.9, -0.5, -0.1, 0.0])
 def test_gamma_self_test_grid(s):
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)

@@ -32,7 +32,7 @@ def test_tracer_installs_and_uninstalls_every_wrapped_name():
 def test_tracer_sees_every_monte_carlo_draw_and_reduction():
     # the Monte Carlo callers reach distributions._sample_with and
     # moments._mc_mean through their modules, where the tracer wraps them
-    from fracmean import MCConfig, Poincare, PowerMeanSpec, Route, bounds, power_mean_expectation
+    from fracmean import MCConfig, Poincare, PowerMeanSpec, Route, ScaledT3, bounds, power_mean_expectation
 
     tracing = _load_tracer()
     law, mc = Poincare(1.0, 0.0, 1.0), MCConfig(samples=3 * 4096 + 5, seed=1)
@@ -40,10 +40,12 @@ def test_tracer_sees_every_monte_carlo_draw_and_reduction():
     spans.install()
     try:
         spans.root(0, lambda: power_mean_expectation(law, PowerMeanSpec(p=0.5, n=2), Route.MONTE_CARLO, mc=mc))
-        spans.root(1, lambda: bounds._abs_moment(law, 0.5, mc))
+        # Poincare absolute moments sum a node rule; a real-line law draws
+        spans.root(1, lambda: bounds._abs_moment(ScaledT3(0.0, 1.0), 0.5, mc))
     finally:
         spans.uninstall()
     metrics, _ = tracing.summarize(spans.spans, spans.held_peaks, 1)
-    assert metrics["distributions.sample.poincare.draws"] == 3 * mc.samples  # n = 2, then one per draw
+    assert metrics["distributions.sample.poincare.draws"] == 2 * mc.samples  # n = 2
+    assert metrics["distributions.sample.t3.draws"] == mc.samples
     assert metrics["moments.mc.calls"] == 2
     assert metrics["moments.mc.replications"] == 2 * mc.samples
