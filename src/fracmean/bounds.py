@@ -12,10 +12,13 @@ the weaker divisor cos(p pi) works for |p| < 1/2, and for |p| > 1/2 nothing
 survives: two unit-modulus atoms whose p-th powers are antipodal give
 E[Z**p] = 0 while E[|Z|**p] = 1.
 
-With estimator 'mc', E[|Z|**p] of an upper-half-plane density sums its
-node rule, graded toward the branch point 0 of |z|**p, at two levels (the
-gap plus a few ulps is its uncertainty); a real-line density, whose rule is
-not graded toward 0, falls back to Monte Carlo.  Atoms are summed exactly.
+E[Z**p] is taken by frac_moment's AUTO route, which answers in closed form
+for every built-in law.  E[|Z|**p] is taken by the method the law admits,
+recorded as meta["abs_method"]: 'atoms' sums an atomic law exactly, 'nodes'
+sums the node rule of an upper-half-plane density, graded toward the branch
+point 0 of |z|**p, at two levels (the gap plus a few ulps is its
+uncertainty), and 'mc' draws a real-line density, whose rule is not graded
+toward 0.
 
 Half-plane support is checked on principal arguments.  The upper closure
 {Im z >= 0} is always admissible, but a lower law may not touch the open
@@ -29,14 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from .distributions import (
-    AtomicLaw,
-    MomentExistenceError,
-    SupportError,
-    TwoPoint,
-    stream_generator,
-)
-from .moments import _NODE_LEVEL, MCConfig, Route, closed_moment, frac_moment
+from .distributions import AtomicLaw, SupportError, TwoPoint, stream_generator
+from .moments import _NODE_LEVEL, MCConfig, Route, frac_moment
 from .montecarlo import _block_draws
 # np_principal_pow, principal_log and principal_pow have no caller here:
 # perfbench/tracer.py wraps these names
@@ -78,7 +75,7 @@ def _support_class(model):
     """'upper' or 'lower' in the principal-argument sense, else SupportError."""
     if model.support != "complex":
         return "upper"  # the real line sits inside the upper closure
-    atoms = model.atoms  # only atomic laws have complex support
+    atoms = model.nodes(0)[0]  # only atomic laws have complex support
     on_neg_axis = (atoms.imag == 0.0) & (atoms.real < 0.0)
     if np.all(atoms.imag <= 0.0) and not np.any(on_neg_axis):
         return "lower"
@@ -87,18 +84,20 @@ def _support_class(model):
     )
 
 
-def _abs_moment(model, p, mc):
-    """(E[|Z|**p], uncertainty); exact for atomic laws, from the node rule
-    at two levels for upper-half-plane densities, else by Monte Carlo."""
+def _abs_method(model):
     if isinstance(model, AtomicLaw):
-        model.check_negative_order(0.0, p)
+        return "atoms"
+    return "nodes" if model.support == "upper" else "mc"
+
+
+def _abs_moment(model, p, mc):
+    """(E[|Z|**p], uncertainty) by the law's _abs_method."""
+    model.check_moment(0j, p)
+    method = _abs_method(model)
+    if method == "atoms":
         atoms, weights = model.nodes(0)
         return float(np.sum(weights * np.abs(atoms) ** p)), 0.0
-    if abs(p) >= model.max_moment:
-        raise MomentExistenceError(
-            f"E[|Z|^p] diverges for {type(model).__name__} at |p| >= {model.max_moment:g}"
-        )
-    if model.support == "upper":
+    if method == "nodes":
         coarse, fine = (
             float(np.sum(weights * np.abs(points) ** p))
             for points, weights in (model.nodes(_NODE_LEVEL), model.nodes(_NODE_LEVEL + 1))
@@ -117,20 +116,10 @@ def _abs_moment(model, p, mc):
     return mean.real, stderr
 
 
-def _bound_report(model, p, divisor, estimator, mc, support_declared):
+def _bound_report(model, p, divisor, mc, support_declared):
     mc = mc or MCConfig()
-    if estimator == "closed":
-        val = closed_moment(model, 0.0, complex(p))
-        if val is None:
-            raise ValueError("no closed moment for this law; use estimator='mc'")
-        moment_abs, m_err = abs(val), 0.0
-        if not isinstance(model, AtomicLaw):
-            raise ValueError("closed absolute moments exist for atomic laws only")
-    elif estimator == "mc":
-        est = frac_moment(model, 0.0, complex(p), route=Route.AUTO, mc=mc)
-        moment_abs, m_err = abs(est.value), est.uncertainty
-    else:
-        raise ValueError("estimator must be 'closed' or 'mc'")
+    est = frac_moment(model, 0.0, complex(p), route=Route.AUTO, mc=mc)
+    moment_abs, m_err = abs(est.value), est.uncertainty
     abs_mom, a_err = _abs_moment(model, p, mc)
 
     if divisor <= 0.0:
@@ -150,11 +139,11 @@ def _bound_report(model, p, divisor, estimator, mc, support_declared):
         satisfied=satisfied,
         slack=slack,
         tolerance=tol,
-        meta={"p": p, "estimator": estimator, "support": support_declared},
+        meta={"p": p, "abs_method": _abs_method(model), "support": support_declared},
     )
 
 
-def half_plane_bound_check(model, p, estimator="mc", mc=None, declare_support=None):
+def half_plane_bound_check(model, p, mc=None, declare_support=None):
     """Check E[|Z|**p] <= |E[Z**p]| / cos(p pi/2) for |p| <= 1.
 
     The law must be supported in a closed half plane (principal arguments);
@@ -166,16 +155,16 @@ def half_plane_bound_check(model, p, estimator="mc", mc=None, declare_support=No
         raise ValueError("half-plane bound needs |p| <= 1")
     support = declare_support or _support_class(model)
     divisor = 0.0 if abs(p) == 1.0 else math.cos(p * math.pi / 2.0)
-    return _bound_report(model, p, divisor, estimator, mc, support)
+    return _bound_report(model, p, divisor, mc, support)
 
 
-def general_bound_check(model, p, estimator="mc", mc=None):
+def general_bound_check(model, p, mc=None):
     """Check E[|Z|**p] <= |E[Z**p]| / cos(p pi) for |p| < 1/2 and any
     complex-supported law."""
     if abs(p) >= 0.5:
         raise ValueError("general bound needs |p| < 1/2")
     divisor = math.cos(p * math.pi)
-    return _bound_report(model, p, divisor, estimator, mc, "complex")
+    return _bound_report(model, p, divisor, mc, "complex")
 
 
 def cancelling_pair_law(p):

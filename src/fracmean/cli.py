@@ -151,7 +151,6 @@ def build_parser():
     p_bounds.add_argument("--check", choices=("half-plane", "general"), required=True)
     _add_model(p_bounds)
     p_bounds.add_argument("--p", type=float, required=True)
-    p_bounds.add_argument("--estimator", choices=("mc", "closed"), default="mc")
     _add_common(p_bounds, with_quad=False)
 
     p_slln = sub.add_parser("slln", help="running geometric means against exp(E[log Z])")
@@ -194,7 +193,10 @@ def _parse_grid(text):
             raise ConfigError("grid step must be positive")
         count = int(round((stop - start) / step))
         grid = [round(start + k * step, 12) for k in range(count + 1)]
-        return [p for p in grid if p <= stop + 1e-12]
+        grid = [p for p in grid if p <= stop + 1e-12]
+        if not grid:
+            raise ConfigError(f"grid {text!r} is empty: start lies past stop")
+        return grid
     return [float(x) for x in text.split(",")]
 
 
@@ -376,15 +378,14 @@ def _run_bounds(args):
     model = make_model(args.dist, parse_params(args.params))
     mc = _mc_config(args)
     if args.check == "half-plane":
-        report = half_plane_bound_check(model, args.p, estimator=args.estimator, mc=mc)
+        report = half_plane_bound_check(model, args.p, mc=mc)
     else:
-        report = general_bound_check(model, args.p, estimator=args.estimator, mc=mc)
+        report = general_bound_check(model, args.p, mc=mc)
     config = {
         "command": "bounds",
         "check": args.check,
         "model": model.to_json(),
         "p": args.p,
-        "estimator": args.estimator,
         "seed": args.seed,
         "mc_samples": args.mc_samples,
     }

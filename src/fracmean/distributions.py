@@ -16,10 +16,14 @@ Built-in laws:
 Each class is the one place that knows its family's formulas.  The routes in
 ``moments`` and ``bounds`` ask a law only for these:
 
-* ``support`` ('real', 'upper' or 'complex') and ``max_moment`` (the
-  supremum r with E[|Z|^r] < inf); a density law adds ``decay``, a rate r
+* ``support`` ('real', 'upper' or 'complex', read from the atoms of
+  positive weight of an atomic law); a density law adds ``decay``, a rate r
   with |E[exp(itZ)]| <~ K exp(-r t) (the quadrature routes move the atoms
   of an atomic law onto rays where each decays at its own rate);
+* ``check_moment(alpha, lam)``, which raises MomentExistenceError exactly
+  where E[|Z + alpha|^Re(lam)] = inf: past the tail index of a real-line
+  density (and at Re(lam) <= -1 for real alpha), at a negative order where
+  an atom of positive weight sits at -alpha, and never for Poincare;
 * ``density(z)``, ``char(t)`` = E[exp(itZ)] and ``char_deriv(k, t)`` =
   (-i)^k E[Z^k exp(itZ)], both for t >= 0, and ``sample(streams, out, ws)``,
   which fills ``out`` with draws, part by part from each (generator, count)
@@ -36,10 +40,7 @@ Each class is the one place that knows its family's formulas.  The routes in
   no pole or closed value, so the (seedless) route built on it checks the
   closed forms; the Poincare rule is sinh-graded toward the branch point
   -alpha of (z + alpha)**p, the others ignore alpha;
-* ``name`` (the family tag of the JSON form) and ``to_json()``;
-* of an atomic law, ``check_negative_order(alpha, lam)``, which raises
-  MomentExistenceError where an atom of positive weight sits at -alpha and
-  Re(lam) < 0.
+* ``name`` (the family tag of the JSON form) and ``to_json()``.
 
 Adding a family means writing one class with these methods.  The
 module-level ``density``, ``char_fn`` and ``char_fn_derivative`` check their
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .principal import FRESH, BranchDomainError, np_principal_log, np_principal_pow, principal_pow
+from .principal import FRESH, np_principal_log, np_principal_pow, principal_pow
 from .quad import tanh_sinh_nodes
 
 __all__ = [
@@ -142,13 +143,19 @@ class _RealLineLaw:
             raise SupportError(f"{type(self).__name__} density lives on the real line")
         return self._density(z.real)
 
-    def closed_moment(self, alpha, lam):
-        if lam.real >= self.max_moment:
+    def check_moment(self, alpha, lam):
+        lam = complex(lam)
+        if lam.real >= self.max_moment:  # the tail index
             raise MomentExistenceError(
                 f"E[|Z|^{lam.real:g}] diverges for {type(self).__name__}"
             )
-        if alpha.imag == 0.0 and lam.real <= -1.0:
+        if complex(alpha).imag == 0.0 and lam.real <= -1.0:
             raise MomentExistenceError("negative orders at real alpha need Re(lam) > -1")
+
+    def closed_moment(self, alpha, lam):
+        self.check_moment(alpha, lam)
+        if alpha.imag < 0:  # the branch point -alpha sits in the upper half plane
+            return None
         return self._residue_moment(self.gamma_point + alpha, lam)
 
     def closed_power_mean(self, p, n, alpha):
@@ -256,7 +263,6 @@ class Poincare:
 
     name = "poincare"
     support = "upper"
-    max_moment = math.inf
 
     def __post_init__(self):
         if not (self.a > 0 and self.c > 0 and self.a * self.c - self.b ** 2 > 0):
@@ -298,6 +304,9 @@ class Poincare:
         np.sqrt(x, out=x)
         x *= _per_stream(streams, ws.take("scratch.2", out.size), _normals)
         return _complex_draws(x, -self.b / self.a, out, y)
+
+    def check_moment(self, alpha, lam):
+        pass  # the density vanishes faster than any power at the real axis and at infinity
 
     def closed_moment(self, alpha, lam):
         return principal_pow(self.gamma_point, lam) if alpha == 0 else None
@@ -353,13 +362,13 @@ class Poincare:
 
 class AtomicLaw:
     """A law on finitely many atoms; subclasses provide ``atoms`` and
-    ``weights`` arrays.  Every expectation is an exact weighted sum."""
-
-    max_moment = math.inf
+    ``weights`` arrays.  Every expectation is an exact weighted sum over the
+    atoms of positive weight, ``nodes(0)``: an atom of weight 0 never occurs,
+    and its term 0 * inf would make the sum nan."""
 
     @property
     def support(self):
-        atoms = self.atoms
+        atoms = self.nodes(0)[0]
         if np.all(atoms.imag == 0.0):
             return "real"
         if np.all(atoms.imag >= 0.0):
@@ -370,11 +379,12 @@ class AtomicLaw:
         raise SupportError("discrete law has no density")
 
     def char(self, t):
-        return complex(np.sum(self.weights * np.exp(1j * t * self.atoms)))
+        atoms, weights = self.nodes(0)
+        return complex(np.sum(weights * np.exp(1j * t * atoms)))
 
     def char_deriv(self, k, t):
-        atoms = self.atoms
-        return (-1j) ** k * complex(np.sum(self.weights * atoms ** k * np.exp(1j * t * atoms)))
+        atoms, weights = self.nodes(0)
+        return (-1j) ** k * complex(np.sum(weights * atoms ** k * np.exp(1j * t * atoms)))
 
     def sample(self, streams, out, ws):
         atoms, weights = self.atoms, self.weights
@@ -385,12 +395,11 @@ class AtomicLaw:
         return _per_stream(streams, out, draw)
 
     def closed_moment(self, alpha, lam):
-        self.check_negative_order(alpha, lam)
-        return complex(np.sum(self.weights * np_principal_pow(self.atoms + alpha, lam)))
+        self.check_moment(alpha, lam)
+        atoms, weights = self.nodes(0)
+        return complex(np.sum(weights * np_principal_pow(atoms + alpha, lam)))
 
-    def check_negative_order(self, alpha, lam):
-        """MomentExistenceError when Re(lam) < 0 and an atom of positive
-        weight sits at -alpha, where E[|Z + alpha|^Re(lam)] diverges."""
+    def check_moment(self, alpha, lam):
         if complex(lam).real < 0 and np.any(self.nodes(0)[0] + alpha == 0):
             raise MomentExistenceError(
                 f"E[|Z + alpha|^{complex(lam).real:g}] diverges: an atom of positive weight sits at -alpha"
@@ -438,8 +447,6 @@ class TwoPoint(AtomicLaw):
 
         # exact enumeration over the n-fold product law
         atoms = self.atoms + alpha
-        if p <= 0 and np.any((atoms == 0) & (self.weights > 0)):
-            raise BranchDomainError("power mean of order p <= 0 needs nonzero values")
         total = 0.0 + 0.0j
         for k in range(n + 1):
             weight = math.comb(n, k) * self.w ** k * (1.0 - self.w) ** (n - k)
@@ -478,6 +485,11 @@ class Empirical(AtomicLaw):
         return {"dist": self.name, "params": {"samples": [[z.real, z.imag] for z in self.samples]}}
 
 
+def _point_masses(model):
+    """(points, weights) of an atomic law's atoms of positive weight, else None."""
+    return model.nodes(0) if isinstance(model, AtomicLaw) else None
+
+
 def density(model, point):
     """Probability density at a point of the support.
 
@@ -506,10 +518,7 @@ def char_fn_derivative(model, k, t):
     t = float(t)
     if t < 0:
         raise SupportError("char_fn_derivative is defined on t >= 0")
-    if k >= model.max_moment:
-        raise MomentExistenceError(
-            f"E[|Z|^{k}] does not exist for {type(model).__name__}"
-        )
+    model.check_moment(0j, k)
     return model.char_deriv(k, t)
 
 
@@ -688,9 +697,10 @@ def load_samples_csv(path):
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header[:2]] != ["re", "im"]:
+        if [h.strip() for h in next(reader, [])[:2]] != ["re", "im"]:
             raise ValueError("sample CSV must start with header re,im")
         for row in reader:
+            if len(row) < 2:
+                raise ValueError(f"sample CSV line {reader.line_num} needs two fields re,im")
             out.append(complex(float(row[0]), float(row[1])))
     return out

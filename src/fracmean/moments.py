@@ -26,6 +26,7 @@ from .distributions import (
     MomentExistenceError,
     RouteUnavailableError,
     SupportError,
+    _point_masses,
     char_fn,  # no caller here: perfbench/tracer.py wraps this name
     char_fn_derivative,
 )
@@ -250,10 +251,8 @@ def t3_product_identity(p, k):
 
 def closed_moment(model, alpha, lam):
     """E[(Z + alpha)**lam] in closed form, or None when the family has no
-    closed expression for these arguments.
-
-    Raises MomentExistenceError when the moment itself does not exist.
-    """
+    closed expression for these arguments; the law's check_moment raises
+    MomentExistenceError when the moment itself does not exist."""
     return model.closed_moment(complex(alpha), complex(lam))
 
 
@@ -265,6 +264,27 @@ def _shifted_weighted_char(model, alpha, k, u):
         ezj = 1j ** j * char_fn_derivative(model, j, u)
         total += math.comb(k, j) * alpha ** (k - j) * ezj
     return np.exp(1j * u * alpha) * total
+
+
+# ---------------------------------------------------------------------------
+# domain guards, run first on every route; moments also run check_moment
+
+
+def _check_real_shift(model, alpha, order):
+    """Negative orders of a real-line density at real alpha: no decaying transform."""
+    if order.real < 0 and alpha.imag <= 0 and model.support == "real" and _point_masses(model) is None:
+        raise SupportError("a real-line density needs Im(alpha) > 0 at negative orders")
+
+
+def _check_power_mean(model, spec):
+    """The guard of E[M_p] on every route; it reads only the sign of p and n,
+    so orders of one sign drawn together fail exactly where each fails alone."""
+    p, alpha, atoms = spec.p, spec.alpha, _point_masses(model)
+    if p <= 0 and atoms is not None and np.any(atoms[0] + alpha == 0):
+        raise BranchDomainError("power mean of order p <= 0 needs nonzero values")
+    _check_real_shift(model, alpha, p)
+    if p >= 0:  # |M_p| <= sum |Z_j + alpha| at p > 0; |M_0| = prod |Z_j + alpha|**(1/n)
+        model.check_moment(alpha, 1.0 if p > 0 else 1.0 / spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +320,7 @@ def _fractional_power(h, lam, decay, cfg, phase, amplitude=0.0):
     return scale * res.value, abs(scale) * res.err_estimate, res.evaluations
 
 
-def _rotated_atoms(model, alpha, lam, k):
+def _rotated_atoms(points, weights, alpha, lam, k):
     """(h, decay, amplitude, rounding) for an atomic law, with every atom z of
     Z' = Z + alpha moved onto its steepest-descent ray u = e^{i phi} r,
     phi = pi/2 - arg z, where e^{iuz} = e^{-|z| r}.  Between the two rays
@@ -313,11 +333,9 @@ def _rotated_atoms(model, alpha, lam, k):
     sum of exponentials decaying at the rate min_j |z_j|: no term oscillates.
     Its amplitude sum_j |c_j| bounds |h(u)| e^{u min_j |z_j|}, which terms of
     opposite phase can hide from probes of h."""
-    points, weights = model.nodes(0)
     z = points + alpha
     if np.any(z.imag < 0):
         raise SupportError("shifted atoms must stay in the closed upper half plane")
-    model.check_negative_order(alpha, lam)
     keep = z != 0  # 0**lam = 0 contributes nothing at Re(lam) > 0
     z, weights = z[keep], weights[keep]
     log_z = np_principal_log(z)  # the principal arg, so -x - 0i rotates like -x + 0i
@@ -350,19 +368,16 @@ def _quad_moment(model, alpha, lam, cfg):
             "integer Re(lam) is an ordinary moment; compute it directly "
             "from the transform derivatives instead of the fractional route"
         )
-    if lam.real >= model.max_moment:
-        raise MomentExistenceError(
-            f"E[|Z|^{lam.real:g}] diverges for {type(model).__name__}"
-        )
+    model.check_moment(alpha, lam)
+    _check_real_shift(model, alpha, lam)
     if alpha.imag < 0:
         raise SupportError("alpha must lie in the closed upper half plane")
 
     k = max(math.floor(lam.real), 0)
-    if isinstance(model, AtomicLaw):
-        h, decay, amplitude, rounding = _rotated_atoms(model, alpha, lam, k)
+    atoms = _point_masses(model)
+    if atoms is not None:
+        h, decay, amplitude, rounding = _rotated_atoms(*atoms, alpha, lam, k)
     else:
-        if lam.real < 0 and model.support == "real" and alpha.imag == 0.0:
-            raise SupportError("real-supported law needs Im(alpha) > 0 for Re(lam) < 0")
         h = functools.partial(_shifted_weighted_char, model, alpha, k)
         decay, amplitude, rounding = model.decay + alpha.imag, 0.0, 0.0
 
@@ -373,9 +388,7 @@ def _quad_moment(model, alpha, lam, cfg):
 
 def frac_moment_neg(model, alpha, lam, cfg=None):
     """E[(Z + alpha)**lam] for Re(lam) < 0: the Riemann-Liouville integral
-    of E[exp(iuZ')], Z' = Z + alpha.  Real-supported density laws need
-    Im(alpha) > 0; an atom of positive weight at -alpha makes the moment
-    diverge (MomentExistenceError)."""
+    of E[exp(iuZ')], Z' = Z + alpha."""
     if complex(lam).real >= 0:
         raise ValueError("frac_moment_neg needs Re(lam) < 0")
     return _quad_moment(model, alpha, lam, cfg)
@@ -396,16 +409,13 @@ def frac_moment_pos(model, alpha, lam, cfg=None):
 
 def frac_moment_mc(model, alpha, lam, mc=None):
     """Monte Carlo E[(Z + alpha)**lam] with componentwise standard error
-    combined as sqrt(var_re + var_im) / sqrt(N).  At Re(lam) < 0 an atom of
-    positive weight at -alpha raises MomentExistenceError, and a
-    real-supported density law needs Im(alpha) > 0."""
+    combined as sqrt(var_re + var_im) / sqrt(N), behind the domain guards of
+    the quadrature route: check_moment and _check_real_shift."""
     mc = mc or MCConfig()
     alpha = complex(alpha)
     lam = complex(lam)
-    if isinstance(model, AtomicLaw):
-        model.check_negative_order(alpha, lam)
-    elif lam.real < 0 and model.support == "real" and alpha.imag <= 0.0:
-        raise SupportError("real-supported density law needs Im(alpha) > 0 for Re(lam) < 0")
+    model.check_moment(alpha, lam)
+    _check_real_shift(model, alpha, lam)
 
     def block(first, count):
         draws, _, ws = _block_draws(model, mc, first, count)
@@ -463,15 +473,13 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
     lam = complex(lam)
 
     def closed():
-        if lam == 0:
-            val = closed_moment(model, alpha, 0.0) if isinstance(model, AtomicLaw) else 1.0 + 0.0j
-            return MomentEstimate(val, 0.0, Route.CLOSED, {"trivial_order": True})
-        val = closed_moment(model, alpha, lam)
+        # E[(Z + alpha)**0] = 1 off the atoms at -alpha, where 0**0 = 0
+        val = closed_moment(model, alpha, lam) if lam != 0 or isinstance(model, AtomicLaw) else 1.0 + 0.0j
         if val is None:
             raise RouteUnavailableError(
                 f"no closed form for {type(model).__name__} at alpha={alpha}, lam={lam}"
             )
-        return MomentEstimate(val, 0.0, Route.CLOSED)
+        return MomentEstimate(val, 0.0, Route.CLOSED, {"trivial_order": True} if lam == 0 else {})
 
     steps = [(Route.CLOSED, closed)]
     if lam.real != 0:
@@ -558,8 +566,6 @@ class _NegTransform(_SingleDrawTransform):
         else:
             values = self._set_weighted_powers(model, alpha, p, 0, level)
             self.decay = -float(np.max(values.imag))
-        if self.decay <= 0:
-            raise SupportError("single-draw transform does not decay; check alpha")
 
     def __call__(self, u):
         if self.kernel is not None:
@@ -587,8 +593,6 @@ class _PosTransformDerivs(_SingleDrawTransform):
         else:
             values = self._set_weighted_powers(model, alpha, p, jmax, level)
             self.decay = float(np.min(values.imag))
-        if self.decay <= 0:
-            raise SupportError("single-draw transform does not decay; check alpha")
 
     def g_derivs(self, u):
         """[G^(j)(-u)] for j = 0..jmax; G^(j)(-u) = (-i/n)^j E[W^j e^{i(u/n)W}]."""
@@ -608,8 +612,7 @@ def _pm_frac_deriv(model, spec, cfg):
     Every result that is not CLOSED carries a rounding allowance."""
     p, n, alpha = spec.p, spec.n, spec.alpha
     cfg = cfg or QuadratureConfig()
-    if p <= 0 and isinstance(model, AtomicLaw) and np.any((model.atoms + alpha == 0) & (model.weights > 0)):
-        raise BranchDomainError("power mean of order p <= 0 needs nonzero values")
+    _check_power_mean(model, spec)
     gap = 0.0
     if abs(p) < _P_GEOMETRIC_EPS:
         # geometric mean: E[prod Z_j**(1/n)] = E[Z**(1/n)]**n, no fractional
@@ -643,15 +646,9 @@ def _pm_frac_deriv_at(model, spec, cfg, level):
     p, n, alpha = spec.p, spec.n, spec.alpha
     order = 1.0 / p
     if p < 0:
-        if model.support == "real" and alpha.imag <= 0:
-            raise SupportError("real-supported power means with p < 0 need Im(alpha) > 0")
         h = transform = _NegTransform(model, alpha, p, n, level)
         phase, method = -1j, Route.QUAD_NEG
     else:
-        if model.max_moment <= 1.0:
-            raise MomentExistenceError(
-                f"positive-order power means need Z in L^1; rejected for {type(model).__name__}"
-            )
         if order >= 171:
             raise RouteUnavailableError(f"1/p = {order:g} needs {math.floor(order)}!, past the float range")
         if abs(order - round(order)) < 1e-12:
@@ -663,6 +660,8 @@ def _pm_frac_deriv_at(model, spec, cfg, level):
             return (1, 1j, -1, -1j)[k % 4] * transform.f_deriv_k(u, k)
 
         phase, method = 1j, Route.QUAD_POS
+    if transform.decay <= 0:
+        raise SupportError("single-draw transform does not decay; check alpha")
     value, unc, evals = _fractional_power(h, order, transform.decay, cfg, phase)
     meta = {"route": "frac_deriv", "order": order, "transform": transform.kind}
     meta.update({"evaluations": evals} if evals else {"ordinal": True})
@@ -677,9 +676,9 @@ def _pm_monte_carlo(model, specs, mc):
     n, alpha = specs[0].n, specs[0].alpha
     if any(spec.n != n or spec.alpha != alpha for spec in specs):
         raise ValueError("Monte Carlo power means drawn together need one n and one alpha")
+    for spec in specs:
+        _check_power_mean(model, spec)
     ps = [spec.p for spec in specs]
-    if min(ps) < 0 and model.support == "real" and alpha.imag <= 0:
-        raise SupportError("real-supported power means with p < 0 need Im(alpha) > 0")
 
     def block(first, count):
         draws, rows, ws = _block_draws(model, mc, first, count, n, len(ps))
@@ -701,10 +700,10 @@ def _pm_monte_carlo(model, specs, mc):
 def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
     """E[((1/n) sum_j (Z_j + alpha)**p)**(1/p)] by the requested route.
 
-    Route CLOSED covers the families with explicit formulas (and exact
-    enumeration for two-point laws); FRAC_DERIV applies the fractional
-    operators to the n-th power of the single-draw transform, deterministically
-    (it takes no mc); MONTE_CARLO
+    Every route runs _check_power_mean first.  CLOSED covers the families
+    with explicit formulas (and exact enumeration for two-point laws);
+    FRAC_DERIV applies the fractional operators to the n-th power of the
+    single-draw transform, deterministically (it takes no mc); MONTE_CARLO
     averages power means over replications of n fresh draws.
     """
     if not isinstance(spec, PowerMeanSpec):
@@ -713,6 +712,7 @@ def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
         raise RouteUnavailableError("|p| > 1 exploration is Monte Carlo only")
 
     def closed():
+        _check_power_mean(model, spec)
         val = model.closed_power_mean(spec.p, spec.n, spec.alpha)
         return MomentEstimate(val, 0.0, Route.CLOSED, {"n": spec.n, "p": spec.p})
 
@@ -783,10 +783,9 @@ def continuity_scan(model, alpha, n, p_grid, route=Route.AUTO, cfg=None, mc=None
 
     Every row is the estimate power_mean_expectation returns for its p
     alone at mc's seed.  On route MONTE_CARLO the orders of one sign share
-    one call, and so one pass over the draws (common random numbers); the
-    guards against negative and zero orders differ by sign only, so a group
-    fails exactly where its points would fail alone.  Per-point failures are
-    recorded and the scan continues."""
+    one call, and so one pass over the draws (common random numbers), which
+    fails exactly where its points would fail alone (_check_power_mean).
+    Per-point failures are recorded and the scan continues."""
     mc = mc or MCConfig()
     ps = [float(p) for p in p_grid]
     specs = [PowerMeanSpec(p=p, n=n, alpha=alpha, exploratory=exploratory) for p in ps]

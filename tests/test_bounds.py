@@ -34,7 +34,7 @@ T3 = ScaledT3(0.0, 1.0)
 def test_tight_two_point_case_has_zero_slack():
     law = TwoPoint(1.0, -1.0, 0.5)
     for p in (0.25, 0.5, 0.75):
-        rep = half_plane_bound_check(law, p, estimator="closed")
+        rep = half_plane_bound_check(law, p)
         assert abs(rep.abs_moment - 1.0) < 1e-15
         assert abs(rep.moment_abs - math.cos(p * math.pi / 2.0)) < 1e-15
         assert rep.satisfied
@@ -44,7 +44,7 @@ def test_tight_two_point_case_has_zero_slack():
 def test_point_mass_at_i_moments_agree():
     law = TwoPoint(1j, 1j, 0.5)
     for p in (-0.8, -0.3, 0.4, 0.9):
-        rep = half_plane_bound_check(law, p, estimator="closed")
+        rep = half_plane_bound_check(law, p)
         assert abs(rep.moment_abs - 1.0) < 1e-14
         assert abs(rep.abs_moment - 1.0) < 1e-14
         assert rep.satisfied
@@ -53,21 +53,28 @@ def test_point_mass_at_i_moments_agree():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_atom_absolute_moments():
     # an atom of weight 0 at 0 is no atom: the law is the point mass at i
-    rep = half_plane_bound_check(TwoPoint(0j, 1j, 0.0), -0.5, estimator="closed")
+    rep = half_plane_bound_check(TwoPoint(0j, 1j, 0.0), -0.5)
     assert rep.abs_moment == 1.0 and rep.satisfied
     # with positive weight there, E|Z|^-0.5 diverges
     with pytest.raises(MomentExistenceError):
         _abs_moment(TwoPoint(0j, 1j, 0.5), -0.5, MCConfig())
     with pytest.raises(MomentExistenceError):
-        half_plane_bound_check(TwoPoint(0j, 1j, 0.5), -0.5, estimator="closed")
+        half_plane_bound_check(TwoPoint(0j, 1j, 0.5), -0.5)
     assert _abs_moment(TwoPoint(0j, 1j, 0.5), 0.5, MCConfig()) == (0.5, 0.0)
 
 
+def test_support_reads_atoms_of_positive_weight_only():
+    assert TwoPoint(-1j, 1j, 0.0).support == "upper"  # the point mass at i
+    rep = half_plane_bound_check(TwoPoint(1j, -1j, 0.0), 0.5)  # the point mass at -i
+    assert rep.meta["support"] == "lower" and rep.satisfied
+    assert abs(rep.abs_moment - 1.0) < 1e-15 and abs(rep.moment_abs - 1.0) < 1e-15
+
+
 def test_poincare_half_plane_bound_mc():
-    rep = half_plane_bound_check(POIN, 0.5, estimator="mc", mc=MCConfig(samples=100_000, seed=5))
+    rep = half_plane_bound_check(POIN, 0.5, mc=MCConfig(samples=100_000, seed=5))
     assert abs(rep.moment_abs - 1.0) < 1e-12  # |i**0.5| via the closed moment
     assert rep.satisfied
-    assert rep.meta["estimator"] == "mc"
+    assert rep.meta["abs_method"] == "nodes"
 
 
 def test_abs_moment_memory_bounded_in_blocks(monkeypatch):
@@ -115,12 +122,12 @@ def test_upper_half_plane_abs_moment_draws_nothing(monkeypatch):
         raise AssertionError("E[|Z|^p] of an upper-half-plane density ran Monte Carlo")
 
     monkeypatch.setattr(moments, "_mc_mean", refuse)
-    rep = half_plane_bound_check(POIN, -0.5, estimator="mc")
+    rep = half_plane_bound_check(POIN, -0.5)
     assert rep.satisfied and rep.tolerance < 1e-8
 
 
 def test_unit_p_is_vacuous_but_reported():
-    rep = half_plane_bound_check(POIN, 1.0, estimator="mc", mc=MCConfig(samples=50_000, seed=6))
+    rep = half_plane_bound_check(POIN, 1.0, mc=MCConfig(samples=50_000, seed=6))
     assert rep.bound == math.inf
     assert rep.satisfied
 
@@ -135,17 +142,17 @@ def test_cancelling_pair_reproduces_zero_moment():
 def test_cancelling_pair_breaks_bound_outside_hypotheses():
     law = cancelling_pair_law(0.75)
     with pytest.raises(SupportError):
-        half_plane_bound_check(law, 0.75, estimator="closed")
-    rep = half_plane_bound_check(law, 0.75, estimator="closed", declare_support="lower")
+        half_plane_bound_check(law, 0.75)
+    rep = half_plane_bound_check(law, 0.75, declare_support="lower")
     assert not rep.satisfied
     assert rep.abs_moment == 1.0
     assert rep.bound <= 1e-14
 
 
 def test_general_bound_point_mass_and_two_point():
-    rep = general_bound_check(TwoPoint(1.0, 1.0, 0.5), 0.25, estimator="closed")
+    rep = general_bound_check(TwoPoint(1.0, 1.0, 0.5), 0.25)
     assert rep.satisfied and abs(rep.abs_moment - 1.0) < 1e-15
-    rep = general_bound_check(TwoPoint(1.0, -1.0, 0.5), 0.25, estimator="closed")
+    rep = general_bound_check(TwoPoint(1.0, -1.0, 0.5), 0.25)
     # bound = cos(p pi/2)/cos(p pi) = 0.9239/0.7071 > 1
     assert rep.satisfied
     assert abs(rep.bound - math.cos(0.25 * math.pi / 2.0) / math.cos(0.25 * math.pi)) < 1e-14
@@ -174,8 +181,7 @@ def test_random_half_plane_laws_smoke():
                 float(rng.uniform(0.0, 1.0)),
             )
         p = float(rng.uniform(-1.0, 1.0))
-        estimator = "mc" if isinstance(law, Poincare) else "closed"
-        rep = half_plane_bound_check(law, p, estimator=estimator, mc=MCConfig(samples=20_000, seed=trial))
+        rep = half_plane_bound_check(law, p, mc=MCConfig(samples=20_000, seed=trial))
         assert rep.satisfied, (law, p, rep)
 
 
@@ -186,7 +192,7 @@ def test_random_general_laws_any_atoms():
         z2 = complex(rng.normal(), rng.normal()) or -1j
         law = TwoPoint(z1, z2, float(rng.uniform(0.0, 1.0)))
         p = float(rng.uniform(-0.45, 0.45))
-        rep = general_bound_check(law, p, estimator="closed")
+        rep = general_bound_check(law, p)
         assert rep.satisfied, (law, p, rep)
 
 

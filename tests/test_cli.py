@@ -130,7 +130,7 @@ def test_bounds_command(capsys):
     blob = run_json(
         capsys,
         ["bounds", "--check", "half-plane", "--dist", "twopoint",
-         "--params", "z1=1+0i,z2=-1+0i,w=0.5", "--p", "0.5", "--estimator", "closed"],
+         "--params", "z1=1+0i,z2=-1+0i,w=0.5", "--p", "0.5"],
     )
     assert blob["result"]["satisfied"] is True
     assert abs(blob["result"]["slack"]) < 1e-12
@@ -208,6 +208,30 @@ def test_zero_atom_at_negative_order_exits_4(capsys, route):
                  "--lambda", "-0.5+0i", "--route", route, "--mc-samples", "2000"])
     assert code == 4
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "MomentExistenceError"
+
+
+def test_monte_carlo_moment_that_does_not_exist_exits_4(capsys):
+    code = main(["moment", "--dist", "cauchy", "--params", "mu=0,sigma=1", "--alpha", "0+1i",
+                 "--lambda", "1.5+0i", "--route", "mc", "--mc-samples", "1000"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "MomentExistenceError"
+
+
+@pytest.mark.parametrize("text", ["", "re,im\n1.0,0.5\n2.0\n"], ids=["empty", "one-field-row"])
+def test_malformed_samples_csv_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "samples.csv"
+    path.write_text(text)
+    code = main(["moment", "--dist", "empirical", "--params", f"file={path}", "--alpha", "0+1i",
+                 "--lambda", "0.5+0i", "--route", "closed"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
+
+def test_empty_p_grid_exits_2(capsys):
+    code = main(["scan", "--dist", "poincare", "--params", "a=1,b=0,c=1", "--p-grid", "0.5:-0.5:0.1",
+                 "--n", "2", "--mc-samples", "1000"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
 
 
 def test_exit_code_nonconvergence(capsys):

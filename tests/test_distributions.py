@@ -340,6 +340,15 @@ def test_two_point_and_empirical_samplers():
     assert set(np.unique(draws)) <= {1 + 1j, 2.0 + 0j, 3j}
 
 
+def test_atoms_of_weight_zero_enter_no_sum():
+    # the point mass at i; the weight-0 atom's terms would be 0 * inf
+    law = TwoPoint(1e-200 + 0j, 1j, 0.0)
+    assert law.closed_moment(0j, -2.0) == principal_pow(1j, -2.0)
+    law = TwoPoint(-1000j, 1j, 0.0)
+    assert abs(law.char(1.0) - math.exp(-1.0)) <= 1e-16
+    assert abs(law.char_deriv(1, 1.0) - math.exp(-1.0)) <= 1e-16
+
+
 def test_model_support_classes():
     assert CAUCHY.support == "real"
     assert POIN.support == "upper"

@@ -136,6 +136,15 @@ def test_closed_moments():
     assert abs(closed_moment(tp, 0.0, 0.3) - want) < 1e-15
 
 
+def test_residue_moment_of_a_real_line_law_needs_alpha_in_the_closed_upper_half_plane():
+    # (z - 0.5i)**0.5 has its branch point in the upper half plane, so the
+    # residue at gamma does not give the moment; mpmath: 0.866025 - 0.866025i
+    assert closed_moment(CAUCHY, -0.5j, 0.5) is None
+    est = frac_moment(CAUCHY, -0.5j, 0.5, mc=MCConfig(samples=100_000, seed=2))
+    assert est.method is Route.MONTE_CARLO
+    assert abs(est.value - 0.866025403571204 * (1 - 1j)) <= 4.0 * est.uncertainty
+
+
 def test_closed_moment_existence_guards():
     with pytest.raises(MomentExistenceError):
         closed_moment(CAUCHY, 1j, 1.0)
@@ -481,8 +490,10 @@ def test_closed_cauchy_power_mean_invariance():
         for n in (2, 3, 5):
             est = power_mean_expectation(CAUCHY, PowerMeanSpec(p=p, n=n, alpha=1j), Route.CLOSED)
             assert est.value == 2j
-    with pytest.raises(RouteUnavailableError):
+    with pytest.raises(MomentExistenceError):  # E|M_p| diverges at p > 0
         power_mean_expectation(CAUCHY, PowerMeanSpec(p=0.5, n=2, alpha=1j), Route.CLOSED)
+    with pytest.raises(RouteUnavailableError):
+        power_mean_expectation(T3, PowerMeanSpec(p=0.5, n=2, alpha=1j), Route.CLOSED)
 
 
 def test_closed_poincare_power_mean_invariance():
@@ -874,6 +885,8 @@ def test_every_monte_carlo_caller_gives_the_block_loop_bits_at_any_thread_count(
     span = montecarlo._GROUP_ROWS // batch
     mc = MCConfig(samples=(2 * span + span // 2) * batch + 17, seed=11, batch=batch)
     ps, n, lam, p_abs = (-0.5, 0.0, 0.5), 3, complex(0.4, 0.3), 0.7
+    if model is CAUCHY:
+        ps = ps[:2]  # no expectation at p > 0
     specs = [PowerMeanSpec(p=p, n=n, alpha=alpha) for p in ps]
 
     def power_means(draws, size):
@@ -971,6 +984,70 @@ def test_shared_draws_need_one_n_and_one_alpha():
         _pm_monte_carlo(POIN, [PowerMeanSpec(p=0.5, n=2), PowerMeanSpec(p=0.5, n=2, alpha=1j)], mc)
 
 
+# (law, alpha, order, n, the guard's exception): a moment E[(Z + alpha)**order]
+# where n is None, else the power mean of that order over n draws
+DOMAIN_TABLE = [
+    (CAUCHY, 1j, 1.5, None, MomentExistenceError),  # no E|Z|^1.5
+    (T3, 1j, 3.5, None, MomentExistenceError),  # tail index 3
+    (CAUCHY, 0j, -1.5, None, MomentExistenceError),  # the density at 0 makes it diverge
+    (CAUCHY, 0j, -0.5, None, SupportError),  # exists, but quadrature and Monte Carlo refuse
+    (TwoPoint(0j, 1j, 0.5), 0j, -0.5, None, MomentExistenceError),
+    (CAUCHY, 1j, 0.5, 2, MomentExistenceError),  # no mean, so no expectation at p > 0
+    (CAUCHY, 1j, 0.0, 1, MomentExistenceError),  # the geometric mean of one draw is Z + i
+    (CAUCHY, 0j, -0.5, 2, SupportError),
+    (T3, 0.7, -0.5, 2, SupportError),
+    (TwoPoint(0j, 1 + 1j, 0.5), 0j, -0.5, 2, BranchDomainError),
+    (TwoPoint(0j, 1 + 1j, 0.5), 0j, 0.0, 2, BranchDomainError),
+]
+
+
+@pytest.mark.parametrize(
+    "law, alpha, order, n, guard",
+    DOMAIN_TABLE,
+    ids=[f"{law.name} alpha={alpha} {'lam' if n is None else f'n={n} p'}={order}" for law, alpha, order, n, _ in DOMAIN_TABLE],
+)
+def test_every_route_that_refuses_raises_the_guards_exception(law, alpha, order, n, guard):
+    mc = MCConfig(samples=2000, seed=3)
+    if n is None:
+        quad = Route.QUAD_NEG if order < 0 else Route.QUAD_POS
+        calls = {route: lambda route=route: frac_moment(law, alpha, order, route, mc=mc)
+                 for route in (Route.CLOSED, quad, Route.MONTE_CARLO)}
+    else:
+        spec = PowerMeanSpec(p=order, n=n, alpha=alpha)
+        calls = {route: lambda route=route: power_mean_expectation(law, spec, route, mc=mc)
+                 for route in (Route.CLOSED, Route.FRAC_DERIV, Route.MONTE_CARLO)}
+    for route, call in calls.items():
+        try:
+            call()
+        except Exception as exc:
+            assert isinstance(exc, guard), (route, exc)
+        else:
+            assert route is not Route.MONTE_CARLO, "Monte Carlo answered outside the domain"
+
+
+def test_real_atoms_at_negative_order_reach_monte_carlo_under_auto():
+    law = Empirical((1.0, 2.0, 3.0))
+    est = power_mean_expectation(law, PowerMeanSpec(p=-0.5, n=2), Route.AUTO, mc=MCConfig(samples=20_000, seed=5))
+    assert est.method is Route.MONTE_CARLO
+    want = np.mean([power_mean([a, b], -0.5) for a in law.samples for b in law.samples])
+    assert abs(est.value - want) <= 4.0 * est.uncertainty
+
+
+def test_real_two_point_law_at_negative_order_on_monte_carlo():
+    law, spec = TwoPoint(2.0, 1.0, 0.5), PowerMeanSpec(p=-0.5, n=2)
+    closed = power_mean_expectation(law, spec, Route.CLOSED)
+    est = power_mean_expectation(law, spec, Route.MONTE_CARLO, mc=MCConfig(samples=20_000, seed=6))
+    assert abs(est.value - closed.value) <= 4.0 * est.uncertainty
+
+
+@pytest.mark.parametrize("law", [CAUCHY, T3])
+@pytest.mark.parametrize("alpha", [0j, 0.7 + 0j, -1.5 + 0j])
+def test_fractional_derivative_refuses_a_real_density_at_real_alpha_without_the_guard(law, alpha):
+    # the transform of (Z + alpha)**p does not decay there
+    with pytest.raises(SupportError):
+        moments._pm_frac_deriv_at(law, PowerMeanSpec(p=-0.5, n=2, alpha=alpha), QuadratureConfig(), _NODE_LEVEL)
+
+
 @pytest.mark.parametrize("p", [-0.5, 0.0])
 @pytest.mark.parametrize("route", [Route.CLOSED, Route.FRAC_DERIV, Route.MONTE_CARLO, Route.AUTO])
 def test_power_mean_with_zero_value_and_p_nonpositive_raises_on_every_route(p, route):
@@ -1042,8 +1119,8 @@ def test_continuity_scan_point_mass_idempotent():
 
 
 def test_continuity_scan_records_errors_and_continues():
-    grid = [-0.5, 0.5]  # positive p unavailable on the closed Cauchy route
-    table = continuity_scan(CAUCHY, 1j, 2, grid, Route.CLOSED)
+    grid = [-0.5, 0.5]  # positive p unavailable on the closed t3 route
+    table = continuity_scan(T3, 1j, 2, grid, Route.CLOSED)
     assert table.rows[0].estimate is not None
     assert table.rows[1].estimate is None and "Route" in table.rows[1].error
 
@@ -1065,20 +1142,22 @@ def test_scan_rows_equal_single_calls_at_the_scan_seed(route, alpha, grid):
 
 
 @pytest.mark.parametrize(
-    "model,failing,error",
+    "model,error_at",
     [
-        (TwoPoint(0j, 1 + 1j, 0.5), lambda p: p <= 0, BranchDomainError),  # zero draws
-        (CAUCHY, lambda p: p < 0, SupportError),  # real support at real alpha
+        (TwoPoint(0j, 1 + 1j, 0.5), lambda p: BranchDomainError if p <= 0 else None),  # zero draws
+        # real support at real alpha; no mean, so no expectation at p > 0
+        (CAUCHY, lambda p: SupportError if p < 0 else MomentExistenceError if p > 0 else None),
     ],
     ids=["twopoint-zero-atom", "cauchy-real-alpha"],
 )
-def test_mixed_sign_monte_carlo_scan_fails_only_where_single_calls_fail(model, failing, error):
+def test_mixed_sign_monte_carlo_scan_fails_only_where_single_calls_fail(model, error_at):
     mc = MCConfig(samples=3000, seed=4)
     grid = [-0.8, -0.2, 0.0, 0.4, 1.0]
     table = continuity_scan(model, 0j, 2, grid, Route.MONTE_CARLO, mc=mc)
     for row, p in zip(table.rows, grid):
         spec = PowerMeanSpec(p=p, n=2)
-        if failing(p):
+        error = error_at(p)
+        if error:
             with pytest.raises(error) as exc:
                 power_mean_expectation(model, spec, Route.MONTE_CARLO, mc=mc)
             assert row.estimate is None and row.error == f"{error.__name__}: {exc.value}"
