@@ -31,8 +31,7 @@ for title, model, alpha, lams in cases:
     print(f"  {'lambda':>12} {'closed':>24} {'quadrature':>24} {'|quad-closed|':>14} {'mc dev / se':>12}")
     for lam in lams:
         closed = frac_moment(model, alpha, lam, Route.CLOSED)
-        quad_route = Route.QUAD_NEG if complex(lam).real < 0 else Route.QUAD_POS
-        quad = frac_moment(model, alpha, lam, quad_route)
+        quad = frac_moment(model, alpha, lam, Route.QUAD)
         sampled = frac_moment_mc(model, alpha, lam, mc)
         gap = abs(quad.value - closed.value)
         pull = abs(sampled.value - closed.value) / sampled.uncertainty

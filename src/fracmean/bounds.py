@@ -18,7 +18,7 @@ recorded as meta["abs_method"]: 'atoms' sums an atomic law exactly, 'nodes'
 sums the node rule of an upper-half-plane density, graded toward the branch
 point 0 of |z|**p, at two levels (the gap plus a few ulps is its
 uncertainty), and 'mc' draws a real-line density, whose rule is not graded
-toward 0.
+toward 0, and refuses where E[|Z|**(2p)] diverges.
 
 Half-plane support is checked on principal arguments.  The upper closure
 {Im z >= 0} is always admissible, but a lower law may not touch the open
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from .distributions import AtomicLaw, SupportError, TwoPoint, stream_generator
+from .distributions import AtomicLaw, MomentExistenceError, RouteUnavailableError, SupportError, TwoPoint, stream_generator
 from .moments import _NODE_LEVEL, MCConfig, Route, frac_moment
 from .montecarlo import _block_draws
 # np_principal_pow, principal_log and principal_pow have no caller here:
@@ -104,6 +104,10 @@ def _abs_moment(model, p, mc):
         )
         # the ulps cover rounding, where the gap between levels can be exactly 0
         return fine, abs(fine - coarse) + 16.0 * math.ulp(fine)
+    try:  # a standard error needs a finite variance of |Z|**p
+        model.check_moment(0j, 2 * p)
+    except MomentExistenceError as exc:
+        raise RouteUnavailableError(f"no Monte Carlo standard error without E[|Z|^{2 * p:g}]: {exc}") from exc
 
     def block(first, count):
         draws, _, ws = _block_draws(model, mc, first, count)

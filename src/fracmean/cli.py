@@ -165,18 +165,9 @@ def build_parser():
     return parser
 
 
-def _route_for_moment(name, lam):
-    if name == "closed":
-        return Route.CLOSED
-    if name == "mc":
-        return Route.MONTE_CARLO
-    if name == "auto":
-        return Route.AUTO
-    return Route.QUAD_NEG if lam.real < 0 else Route.QUAD_POS
-
-
-_PM_ROUTES = {
+_ROUTES = {
     "closed": Route.CLOSED,
+    "quad": Route.QUAD,
     "fracderiv": Route.FRAC_DERIV,
     "mc": Route.MONTE_CARLO,
     "auto": Route.AUTO,
@@ -251,9 +242,7 @@ def _run_moment(args):
     model = make_model(args.dist, parse_params(args.params))
     alpha = parse_complex(args.alpha)
     lam = parse_complex(args.lam)
-    est = frac_moment(
-        model, alpha, lam, _route_for_moment(args.route, lam), _quad_config(args), _mc_config(args)
-    )
+    est = frac_moment(model, alpha, lam, _ROUTES[args.route], _quad_config(args), _mc_config(args))
     config = {
         "command": "moment",
         "model": model.to_json(),
@@ -284,7 +273,7 @@ def _run_powermean(args):
     model = make_model(args.dist, parse_params(args.params))
     alpha = parse_complex(args.alpha)
     spec = PowerMeanSpec(p=args.p, n=args.n, alpha=alpha)
-    est = power_mean_expectation(model, spec, _PM_ROUTES[args.route], _quad_config(args), _mc_config(args))
+    est = power_mean_expectation(model, spec, _ROUTES[args.route], _quad_config(args), _mc_config(args))
     config = {
         "command": "powermean",
         "model": model.to_json(),
@@ -315,7 +304,7 @@ def _run_scan(args):
         alpha,
         args.n,
         grid,
-        _PM_ROUTES[args.route],
+        _ROUTES[args.route],
         _quad_config(args),
         _mc_config(args),
         exploratory=args.exploratory,
@@ -352,8 +341,7 @@ def _run_characterize(args):
     value = parse_complex(args.value)
     points = tuple(parse_complex(x) for x in args.points.split(","))
     mode = FixAlpha(value, points) if args.fix == "alpha" else FixLambda(value, points)
-    route = _route_for_moment(args.route, points[0] if args.fix == "alpha" else value)
-    report = distinguish(model_a, model_b, mode, route, _quad_config(args), _mc_config(args))
+    report = distinguish(model_a, model_b, mode, _ROUTES[args.route], _quad_config(args), _mc_config(args))
     config = {
         "command": "characterize.distinguish",
         "model_a": model_a.to_json(),
@@ -422,8 +410,9 @@ def _run_verify(args):
         ids = {int(x) for x in args.criteria.split(",")}
     include_det = args.suite == "all" if ids is None else (14 in ids)
     results, passed = verify_mod.run_suite(seed=args.seed, ids=ids, include_determinism=include_det)
+    status_out = sys.stderr if args.format == "csv" and not args.output else sys.stdout  # keep stdout CSV
     for line in verify_mod.format_lines(results):
-        print(line)
+        print(line, file=status_out)
     config = {"command": "verify", "suite": args.suite, "seed": args.seed}
     result_json = {"passed": passed, "criteria": [r.to_json() for r in results]}
     if args.output or args.format == "csv":

@@ -73,11 +73,15 @@ __all__ = [
 
 
 class Route(enum.Enum):
+    """A route, and the method of every estimate it makes: QUAD (moments) and
+    FRAC_DERIV (power means) run the fractional operators, Riemann-Liouville
+    at negative orders and Marchaud at positive ones; AUTO takes the first
+    route that answers and is never a method."""
+
     CLOSED = "closed"
-    QUAD_NEG = "quad_neg"
-    QUAD_POS = "quad_pos"
+    QUAD = "quad"
+    FRAC_DERIV = "frac_deriv"
     MONTE_CARLO = "mc"
-    FRAC_DERIV = "frac_deriv"  # power-mean route through the fractional operators
     AUTO = "auto"
 
 
@@ -383,7 +387,7 @@ def _quad_moment(model, alpha, lam, cfg):
 
     value, unc, evals = _fractional_power(h, lam, decay, cfg, 1j, amplitude)
     meta = {"evaluations": evals, "k": k, "decay": decay, "quad": _cfg_meta(cfg)}
-    return MomentEstimate(value, unc + rounding, Route.QUAD_NEG if lam.real < 0 else Route.QUAD_POS, meta)
+    return MomentEstimate(value, unc + rounding, Route.QUAD, meta)
 
 
 def frac_moment_neg(model, alpha, lam, cfg=None):
@@ -483,8 +487,7 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
 
     steps = [(Route.CLOSED, closed)]
     if lam.real != 0:
-        quad = Route.QUAD_NEG if lam.real < 0 else Route.QUAD_POS
-        steps.append((quad, lambda: _quad_moment(model, alpha, lam, cfg)))
+        steps.append((Route.QUAD, lambda: _quad_moment(model, alpha, lam, cfg)))
     steps.append((Route.MONTE_CARLO, lambda: frac_moment_mc(model, alpha, lam, mc)))
     return _first_route(route, steps)
 
@@ -614,18 +617,18 @@ def _pm_frac_deriv(model, spec, cfg):
     cfg = cfg or QuadratureConfig()
     _check_power_mean(model, spec)
     gap = 0.0
-    if abs(p) < _P_GEOMETRIC_EPS:
+    if abs(p) < _P_GEOMETRIC_EPS and n == 1:  # the geometric mean of one draw is E[Z + alpha]
+        value = complex(_shifted_weighted_char(model, alpha, 1, 0.0))
+        est = MomentEstimate(value, 0.0, Route.FRAC_DERIV, {"geometric": True})
+    elif abs(p) < _P_GEOMETRIC_EPS:
         # geometric mean: E[prod Z_j**(1/n)] = E[Z**(1/n)]**n, no fractional
         # operator at p itself
-        if n == 1:
-            val = complex(_shifted_weighted_char(model, alpha, 1, 0.0))
-            return MomentEstimate(val, 0.0, Route.CLOSED, {"route": "frac_deriv", "geometric": True})
         inner = frac_moment_pos(model, alpha, 1.0 / n, cfg)
         value = principal_pow(inner.value, float(n))
         unc = n * abs(inner.value) ** (n - 1) * inner.uncertainty
         meta = dict(inner.meta)
-        meta.update({"route": "frac_deriv", "geometric": True, "n": n})
-        est = MomentEstimate(value, unc, Route.QUAD_POS, meta)
+        meta.update({"geometric": True, "n": n})
+        est = MomentEstimate(value, unc, Route.FRAC_DERIV, meta)
     else:
         est = _pm_frac_deriv_at(model, spec, cfg, _NODE_LEVEL)
         if est.meta["transform"] == "nodes":
@@ -647,7 +650,6 @@ def _pm_frac_deriv_at(model, spec, cfg, level):
     order = 1.0 / p
     if p < 0:
         h = transform = _NegTransform(model, alpha, p, n, level)
-        phase, method = -1j, Route.QUAD_NEG
     else:
         if order >= 171:
             raise RouteUnavailableError(f"1/p = {order:g} needs {math.floor(order)}!, past the float range")
@@ -659,13 +661,13 @@ def _pm_frac_deriv_at(model, spec, cfg, level):
         def h(u):  # i**k F^(k)(-u) = E[S**k exp(iuS)], exactly
             return (1, 1j, -1, -1j)[k % 4] * transform.f_deriv_k(u, k)
 
-        phase, method = 1j, Route.QUAD_POS
     if transform.decay <= 0:
         raise SupportError("single-draw transform does not decay; check alpha")
-    value, unc, evals = _fractional_power(h, order, transform.decay, cfg, phase)
-    meta = {"route": "frac_deriv", "order": order, "transform": transform.kind}
+    # S lies in the lower half plane at p < 0, in the upper one at p > 0
+    value, unc, evals = _fractional_power(h, order, transform.decay, cfg, -1j if p < 0 else 1j)
+    meta = {"order": order, "transform": transform.kind}
     meta.update({"evaluations": evals} if evals else {"ordinal": True})
-    return MomentEstimate(value, unc, method, meta)
+    return MomentEstimate(value, unc, Route.FRAC_DERIV, meta)
 
 
 def _pm_monte_carlo(model, specs, mc):
@@ -700,11 +702,12 @@ def _pm_monte_carlo(model, specs, mc):
 def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
     """E[((1/n) sum_j (Z_j + alpha)**p)**(1/p)] by the requested route.
 
-    Every route runs _check_power_mean first.  CLOSED covers the families
-    with explicit formulas (and exact enumeration for two-point laws);
-    FRAC_DERIV applies the fractional operators to the n-th power of the
-    single-draw transform, deterministically (it takes no mc); MONTE_CARLO
-    averages power means over replications of n fresh draws.
+    Every route runs _check_power_mean first, and the estimate's method is
+    the route that ran.  CLOSED covers the families with explicit formulas
+    (and exact enumeration for two-point laws); FRAC_DERIV applies the
+    fractional operators to the n-th power of the single-draw transform,
+    deterministically (it takes no mc), also at p = 0 and n = 1;
+    MONTE_CARLO averages power means over replications of n fresh draws.
     """
     if not isinstance(spec, PowerMeanSpec):
         raise TypeError("spec must be a PowerMeanSpec")

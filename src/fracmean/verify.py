@@ -489,11 +489,13 @@ def _slln(seed):
 
 
 def run_suite(seed=7, ids=None, include_determinism=True):
-    """Run the acceptance criteria; returns (results, all_passed)."""
+    """Run the acceptance criteria; returns (results, all_passed).  ids, when
+    given, must name known criteria and at least one of 1-13 (14 repeats them)."""
+    selected = [crit for crit in CRITERIA if ids is None or crit[0] in ids]
+    if ids is not None and (set(ids) - {cid for cid, _, _ in CRITERIA} - {14} or not selected):
+        raise ValueError(f"criteria {sorted(ids)}: choose from 1-{len(CRITERIA)} and 14, at least one below 14")
     results = []
-    for cid, name, fn in CRITERIA:
-        if ids is not None and cid not in ids:
-            continue
+    for cid, name, fn in selected:
         start = time.perf_counter()
         checks = fn(seed)
         res = CriterionResult(cid, name, checks, wall_ms=1000.0 * (time.perf_counter() - start))
@@ -501,12 +503,7 @@ def run_suite(seed=7, ids=None, include_determinism=True):
     if include_determinism and (ids is None or 14 in ids):
         start = time.perf_counter()
         first = fingerprint(results)
-        rerun = []
-        for cid, name, fn in CRITERIA:
-            if ids is not None and cid not in ids:
-                continue
-            rerun.append(CriterionResult(cid, name, fn(seed)))
-        second = fingerprint(rerun)
+        second = fingerprint([CriterionResult(cid, name, fn(seed)) for cid, name, fn in selected])
         results.append(
             CriterionResult(
                 14,

@@ -59,3 +59,10 @@ def test_distinguisher_trials_draw_from_distinct_seeds(monkeypatch):
     verify._distinguisher(SEED)
     assert len(seeds) == 200
     assert len(set(seeds)) == 200
+
+
+@pytest.mark.parametrize("ids", [{99}, {4, 99}, {14}, set()], ids=["unknown", "one-unknown", "only-14", "empty"])
+def test_run_suite_rejects_selections_without_a_known_criterion(ids):
+    # 14 repeats the selected criteria, so alone it would check an empty suite
+    with pytest.raises(ValueError):
+        verify.run_suite(seed=SEED, ids=ids)

@@ -21,6 +21,7 @@ from fracmean.distributions import (
     Cauchy,
     MomentExistenceError,
     Poincare,
+    RouteUnavailableError,
     ScaledT3,
     SupportError,
     TwoPoint,
@@ -75,6 +76,16 @@ def test_poincare_half_plane_bound_mc():
     assert abs(rep.moment_abs - 1.0) < 1e-12  # |i**0.5| via the closed moment
     assert rep.satisfied
     assert rep.meta["abs_method"] == "nodes"
+
+
+@pytest.mark.parametrize("law, p", [(T3, -0.75), (Cauchy(0.0, 1.0), 0.75)], ids=["t3", "cauchy"])
+def test_monte_carlo_abs_moment_refuses_infinite_variance(law, p):
+    # E|Z|^(2p) diverges: near 0 for t3 at p = -0.75, in the tail for Cauchy at
+    # p = 0.75, so a standard error of |Z|^p would mean nothing
+    with pytest.raises(RouteUnavailableError, match=rf"E\[\|Z\|\^{2 * p:g}\]"):
+        _abs_moment(law, p, MCConfig(samples=4096, seed=1))
+    with pytest.raises(RouteUnavailableError):
+        half_plane_bound_check(law, p, mc=MCConfig(samples=4096, seed=1))
 
 
 def test_abs_moment_memory_bounded_in_blocks(monkeypatch):

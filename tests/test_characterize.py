@@ -115,6 +115,16 @@ def test_distinguish_cauchy_vs_t3_closed_value():
     assert rep.distinct
 
 
+def test_distinguish_by_quadrature_at_both_signs_of_lambda():
+    # one quadrature route takes the Riemann-Liouville and the Marchaud points alike
+    mode = FixAlpha(1j, (-0.5, 0.5))
+    quad = distinguish(CAUCHY, T3, mode, Route.QUAD)
+    closed = distinguish(CAUCHY, T3, mode, Route.CLOSED)
+    for got, want in zip(quad.points, closed.points):
+        assert abs(got[2] - want[2]) <= 1e-6 and abs(got[3] - want[3]) <= 1e-6
+        assert abs(got[4] - want[4]) <= 1e-6
+
+
 def test_distinguish_scale_perturbation():
     mode = FixLambda(-1.0, (1j, 2j, 3j))
     rep = distinguish(CAUCHY, Cauchy(0.0, 1.1), mode, Route.CLOSED)

@@ -34,7 +34,7 @@ def test_moment_artifact_schema_and_value(capsys):
     assert blob["config"]["seed"] == 0  # defaulted and echoed
     val = blob["result"]["value"]
     assert abs(val["re"] - 0.5) < 1e-6 and abs(val["im"] + 0.5) < 1e-6
-    assert blob["result"]["method"] == "quad_neg"
+    assert blob["result"]["method"] == "quad"
     assert blob["meta"]["version"]
 
 
@@ -126,6 +126,20 @@ def test_characterize_distinguish(capsys):
     assert blob["result"]["verdict"] == "distinct"
 
 
+def test_characterize_distinguish_by_quadrature_at_both_signs(capsys):
+    argv = ["characterize", "distinguish", "--dist-a", "cauchy", "--dist-b", "t3", "--fix", "alpha",
+            "--value", "0+1i", "--points", "-0.5+0i,0.5+0i", "--route"]
+    quad, closed = (run_json(capsys, argv + [route])["result"]["points"] for route in ("quad", "closed"))
+    for got, want in zip(quad, closed):
+        assert abs(got["discrepancy"] - want["discrepancy"]) <= 1e-6
+
+
+def test_fracderiv_power_mean_reports_its_route(capsys):
+    blob = run_json(capsys, ["powermean", "--dist", "poincare", "--params", "a=1,c=1", "--p", "0.5",
+                             "--n", "2", "--route", "fracderiv"])
+    assert blob["result"]["method"] == "frac_deriv" and "route" not in blob["result"]["meta"]
+
+
 def test_bounds_command(capsys):
     blob = run_json(
         capsys,
@@ -150,6 +164,19 @@ def test_verify_subset(capsys):
     assert code == 0
     assert "criterion  4" in out and "criterion 10" in out
     assert "FAIL " not in out
+
+
+@pytest.mark.parametrize("criteria", ["99", "14", "4,99"])
+def test_verify_unknown_or_empty_criteria_exit_2(capsys, criteria):
+    assert main(["verify", "--criteria", criteria, "--seed", "7"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+
+
+def test_verify_csv_on_stdout_is_csv(capsys):
+    assert main(["verify", "--criteria", "7,10", "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "criterion,status,name" and len(out.splitlines()) == 3
+    assert "criterion  7" in err  # the status lines move to stderr
 
 
 def test_verify_artifact_deterministic(capsys, tmp_path):
@@ -208,6 +235,13 @@ def test_zero_atom_at_negative_order_exits_4(capsys, route):
                  "--lambda", "-0.5+0i", "--route", route, "--mc-samples", "2000"])
     assert code == 4
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "MomentExistenceError"
+
+
+def test_bounds_without_finite_variance_exits_4(capsys):
+    # E|Z|^1.5 diverges for Cauchy, so |Z|^0.75 has no Monte Carlo standard error
+    code = main(["bounds", "--check", "half-plane", "--dist", "cauchy", "--p", "0.75", "--mc-samples", "1000"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "RouteUnavailableError"
 
 
 def test_monte_carlo_moment_that_does_not_exist_exits_4(capsys):

@@ -171,7 +171,7 @@ def test_frac_moment_neg_cauchy(lam):
     est = frac_moment_neg(CAUCHY, 1j, lam)
     want = principal_pow(2j, lam)
     assert abs(est.value - want) <= 1e-6 * abs(want)
-    assert est.method is Route.QUAD_NEG
+    assert est.method is Route.QUAD
 
 
 @pytest.mark.parametrize("lam", [-0.5, -1.0])
@@ -203,7 +203,7 @@ def test_frac_moment_neg_preconditions():
 def test_frac_moment_pos_poincare(lam, want):
     est = frac_moment_pos(POIN, 0.0, lam)
     assert abs(est.value - want) <= 1e-4 * abs(want)
-    assert est.method is Route.QUAD_POS
+    assert est.method is Route.QUAD
 
 
 def test_frac_moment_pos_poincare_shifted_params():
@@ -301,7 +301,7 @@ def test_frac_moment_mc_point_mass():
     assert est.uncertainty < 1e-12
 
 
-@pytest.mark.parametrize("route", [Route.CLOSED, Route.QUAD_NEG, Route.MONTE_CARLO, Route.AUTO])
+@pytest.mark.parametrize("route", [Route.CLOSED, Route.QUAD, Route.MONTE_CARLO, Route.AUTO])
 def test_zero_atom_at_negative_order_has_no_moment(route):
     # E|Z|^-0.5 diverges at the atom 0; the 0**lam = 0 convention must not hide it
     with pytest.raises(MomentExistenceError):
@@ -420,7 +420,7 @@ def test_frac_moment_dispatch_and_meta():
     assert est.method is Route.CLOSED and est.uncertainty == 0.0
     est = frac_moment(POIN, 1j, -0.5)  # shifted: no closed form, quad applies
     want = frac_moment_mc(POIN, 1j, -0.5, MCConfig(samples=400_000, seed=5)).value
-    assert est.method is Route.QUAD_NEG
+    assert est.method is Route.QUAD
     assert abs(est.value - want) <= 0.01
     est = frac_moment(CAUCHY, 1j, 0.0)
     assert est.value == 1.0 and est.method is Route.CLOSED
@@ -436,19 +436,19 @@ _LADDERS = {
         lambda route: frac_moment(POIN, 0.0, -0.5, route, mc=_LADDER_MC),
         [
             (moments, "closed_moment", Route.CLOSED, Route.CLOSED),
-            (moments, "_quad_moment", Route.QUAD_NEG, Route.QUAD_NEG),
+            (moments, "_quad_moment", Route.QUAD, Route.QUAD),
             (moments, "frac_moment_mc", Route.MONTE_CARLO, Route.MONTE_CARLO),
         ],
-        [Route.QUAD_POS, Route.FRAC_DERIV],
+        [Route.FRAC_DERIV],
     ),
     "power_mean": (
         lambda route: power_mean_expectation(POIN, PowerMeanSpec(p=-0.5, n=2), route, mc=_LADDER_MC),
         [
             (Poincare, "closed_power_mean", Route.CLOSED, Route.CLOSED),
-            (moments, "_pm_frac_deriv", Route.FRAC_DERIV, Route.QUAD_NEG),
+            (moments, "_pm_frac_deriv", Route.FRAC_DERIV, Route.FRAC_DERIV),
             (moments, "_pm_monte_carlo", Route.MONTE_CARLO, Route.MONTE_CARLO),
         ],
-        [Route.QUAD_NEG, Route.QUAD_POS],
+        [Route.QUAD],
     ),
 }
 
@@ -612,8 +612,25 @@ def test_frac_deriv_rejects_cauchy_positive():
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_frac_deriv_geometric_mean_of_cauchy(n):
     est = power_mean_expectation(CAUCHY, PowerMeanSpec(p=0.0, n=n, alpha=1j), Route.FRAC_DERIV)
-    assert est.method is Route.QUAD_POS
+    assert est.method is Route.FRAC_DERIV
     assert abs(est.value - 2j) <= min(est.uncertainty, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "law, spec",
+    [
+        (POIN, PowerMeanSpec(p=-0.5, n=2, alpha=0.5j)),  # node rule at two levels
+        (CAUCHY, PowerMeanSpec(p=-0.5, n=2, alpha=1j)),  # closed single-draw transform
+        (CAUCHY, PowerMeanSpec(p=0.0, n=2, alpha=1j)),  # geometric mean by E[Z**(1/n)]
+        (POIN, PowerMeanSpec(p=0.0, n=1)),  # geometric mean of one draw
+    ],
+    ids=["nodes", "single-draw", "geometric", "geometric-n1"],
+)
+def test_frac_deriv_estimates_name_their_route(law, spec):
+    est = power_mean_expectation(law, spec, Route.FRAC_DERIV)
+    assert est.method is Route.FRAC_DERIV and "route" not in est.meta
+    assert est.uncertainty > 0.0  # the rounding allowance of every route but CLOSED
+    assert abs(est.value - (1j + spec.alpha)) <= max(est.uncertainty, 1e-12)  # both laws center at i
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -639,7 +656,7 @@ def test_auto_moment_refuses_nonexistent_moment():
 
 def test_auto_geometric_mean_of_cauchy_takes_quadrature():
     est = power_mean_expectation(CAUCHY, PowerMeanSpec(p=0.0, n=2, alpha=1j), Route.AUTO)
-    assert est.method is Route.QUAD_POS and est.meta["auto"] is True
+    assert est.method is Route.FRAC_DERIV and est.meta["auto"] is True
     assert abs(est.value - 2j) <= est.uncertainty
 
 
@@ -887,6 +904,7 @@ def test_every_monte_carlo_caller_gives_the_block_loop_bits_at_any_thread_count(
     ps, n, lam, p_abs = (-0.5, 0.0, 0.5), 3, complex(0.4, 0.3), 0.7
     if model is CAUCHY:
         ps = ps[:2]  # no expectation at p > 0
+        p_abs = 0.4  # |Z|**0.7 has no finite variance: E|Z|**1.4 diverges
     specs = [PowerMeanSpec(p=p, n=n, alpha=alpha) for p in ps]
 
     def power_means(draws, size):
@@ -1009,9 +1027,8 @@ DOMAIN_TABLE = [
 def test_every_route_that_refuses_raises_the_guards_exception(law, alpha, order, n, guard):
     mc = MCConfig(samples=2000, seed=3)
     if n is None:
-        quad = Route.QUAD_NEG if order < 0 else Route.QUAD_POS
         calls = {route: lambda route=route: frac_moment(law, alpha, order, route, mc=mc)
-                 for route in (Route.CLOSED, quad, Route.MONTE_CARLO)}
+                 for route in (Route.CLOSED, Route.QUAD, Route.MONTE_CARLO)}
     else:
         spec = PowerMeanSpec(p=order, n=n, alpha=alpha)
         calls = {route: lambda route=route: power_mean_expectation(law, spec, route, mc=mc)
@@ -1183,4 +1200,4 @@ def test_scan_csv_numbers_are_plain_floats(tmp_path):
     table.to_csv(path)
     _, row = path.read_text().splitlines()
     p, re_part, im_part, unc, method = row.split(",")
-    assert abs(complex(float(re_part), float(im_part)) - 1j) < 1e-12 and method == "quad_pos"
+    assert abs(complex(float(re_part), float(im_part)) - 1j) < 1e-12 and method == "frac_deriv"
