@@ -24,13 +24,14 @@ Each class is the one place that knows its family's formulas.  The routes in
   where E[|Z + alpha|^Re(lam)] = inf: past the tail index of a real-line
   density (and at Re(lam) <= -1 for real alpha), at a negative order where
   an atom of positive weight sits at -alpha, and never for Poincare;
-* ``density(z)``, ``char(t)`` = E[exp(itZ)] and ``char_deriv(k, t)`` =
-  (-i)^k E[Z^k exp(itZ)], both for t >= 0, and ``sample(streams, out, ws)``,
+* ``density(z)``, ``char_deriv(k, t)`` = (-i)^k E[Z^k exp(itZ)] for t >= 0
+  (k = 0 gives E[exp(itZ)]), and ``sample(streams, out, ws)``,
   which fills ``out`` with draws, part by part from each (generator, count)
   pair of ``streams`` in turn, taking its scratch arrays from the workspace
   ``ws``;
-* ``closed_moment(alpha, lam)``, ``closed_power_mean(p, n, alpha)`` and
-  ``geometric_mean()`` = exp(E[log Z]) of an upper-half-plane law;
+* ``closed_moment(alpha, lam)``, ``closed_power_mean(p, n, alpha)`` and,
+  for the laws that can lie in the upper half plane (Poincare and the atomic
+  laws), ``geometric_mean()`` = exp(E[log Z]);
 * ``single_draw(alpha)``: ``(point, factor, slack)`` such that for
   W = (Z + alpha)^p with p < 0 and c >= 0,
   E[exp(-icW)] = (1 - c p factor point^(p-1)) exp(-ic point^p), decaying at
@@ -169,9 +170,6 @@ class _RealLineLaw:
         closed = self.gamma_point + alpha, self._t3_factor * self.sigma, self._slack
         return closed if alpha.imag > 0 else None
 
-    def geometric_mean(self):
-        raise SupportError("the geometric-mean limit needs an upper-half-plane law")
-
     def nodes(self, level, alpha=0j):
         """x = mu + sigma tan(theta), tanh-sinh in theta, weighted by the
         density times dx/dtheta = sigma sec^2(theta); alpha is ignored."""
@@ -191,9 +189,6 @@ class Cauchy(_RealLineLaw):
 
     def _density(self, x):
         return self.sigma / math.pi / ((x - self.mu) ** 2 + self.sigma ** 2)
-
-    def char(self, t):
-        return cmath.exp(1j * self.gamma_point * t)
 
     def char_deriv(self, k, t):
         return (-1.0) ** k * ((1j * self.gamma_point) ** k * cmath.exp(1j * self.gamma_point * t))
@@ -221,9 +216,6 @@ class ScaledT3(_RealLineLaw):
 
     def _density(self, x):
         return 2.0 * self.sigma ** 3 / math.pi / ((x - self.mu) ** 2 + self.sigma ** 2) ** 2
-
-    def char(self, t):
-        return (1.0 + self.sigma * t) * cmath.exp((1j * self.mu - self.sigma) * t)
 
     def char_deriv(self, k, t):
         # (-1)^k phi^(k)(t) for phi(t) = (1 + sigma t) exp(c t)
@@ -287,9 +279,6 @@ class Poincare:
         d_const = self.d_const
         expo = -(self.a * (x * x + y * y) + 2.0 * self.b * x + self.c) / y
         return d_const * math.exp(2.0 * d_const + expo) / (math.pi * y * y)
-
-    def char(self, t):
-        return cmath.exp((-1j * self.b / self.a - self.d_const / self.a) * t)
 
     def char_deriv(self, k, t):
         beta = self.gamma_point
@@ -377,10 +366,6 @@ class AtomicLaw:
 
     def density(self, z):
         raise SupportError("discrete law has no density")
-
-    def char(self, t):
-        atoms, weights = self.nodes(0)
-        return complex(np.sum(weights * np.exp(1j * t * atoms)))
 
     def char_deriv(self, k, t):
         atoms, weights = self.nodes(0)
@@ -505,7 +490,7 @@ def char_fn(model, t):
     t = float(t)
     if t < 0:
         raise SupportError("char_fn is defined on t >= 0")
-    return model.char(t)
+    return model.char_deriv(0, t)
 
 
 def char_fn_derivative(model, k, t):

@@ -139,8 +139,8 @@ class PowerMeanSpec:
 # so the geometric limit is the *accurate* evaluation
 _P_GEOMETRIC_EPS = 1e-8
 
-# level of the node rules behind the single-draw transforms of laws without
-# a closed one; the route runs again one level up and reports the gap
+# level of the node rules behind the single-draw transforms of a density
+# law; the route runs again one level up and reports the gap
 _NODE_LEVEL = 6
 
 
@@ -414,12 +414,20 @@ def frac_moment_pos(model, alpha, lam, cfg=None):
 def frac_moment_mc(model, alpha, lam, mc=None):
     """Monte Carlo E[(Z + alpha)**lam] with componentwise standard error
     combined as sqrt(var_re + var_im) / sqrt(N), behind the domain guards of
-    the quadrature route: check_moment and _check_real_shift."""
+    the quadrature route: check_moment and _check_real_shift.  It refuses
+    where E|Z + alpha|^(2 Re lam) diverges, since the standard error then
+    estimates no finite variance."""
     mc = mc or MCConfig()
     alpha = complex(alpha)
     lam = complex(lam)
     model.check_moment(alpha, lam)
     _check_real_shift(model, alpha, lam)
+    try:
+        model.check_moment(alpha, 2 * lam.real)
+    except MomentExistenceError as exc:
+        raise RouteUnavailableError(
+            f"no Monte Carlo standard error without E[|Z + alpha|^{2 * lam.real:g}]: {exc}"
+        ) from exc
 
     def block(first, count):
         draws, _, ws = _block_draws(model, mc, first, count)
@@ -539,36 +547,35 @@ class _WeightedPowers:
 
 
 class _SingleDrawTransform:
-    """Set-up shared by the single-draw transforms of laws without a closed
-    single-draw expression: W at the points of the law's node rule, graded
-    toward the branch point -alpha of W."""
+    """Set-up shared by the single-draw transforms: W = (Z + alpha)**p at the
+    points of the law's node rule, graded toward the branch point -alpha of
+    W, the kernel of E[W^j e^{icW}], j = 0..jmax, and the decay rate of
+    E[exp(-icW)] (p < 0) or E[exp(icW)] (p > 0) as c grows."""
 
-    kernel = None  # stays None for a closed single-draw transform
-
-    def _set_weighted_powers(self, model, alpha, p, jmax, level):
+    def __init__(self, model, alpha, p, n, jmax, level):
+        self.n = n
         points, weights = model.nodes(level, alpha)
-        self.kind = "atoms" if isinstance(model, AtomicLaw) else "nodes"
+        self.kind = "nodes" if _point_masses(model) is None else "atoms"
         self.atoms = values = np_principal_pow(points + alpha, p)
         self.kernel = _WeightedPowers(values, weights, jmax)
-        return values
+        self.decay = float(np.min(values.imag)) if p > 0 else -float(np.max(values.imag))
 
 
 class _NegTransform(_SingleDrawTransform):
     """u -> E[exp(-i(u/n) W)]**n with W = (Z+alpha)**p, p < 0, plus its
-    exponential decay rate."""
+    exponential decay rate; in closed form where the law has a closed
+    single draw."""
 
     def __init__(self, model, alpha, p, n, level):
-        self.n = n
         closed = model.single_draw(alpha)
-        if closed is not None:
-            point, factor, slack = closed
-            self.kind = model.name
-            self.w = principal_pow(point, p)
-            self.poly = p * factor * principal_pow(point, p - 1.0) if factor else 0.0
-            self.decay = -self.w.imag * slack
-        else:
-            values = self._set_weighted_powers(model, alpha, p, 0, level)
-            self.decay = -float(np.max(values.imag))
+        if closed is None:
+            super().__init__(model, alpha, p, n, 0, level)
+            return
+        point, factor, slack = closed
+        self.n, self.kind, self.kernel = n, model.name, None
+        self.w = principal_pow(point, p)
+        self.poly = p * factor * principal_pow(point, p - 1.0) if factor else 0.0
+        self.decay = -self.w.imag * slack
 
     def __call__(self, u):
         if self.kernel is not None:
@@ -581,28 +588,13 @@ class _PosTransformDerivs(_SingleDrawTransform):
     W = (Z+alpha)**p with p > 0; used to assemble F = G**n."""
 
     def __init__(self, model, alpha, p, n, jmax, level):
-        self.n = n
+        super().__init__(model, alpha, p, n, jmax, level)
         self._pref = np.array([(-1j / n) ** j for j in range(jmax + 1)])
         self._fact = np.array([math.factorial(j) for j in range(jmax + 1)])
-        closed = model.single_draw(alpha)
-        # the t3 correction is worked out for the negative-order transform
-        # only; without it E f(Z) = f(point), and so for every derivative too
-        if closed is not None and closed[1] == 0.0:
-            point, _, slack = closed
-            self.w = principal_pow(point, p)
-            self.wj = np.array([principal_pow(point, p * j) for j in range(jmax + 1)])
-            self.kind = model.name
-            self.decay = self.w.imag * slack
-        else:
-            values = self._set_weighted_powers(model, alpha, p, jmax, level)
-            self.decay = float(np.min(values.imag))
 
     def g_derivs(self, u):
         """[G^(j)(-u)] for j = 0..jmax; G^(j)(-u) = (-i/n)^j E[W^j e^{i(u/n)W}]."""
-        v = u / self.n
-        if self.kernel is None:
-            return self._pref * self.wj * cmath.exp(1j * v * self.w)
-        return self._pref * self.kernel(v)
+        return self._pref * self.kernel(u / self.n)
 
     def f_deriv_k(self, u, k):
         """F^(k)(-u) with F = G**n, via a truncated series power."""
@@ -610,9 +602,12 @@ class _PosTransformDerivs(_SingleDrawTransform):
 
 
 def _pm_frac_deriv(model, spec, cfg):
-    """A transform on a node rule runs at two levels: the finer value is
-    reported, and its uncertainty adds the gap, which must meet cfg's tolerance.
-    Every result that is not CLOSED carries a rounding allowance."""
+    """Positive orders always sum the law's node rule (its atoms, for an
+    atomic law); the closed single draw serves p < 0 only, for Cauchy and t3
+    at Im(alpha) > 0 and Poincare at alpha = 0.  A transform on a node rule
+    of a density runs at two levels: the finer value is reported, and its
+    uncertainty adds the gap, which must meet cfg's tolerance.  Every result
+    that is not CLOSED carries a rounding allowance."""
     p, n, alpha = spec.p, spec.n, spec.alpha
     cfg = cfg or QuadratureConfig()
     _check_power_mean(model, spec)

@@ -251,6 +251,14 @@ def test_monte_carlo_moment_that_does_not_exist_exits_4(capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "MomentExistenceError"
 
 
+def test_monte_carlo_moment_without_finite_variance_exits_4(capsys):
+    # E|Z + i|^0.75 exists for Cauchy, but E|Z + i|^1.5 does not
+    code = main(["moment", "--dist", "cauchy", "--params", "mu=0,sigma=1", "--alpha", "0+1i",
+                 "--lambda", "0.75+0i", "--route", "mc", "--mc-samples", "1000"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "RouteUnavailableError"
+
+
 @pytest.mark.parametrize("text", ["", "re,im\n1.0,0.5\n2.0\n"], ids=["empty", "one-field-row"])
 def test_malformed_samples_csv_exits_2(capsys, tmp_path, text):
     path = tmp_path / "samples.csv"

@@ -137,12 +137,17 @@ def test_closed_moments():
 
 
 def test_residue_moment_of_a_real_line_law_needs_alpha_in_the_closed_upper_half_plane():
-    # (z - 0.5i)**0.5 has its branch point in the upper half plane, so the
-    # residue at gamma does not give the moment; mpmath: 0.866025 - 0.866025i
+    # (z - 0.5i)**lam has its branch point in the upper half plane, so the
+    # residue at gamma does not give the moment; mpmath at lam = 0.25:
+    # 1.022441 - 0.423509i.  At lam = 0.5, E|Z - 0.5i| diverges, so Monte
+    # Carlo has no standard error and no route answers.
     assert closed_moment(CAUCHY, -0.5j, 0.5) is None
-    est = frac_moment(CAUCHY, -0.5j, 0.5, mc=MCConfig(samples=100_000, seed=2))
+    with pytest.raises(RouteUnavailableError):
+        frac_moment(CAUCHY, -0.5j, 0.5, mc=MCConfig(samples=1000, seed=2))
+    assert closed_moment(CAUCHY, -0.5j, 0.25) is None
+    est = frac_moment(CAUCHY, -0.5j, 0.25, mc=MCConfig(samples=100_000, seed=2))
     assert est.method is Route.MONTE_CARLO
-    assert abs(est.value - 0.866025403571204 * (1 - 1j)) <= 4.0 * est.uncertainty
+    assert abs(est.value - complex(1.0224407746114265, -0.4235088355673057)) <= 4.0 * est.uncertainty
 
 
 def test_closed_moment_existence_guards():
@@ -320,6 +325,21 @@ def test_frac_moment_mc_real_atoms_at_negative_order():
         frac_moment_mc(CAUCHY, 0.0, -0.5, MCConfig(samples=4096, seed=1))
 
 
+@pytest.mark.parametrize("law, lam", [(CAUCHY, 0.75), (T3, 1.5)], ids=["cauchy", "t3"])
+def test_frac_moment_mc_refuses_without_finite_variance(law, lam):
+    # E|Z + i|^(2 lam) diverges: the moment exists, its standard error does not
+    with pytest.raises(RouteUnavailableError, match="E\\[\\|Z \\+ alpha\\|"):
+        frac_moment(law, 1j, lam, route=Route.MONTE_CARLO, mc=MCConfig(samples=1000, seed=1))
+    est = frac_moment(law, 1j, lam)  # AUTO answers through the closed form
+    assert est.method is Route.CLOSED
+
+
+@pytest.mark.parametrize("law, alpha, lam", [(T3, 1j, 0.5), (POIN, 0j, 1.5)], ids=["t3", "poincare"])
+def test_frac_moment_mc_keeps_moments_of_finite_variance(law, alpha, lam):
+    est = frac_moment_mc(law, alpha, lam, MCConfig(samples=100_000, seed=4))
+    assert abs(est.value - closed_moment(law, alpha, lam)) <= 4.0 * est.uncertainty
+
+
 def test_frac_moment_mc_cauchy_inverse():
     est = frac_moment_mc(CAUCHY, 1j, -1.0, MCConfig(samples=200_000, seed=2))
     assert abs(est.value - (-0.5j)) <= 4.0 * est.uncertainty
@@ -400,7 +420,9 @@ def _montecarlo_bytes_at_last_group(monkeypatch, blocks):
         (CAUCHY, 1j, -0.5, "cauchy", True),
         (T3, 1j, -0.5, "t3", True),
         (POIN, 0j, -0.5, "poincare", True),
-        (POIN, 0j, 0.5, "poincare", True),
+        (POIN, 0j, 0.5, "nodes", True),
+        (POIN, 0j, 0.4, "nodes", True),
+        (Poincare(2.0, 1.0, 1.0), 0j, 0.9, "nodes", True),
         (T3, 1j, 0.5, "nodes", False),
         (POIN, 0.5j, -0.5, "nodes", False),
         (TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), 0j, -0.5, "atoms", True),
@@ -636,9 +658,22 @@ def test_frac_deriv_estimates_name_their_route(law, spec):
 @pytest.mark.parametrize("n", [1, 2, 4])
 @pytest.mark.parametrize("p", [0.5, 1.0])
 def test_frac_deriv_exact_transform_carries_rounding_allowance(p, n):
-    est = power_mean_expectation(POIN, PowerMeanSpec(p=p, n=n), Route.FRAC_DERIV)
-    assert est.meta["transform"] == "poincare"
+    law, spec = TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), PowerMeanSpec(p=p, n=n)
+    est = power_mean_expectation(law, spec, Route.FRAC_DERIV)
+    assert est.meta["transform"] == "atoms"
     assert 0.0 < est.uncertainty <= 1e-14
+    assert abs(est.value - power_mean_expectation(law, spec, Route.CLOSED).value) <= est.uncertainty
+
+
+@pytest.mark.parametrize("p", [0.4, 0.5])
+def test_frac_deriv_positive_orders_never_read_the_single_draw(monkeypatch, p):
+    # the headline E[M_p] = beta must come out of the node rule, not go in
+    def refuse(self, alpha):
+        raise AssertionError("positive orders must not read the closed single draw")
+
+    monkeypatch.setattr(Poincare, "single_draw", refuse)
+    est = power_mean_expectation(POIN, PowerMeanSpec(p=p, n=2), Route.FRAC_DERIV)
+    assert est.meta["transform"] == "nodes"
     assert abs(est.value - 1j) <= est.uncertainty
 
 
