@@ -17,9 +17,7 @@ Each class is the one place that knows its family's formulas.  The routes in
 ``moments`` and ``bounds`` ask a law only for these:
 
 * ``support`` ('real', 'upper' or 'complex', read from the atoms of
-  positive weight of an atomic law); a density law adds ``decay``, a rate r
-  with |E[exp(itZ)]| <~ K exp(-r t) (the quadrature routes move the atoms
-  of an atomic law onto rays where each decays at its own rate);
+  positive weight of an atomic law);
 * ``check_moment(alpha, lam)``, which raises MomentExistenceError exactly
   where E[|Z + alpha|^Re(lam)] = inf: past the tail index of a real-line
   density (and at Re(lam) <= -1 for real alpha), at a negative order where
@@ -32,13 +30,9 @@ Each class is the one place that knows its family's formulas.  The routes in
 * ``closed_moment(alpha, lam)``, ``closed_power_mean(p, n, alpha)`` and,
   for the laws that can lie in the upper half plane (Poincare and the atomic
   laws), ``geometric_mean()`` = exp(E[log Z]);
-* ``single_draw(alpha)``: ``(point, factor, slack)`` such that for
-  W = (Z + alpha)^p with p < 0 and c >= 0,
-  E[exp(-icW)] = (1 - c p factor point^(p-1)) exp(-ic point^p), decaying at
-  the rate slack * (-Im point^p); None when no such closed form exists;
 * ``nodes(level, alpha)``: points and weights of a rule for E f(Z), finer
   as the level grows: the atoms, or quadrature over the density, which uses
-  no pole or closed value, so the (seedless) route built on it checks the
+  no pole or closed value, so the (seedless) routes built on it check the
   closed forms; the Poincare rule is sinh-graded toward the branch point
   -alpha of (z + alpha)**p, the others ignore alpha;
 * ``name`` (the family tag of the JSON form) and ``to_json()``.
@@ -102,8 +96,9 @@ class RouteUnavailableError(ValueError):
 
 
 # rules drop nodes lighter than this: they barely move a moment, but the
-# farthest would set the transform's decay rate.  The density factors put on
-# tanh-sinh weights are about 1 at most, so lighter table nodes go first.
+# farthest would set how slowly a single-draw transform decays.  The density
+# factors put on tanh-sinh weights are about 1 at most, so lighter table
+# nodes go first.
 _NODE_FLOOR = 1e-20
 
 
@@ -124,8 +119,6 @@ class _RealLineLaw:
     sigma: float
 
     support = "real"
-    _t3_factor = 0.0  # k in E f(X) = f(gamma) - i*sigma*k*f'(gamma)
-    _slack = 1.0  # share of sigma claimed as the transform's decay rate
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -134,10 +127,6 @@ class _RealLineLaw:
     @property
     def gamma_point(self):
         return complex(self.mu, self.sigma)
-
-    @property
-    def decay(self):
-        return self._slack * self.sigma
 
     def density(self, z):
         if z.imag != 0.0:
@@ -165,10 +154,6 @@ class _RealLineLaw:
         if alpha.imag <= 0:
             raise SupportError(f"{self.name} power means need alpha in the open upper half plane")
         return self._residue_power_mean(self.gamma_point + alpha, p, n)
-
-    def single_draw(self, alpha):
-        closed = self.gamma_point + alpha, self._t3_factor * self.sigma, self._slack
-        return closed if alpha.imag > 0 else None
 
     def nodes(self, level, alpha=0j):
         """x = mu + sigma tan(theta), tanh-sinh in theta, weighted by the
@@ -211,8 +196,6 @@ class Cauchy(_RealLineLaw):
 class ScaledT3(_RealLineLaw):
     name = "t3"
     max_moment = 3.0
-    _t3_factor = 1.0
-    _slack = 0.95  # leaves room for the (1 + sigma t) factor
 
     def _density(self, x):
         return 2.0 * self.sigma ** 3 / math.pi / ((x - self.mu) ** 2 + self.sigma ** 2) ** 2
@@ -243,7 +226,7 @@ class ScaledT3(_RealLineLaw):
             prod = 1.0 + 0.0j
             for j in range(k):
                 prod *= j * p - 1.0
-            total += math.comb(n, k) * (1j / (n * g)) ** k * prod
+            total += math.comb(n, k) * (1j * self.sigma / (n * g)) ** k * prod
         return g * total
 
 
@@ -267,10 +250,6 @@ class Poincare:
     @property
     def gamma_point(self):
         return complex(-self.b / self.a, self.d_const / self.a)
-
-    @property
-    def decay(self):
-        return self.d_const / self.a
 
     def density(self, z):
         if z.imag <= 0.0:
@@ -306,9 +285,6 @@ class Poincare:
         if abs(p) > 1:
             raise RouteUnavailableError("closed Poincare power means need |p| <= 1")
         return self.gamma_point
-
-    def single_draw(self, alpha):
-        return (self.gamma_point, 0.0, 1.0) if alpha == 0 else None
 
     def geometric_mean(self):
         return self.gamma_point  # exp(E[log Z]) = exp(log beta) = beta
@@ -392,9 +368,6 @@ class AtomicLaw:
 
     def closed_power_mean(self, p, n, alpha):
         raise RouteUnavailableError("no closed power-mean expectation for this law")
-
-    def single_draw(self, alpha):
-        return None
 
     def nodes(self, level, alpha=0j):
         weights = self.weights

@@ -140,7 +140,7 @@ class PowerMeanSpec:
 _P_GEOMETRIC_EPS = 1e-8
 
 # level of the node rules behind the single-draw transforms of a density
-# law; the route runs again one level up and reports the gap
+# law; the route runs again one level up (two, if needed) and reports the gap
 _NODE_LEVEL = 6
 
 
@@ -275,7 +275,8 @@ def _shifted_weighted_char(model, alpha, k, u):
 
 
 def _check_real_shift(model, alpha, order):
-    """Negative orders of a real-line density at real alpha: no decaying transform."""
+    """Negative orders of a real-line density at real alpha, where Z + alpha
+    meets the branch cut of its power: refused on every route."""
     if order.real < 0 and alpha.imag <= 0 and model.support == "real" and _point_masses(model) is None:
         raise SupportError("a real-line density needs Im(alpha) > 0 at negative orders")
 
@@ -287,8 +288,9 @@ def _check_power_mean(model, spec):
     if p <= 0 and atoms is not None and np.any(atoms[0] + alpha == 0):
         raise BranchDomainError("power mean of order p <= 0 needs nonzero values")
     _check_real_shift(model, alpha, p)
-    if p >= 0:  # |M_p| <= sum |Z_j + alpha| at p > 0; |M_0| = prod |Z_j + alpha|**(1/n)
-        model.check_moment(alpha, 1.0 if p > 0 else 1.0 / spec.n)
+    # |M_p| <= sum |Z_j + alpha| at p > 0; |M_0| = prod |Z_j + alpha|**(1/n); at
+    # p < 0, |M_p| <= C min_j |Z_j + alpha|, finite in mean exactly when E|Z|**(1/n) is
+    model.check_moment(alpha, 1.0 if p > 0 else 1.0 / spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +301,21 @@ def _cfg_meta(cfg):
     return {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "max_level": cfg.max_level}
 
 
-def _fractional_power(h, lam, decay, cfg, phase, amplitude=0.0):
+def _fractional_power(h, lam, cfg, phase, amplitude=0.0):
     """E[Y**lam] from h(t) = E[Y**k exp(phase t Y)], with k = floor(Re lam)
-    for Re(lam) > 0 and k = 0 otherwise; phase is i for Y in the upper half
-    plane, -i in the lower; amplitude is a known K in the decay bound of h
-    that also bounds the terms h sums, or 0.  Returns (value, uncertainty,
-    evaluations) of
+    for Re(lam) > 0 and k = 0 otherwise; phase is i for Y in the open upper
+    half plane, -i in the open lower one; amplitude bounds the terms h sums
+    (the Marchaud rounding), or 0.  Returns (value, uncertainty, evaluations)
+    of
 
-        Re lam < 0:  phase**lam / Gamma(-lam) int_0^inf t**(-lam-1) h(t) dt,  |h(t)| <~ e^{-decay t}
+        Re lam < 0:  phase**lam / Gamma(-lam) int_0^inf t**(-lam-1) h(t) dt
         Re lam > 0:  phase**d d / Gamma(1-d) int_0^inf (h(0) - h(u)) / u**(1+d) du,  d = lam - k
         integer lam: h(0), with no quadrature
     """
     if lam.real < 0:
         im_l = lam.imag
         g = h if im_l == 0.0 else lambda t: np.exp(-1j * im_l * math.log(t)) * h(t)
-        res = integrate_singular_decaying(g, -lam.real - 1.0, decay, cfg, amplitude)
+        res = integrate_singular_decaying(g, -lam.real - 1.0, cfg)
         scale = principal_pow(phase, lam) / gamma(-lam)
     else:
         delta = lam - math.floor(lam.real)
@@ -325,7 +327,7 @@ def _fractional_power(h, lam, decay, cfg, phase, amplitude=0.0):
 
 
 def _rotated_atoms(points, weights, alpha, lam, k):
-    """(h, decay, amplitude, rounding) for an atomic law, with every atom z of
+    """(h, amplitude, rounding) for an atomic law, with every atom z of
     Z' = Z + alpha moved onto its steepest-descent ray u = e^{i phi} r,
     phi = pi/2 - arg z, where e^{iuz} = e^{-|z| r}.  Between the two rays
     |e^{iuz}| <= 1, so by Cauchy's theorem, with d = lam - k,
@@ -335,8 +337,7 @@ def _rotated_atoms(points, weights, alpha, lam, k):
 
     and h(u) = sum_j c_j e^{-|z_j| u}, c_j = w_j z_j**k e^{-i phi_j d}, is a
     sum of exponentials decaying at the rate min_j |z_j|: no term oscillates.
-    Its amplitude sum_j |c_j| bounds |h(u)| e^{u min_j |z_j|}, which terms of
-    opposite phase can hide from probes of h."""
+    Its amplitude sum_j |c_j| bounds the terms h sums."""
     z = points + alpha
     if np.any(z.imag < 0):
         raise SupportError("shifted atoms must stay in the closed upper half plane")
@@ -352,11 +353,10 @@ def _rotated_atoms(points, weights, alpha, lam, k):
     if lam.real < 0:
         # each term w_j z_j**lam sums r**(-1-lam) e^{-|z_j| r} over nodes where
         # |z_j| r reaches a few |lam|, and e^{-|z_j| r} inherits the rounding
-        # of r times that exponent, unseen by the level gap and the tail bound
+        # of r times that exponent, unseen by the level gap
         sizes = weights * np.exp((lam * log_z).real)  # |w_j z_j**lam|
         rounding = 8.0 * _EPS * (1.0 + abs(lam)) * float(np.sum(sizes))
-    decay = float(np.min(rates)) if rates.size else 0.0  # no atom left: h = 0
-    return (lambda u: complex(kernel(u)[0])), decay, amplitude, rounding
+    return (lambda u: complex(kernel(u)[0])), amplitude, rounding
 
 
 def _quad_moment(model, alpha, lam, cfg):
@@ -380,13 +380,12 @@ def _quad_moment(model, alpha, lam, cfg):
     k = max(math.floor(lam.real), 0)
     atoms = _point_masses(model)
     if atoms is not None:
-        h, decay, amplitude, rounding = _rotated_atoms(*atoms, alpha, lam, k)
+        h, amplitude, rounding = _rotated_atoms(*atoms, alpha, lam, k)
     else:
-        h = functools.partial(_shifted_weighted_char, model, alpha, k)
-        decay, amplitude, rounding = model.decay + alpha.imag, 0.0, 0.0
+        h, amplitude, rounding = functools.partial(_shifted_weighted_char, model, alpha, k), 0.0, 0.0
 
-    value, unc, evals = _fractional_power(h, lam, decay, cfg, 1j, amplitude)
-    meta = {"evaluations": evals, "k": k, "decay": decay, "quad": _cfg_meta(cfg)}
+    value, unc, evals = _fractional_power(h, lam, cfg, 1j, amplitude)
+    meta = {"evaluations": evals, "k": k, "quad": _cfg_meta(cfg)}
     return MomentEstimate(value, unc + rounding, Route.QUAD, meta)
 
 
@@ -546,41 +545,39 @@ class _WeightedPowers:
         return np.array([np.multiply(row, buf, out=prod).sum() for row in self.rows])
 
 
+def _turn(p):
+    """The angle psi = -pi (1 + p) / 2 by which a negative order turns W:
+    for Z + alpha in the closed upper half plane, arg W lies in [p pi, 0],
+    so arg(e^{i psi} W) lies in [-pi (1 - p) / 2, -pi (1 + p) / 2], strictly
+    below the real axis and centred on -pi / 2."""
+    return -0.5 * math.pi * (1.0 + p)
+
+
 class _SingleDrawTransform:
     """Set-up shared by the single-draw transforms: W = (Z + alpha)**p at the
     points of the law's node rule, graded toward the branch point -alpha of
-    W, the kernel of E[W^j e^{icW}], j = 0..jmax, and the decay rate of
-    E[exp(-icW)] (p < 0) or E[exp(icW)] (p > 0) as c grows."""
+    W, turned by e^{i psi} at p < 0 (_turn), and the kernel of
+    E[W^j e^{icW}], j = 0..jmax."""
 
     def __init__(self, model, alpha, p, n, jmax, level):
         self.n = n
         points, weights = model.nodes(level, alpha)
         self.kind = "nodes" if _point_masses(model) is None else "atoms"
         self.atoms = values = np_principal_pow(points + alpha, p)
+        if p < 0:
+            values *= cmath.exp(1j * _turn(p))
         self.kernel = _WeightedPowers(values, weights, jmax)
-        self.decay = float(np.min(values.imag)) if p > 0 else -float(np.max(values.imag))
 
 
 class _NegTransform(_SingleDrawTransform):
-    """u -> E[exp(-i(u/n) W)]**n with W = (Z+alpha)**p, p < 0, plus its
-    exponential decay rate; in closed form where the law has a closed
-    single draw."""
+    """u -> E[exp(-i(u/n) W')]**n with W' = e^{i psi} (Z+alpha)**p, p < 0,
+    which decays as u grows because every W' lies below the real axis."""
 
     def __init__(self, model, alpha, p, n, level):
-        closed = model.single_draw(alpha)
-        if closed is None:
-            super().__init__(model, alpha, p, n, 0, level)
-            return
-        point, factor, slack = closed
-        self.n, self.kind, self.kernel = n, model.name, None
-        self.w = principal_pow(point, p)
-        self.poly = p * factor * principal_pow(point, p - 1.0) if factor else 0.0
-        self.decay = -self.w.imag * slack
+        super().__init__(model, alpha, p, n, 0, level)
 
     def __call__(self, u):
-        if self.kernel is not None:
-            return complex(self.kernel(-u / self.n)[0]) ** self.n
-        return (1.0 - self.poly * u / self.n) ** self.n * cmath.exp(-1j * u * self.w)
+        return complex(self.kernel(-u / self.n)[0]) ** self.n
 
 
 class _PosTransformDerivs(_SingleDrawTransform):
@@ -602,19 +599,19 @@ class _PosTransformDerivs(_SingleDrawTransform):
 
 
 def _pm_frac_deriv(model, spec, cfg):
-    """Positive orders always sum the law's node rule (its atoms, for an
-    atomic law); the closed single draw serves p < 0 only, for Cauchy and t3
-    at Im(alpha) > 0 and Poincare at alpha = 0.  A transform on a node rule
-    of a density runs at two levels: the finer value is reported, and its
-    uncertainty adds the gap, which must meet cfg's tolerance.  Every result
+    """Every transform sums the law's node rule (its atoms, for an atomic
+    law), and reads no closed value.  A transform on a node rule of a
+    density runs at two adjacent levels, and once more one level up when
+    their gap misses cfg's tolerance: the finer value of the first pair that
+    meets it is reported, and its uncertainty adds that gap.  Every result
     that is not CLOSED carries a rounding allowance."""
     p, n, alpha = spec.p, spec.n, spec.alpha
     cfg = cfg or QuadratureConfig()
     _check_power_mean(model, spec)
     gap = 0.0
-    if abs(p) < _P_GEOMETRIC_EPS and n == 1:  # the geometric mean of one draw is E[Z + alpha]
+    if n == 1:  # M_p = Z + alpha exactly for |p| <= 1, so E[M_p] = E[Z + alpha]
         value = complex(_shifted_weighted_char(model, alpha, 1, 0.0))
-        est = MomentEstimate(value, 0.0, Route.FRAC_DERIV, {"geometric": True})
+        est = MomentEstimate(value, 0.0, Route.FRAC_DERIV, {"geometric": True} if p == 0 else {"n": 1})
     elif abs(p) < _P_GEOMETRIC_EPS:
         # geometric mean: E[prod Z_j**(1/n)] = E[Z**(1/n)]**n, no fractional
         # operator at p itself
@@ -625,22 +622,28 @@ def _pm_frac_deriv(model, spec, cfg):
         meta.update({"geometric": True, "n": n})
         est = MomentEstimate(value, unc, Route.FRAC_DERIV, meta)
     else:
-        est = _pm_frac_deriv_at(model, spec, cfg, _NODE_LEVEL)
-        if est.meta["transform"] == "nodes":
-            coarse, est = est, _pm_frac_deriv_at(model, spec, cfg, _NODE_LEVEL + 1)
+        level = _NODE_LEVEL
+        est = _pm_frac_deriv_at(model, spec, cfg, level)
+        while est.meta["transform"] == "nodes":
+            level += 1
+            coarse, est = est, _pm_frac_deriv_at(model, spec, cfg, level)
             gap = abs(est.value - coarse.value)
-            if gap > max(cfg.abs_tol, cfg.rel_tol * abs(est.value)):
-                msg = f"node rules at levels {_NODE_LEVEL} and {_NODE_LEVEL + 1} disagree by {gap:.3e}"
+            if gap <= max(cfg.abs_tol, cfg.rel_tol * abs(est.value)):
+                est.meta.update({"level": level, "level_gap": gap})
+                break
+            if level == _NODE_LEVEL + 2:
+                msg = f"node rules at levels {level - 1} and {level} disagree by {gap:.3e}"
                 raise NonConvergenceError(msg, value=est.value, err_estimate=gap)
-            est.meta.update({"level": _NODE_LEVEL + 1, "level_gap": gap})
     # the ulps cover rounding in the transform sums and the series power
     est.uncertainty += gap + 16.0 * math.ulp(abs(est.value))
     return est
 
 
 def _pm_frac_deriv_at(model, spec, cfg, level):
-    """E[M_p] = E[S**(1/p)], S = (1/n) sum_j (Z_j + alpha)**p, from E[exp(-itS)]
-    for p < 0 (S in the lower half plane), else from derivatives of E[exp(iuS)]."""
+    """E[M_p] = E[S**(1/p)], S = (1/n) sum_j (Z_j + alpha)**p.  At p < 0 from
+    E[exp(-itS')] of S' = e^{i psi} S, which lies below the real axis with
+    arg S' = arg S + psi, so S**(1/p) = e^{-i psi / p} S'**(1/p) on the
+    principal branch; else from derivatives of E[exp(iuS)]."""
     p, n, alpha = spec.p, spec.n, spec.alpha
     order = 1.0 / p
     if p < 0:
@@ -656,10 +659,14 @@ def _pm_frac_deriv_at(model, spec, cfg, level):
         def h(u):  # i**k F^(k)(-u) = E[S**k exp(iuS)], exactly
             return (1, 1j, -1, -1j)[k % 4] * transform.f_deriv_k(u, k)
 
-    if transform.decay <= 0:
-        raise SupportError("single-draw transform does not decay; check alpha")
-    # S lies in the lower half plane at p < 0, in the upper one at p > 0
-    value, unc, evals = _fractional_power(h, order, transform.decay, cfg, -1j if p < 0 else 1j)
+    # the transform decays only if every W' lies below the real axis (p < 0),
+    # every W above it (p > 0)
+    side = -transform.atoms.imag if p < 0 else transform.atoms.imag
+    if not np.all(side > 0.0):
+        raise SupportError("single-draw transform does not decay: a value (Z + alpha)**p on the wrong side of the real axis; check alpha")
+    value, unc, evals = _fractional_power(h, order, cfg, -1j if p < 0 else 1j)
+    if p < 0:
+        value *= cmath.exp(-1j * _turn(p) / p)
     meta = {"order": order, "transform": transform.kind}
     meta.update({"evaluations": evals} if evals else {"ordinal": True})
     return MomentEstimate(value, unc, Route.FRAC_DERIV, meta)

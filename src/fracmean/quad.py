@@ -3,8 +3,8 @@
 Two entry points:
 
 * ``integrate_singular_decaying`` handles ``int_0^inf t**s g(t) dt`` where the
-  algebraic factor t**s (s > -1) carries an endpoint singularity and g decays
-  exponentially at a rate the caller passes.
+  algebraic factor t**s (s > -1) carries an endpoint singularity; the tail
+  [1, inf) is mapped onto (0, 1] by t = 1/v, so g needs no known decay rate.
 * ``integrate_marchaud`` handles the difference quotient
   ``int_0^inf (d0 - f(u)) / u**(1+delta) du`` with 0 < Re(delta) < 1.
 
@@ -110,13 +110,15 @@ def _level_nodes(level):
 
 
 def _de_sum_level(f, a, b, level, counter, reach=(1.0, 1.0)):
-    """The terms that level adds to the tanh-sinh sum of f over (a, b), and
-    per end (b, then a) the |term| and 1 - |t| of its largest term."""
+    """The terms that level adds to the tanh-sinh sum of f over (a, b), the
+    sum of their sizes, and per end (b, then a) the |term| and 1 - |t| of
+    its largest term."""
     half = 0.5 * (b - a)
     total = 0.0 + 0.0j
     if level == 0:
         total += f(a + half) * (half * math.pi / 2.0)  # center node u = 0
         counter.count += 1
+    size = abs(total)
     nodes = _level_nodes(level)
     peaks = []
     for end, sign, limit in ((b, -1.0, reach[0]), (a, 1.0, reach[1])):
@@ -130,33 +132,38 @@ def _de_sum_level(f, a, b, level, counter, reach=(1.0, 1.0)):
                     f"integrand not finite at t={t!r}", evaluations=counter.count
                 )
             total += term
-            peak = max(peak, (abs(term), dist))
-            if abs(term) <= _EPS * abs(total) + 1e-300:
+            mag = abs(term)
+            size += mag
+            peak = max(peak, (mag, dist))
+            if mag <= _EPS * abs(total) + 1e-300:
                 tiny_run += 1
                 if tiny_run >= 3 and dist < limit:
                     break
             else:
                 tiny_run = 0
         peaks.append(peak)
-    return total, peaks
+    return total, size, peaks
 
 
 def _de_finite(f, a, b, cfg, counter):
     """Tanh-sinh integral of f over (a, b); f is never called at the endpoints.
 
     An integral splits into at most two such segments, each held to half of
-    cfg.abs_tol.  Returns (value, err_estimate); raises NonConvergenceError
-    when the last two refinements still disagree beyond tolerance at cfg.max_level.
+    cfg.abs_tol.  Returns (value, err_estimate, size), size being the sum of
+    |term| of the last level; raises NonConvergenceError when the last two
+    refinements still disagree beyond tolerance at cfg.max_level.
     """
     abs_tol = 0.5 * cfg.abs_tol
     rel_tol = cfg.rel_tol
-    value, peaks = _de_sum_level(f, a, b, 0, counter)
+    value, size, peaks = _de_sum_level(f, a, b, 0, counter)
     # a walk stops after three negligible terms, but not short of its side's largest
     # level-0 term: an integrand held near one end can be negligible at the centre
     reach = tuple(dist if term > _EPS * abs(value) else 1.0 for term, dist in peaks)
     err = math.inf
     for level in range(1, cfg.max_level + 1):
-        refined = 0.5 * value + _de_sum_level(f, a, b, level, counter, reach)[0]
+        added, added_size, _ = _de_sum_level(f, a, b, level, counter, reach)
+        refined = 0.5 * value + added
+        size = 0.5 * size + added_size
         err = abs(refined - value)
         value = refined
         if level >= 2 and err <= max(abs_tol, rel_tol * abs(value)):
@@ -170,60 +177,43 @@ def _de_finite(f, a, b, cfg, counter):
             err_estimate=err,
             evaluations=counter.count,
         )
-    return value, err
+    return value, err, size
 
 
-def _truncation_point(k_bound, s, c, tail_target):
-    """Smallest T >= 2 with K * T**max(s,0) * exp(-c T) / c <= tail_target."""
-    t_pt = max(2.0, math.log(max(k_bound / (tail_target * c), 1.0)) / c)
-    for _ in range(3):
-        t_pt = max(
-            2.0,
-            (math.log(max(k_bound / (tail_target * c), 1.0)) + max(s, 0.0) * math.log(t_pt)) / c,
-        )
-    return min(t_pt, 1e6)
+def integrate_singular_decaying(g, s, cfg=None):
+    """int_0^inf t**s g(t) dt for s > -1 and t**s g(t) integrable at infinity.
 
-
-def _tail_bound(k_bound, s, t_pt, decay):
-    # int_T^inf t**s K e**(-ct) dt <= 2 K T**max(s,0) e**(-cT) / c  once cT >= 2s
-    return 2.0 * k_bound * t_pt ** max(s, 0.0) * math.exp(-decay * t_pt) / decay
-
-
-def integrate_singular_decaying(g, s, decay, cfg=None, amplitude=0.0):
-    """int_0^inf t**s g(t) dt for s > -1 and |g(t)| <= K exp(-decay t).
-
-    The singular stretch (0, 1] and the smooth stretch [1, T] are both handled
-    by tanh-sinh; T comes from the caller's decay rate and the absolute
-    tolerance, and the discarded tail is folded into the error estimate.
-    K is the larger of amplitude, a bound the caller may know, and
-    |g(t)| exp(decay t) at five probes, which terms that cancel there can
-    understate.
+    Both stretches run on tanh-sinh over (0, 1]: the singular one as it
+    stands, the tail [1, inf) through t = 1/v as int_0^1 v**(-s-2) g(1/v) dv,
+    so no decay rate, truncation point or tail bound enters: an integrand
+    that decays only algebraically is as welcome as an exponential one.
+    Besides the level gaps, the error estimate carries the rounding of the
+    terms, 4 eps (2 + |s|) times the sum of their sizes, since t**s and the
+    phases of g lose relative accuracy in proportion to s where the terms
+    cancel.
     """
     cfg = cfg or QuadratureConfig()
     s = float(s)
     if s <= -1.0:
         raise QuadraturePreconditionError("need s > -1 for integrability at 0")
-    if not decay > 0.0:
-        raise QuadraturePreconditionError("need a positive decay rate for the tail")
     counter = _EvalCounter()
 
-    k_bound = max(amplitude, 1e-300)
-    for t_probe in (0.25, 0.5, 1.0, 2.0, 4.0):
-        k_bound = max(k_bound, abs(g(t_probe)) * math.exp(decay * t_probe))
-        counter.count += 1
-    tail_target = 0.25 * cfg.abs_tol
-    t_pt = _truncation_point(k_bound, s, decay, tail_target)
+    def head(t):
+        return (t ** s) * g(t)
 
-    def integrand(t):
+    def tail(v):
+        term = g(1.0 / v)
+        if term == 0:  # underflowed: v**(-s-2) may be past the float range
+            return 0j
         try:
-            return (t ** s) * g(t)
+            return (v ** (-s - 2.0)) * term
         except OverflowError:  # a term past the float range, reported as a non-finite one
-            raise NonConvergenceError(f"integrand not finite at t={t!r}", evaluations=counter.count) from None
+            raise NonConvergenceError(f"integrand not finite at t={1.0 / v!r}", evaluations=counter.count) from None
 
-    v1, e1 = _de_finite(integrand, 0.0, 1.0, cfg, counter)
-    v2, e2 = _de_finite(integrand, 1.0, t_pt, cfg, counter)
-    tail = _tail_bound(k_bound, s, t_pt, decay)
-    return IntegralResult(v1 + v2, e1 + e2 + tail, counter.count)
+    v1, e1, a1 = _de_finite(head, 0.0, 1.0, cfg, counter)
+    v2, e2, a2 = _de_finite(tail, 0.0, 1.0, cfg, counter)
+    rounding = 4.0 * _EPS * (2.0 + abs(s)) * (a1 + a2)
+    return IntegralResult(v1 + v2, e1 + e2 + rounding, counter.count)
 
 
 _MARCHAUD_CUT = 1e-4          # below this, d0 - f(u) is replaced by the fitted model
@@ -305,7 +295,7 @@ def marchaud_unit_interval(d0, f, delta, cfg=None, amplitude=0.0):
     def mid_integrand(u):
         return (d0 - f(u)) * principal_pow(u, -1.0 - delta)
 
-    mid, mid_err = _de_finite(mid_integrand, _MARCHAUD_CUT, 1.0, cfg, counter)
+    mid, mid_err, _ = _de_finite(mid_integrand, _MARCHAUD_CUT, 1.0, cfg, counter)
     mid_err += noise * (_MARCHAUD_CUT ** -delta.real - 1.0) / delta.real
     return IntegralResult(near + mid, near_err + mid_err, counter.count)
 
@@ -336,7 +326,7 @@ def integrate_marchaud(d0, f, delta, cfg=None, amplitude=0.0):
             return 0.0 + 0.0j
         return f(1.0 / v) * principal_pow(v, delta - 1.0)
 
-    far_f, far_err = _de_finite(far_integrand, 0.0, 1.0, cfg, counter)
+    far_f, far_err, _ = _de_finite(far_integrand, 0.0, 1.0, cfg, counter)
 
     value = head.value + far_d0 - far_f
     return IntegralResult(value, head.err_estimate + far_err, counter.count)

@@ -100,14 +100,15 @@ def test_scan_csv_quotes_error_rows(capsys):
     # the error message holds commas; every row must still parse to 5 fields
     code, out = run_cli(
         capsys,
-        ["scan", "--dist", "t3", "--alpha", "0+1i", "--n", "1", "--p-grid=0.3,0.4",
+        ["scan", "--dist", "t3", "--alpha", "0+1i", "--n", "2", "--p-grid=0.002,0.4",
          "--route", "fracderiv", "--format", "csv"],
     )
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["p", "re", "im", "uncertainty", "method"]
     assert len(rows) == 3 and all(len(row) == 5 for row in rows)
-    assert rows[1][4].startswith("error: NonConvergenceError")
+    assert rows[1][4].startswith("error: RouteUnavailableError") and "," in rows[1][4]  # 1/p = 500 needs 500!
+    assert rows[2][4] == "frac_deriv"
 
 
 def test_characterize_blaschke(capsys):
@@ -224,6 +225,15 @@ def test_exit_code_moment_error(capsys):
 
 def test_auto_power_mean_of_nonexistent_expectation_exits_4(capsys):
     code = main(["powermean", "--dist", "cauchy", "--alpha", "0+1i", "--p", "0.5", "--n", "2"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "MomentExistenceError"
+
+
+@pytest.mark.parametrize("route", ["closed", "fracderiv", "mc", "auto"])
+def test_negative_order_power_mean_of_one_cauchy_draw_exits_4(capsys, route):
+    # M_p of one draw is Z + i, and a Cauchy law has no mean
+    code = main(["powermean", "--dist", "cauchy", "--alpha", "0+1i", "--p", "-0.5", "--n", "1",
+                 "--route", route, "--mc-samples", "2000"])
     assert code == 4
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "MomentExistenceError"
 

@@ -147,9 +147,18 @@ def test_t3_char_fn_against_numerical_fourier():
 
 
 def test_char_fn_derivative_order_zero_is_char_fn():
-    for model in (CAUCHY, T3, POIN, TwoPoint(1, -1, 0.5)):
+    # both against E[exp(itZ)] written out per family, not against each other
+    beta = complex(-0.5, 0.5)  # -b/a + i sqrt(ac - b^2)/a at a, b, c = 2, 1, 1
+    written = [
+        (Cauchy(0.3, 1.2), lambda t: np.exp(1j * (0.3 + 1.2j) * t)),
+        (ScaledT3(-0.4, 0.8), lambda t: (1.0 + 0.8 * t) * np.exp(-0.4j * t - 0.8 * t)),
+        (Poincare(2.0, 1.0, 1.0), lambda t: np.exp(1j * beta * t)),
+        (TwoPoint(1 + 1j, -1, 0.3), lambda t: 0.3 * np.exp(1j * (1 + 1j) * t) + 0.7 * np.exp(-1j * t)),
+    ]
+    for model, phi in written:
         for t in (0.0, 0.7, 2.0):
-            assert abs(char_fn_derivative(model, 0, t) - char_fn(model, t)) < 1e-14
+            assert abs(char_fn(model, t) - phi(t)) < 1e-14, (model, t)
+            assert abs(char_fn_derivative(model, 0, t) - phi(t)) < 1e-14, (model, t)
 
 
 def test_char_fn_derivative_examples():

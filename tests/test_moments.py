@@ -417,9 +417,9 @@ def _montecarlo_bytes_at_last_group(monkeypatch, blocks):
 @pytest.mark.parametrize(
     "model, alpha, p, kind, has_closed",
     [
-        (CAUCHY, 1j, -0.5, "cauchy", True),
-        (T3, 1j, -0.5, "t3", True),
-        (POIN, 0j, -0.5, "poincare", True),
+        (CAUCHY, 1j, -0.5, "nodes", True),
+        (T3, 1j, -0.5, "nodes", True),
+        (POIN, 0j, -0.5, "nodes", True),
         (POIN, 0j, 0.5, "nodes", True),
         (POIN, 0j, 0.4, "nodes", True),
         (Poincare(2.0, 1.0, 1.0), 0j, 0.9, "nodes", True),
@@ -597,7 +597,7 @@ def _point_mass_h(y, lam, phase):
 @pytest.mark.parametrize("lam", [-0.5, -0.5 + 0.3j, -1.7, 0.5, 1.5, 0.5 + 0.5j, 2])
 def test_fractional_power_point_mass_upper(lam):
     y = 0.7 + 1.3j
-    value, unc, evals = _fractional_power(_point_mass_h(y, lam, 1j), lam, y.imag, QuadratureConfig(), 1j)
+    value, unc, evals = _fractional_power(_point_mass_h(y, lam, 1j), lam, QuadratureConfig(), 1j)
     assert abs(value - principal_pow(y, lam)) <= 1e-12 * abs(principal_pow(y, lam))
     if lam == 2:
         assert (unc, evals) == (0.0, 0)  # the plain moment, no quadrature
@@ -606,7 +606,7 @@ def test_fractional_power_point_mass_upper(lam):
 @pytest.mark.parametrize("lam", [-0.5, -0.5 + 0.3j, -1.7])
 def test_fractional_power_point_mass_lower(lam):
     y = 0.7 - 1.3j
-    value, _, _ = _fractional_power(_point_mass_h(y, lam, -1j), lam, -y.imag, QuadratureConfig(), -1j)
+    value, _, _ = _fractional_power(_point_mass_h(y, lam, -1j), lam, QuadratureConfig(), -1j)
     assert abs(value - principal_pow(y, lam)) <= 1e-12 * abs(principal_pow(y, lam))
 
 
@@ -615,15 +615,12 @@ def test_frac_deriv_large_orders_raise_documented_errors():
     t3_spec = PowerMeanSpec(p=0.002, n=2, alpha=1j)
     with pytest.raises(RouteUnavailableError):
         power_mean_expectation(T3, t3_spec, Route.FRAC_DERIV)
-    # (t**99) overflows inside the Riemann-Liouville integral
-    poin_spec = PowerMeanSpec(p=-0.01, n=2, alpha=0.5j)
-    with pytest.raises(NonConvergenceError):
-        power_mean_expectation(POIN, poin_spec, Route.FRAC_DERIV)
     with pytest.raises(NonConvergenceError):
         frac_moment_neg(CAUCHY, 1j, -150)
-    mc = MCConfig(samples=2000, seed=7)
-    for model, spec in ((T3, t3_spec), (POIN, poin_spec)):
-        assert power_mean_expectation(model, spec, Route.AUTO, mc=mc).method is Route.MONTE_CARLO
+    assert power_mean_expectation(T3, t3_spec, Route.AUTO, mc=MCConfig(samples=2000, seed=7)).method is Route.MONTE_CARLO
+    # 1/p = -100: t**99 only meets transform values that have underflowed to 0
+    est = power_mean_expectation(POIN, PowerMeanSpec(p=-0.01, n=2, alpha=0.5j), Route.FRAC_DERIV)
+    assert abs(est.value - 1.5j) <= est.uncertainty
 
 
 def test_frac_deriv_rejects_cauchy_positive():
@@ -660,21 +657,94 @@ def test_frac_deriv_estimates_name_their_route(law, spec):
 def test_frac_deriv_exact_transform_carries_rounding_allowance(p, n):
     law, spec = TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), PowerMeanSpec(p=p, n=n)
     est = power_mean_expectation(law, spec, Route.FRAC_DERIV)
-    assert est.meta["transform"] == "atoms"
+    assert est.meta.get("transform") == ("atoms" if n > 1 else None)  # n = 1 takes E[Z + alpha]
     assert 0.0 < est.uncertainty <= 1e-14
     assert abs(est.value - power_mean_expectation(law, spec, Route.CLOSED).value) <= est.uncertainty
 
 
-@pytest.mark.parametrize("p", [0.4, 0.5])
-def test_frac_deriv_positive_orders_never_read_the_single_draw(monkeypatch, p):
-    # the headline E[M_p] = beta must come out of the node rule, not go in
-    def refuse(self, alpha):
-        raise AssertionError("positive orders must not read the closed single draw")
+@pytest.mark.parametrize("law", [CAUCHY, T3, POIN, TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), Empirical((1j, 2j))], ids=repr)
+def test_no_law_offers_a_closed_single_draw_or_a_decay_rate(law):
+    # the headline E[M_p] = beta + alpha must come out of the node rule, not
+    # go in, and no quadrature reads how fast a transform decays
+    assert not hasattr(law, "single_draw") and not hasattr(law, "decay")
 
-    monkeypatch.setattr(Poincare, "single_draw", refuse)
-    est = power_mean_expectation(POIN, PowerMeanSpec(p=p, n=2), Route.FRAC_DERIV)
+
+@pytest.mark.parametrize(
+    "law, mean",
+    [(T3, 0j), (ScaledT3(-0.5, 0.7), -0.5 + 0j), (POIN, 1j), (TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), -0.05 + 0.65j)],
+    ids=repr,
+)
+@pytest.mark.parametrize("p", [-0.9, -0.5, -0.1, 0.0, 0.4, 1.0])
+def test_frac_deriv_of_one_draw_is_the_mean(law, mean, p):
+    # M_p = Z + alpha for n = 1 at every |p| <= 1
+    est = power_mean_expectation(law, PowerMeanSpec(p=p, n=1, alpha=0.5j), Route.FRAC_DERIV)
+    assert abs(est.value - (mean + 0.5j)) <= est.uncertainty <= 1e-14
+
+
+@pytest.mark.parametrize("route", [Route.CLOSED, Route.FRAC_DERIV, Route.MONTE_CARLO, Route.AUTO])
+def test_negative_order_of_one_draw_needs_a_mean(route):
+    # |M_p| <= C min_j |Z_j + alpha| at p < 0, finite in mean iff E|Z|**(1/n) is;
+    # at n = 1 that is E[Z + i], which a Cauchy law lacks
+    mc = MCConfig(samples=2000, seed=1)
+    with pytest.raises(MomentExistenceError):
+        power_mean_expectation(CAUCHY, PowerMeanSpec(p=-0.5, n=1, alpha=1j), route, mc=mc)
+    for law, alpha in ((T3, 1j), (POIN, 0j)):  # both means are i
+        est = power_mean_expectation(law, PowerMeanSpec(p=-0.5, n=1, alpha=alpha), route, mc=mc)
+        assert abs(est.value - 1j) <= max(4.0 * est.uncertainty, 1e-14), (law, route)
+
+
+T3_SIGMA_CELLS = [
+    (ScaledT3(mu, sigma), alpha, p, n)
+    for mu, sigma in ((0.4, 0.7), (-0.3, 2.0))
+    for alpha in (1j, 0.3j)
+    for p in (-0.9, -0.5, -0.1)
+    for n in (1, 2, 5)
+]
+
+
+@pytest.mark.parametrize("law, alpha, p, n", T3_SIGMA_CELLS, ids=repr)
+def test_closed_t3_power_mean_carries_sigma(law, alpha, p, n):
+    # E f(X) = f(gamma) - i sigma f'(gamma) per draw, so term k of the residue
+    # sum is (i sigma / (n g))**k; at sigma = 1 the sum is unchanged
+    spec = PowerMeanSpec(p=p, n=n, alpha=alpha)
+    closed = power_mean_expectation(law, spec, Route.CLOSED).value
+    frac = power_mean_expectation(law, spec, Route.FRAC_DERIV)
+    assert abs(closed - frac.value) <= 1e-10, (closed, frac.value)
+    mc = power_mean_expectation(law, spec, Route.MONTE_CARLO, mc=MCConfig(samples=100_000, seed=11))
+    assert abs(closed - mc.value) <= 4.0 * mc.uncertainty, (closed, mc.value, mc.uncertainty)
+
+
+def test_closed_t3_power_mean_at_sigma_two():
+    # (g = 3i) * (1 - 2/3 + 1/6): Monte Carlo gives 1.502i +- 0.001
+    est = power_mean_expectation(ScaledT3(0.0, 2.0), PowerMeanSpec(p=-0.5, n=2, alpha=1j), Route.CLOSED)
+    assert abs(est.value - 1.5j) <= 1e-15
+
+
+# Cauchy, t3 and Poincare against their residue values beta + alpha (t3: the
+# sum of closed_power_mean), at orders down to -0.05 where the Riemann-Liouville
+# order 1/p reaches -20, and at real alpha for the upper-half-plane law
+TURNED_GRID = [
+    (law, alpha, p, n)
+    for law, alphas in (
+        (CAUCHY, (0.5j, 1 + 0.5j, 2j)),
+        (T3, (0.5j, 1 + 0.5j, 2j)),
+        (ScaledT3(-0.5, 0.7), (0.5j, 1 + 0.5j, 2j)),
+        (POIN, (0j, 0.5j, 1 + 0.5j, 2j, 0.3 + 0j, 1 + 0j)),
+    )
+    for alpha in alphas
+    for p in (-0.9, -0.5, -0.15, -0.1, -0.05)
+    for n in (2, 5)
+]
+
+
+@pytest.mark.parametrize("law, alpha, p, n", TURNED_GRID, ids=repr)
+def test_turned_negative_order_matches_residue_values(law, alpha, p, n):
+    spec = PowerMeanSpec(p=p, n=n, alpha=alpha)
+    est = power_mean_expectation(law, spec, Route.FRAC_DERIV)
     assert est.meta["transform"] == "nodes"
-    assert abs(est.value - 1j) <= est.uncertainty
+    want = power_mean_expectation(law, spec, Route.CLOSED).value if law.support == "real" else POIN.gamma_point + alpha
+    err = abs(est.value - want)
+    assert err <= est.uncertainty, (err, est.uncertainty)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0])
@@ -1077,12 +1147,15 @@ def test_every_route_that_refuses_raises_the_guards_exception(law, alpha, order,
             assert route is not Route.MONTE_CARLO, "Monte Carlo answered outside the domain"
 
 
-def test_real_atoms_at_negative_order_reach_monte_carlo_under_auto():
+def test_real_atoms_at_negative_order_answer_by_fractional_derivative_under_auto():
+    # turned by e^{i psi}, every (Z + alpha)**p of a real atom lies below the axis
     law = Empirical((1.0, 2.0, 3.0))
-    est = power_mean_expectation(law, PowerMeanSpec(p=-0.5, n=2), Route.AUTO, mc=MCConfig(samples=20_000, seed=5))
-    assert est.method is Route.MONTE_CARLO
+    est = power_mean_expectation(law, PowerMeanSpec(p=-0.5, n=2), Route.AUTO)
+    assert est.method is Route.FRAC_DERIV and est.meta["transform"] == "atoms"
     want = np.mean([power_mean([a, b], -0.5) for a in law.samples for b in law.samples])
-    assert abs(est.value - want) <= 4.0 * est.uncertainty
+    assert abs(est.value - want) <= est.uncertainty
+    mc = power_mean_expectation(law, PowerMeanSpec(p=-0.5, n=2), Route.MONTE_CARLO, mc=MCConfig(samples=20_000, seed=5))
+    assert abs(mc.value - want) <= 4.0 * mc.uncertainty
 
 
 def test_real_two_point_law_at_negative_order_on_monte_carlo():
@@ -1094,10 +1167,15 @@ def test_real_two_point_law_at_negative_order_on_monte_carlo():
 
 @pytest.mark.parametrize("law", [CAUCHY, T3])
 @pytest.mark.parametrize("alpha", [0j, 0.7 + 0j, -1.5 + 0j])
-def test_fractional_derivative_refuses_a_real_density_at_real_alpha_without_the_guard(law, alpha):
-    # the transform of (Z + alpha)**p does not decay there
+def test_fractional_derivative_refuses_a_real_density_at_real_alpha_without_the_guard(monkeypatch, law, alpha):
+    # the turned transform decays there, but the node rule of a real-line law
+    # is not graded toward -alpha on its own line, and its levels disagree
+    spec = PowerMeanSpec(p=-0.5, n=2, alpha=alpha)
     with pytest.raises(SupportError):
-        moments._pm_frac_deriv_at(law, PowerMeanSpec(p=-0.5, n=2, alpha=alpha), QuadratureConfig(), _NODE_LEVEL)
+        power_mean_expectation(law, spec, Route.FRAC_DERIV)
+    monkeypatch.setattr(moments, "_check_real_shift", lambda *args: None)
+    with pytest.raises(NonConvergenceError, match="node rules at levels"):
+        power_mean_expectation(law, spec, Route.FRAC_DERIV)
 
 
 @pytest.mark.parametrize("p", [-0.5, 0.0])

@@ -11,6 +11,8 @@ from fracmean.quad import (
     NonConvergenceError,
     QuadraturePreconditionError,
     QuadratureConfig,
+    _de_finite,
+    _EvalCounter,
     integrate_marchaud,
     integrate_singular_decaying,
 )
@@ -19,7 +21,7 @@ SQRT_PI = 1.7724538509055159
 
 
 def test_gamma_integral_singular_endpoint():
-    res = integrate_singular_decaying(lambda t: math.exp(-t), -0.5, 1.0)
+    res = integrate_singular_decaying(lambda t: math.exp(-t), -0.5)
     assert abs(res.value - SQRT_PI) <= 1e-9
     assert res.err_estimate >= abs(res.value - SQRT_PI)
     assert res.evaluations > 0
@@ -28,43 +30,51 @@ def test_gamma_integral_singular_endpoint():
 def test_power_overflow_is_nonconvergence():
     # t**400 leaves the float range past t ~ 5.9, inside the integration range
     with pytest.raises(NonConvergenceError, match="not finite"):
-        integrate_singular_decaying(lambda t: math.exp(-t), 400.0, 1.0)
+        integrate_singular_decaying(lambda t: math.exp(-t), 400.0)
 
 
 def test_plain_exponential():
-    res = integrate_singular_decaying(lambda t: math.exp(-t), 0.0, 1.0)
+    res = integrate_singular_decaying(lambda t: math.exp(-t), 0.0)
     assert abs(res.value - 1.0) <= 1e-10
 
 
 def test_oscillatory_decaying_matches_gamma_times_power():
-    res = integrate_singular_decaying(lambda t: cmath.exp((1j - 1.0) * t), -0.5, 1.0)
+    res = integrate_singular_decaying(lambda t: cmath.exp((1j - 1.0) * t), -0.5)
     want = gamma(0.5) * principal_pow(1.0 - 1j, -0.5)
     assert abs(res.value - want) <= 1e-9
 
 
 def test_mass_near_one_end_survives_a_larger_far_end():
-    # a slow stated decay stretches [1, T] to T ~ 3354: the integrand is
-    # e^-500 at the centre but 1e-60 near T, so a walk from the centre toward
-    # t = 1 meets three negligible terms before the mass at every level past
-    # the first, and must not stop there
+    # on (1, T), T ~ 3354, the integrand is e^-500 at the centre but 1e-60
+    # near T, so a walk from the centre toward t = 1 meets three negligible
+    # terms before the mass at every level past the first, and must not stop
+    # there
     def g(t):
         return math.exp(-t / 3.0) + 1e-60 * math.exp(-(((t - 2500.0) / 200.0) ** 2))
 
-    res = integrate_singular_decaying(g, 0.0, 0.01)
-    assert abs(res.value - 3.0) <= 1e-9
+    value, err, _ = _de_finite(g, 1.0, 3354.0, QuadratureConfig(), _EvalCounter())
+    want = 3.0 * math.exp(-1.0 / 3.0)
+    assert abs(value - want) <= 1e-9 and err <= 1e-9
+
+
+def test_algebraic_tail():
+    # int_0^inf t**(-1/2) (1 + t)**-2 dt = B(1/2, 3/2) = pi / 2: no exponential decay
+    res = integrate_singular_decaying(lambda t: (1.0 + t) ** -2, -0.5)
+    assert abs(res.value - 0.5 * math.pi) <= 1e-9
+    assert res.err_estimate >= abs(res.value - 0.5 * math.pi)
 
 
 @pytest.mark.parametrize("s", [-0.9, -0.5, -0.1, 0.0])
 def test_gamma_self_test_grid(s):
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
-    res = integrate_singular_decaying(lambda t: math.exp(-t), s, 1.0, cfg)
+    res = integrate_singular_decaying(lambda t: math.exp(-t), s, cfg)
     want = gamma(s + 1.0).real
     assert abs(res.value - want) <= cfg.rel_tol * abs(want) + cfg.abs_tol
 
 
 def test_positive_power_weight():
     # t**3 e^-2t integrates to Gamma(4)/2**4
-    res = integrate_singular_decaying(lambda t: math.exp(-2.0 * t), 3.0, 2.0)
+    res = integrate_singular_decaying(lambda t: math.exp(-2.0 * t), 3.0)
     want = 6.0 / 16.0
     assert abs(res.value - want) <= 1e-9
 
@@ -74,8 +84,8 @@ def test_linearity():
     g1 = lambda t: math.exp(-t)
     g2 = lambda t: cmath.exp((2j - 1.0) * t)
     a, b = 2.0 - 1j, 0.5j
-    combined = integrate_singular_decaying(lambda t: a * g1(t) + b * g2(t), -0.3, 1.0, cfg)
-    parts = a * integrate_singular_decaying(g1, -0.3, 1.0, cfg).value + b * integrate_singular_decaying(g2, -0.3, 1.0, cfg).value
+    combined = integrate_singular_decaying(lambda t: a * g1(t) + b * g2(t), -0.3, cfg)
+    parts = a * integrate_singular_decaying(g1, -0.3, cfg).value + b * integrate_singular_decaying(g2, -0.3, cfg).value
     tol = 3.0 * (combined.err_estimate + 1e-10)
     assert abs(combined.value - parts) <= tol
 
@@ -87,7 +97,7 @@ def test_refinement_monotonicity_of_error_estimate():
     for cap in (4, 5, 6):
         cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300, max_level=cap)
         try:
-            res = integrate_singular_decaying(lambda t: math.exp(-t), -0.5, 1.0, cfg)
+            res = integrate_singular_decaying(lambda t: cmath.exp((5j - 1.0) * t), -0.5, cfg)
             errs.append(res.err_estimate)
         except NonConvergenceError as exc:
             errs.append(exc.err_estimate)
@@ -96,19 +106,13 @@ def test_refinement_monotonicity_of_error_estimate():
 
 def test_precondition_s_out_of_range():
     with pytest.raises(QuadraturePreconditionError):
-        integrate_singular_decaying(lambda t: math.exp(-t), -1.0, 1.0)
-
-
-def test_precondition_decay_not_positive():
-    for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(QuadraturePreconditionError):
-            integrate_singular_decaying(lambda t: math.exp(-t), -0.5, bad)
+        integrate_singular_decaying(lambda t: math.exp(-t), -1.0)
 
 
 def test_nonconvergence_raises_at_level_cap():
     cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-15, max_level=3)
     with pytest.raises(NonConvergenceError):
-        integrate_singular_decaying(lambda t: math.exp(-t), -0.9, 1.0, cfg)
+        integrate_singular_decaying(lambda t: math.exp(-t), -0.9, cfg)
 
 
 def test_marchaud_basic_identity():
