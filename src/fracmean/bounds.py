@@ -202,6 +202,7 @@ class SllnTrajectory:
 
 
 _SLLN_CHECKPOINTS = 60  # log-spaced path lengths at which the running mean is read
+_SLLN_CHUNK = 65_536  # draws per sampler call, so memory stays bounded at any n_max
 
 
 def geometric_slln_demo(model, n_max, seed):
@@ -226,9 +227,9 @@ def geometric_slln_demo(model, n_max, seed):
     log_sum = 0.0 + 0.0j
     done = 0
     for n_stop in checkpoints:
-        count = int(n_stop - done)
-        block = _sample_with([(rng, count)], model, count)
-        log_sum += complex(np.sum(np_principal_log(block)))
-        done = int(n_stop)
+        while done < n_stop:  # the interval in chunks, from the one generator
+            count = min(int(n_stop) - done, _SLLN_CHUNK)
+            log_sum += complex(np.sum(np_principal_log(_sample_with([(rng, count)], model, count))))
+            done += count
         values.append(complex(np.exp(log_sum / done)))
     return SllnTrajectory(checkpoints, np.array(values, dtype=complex), target)

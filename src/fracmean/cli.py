@@ -252,20 +252,14 @@ def _run_moment(args):
         "seed": args.seed,
         "mc_samples": args.mc_samples,
     }
-    rows = (
-        ["re", "im", "uncertainty", "method"],
-        [[est.value.real, est.value.imag, est.uncertainty, est.method.value]],
-    )
-    _emit(args, config, est.to_json(), rows, start, extra_meta=_est_meta(est))
+    _emit_estimate(args, config, est, start)
     return 0
 
 
-def _est_meta(est):
-    out = {}
-    for key in ("samples", "replications", "evaluations"):
-        if key in est.meta:
-            out[key] = est.meta[key]
-    return out
+def _emit_estimate(args, config, est, start):
+    rows = (["re", "im", "uncertainty", "method"], [[est.value.real, est.value.imag, est.uncertainty, est.method.value]])
+    cost = {key: est.meta[key] for key in ("samples", "replications", "evaluations") if key in est.meta}
+    _emit(args, config, est.to_json(), rows, start, extra_meta=cost)
 
 
 def _run_powermean(args):
@@ -284,11 +278,7 @@ def _run_powermean(args):
         "seed": args.seed,
         "mc_samples": args.mc_samples,
     }
-    rows = (
-        ["re", "im", "uncertainty", "method"],
-        [[est.value.real, est.value.imag, est.uncertainty, est.method.value]],
-    )
-    _emit(args, config, est.to_json(), rows, start, extra_meta=_est_meta(est))
+    _emit_estimate(args, config, est, start)
     return 0
 
 

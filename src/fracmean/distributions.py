@@ -27,9 +27,12 @@ Each class is the one place that knows its family's formulas.  The routes in
   which fills ``out`` with draws, part by part from each (generator, count)
   pair of ``streams`` in turn, taking its scratch arrays from the workspace
   ``ws``;
-* ``closed_moment(alpha, lam)``, ``closed_power_mean(p, n, alpha)`` and,
-  for the laws that can lie in the upper half plane (Poincare and the atomic
-  laws), ``geometric_mean()`` = exp(E[log Z]);
+* ``closed_moment(alpha, lam)`` and ``closed_power_mean(p, n, alpha)``,
+  which raise RouteUnavailableError where the law has no closed form: one
+  residue path (``_ResidueLaw``) for the three density families, exact sums
+  for the atomic laws; each law answers lam = 0 itself (1 for a density);
+* ``geometric_mean()`` = exp(E[log Z]), for the laws that can lie in the
+  upper half plane (Poincare and the atomic laws);
 * ``nodes(level, alpha)``: points and weights of a rule for E f(Z), finer
   as the level grows: the atoms, or quadrature over the density, which uses
   no pole or closed value, so the (seedless) routes built on it check the
@@ -50,6 +53,7 @@ y ~ InverseGaussian(mean D/a, shape 2 D^2 / a).
 
 import cmath
 import csv
+import decimal
 import json
 import math
 from dataclasses import dataclass
@@ -107,13 +111,42 @@ def _heavy(points, weights):
     return points[keep], weights[keep]
 
 
+class _ResidueLaw:
+    """A density law whose closed forms are residues at its pole gamma_point:
+    E f(Z + alpha) = f(g) for Cauchy and Poincare, f(g) - i sigma f'(g) for
+    the t3 law, at g = gamma_point + alpha (_residue_moment and
+    _residue_power_mean, which the t3 law overrides), for f = z**lam and
+    the power mean M_p of n draws, |p| <= 1.  This needs f holomorphic on
+    the upper half plane (in each draw), growth that the law's moments
+    absorb (check_moment, or the power-mean guard, refuses the rest), and
+    Z + alpha never on the branch cut: alpha lies in the closed upper half
+    plane, and a real Z + alpha takes the principal value, the limit from
+    above.  E[(Z + alpha)**0] = 1, since Z + alpha != 0 almost surely."""
+
+    def closed_moment(self, alpha, lam):
+        self.check_moment(alpha, lam)
+        if lam == 0:
+            return 1.0 + 0.0j
+        if alpha.imag < 0:  # the branch point -alpha sits in the upper half plane
+            raise RouteUnavailableError(f"closed {self.name} moments need alpha in the closed upper half plane")
+        return self._residue_moment(self.gamma_point + alpha, lam)
+
+    def closed_power_mean(self, p, n, alpha):
+        if self.support == "real" and alpha.imag <= 0:
+            raise SupportError(f"{self.name} power means need alpha in the open upper half plane")
+        return self._residue_power_mean(self.gamma_point + alpha, p, n)
+
+    def _residue_moment(self, g, lam):
+        return principal_pow(g, lam)
+
+    def _residue_power_mean(self, g, p, n):
+        return g
+
+
 @dataclass(frozen=True)
-class _RealLineLaw:
+class _RealLineLaw(_ResidueLaw):
     """Location-scale law on the real line whose density has its pole at
-    gamma = mu + i*sigma.  The residue there gives the closed forms: for f
-    bounded and holomorphic on the upper half plane, E f(X) = f(gamma) for
-    Cauchy and f(gamma) - i*sigma*f'(gamma) for the t3 law.  Subclasses add
-    no fields."""
+    gamma = mu + i*sigma.  Subclasses add no fields."""
 
     mu: float
     sigma: float
@@ -136,24 +169,9 @@ class _RealLineLaw:
     def check_moment(self, alpha, lam):
         lam = complex(lam)
         if lam.real >= self.max_moment:  # the tail index
-            raise MomentExistenceError(
-                f"E[|Z|^{lam.real:g}] diverges for {type(self).__name__}"
-            )
+            raise MomentExistenceError(f"E[|Z|^{lam.real:g}] diverges for {type(self).__name__}")
         if complex(alpha).imag == 0.0 and lam.real <= -1.0:
             raise MomentExistenceError("negative orders at real alpha need Re(lam) > -1")
-
-    def closed_moment(self, alpha, lam):
-        self.check_moment(alpha, lam)
-        if alpha.imag < 0:  # the branch point -alpha sits in the upper half plane
-            return None
-        return self._residue_moment(self.gamma_point + alpha, lam)
-
-    def closed_power_mean(self, p, n, alpha):
-        if p >= 0:
-            raise RouteUnavailableError(f"closed {self.name} power means cover p < 0 only")
-        if alpha.imag <= 0:
-            raise SupportError(f"{self.name} power means need alpha in the open upper half plane")
-        return self._residue_power_mean(self.gamma_point + alpha, p, n)
 
     def nodes(self, level, alpha=0j):
         """x = mu + sigma tan(theta), tanh-sinh in theta, weighted by the
@@ -185,12 +203,6 @@ class Cauchy(_RealLineLaw):
         np.tan(x, out=x)
         x *= self.sigma
         return _complex_draws(x, self.mu, out)
-
-    def _residue_moment(self, g, lam):
-        return principal_pow(g, lam)
-
-    def _residue_power_mean(self, g, p, n):
-        return g
 
 
 class ScaledT3(_RealLineLaw):
@@ -231,7 +243,7 @@ class ScaledT3(_RealLineLaw):
 
 
 @dataclass(frozen=True)
-class Poincare:
+class Poincare(_ResidueLaw):
     a: float
     b: float
     c: float
@@ -275,16 +287,6 @@ class Poincare:
 
     def check_moment(self, alpha, lam):
         pass  # the density vanishes faster than any power at the real axis and at infinity
-
-    def closed_moment(self, alpha, lam):
-        return principal_pow(self.gamma_point, lam) if alpha == 0 else None
-
-    def closed_power_mean(self, p, n, alpha):
-        if alpha != 0:
-            raise RouteUnavailableError("closed Poincare power means need alpha = 0")
-        if abs(p) > 1:
-            raise RouteUnavailableError("closed Poincare power means need |p| <= 1")
-        return self.gamma_point
 
     def geometric_mean(self):
         return self.gamma_point  # exp(E[log Z]) = exp(log beta) = beta
@@ -401,17 +403,23 @@ class TwoPoint(AtomicLaw):
         return np.array([self.w, 1.0 - self.w])
 
     def closed_power_mean(self, p, n, alpha):
-        from .moments import power_mean  # moments imports this module
+        from .moments import _power_mean_rows  # moments imports this module
 
-        # exact enumeration over the n-fold product law
+        # exact enumeration over the n-fold product law: k draws at z1 weigh
+        # comb(n, k) w**k (1 - w)**(n - k), formed in decimals, whose exponent
+        # range holds each factor (comb(1030, 515) > 1e308), then rounded once
+        ctx = decimal.Context(prec=40)
+        w_pow, v_pow = [1], [1]
+        for _ in range(n):
+            w_pow.append(ctx.multiply(w_pow[-1], decimal.Decimal(self.w)))
+            v_pow.append(ctx.multiply(v_pow[-1], decimal.Decimal(1.0 - self.w)))
+        weights = np.array([float(ctx.multiply(ctx.multiply(math.comb(n, k), w_pow[k]), v_pow[n - k])) for k in range(n + 1)])
+        ks = np.flatnonzero(weights)
         atoms = self.atoms + alpha
         total = 0.0 + 0.0j
-        for k in range(n + 1):
-            weight = math.comb(n, k) * self.w ** k * (1.0 - self.w) ** (n - k)
-            if weight == 0.0:
-                continue
-            values = np.array([atoms[0]] * k + [atoms[1]] * (n - k))
-            total += weight * power_mean(values, p)
+        for part in np.array_split(ks, -(-ks.size * n // 65_536)):  # rows of some 65,536 values
+            rows = np.where(np.arange(n) < part[:, None], atoms[0], atoms[1])
+            total += complex(np.sum(weights[part] * _power_mean_rows(rows, [p])[0]))
         return total
 
     def to_json(self):
@@ -599,7 +607,10 @@ def make_model(name, params):
             if default is None:
                 raise ValueError(f"{name} needs parameter {key!r}")
             return default
-        return float(p.pop(key))
+        try:
+            return float(p.pop(key))
+        except TypeError:
+            raise ValueError(f"{name} parameter {key!r} must be a number") from None
 
     if name == "cauchy":
         model = Cauchy(real("mu", 0.0), real("sigma", 1.0))
@@ -612,21 +623,16 @@ def make_model(name, params):
         z2 = p.pop("z2", None)
         if z1 is None or z2 is None:
             raise ValueError("twopoint needs z1 and z2")
-
-        def as_complex(v):
-            if isinstance(v, str):
-                return parse_complex(v)
-            if isinstance(v, (list, tuple)):
-                return complex(v[0], v[1])
-            return complex(v)
-
-        model = TwoPoint(as_complex(z1), as_complex(z2), real("w", 0.5))
+        form = "twopoint atoms must be a+bi or [re, im]"
+        model = TwoPoint(_as_complex(z1, form), _as_complex(z2, form), real("w", 0.5))
     elif name == "empirical":
         if "file" in p:
             model = Empirical(tuple(load_samples_csv(p.pop("file"))))
         elif "samples" in p:
-            raw = p.pop("samples")
-            model = Empirical(tuple(complex(z[0], z[1]) for z in raw))
+            raw, form = p.pop("samples"), "empirical samples must be a list [[re, im], ...]"
+            if not isinstance(raw, (list, tuple)):
+                raise ValueError(f"{form}, got {raw!r}")
+            model = Empirical(tuple(_as_complex(z, form) for z in raw))
         else:
             raise ValueError("empirical needs file=... or a samples list")
     else:
@@ -634,6 +640,21 @@ def make_model(name, params):
     if p:
         raise ValueError(f"unused parameters for {name}: {sorted(p)}")
     return model
+
+
+def _as_complex(value, form):
+    """The complex number of a+bi text, a number or a list [re, im]; else a
+    ValueError that says form and shows value."""
+    if isinstance(value, str):
+        return parse_complex(value)
+    if isinstance(value, (int, float)):
+        return complex(value)
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        try:
+            return complex(float(value[0]), float(value[1]))
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{form}, got {value!r}")
 
 
 def model_from_json(obj):

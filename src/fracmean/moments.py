@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
-    AtomicLaw,
     MomentExistenceError,
     RouteUnavailableError,
     SupportError,
@@ -254,9 +253,10 @@ def t3_product_identity(p, k):
 
 
 def closed_moment(model, alpha, lam):
-    """E[(Z + alpha)**lam] in closed form, or None when the family has no
-    closed expression for these arguments; the law's check_moment raises
-    MomentExistenceError when the moment itself does not exist."""
+    """E[(Z + alpha)**lam] in closed form.  RouteUnavailableError where the
+    family has no closed expression for these arguments; the law's
+    check_moment raises MomentExistenceError when the moment itself does
+    not exist."""
     return model.closed_moment(complex(alpha), complex(lam))
 
 
@@ -365,8 +365,7 @@ def _quad_moment(model, alpha, lam, cfg):
     k = floor(Re lam) for Re(lam) > 0 and k = 0 otherwise, with the atoms of
     an atomic law on rotated rays."""
     cfg = cfg or QuadratureConfig()
-    alpha = complex(alpha)
-    lam = complex(lam)
+    alpha, lam = complex(alpha), complex(lam)
     if lam.real > 0 and lam.real == int(lam.real):
         raise ValueError(
             "integer Re(lam) is an ordinary moment; compute it directly "
@@ -417,8 +416,7 @@ def frac_moment_mc(model, alpha, lam, mc=None):
     where E|Z + alpha|^(2 Re lam) diverges, since the standard error then
     estimates no finite variance."""
     mc = mc or MCConfig()
-    alpha = complex(alpha)
-    lam = complex(lam)
+    alpha, lam = complex(alpha), complex(lam)
     model.check_moment(alpha, lam)
     _check_real_shift(model, alpha, lam)
     try:
@@ -480,19 +478,9 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
 
     AUTO prefers closed > quadrature > Monte Carlo and records the choice.
     """
-    alpha = complex(alpha)
-    lam = complex(lam)
+    alpha, lam = complex(alpha), complex(lam)
 
-    def closed():
-        # E[(Z + alpha)**0] = 1 off the atoms at -alpha, where 0**0 = 0
-        val = closed_moment(model, alpha, lam) if lam != 0 or isinstance(model, AtomicLaw) else 1.0 + 0.0j
-        if val is None:
-            raise RouteUnavailableError(
-                f"no closed form for {type(model).__name__} at alpha={alpha}, lam={lam}"
-            )
-        return MomentEstimate(val, 0.0, Route.CLOSED, {"trivial_order": True} if lam == 0 else {})
-
-    steps = [(Route.CLOSED, closed)]
+    steps = [(Route.CLOSED, lambda: MomentEstimate(closed_moment(model, alpha, lam), 0.0, Route.CLOSED))]
     if lam.real != 0:
         steps.append((Route.QUAD, lambda: _quad_moment(model, alpha, lam, cfg)))
     steps.append((Route.MONTE_CARLO, lambda: frac_moment_mc(model, alpha, lam, mc)))
@@ -705,7 +693,7 @@ def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
     """E[((1/n) sum_j (Z_j + alpha)**p)**(1/p)] by the requested route.
 
     Every route runs _check_power_mean first, and the estimate's method is
-    the route that ran.  CLOSED covers the families with explicit formulas
+    the route that ran.  CLOSED covers the residue laws at every p and alpha
     (and exact enumeration for two-point laws); FRAC_DERIV applies the
     fractional operators to the n-th power of the single-draw transform,
     deterministically (it takes no mc), also at p = 0 and n = 1;
@@ -718,8 +706,7 @@ def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
 
     def closed():
         _check_power_mean(model, spec)
-        val = model.closed_power_mean(spec.p, spec.n, spec.alpha)
-        return MomentEstimate(val, 0.0, Route.CLOSED, {"n": spec.n, "p": spec.p})
+        return MomentEstimate(model.closed_power_mean(spec.p, spec.n, spec.alpha), 0.0, Route.CLOSED, {"n": spec.n, "p": spec.p})
 
     return _first_route(route, [
         (Route.CLOSED, closed),

@@ -48,8 +48,8 @@ class QuadratureConfig:
     max_level: int = 10
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):  # nan fails too
+            raise ValueError("tolerances must be finite and positive")
         if not 3 <= self.max_level <= 14:
             raise ValueError("max_level must lie in [3, 14]")
 

@@ -16,7 +16,7 @@ from fracmean.bounds import (
     geometric_slln_demo,
     half_plane_bound_check,
 )
-from fracmean import moments
+from fracmean import bounds, distributions, moments
 from fracmean.distributions import (
     Cauchy,
     MomentExistenceError,
@@ -227,6 +227,26 @@ def test_slln_poincare_shifted_target():
     traj = geometric_slln_demo(Poincare(2.0, 1.0, 1.0), 50_000, seed=3)
     assert traj.target == complex(-0.5, 0.5)
     assert traj.final_error() <= 0.1
+
+
+def test_slln_draws_in_bounded_chunks(monkeypatch):
+    # a real-line law has no geometric_mean; the draws of an atomic law come
+    # from one uniform each, so chunking leaves them unchanged
+    law = TwoPoint(1j, 1.0 + 2.0j, 0.3)
+    whole = geometric_slln_demo(law, 100_000, seed=5)
+    counts = []
+
+    def counting(streams, model, n, *args, **kwargs):
+        counts.append(n)
+        return sample_with(streams, model, n, *args, **kwargs)
+
+    sample_with = distributions._sample_with
+    monkeypatch.setattr(distributions, "_sample_with", counting)
+    monkeypatch.setattr(bounds, "_SLLN_CHUNK", 1000)
+    chunked = geometric_slln_demo(law, 100_000, seed=5)
+    assert max(counts) == 1000 and sum(counts) == 100_000
+    assert np.array_equal(chunked.ns, whole.ns)
+    assert np.max(np.abs(chunked.values - whole.values)) <= 1e-12
 
 
 def test_slln_rejects_real_supported_laws():

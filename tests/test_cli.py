@@ -279,6 +279,35 @@ def test_malformed_samples_csv_exits_2(capsys, tmp_path, text):
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
 
 
+def test_malformed_sample_list_exits_2(capsys):
+    code = main(["moment", "--dist", "empirical", "--params", "samples=1", "--lambda", "0.5+0i"])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and "[[re, im], ...]" in error["message"]
+
+
+@pytest.mark.parametrize("option", ["--rel-tol", "--abs-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_exits_2(capsys, option, value):
+    code = main(["moment", "--dist", "cauchy", "--alpha", "0+1i", "--lambda", "-0.5+0i", option, value])
+    assert code == 2
+    assert "finite" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+def test_two_point_power_mean_past_the_float_range_of_binomials(capsys):
+    # comb(2000, 1000) exceeds the float range
+    blob = run_json(capsys, ["powermean", "--dist", "twopoint", "--params", "z1=1+1i,z2=-1+1i,w=0.5",
+                             "--p", "0.5", "--n", "2000"])
+    assert blob["result"]["method"] == "closed"
+
+
+def test_shifted_poincare_power_mean_is_closed(capsys):
+    blob = run_json(capsys, ["powermean", "--dist", "poincare", "--params", "a=2,b=1,c=1",
+                             "--alpha", "1+0.5i", "--p", "0.5", "--n", "3"])
+    value = complex(blob["result"]["value"]["re"], blob["result"]["value"]["im"])
+    assert blob["result"]["method"] == "closed" and abs(value - (0.5 + 1j)) <= 1e-12
+
+
 def test_empty_p_grid_exits_2(capsys):
     code = main(["scan", "--dist", "poincare", "--params", "a=1,b=0,c=1", "--p-grid", "0.5:-0.5:0.1",
                  "--n", "2", "--mc-samples", "1000"])

@@ -404,6 +404,28 @@ def test_parse_params_and_make_model():
         make_model("poincare", parse_params("a=1,c=1,zzz=3"))
     with pytest.raises(ValueError):
         parse_params("a=1,b")
+    with pytest.raises(ValueError, match="number"):  # a JSON list where a number belongs
+        make_model("cauchy", {"mu": [1.0]})
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"samples": 3},
+        {"samples": "1"},  # as parsed from samples=1 on the command line
+        {"samples": [[1.0, 2.0], [3.0]]},
+        {"samples": [[1.0, 2.0], {"re": 3.0}]},
+    ],
+)
+def test_malformed_sample_lists_raise_value_error_with_the_form(params):
+    with pytest.raises(ValueError, match=r"\[\[re, im\], \.\.\.\]"):
+        make_model("empirical", params)
+
+
+@pytest.mark.parametrize("z1", [[1.0], [1.0, 2.0, 3.0], {"re": 1.0}, [None, 1.0]])
+def test_malformed_two_point_atoms_raise_value_error_with_the_form(z1):
+    with pytest.raises(ValueError, match=r"\[re, im\]"):
+        model_from_json({"dist": "twopoint", "params": {"z1": z1, "z2": [0.0, 1.0]}})
 
 
 def test_model_json_round_trip():

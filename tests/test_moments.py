@@ -49,7 +49,7 @@ from fracmean.moments import (
     _fractional_power,
     _pm_monte_carlo,
 )
-from fracmean.principal import BranchDomainError, np_principal_pow, principal_pow
+from fracmean.principal import BranchDomainError, np_principal_pow, principal_log, principal_pow
 from fracmean.quad import NonConvergenceError, QuadratureConfig
 from graded_laws import GRADED_LAWS
 
@@ -130,7 +130,7 @@ def test_closed_moments():
     assert abs(closed_moment(T3, 1j, -0.5) - want_t3) < 1e-15
     assert abs(want_t3 - (0.625 - 0.625j)) < 1e-15
     assert abs(closed_moment(POIN, 0.0, 0.5) - cmath.exp(1j * math.pi / 4)) < 1e-15
-    assert closed_moment(POIN, 1j, 0.5) is None  # no closed shifted form
+    assert abs(closed_moment(POIN, 1j, 0.5) - (1 + 1j)) < 1e-15  # (beta + alpha)**lam, beta + alpha = 2i
     tp = TwoPoint(1j, 2j, 0.25)
     want = 0.25 * principal_pow(1j, 0.3) + 0.75 * principal_pow(2j, 0.3)
     assert abs(closed_moment(tp, 0.0, 0.3) - want) < 1e-15
@@ -141,10 +141,12 @@ def test_residue_moment_of_a_real_line_law_needs_alpha_in_the_closed_upper_half_
     # residue at gamma does not give the moment; mpmath at lam = 0.25:
     # 1.022441 - 0.423509i.  At lam = 0.5, E|Z - 0.5i| diverges, so Monte
     # Carlo has no standard error and no route answers.
-    assert closed_moment(CAUCHY, -0.5j, 0.5) is None
+    with pytest.raises(RouteUnavailableError):
+        closed_moment(CAUCHY, -0.5j, 0.5)
     with pytest.raises(RouteUnavailableError):
         frac_moment(CAUCHY, -0.5j, 0.5, mc=MCConfig(samples=1000, seed=2))
-    assert closed_moment(CAUCHY, -0.5j, 0.25) is None
+    with pytest.raises(RouteUnavailableError):
+        closed_moment(CAUCHY, -0.5j, 0.25)
     est = frac_moment(CAUCHY, -0.5j, 0.25, mc=MCConfig(samples=100_000, seed=2))
     assert est.method is Route.MONTE_CARLO
     assert abs(est.value - complex(1.0224407746114265, -0.4235088355673057)) <= 4.0 * est.uncertainty
@@ -415,39 +417,42 @@ def _montecarlo_bytes_at_last_group(monkeypatch, blocks):
 
 
 @pytest.mark.parametrize(
-    "model, alpha, p, kind, has_closed",
+    "model, alpha, p, kind",
     [
-        (CAUCHY, 1j, -0.5, "nodes", True),
-        (T3, 1j, -0.5, "nodes", True),
-        (POIN, 0j, -0.5, "nodes", True),
-        (POIN, 0j, 0.5, "nodes", True),
-        (POIN, 0j, 0.4, "nodes", True),
-        (Poincare(2.0, 1.0, 1.0), 0j, 0.9, "nodes", True),
-        (T3, 1j, 0.5, "nodes", False),
-        (POIN, 0.5j, -0.5, "nodes", False),
-        (TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), 0j, -0.5, "atoms", True),
+        (CAUCHY, 1j, -0.5, "nodes"),
+        (T3, 1j, -0.5, "nodes"),
+        (POIN, 0j, -0.5, "nodes"),
+        (POIN, 0j, 0.5, "nodes"),
+        (POIN, 0j, 0.4, "nodes"),
+        (Poincare(2.0, 1.0, 1.0), 0j, 0.9, "nodes"),
+        (T3, 1j, 0.5, "nodes"),
+        (POIN, 0.5j, -0.5, "nodes"),
+        (TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), 0j, -0.5, "atoms"),
     ],
 )
-def test_frac_deriv_transform_kind_per_family(model, alpha, p, kind, has_closed):
+def test_frac_deriv_transform_kind_per_family(model, alpha, p, kind):
     spec = PowerMeanSpec(p=p, n=2, alpha=alpha)
     est = power_mean_expectation(model, spec, Route.FRAC_DERIV, mc=MCConfig(samples=2000, seed=7))
     assert est.meta["transform"] == kind
-    if has_closed:
-        closed = power_mean_expectation(model, spec, Route.CLOSED).value
-        assert abs(est.value - closed) <= 1e-10, (est.value, closed)
+    closed = power_mean_expectation(model, spec, Route.CLOSED).value
+    assert abs(est.value - closed) <= 1e-10, (est.value, closed)
 
 
 def test_frac_moment_dispatch_and_meta():
     est = frac_moment(CAUCHY, 1j, -0.5)
     assert est.method is Route.CLOSED and est.uncertainty == 0.0
-    est = frac_moment(POIN, 1j, -0.5)  # shifted: no closed form, quad applies
+    est = frac_moment(POIN, 1j, -0.5)  # shifted: (beta + alpha)**lam
     want = frac_moment_mc(POIN, 1j, -0.5, MCConfig(samples=400_000, seed=5)).value
-    assert est.method is Route.QUAD
+    assert est.method is Route.CLOSED
     assert abs(est.value - want) <= 0.01
-    est = frac_moment(CAUCHY, 1j, 0.0)
-    assert est.value == 1.0 and est.method is Route.CLOSED
-    with pytest.raises(RouteUnavailableError):
-        frac_moment(POIN, 1j, 0.5, route=Route.CLOSED)
+    # the laws answer lam = 0 themselves: 1 for a density, the weight of the
+    # atoms off -alpha (0**0 = 0) for an atomic law
+    for law in (CAUCHY, ScaledT3(0.3, 2.0), POIN):
+        est = frac_moment(law, 0.5 + 1j, 0.0)
+        assert est.value == 1.0 and est.method is Route.CLOSED
+    assert frac_moment(TwoPoint(-1j, 1j, 0.25), 1j, 0.0).value == 0.75
+    with pytest.raises(RouteUnavailableError):  # the branch point -alpha in the upper half plane
+        frac_moment(CAUCHY, -0.5j, 0.25, route=Route.CLOSED)
 
 
 _LADDER_MC = MCConfig(samples=2000, seed=1)
@@ -512,10 +517,12 @@ def test_closed_cauchy_power_mean_invariance():
         for n in (2, 3, 5):
             est = power_mean_expectation(CAUCHY, PowerMeanSpec(p=p, n=n, alpha=1j), Route.CLOSED)
             assert est.value == 2j
+    for n in (2, 3, 5):  # the geometric mean too
+        assert power_mean_expectation(CAUCHY, PowerMeanSpec(p=0.0, n=n, alpha=1j), Route.CLOSED).value == 2j
     with pytest.raises(MomentExistenceError):  # E|M_p| diverges at p > 0
         power_mean_expectation(CAUCHY, PowerMeanSpec(p=0.5, n=2, alpha=1j), Route.CLOSED)
-    with pytest.raises(RouteUnavailableError):
-        power_mean_expectation(T3, PowerMeanSpec(p=0.5, n=2, alpha=1j), Route.CLOSED)
+    with pytest.raises(SupportError):  # real alpha
+        power_mean_expectation(CAUCHY, PowerMeanSpec(p=0.0, n=2, alpha=0.5), Route.CLOSED)
 
 
 def test_closed_poincare_power_mean_invariance():
@@ -552,6 +559,31 @@ def test_two_point_power_mean_enumeration_matches_mc():
     closed = power_mean_expectation(tp, spec, Route.CLOSED)
     mc = power_mean_expectation(tp, spec, Route.MONTE_CARLO, mc=MCConfig(samples=200_000, seed=8))
     assert abs(closed.value - mc.value) <= 4.0 * mc.uncertainty
+
+
+def test_two_point_power_mean_past_the_float_range_of_binomials():
+    # comb(2000, 1000) ~ 2e600 exceeds the float range
+    law, alpha = TwoPoint(1 + 1j, -1 + 1j, 0.3), 0.5j
+    est = power_mean_expectation(law, PowerMeanSpec(p=1.0, n=2000, alpha=alpha), Route.CLOSED)
+    assert abs(est.value - (0.3 * law.z1 + 0.7 * law.z2 + alpha)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [7, 1029])
+@pytest.mark.parametrize("p", [-0.5, 0.0, 0.5])
+def test_two_point_power_mean_weights_within_float_range_unchanged(p, n):
+    # the float binomial weights, which hold up to n = 1029, and the power
+    # mean of k values a and n - k values b in closed form
+    law, alpha = TwoPoint(2j, 0.5 + 0.1j, 0.3), 0.3j
+    a, b = law.z1 + alpha, law.z2 + alpha
+    want = 0j
+    for k in range(n + 1):
+        if p == 0:
+            pm = cmath.exp((k * principal_log(a) + (n - k) * principal_log(b)) / n)
+        else:
+            pm = principal_pow((k * principal_pow(a, p) + (n - k) * principal_pow(b, p)) / n, 1.0 / p)
+        want += math.comb(n, k) * 0.3 ** k * 0.7 ** (n - k) * pm
+    got = power_mean_expectation(law, PowerMeanSpec(p=p, n=n, alpha=alpha), Route.CLOSED).value
+    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 @pytest.mark.parametrize("p", [-0.5, 0.5])
@@ -617,7 +649,12 @@ def test_frac_deriv_large_orders_raise_documented_errors():
         power_mean_expectation(T3, t3_spec, Route.FRAC_DERIV)
     with pytest.raises(NonConvergenceError):
         frac_moment_neg(CAUCHY, 1j, -150)
-    assert power_mean_expectation(T3, t3_spec, Route.AUTO, mc=MCConfig(samples=2000, seed=7)).method is Route.MONTE_CARLO
+    assert power_mean_expectation(T3, t3_spec, Route.AUTO).method is Route.CLOSED
+    # a law without a closed power mean falls through to Monte Carlo
+    law, spec = Empirical((1 + 1j, -0.5 + 0.5j, 2j)), PowerMeanSpec(p=0.002, n=2)
+    with pytest.raises(RouteUnavailableError):
+        power_mean_expectation(law, spec, Route.FRAC_DERIV)
+    assert power_mean_expectation(law, spec, Route.AUTO, mc=MCConfig(samples=2000, seed=7)).method is Route.MONTE_CARLO
     # 1/p = -100: t**99 only meets transform values that have underflowed to 0
     est = power_mean_expectation(POIN, PowerMeanSpec(p=-0.01, n=2, alpha=0.5j), Route.FRAC_DERIV)
     assert abs(est.value - 1.5j) <= est.uncertainty
@@ -720,9 +757,78 @@ def test_closed_t3_power_mean_at_sigma_two():
     assert abs(est.value - 1.5j) <= 1e-15
 
 
-# Cauchy, t3 and Poincare against their residue values beta + alpha (t3: the
-# sum of closed_power_mean), at orders down to -0.05 where the Riemann-Liouville
-# order 1/p reaches -20, and at real alpha for the upper-half-plane law
+# --- one residue law: the closed forms against the independent routes --------------
+
+POIN_B = Poincare(2.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("law", [POIN, POIN_B], ids=repr)
+@pytest.mark.parametrize("alpha", [0.3, 1 + 0.5j])
+@pytest.mark.parametrize("lam", [-0.5, 0.5 + 0.3j])
+def test_closed_poincare_moment_matches_quadrature(law, alpha, lam):
+    closed = frac_moment(law, alpha, lam, Route.CLOSED).value
+    est = frac_moment(law, alpha, lam, Route.QUAD)
+    err = abs(est.value - closed)
+    assert err <= est.uncertainty and err <= 1e-8 * abs(closed), (err, est.uncertainty)
+
+
+# the cells that the node-rule and turned grids below leave out: real alpha
+# at p >= 0, a second Poincare law, t3 with sigma != 1 and mu != 0 at p >= 0,
+# and a Cauchy geometric mean off the imaginary axis
+RESIDUE_GRID = (
+    [(POIN, 0.3, 0.0, 2), (POIN, 0.3, 0.5, 3), (POIN_B, 0.3, 0.5, 2), (POIN_B, 1 + 0.5j, -0.5, 2), (POIN_B, 1 + 0.5j, 0.0, 3)]
+    + [(ScaledT3(0.3, 0.7), 1j, p, 2) for p in (0.0, 0.25, 0.5, 0.9)]
+    + [(ScaledT3(-0.4, 2.0), 0.5 + 0.5j, p, 2) for p in (0.0, 0.25, 0.5)]
+    + [(CAUCHY, 0.5 + 0.5j, 0.0, 2)]
+)
+
+
+@pytest.mark.parametrize("law, alpha, p, n", RESIDUE_GRID, ids=repr)
+def test_closed_power_mean_matches_frac_deriv(law, alpha, p, n):
+    spec = PowerMeanSpec(p=p, n=n, alpha=alpha)
+    closed = power_mean_expectation(law, spec, Route.CLOSED).value
+    est = power_mean_expectation(law, spec, Route.FRAC_DERIV)
+    err = abs(est.value - closed)
+    assert err <= est.uncertainty and err <= 1e-8, (err, est.uncertainty)
+
+
+# t3 cells at p = 0.9 where the node rules of FRAC_DERIV do not converge
+@pytest.mark.parametrize("law, alpha", [(ScaledT3(0.3, 2.0), 1j), (ScaledT3(0.3, 2.0), 0.5 + 0.5j), (T3, 0.5 + 0.5j)])
+def test_closed_t3_power_mean_matches_monte_carlo_where_frac_deriv_fails(law, alpha):
+    spec = PowerMeanSpec(p=0.9, n=2, alpha=alpha)
+    closed = power_mean_expectation(law, spec, Route.CLOSED).value
+    est = power_mean_expectation(law, spec, Route.MONTE_CARLO, mc=MCConfig(samples=100_000, seed=21))
+    assert abs(est.value - closed) <= 4.0 * est.uncertainty
+
+
+@pytest.mark.parametrize(
+    "law, alpha, p",
+    [(POIN, 0.3, 0.5), (POIN_B, 1 + 0.5j, -1.0), (POIN_B, 2j, 0.0), (ScaledT3(0.3, 2.0), 1j, 0.9),
+     (T3, 0.5 + 0.5j, 0.0), (CAUCHY, 0.5 + 1j, 0.0)],
+    ids=repr,
+)
+def test_auto_power_mean_takes_the_residue_value(law, alpha, p):
+    est = power_mean_expectation(law, PowerMeanSpec(p=p, n=3, alpha=alpha))
+    assert est.method is Route.CLOSED and est.meta["auto"] is True
+    if law.name != "t3":  # the pole moved by alpha
+        assert est.value == law.gamma_point + alpha
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1 + 0.5j, 2j])
+def test_auto_poincare_moment_takes_the_residue_value(alpha):
+    est = frac_moment(POIN_B, alpha, -0.5 + 0.3j)
+    assert est.method is Route.CLOSED and est.value == principal_pow(POIN_B.gamma_point + alpha, -0.5 + 0.3j)
+
+
+def test_residue_laws_define_no_closed_form_of_their_own():
+    for law in (Cauchy, Poincare):
+        for name in ("closed_moment", "closed_power_mean", "_residue_moment", "_residue_power_mean"):
+            assert name not in vars(law), (law, name)
+
+
+# Cauchy, t3 and Poincare against their closed residue values, at orders down
+# to -0.05 where the Riemann-Liouville order 1/p reaches -20, and at real alpha
+# for the upper-half-plane law
 TURNED_GRID = [
     (law, alpha, p, n)
     for law, alphas in (
@@ -742,7 +848,7 @@ def test_turned_negative_order_matches_residue_values(law, alpha, p, n):
     spec = PowerMeanSpec(p=p, n=n, alpha=alpha)
     est = power_mean_expectation(law, spec, Route.FRAC_DERIV)
     assert est.meta["transform"] == "nodes"
-    want = power_mean_expectation(law, spec, Route.CLOSED).value if law.support == "real" else POIN.gamma_point + alpha
+    want = power_mean_expectation(law, spec, Route.CLOSED).value
     err = abs(est.value - want)
     assert err <= est.uncertainty, (err, est.uncertainty)
 
@@ -759,10 +865,10 @@ def test_auto_moment_refuses_nonexistent_moment():
         frac_moment(CAUCHY, 1j, 1.0)
 
 
-def test_auto_geometric_mean_of_cauchy_takes_quadrature():
+def test_auto_geometric_mean_of_cauchy_is_closed():
     est = power_mean_expectation(CAUCHY, PowerMeanSpec(p=0.0, n=2, alpha=1j), Route.AUTO)
-    assert est.method is Route.FRAC_DERIV and est.meta["auto"] is True
-    assert abs(est.value - 2j) <= est.uncertainty
+    assert est.method is Route.CLOSED and est.meta["auto"] is True
+    assert est.value == 2j
 
 
 def _loop_moments(values, weights, jmax, v):
@@ -886,14 +992,6 @@ def test_t3_node_rule_level_gap_bounds_error(p):
             assert err <= abs(fine[j] - coarse[j]), (c, j, err, abs(fine[j] - coarse[j]))
 
 
-def _residue_power_mean(law, alpha, p, n):
-    # the value the closed forms would give by the residue argument; the
-    # node rules never see it
-    if law is T3:
-        return T3._residue_power_mean(T3.gamma_point + alpha, p, n)
-    return POIN.gamma_point + alpha
-
-
 NODE_GRID = [(T3, 1j, p) for p in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.9)] + [
     (POIN, alpha, p) for alpha in (0.5j, 1 + 0.5j, 2j) for p in (-0.9, -0.5, -0.2, 0.3, 0.4, 0.7)
 ]
@@ -902,9 +1000,10 @@ NODE_GRID = [(T3, 1j, p) for p in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.9)] + [
 @pytest.mark.parametrize("law, alpha, p", NODE_GRID)
 def test_frac_deriv_node_rule_matches_residue_values(law, alpha, p):
     for n in (2, 3, 5):
-        est = power_mean_expectation(law, PowerMeanSpec(p=p, n=n, alpha=alpha), Route.FRAC_DERIV)
+        spec = PowerMeanSpec(p=p, n=n, alpha=alpha)
+        est = power_mean_expectation(law, spec, Route.FRAC_DERIV)
         assert est.meta["transform"] == "nodes" and est.meta["level"] == _NODE_LEVEL + 1
-        err = abs(est.value - _residue_power_mean(law, alpha, p, n))
+        err = abs(est.value - power_mean_expectation(law, spec, Route.CLOSED).value)  # the node rules never see it
         assert err <= 1e-8 and err <= est.uncertainty, (n, err, est.uncertainty)
 
 
@@ -949,13 +1048,15 @@ def test_frac_deriv_real_shift_converges_or_says_so(p, n):
 
 
 def test_auto_power_mean_falls_back_to_mc_when_quadrature_fails():
-    spec = PowerMeanSpec(-0.5, 2, 0.5j)
+    atoms = (1 + 1j, -0.5 + 0.5j, 2j)
+    law, spec = Empirical(atoms), PowerMeanSpec(-0.5, 2, 0.5j)  # no closed power mean
     cfg = QuadratureConfig(max_level=3, rel_tol=1e-14, abs_tol=1e-16)
     with pytest.raises(NonConvergenceError):
-        power_mean_expectation(POIN, spec, Route.FRAC_DERIV, cfg)
-    est = power_mean_expectation(POIN, spec, Route.AUTO, cfg, MCConfig(samples=20_000, seed=3))
+        power_mean_expectation(law, spec, Route.FRAC_DERIV, cfg)
+    est = power_mean_expectation(law, spec, Route.AUTO, cfg, MCConfig(samples=20_000, seed=3))
     assert est.method is Route.MONTE_CARLO and est.meta["auto"] is True
-    assert abs(est.value - 1.5j) <= 4.0 * est.uncertainty
+    want = np.mean([power_mean([a + 0.5j, b + 0.5j], -0.5) for a in atoms for b in atoms])
+    assert abs(est.value - want) <= 4.0 * est.uncertainty
 
 
 def test_mc_power_mean_sample_size_invariance():
@@ -1061,6 +1162,24 @@ def test_failing_block_raises_and_leaves_no_thread(monkeypatch, threads):
     with pytest.raises(BranchDomainError):
         power_mean_expectation(law, PowerMeanSpec(p=-0.5, n=2), Route.MONTE_CARLO, mc=mc)
     assert threading.active_count() == before
+
+
+def test_worker_failure_in_a_middle_group_propagates(monkeypatch):
+    # three groups of two blocks at two threads: the helper's group 1 raises,
+    # and the calling thread must not wait for its moments
+    monkeypatch.setenv("FRACMEAN_THREADS", "2")
+    mc = MCConfig(samples=3 * montecarlo._GROUP_ROWS, seed=5, batch=montecarlo._GROUP_ROWS // 2)
+    planted = ArithmeticError("raised by the test in group 1")
+
+    def block(first, count):
+        if first == 2:
+            raise planted
+        return np.ones(count * mc.batch, dtype=complex)
+
+    with pytest.raises(ArithmeticError) as info:
+        montecarlo._mc_mean(block, mc.samples, mc)
+    assert info.value is planted
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("fracmean-mc-")]
 
 
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
@@ -1217,7 +1336,9 @@ def test_auto_route_and_meta_records_choice():
     est = power_mean_expectation(POIN, PowerMeanSpec(p=0.5, n=2), Route.AUTO)
     assert est.method is Route.CLOSED and est.meta["auto"] is True
     est = power_mean_expectation(POIN, PowerMeanSpec(p=0.5, n=2, alpha=1j), Route.AUTO)
-    assert est.method is not Route.CLOSED
+    assert est.method is Route.CLOSED and est.value == 2j
+    est = power_mean_expectation(Empirical((1 + 1j, 2j)), PowerMeanSpec(p=0.5, n=2), Route.AUTO)
+    assert est.method is Route.FRAC_DERIV and est.meta["auto"] is True
 
 
 def test_moment_estimate_json_shape():
@@ -1249,17 +1370,17 @@ def test_continuity_scan_point_mass_idempotent():
 
 
 def test_continuity_scan_records_errors_and_continues():
-    grid = [-0.5, 0.5]  # positive p unavailable on the closed t3 route
-    table = continuity_scan(T3, 1j, 2, grid, Route.CLOSED)
+    grid = [-0.5, 0.5]  # E|M_p| of Cauchy draws diverges at p > 0
+    table = continuity_scan(CAUCHY, 1j, 2, grid, Route.CLOSED)
     assert table.rows[0].estimate is not None
-    assert table.rows[1].estimate is None and "Route" in table.rows[1].error
+    assert table.rows[1].estimate is None and "MomentExistenceError" in table.rows[1].error
 
 
 @pytest.mark.parametrize(
     "route,alpha,grid",
     [
         (Route.MONTE_CARLO, 0.5j, [-1.0, -0.4, -1e-9, 0.0, 1e-9, 0.3, 0.8, 1.0]),
-        (Route.AUTO, 0.3, [-0.6, 0.4]),  # no closed form, and the node rules fail: Monte Carlo
+        (Route.AUTO, 0.3, [-0.6, 0.4]),  # closed at real alpha
     ],
     ids=["mc", "auto"],
 )

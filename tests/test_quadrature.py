@@ -158,6 +158,11 @@ def test_marchaud_delta_out_of_range():
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
+    for bad in (math.nan, math.inf):  # nan would drop the relative test, inf stop every refinement
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(rel_tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(abs_tol=bad)
     with pytest.raises(ValueError):
         QuadratureConfig(max_level=2)
     with pytest.raises(ValueError):
