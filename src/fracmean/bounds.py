@@ -229,7 +229,8 @@ def geometric_slln_demo(model, n_max, seed):
     for n_stop in checkpoints:
         while done < n_stop:  # the interval in chunks, from the one generator
             count = min(int(n_stop) - done, _SLLN_CHUNK)
-            log_sum += complex(np.sum(np_principal_log(_sample_with([(rng, count)], model, count))))
+            block = _sample_with([(rng, count)], model, count)
+            log_sum += complex(np.sum(np_principal_log(block)))
             done += count
         values.append(complex(np.exp(log_sum / done)))
     return SllnTrajectory(checkpoints, np.array(values, dtype=complex), target)

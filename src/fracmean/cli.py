@@ -252,14 +252,20 @@ def _run_moment(args):
         "seed": args.seed,
         "mc_samples": args.mc_samples,
     }
-    _emit_estimate(args, config, est, start)
+    rows = (
+        ["re", "im", "uncertainty", "method"],
+        [[est.value.real, est.value.imag, est.uncertainty, est.method.value]],
+    )
+    _emit(args, config, est.to_json(), rows, start, extra_meta=_est_meta(est))
     return 0
 
 
-def _emit_estimate(args, config, est, start):
-    rows = (["re", "im", "uncertainty", "method"], [[est.value.real, est.value.imag, est.uncertainty, est.method.value]])
-    cost = {key: est.meta[key] for key in ("samples", "replications", "evaluations") if key in est.meta}
-    _emit(args, config, est.to_json(), rows, start, extra_meta=cost)
+def _est_meta(est):
+    out = {}
+    for key in ("samples", "replications", "evaluations"):
+        if key in est.meta:
+            out[key] = est.meta[key]
+    return out
 
 
 def _run_powermean(args):
@@ -278,7 +284,11 @@ def _run_powermean(args):
         "seed": args.seed,
         "mc_samples": args.mc_samples,
     }
-    _emit_estimate(args, config, est, start)
+    rows = (
+        ["re", "im", "uncertainty", "method"],
+        [[est.value.real, est.value.imag, est.uncertainty, est.method.value]],
+    )
+    _emit(args, config, est.to_json(), rows, start, extra_meta=_est_meta(est))
     return 0
 
 

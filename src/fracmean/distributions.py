@@ -56,6 +56,7 @@ import csv
 import decimal
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +170,9 @@ class _RealLineLaw(_ResidueLaw):
     def check_moment(self, alpha, lam):
         lam = complex(lam)
         if lam.real >= self.max_moment:  # the tail index
-            raise MomentExistenceError(f"E[|Z|^{lam.real:g}] diverges for {type(self).__name__}")
+            raise MomentExistenceError(
+                f"E[|Z|^{lam.real:g}] diverges for {type(self).__name__}"
+            )
         if complex(alpha).imag == 0.0 and lam.real <= -1.0:
             raise MomentExistenceError("negative orders at real alpha need Re(lam) > -1")
 
@@ -232,13 +235,13 @@ class ScaledT3(_RealLineLaw):
         return principal_pow(g, lam - 1.0) * (g - 1j * lam * self.sigma)
 
     def _residue_power_mean(self, g, p, n):
-        # the product form of t3_product_identity, free of cancellation
-        total = 0.0 + 0.0j
-        for k in range(n + 1):
-            prod = 1.0 + 0.0j
-            for j in range(k):
-                prod *= j * p - 1.0
-            total += math.comb(n, k) * (1j * self.sigma / (n * g)) ** k * prod
+        # sum_k comb(n, k) (i sigma / (n g))**k prod_{j<k} (j p - 1), the
+        # product form of t3_product_identity, free of cancellation; each
+        # term from the last, so no binomial leaves the float range
+        term = total = 1.0 + 0.0j
+        for k in range(1, n + 1):
+            term *= (n - k + 1) / k * (1j * self.sigma / (n * g)) * ((k - 1) * p - 1.0)
+            total += term
         return g * total
 
 
@@ -403,24 +406,29 @@ class TwoPoint(AtomicLaw):
         return np.array([self.w, 1.0 - self.w])
 
     def closed_power_mean(self, p, n, alpha):
-        from .moments import _power_mean_rows  # moments imports this module
+        from .moments import _P_GEOMETRIC_EPS  # moments imports this module
 
         # exact enumeration over the n-fold product law: k draws at z1 weigh
         # comb(n, k) w**k (1 - w)**(n - k), formed in decimals, whose exponent
-        # range holds each factor (comb(1030, 515) > 1e308), then rounded once
+        # range holds each factor (comb(1030, 515) > 1e308), then rounded once;
+        # with n - k draws at z2 their power mean is
+        # ((k a**p + (n - k) b**p) / n)**(1/p), at p = 0 exp of the mean log
         ctx = decimal.Context(prec=40)
         w_pow, v_pow = [1], [1]
         for _ in range(n):
             w_pow.append(ctx.multiply(w_pow[-1], decimal.Decimal(self.w)))
             v_pow.append(ctx.multiply(v_pow[-1], decimal.Decimal(1.0 - self.w)))
-        weights = np.array([float(ctx.multiply(ctx.multiply(math.comb(n, k), w_pow[k]), v_pow[n - k])) for k in range(n + 1)])
-        ks = np.flatnonzero(weights)
-        atoms = self.atoms + alpha
-        total = 0.0 + 0.0j
-        for part in np.array_split(ks, -(-ks.size * n // 65_536)):  # rows of some 65,536 values
-            rows = np.where(np.arange(n) < part[:, None], atoms[0], atoms[1])
-            total += complex(np.sum(weights[part] * _power_mean_rows(rows, [p])[0]))
-        return total
+        weights = np.array(
+            [float(ctx.multiply(ctx.multiply(math.comb(n, k), w_pow[k]), v_pow[n - k])) for k in range(n + 1)]
+        )
+        k = np.arange(n + 1)
+        if abs(p) < _P_GEOMETRIC_EPS:
+            log_a, log_b = np_principal_log(self.atoms + alpha)
+            means = np.exp((k * log_a + (n - k) * log_b) / n)
+        else:
+            pow_a, pow_b = np_principal_pow(self.atoms + alpha, p)
+            means = np_principal_pow((k * pow_a + (n - k) * pow_b) / n, 1.0 / p)
+        return complex(np.sum(weights * means))
 
     def to_json(self):
         params = {"z1": [self.z1.real, self.z1.imag], "z2": [self.z2.real, self.z2.imag], "w": self.w}
@@ -647,7 +655,7 @@ def _as_complex(value, form):
     ValueError that says form and shows value."""
     if isinstance(value, str):
         return parse_complex(value)
-    if isinstance(value, (int, float)):
+    if isinstance(value, numbers.Number):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         try:

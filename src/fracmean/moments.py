@@ -365,7 +365,8 @@ def _quad_moment(model, alpha, lam, cfg):
     k = floor(Re lam) for Re(lam) > 0 and k = 0 otherwise, with the atoms of
     an atomic law on rotated rays."""
     cfg = cfg or QuadratureConfig()
-    alpha, lam = complex(alpha), complex(lam)
+    alpha = complex(alpha)
+    lam = complex(lam)
     if lam.real > 0 and lam.real == int(lam.real):
         raise ValueError(
             "integer Re(lam) is an ordinary moment; compute it directly "
@@ -416,7 +417,8 @@ def frac_moment_mc(model, alpha, lam, mc=None):
     where E|Z + alpha|^(2 Re lam) diverges, since the standard error then
     estimates no finite variance."""
     mc = mc or MCConfig()
-    alpha, lam = complex(alpha), complex(lam)
+    alpha = complex(alpha)
+    lam = complex(lam)
     model.check_moment(alpha, lam)
     _check_real_shift(model, alpha, lam)
     try:
@@ -478,9 +480,13 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
 
     AUTO prefers closed > quadrature > Monte Carlo and records the choice.
     """
-    alpha, lam = complex(alpha), complex(lam)
+    alpha = complex(alpha)
+    lam = complex(lam)
 
-    steps = [(Route.CLOSED, lambda: MomentEstimate(closed_moment(model, alpha, lam), 0.0, Route.CLOSED))]
+    def closed():
+        return MomentEstimate(closed_moment(model, alpha, lam), 0.0, Route.CLOSED)
+
+    steps = [(Route.CLOSED, closed)]
     if lam.real != 0:
         steps.append((Route.QUAD, lambda: _quad_moment(model, alpha, lam, cfg)))
     steps.append((Route.MONTE_CARLO, lambda: frac_moment_mc(model, alpha, lam, mc)))
@@ -706,7 +712,8 @@ def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
 
     def closed():
         _check_power_mean(model, spec)
-        return MomentEstimate(model.closed_power_mean(spec.p, spec.n, spec.alpha), 0.0, Route.CLOSED, {"n": spec.n, "p": spec.p})
+        val = model.closed_power_mean(spec.p, spec.n, spec.alpha)
+        return MomentEstimate(val, 0.0, Route.CLOSED, {"n": spec.n, "p": spec.p})
 
     return _first_route(route, [
         (Route.CLOSED, closed),

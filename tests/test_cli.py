@@ -301,6 +301,12 @@ def test_two_point_power_mean_past_the_float_range_of_binomials(capsys):
     assert blob["result"]["method"] == "closed"
 
 
+def test_t3_power_mean_past_the_float_range_of_binomials(capsys):
+    blob = run_json(capsys, ["powermean", "--dist", "t3", "--params", "mu=0,sigma=1", "--alpha", "0+1i",
+                             "--p", "-0.5", "--n", "2000"])
+    assert blob["result"]["method"] == "closed"
+
+
 def test_shifted_poincare_power_mean_is_closed(capsys):
     blob = run_json(capsys, ["powermean", "--dist", "poincare", "--params", "a=2,b=1,c=1",
                              "--alpha", "1+0.5i", "--p", "0.5", "--n", "3"])

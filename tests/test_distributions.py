@@ -428,6 +428,13 @@ def test_malformed_two_point_atoms_raise_value_error_with_the_form(z1):
         model_from_json({"dist": "twopoint", "params": {"z1": z1, "z2": [0.0, 1.0]}})
 
 
+@pytest.mark.parametrize("z1", [1 + 1j, np.complex128(1 + 1j), "1+1i", [1, 1], (1.0, 1.0)])
+def test_two_point_atoms_accept_numbers_text_and_pairs(z1):
+    law = make_model("twopoint", {"z1": z1, "z2": 2j})
+    assert law.z1 == 1 + 1j and law.z2 == 2j
+    assert make_model("twopoint", {"z1": np.int64(3), "z2": 2.5}).atoms.tolist() == [3, 2.5]
+
+
 def test_model_json_round_trip():
     for model in (CAUCHY, T3, POIN, TwoPoint(1j, -1.0, 0.5), Empirical((1j, 2.0))):
         again = model_from_json(json.dumps(model.to_json()))

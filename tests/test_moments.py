@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -566,6 +567,22 @@ def test_two_point_power_mean_past_the_float_range_of_binomials():
     law, alpha = TwoPoint(1 + 1j, -1 + 1j, 0.3), 0.5j
     est = power_mean_expectation(law, PowerMeanSpec(p=1.0, n=2000, alpha=alpha), Route.CLOSED)
     assert abs(est.value - (0.3 * law.z1 + 0.7 * law.z2 + alpha)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [-0.5, 0.5])
+def test_t3_power_mean_past_the_float_range_of_binomials(p):
+    # comb(2000, k) leaves the float range; the closed sum is formed term by term
+    law, alpha, n = ScaledT3(0.3, 2.0), 0.5 + 1j, 2000
+    g = mpmath.mpc(law.gamma_point + alpha)
+    want, term = 0, mpmath.mpf(1)
+    for k in range(n + 1):
+        want += term
+        term *= mpmath.mpf(n - k) / (k + 1) * 1j * law.sigma / (n * g) * (k * mpmath.mpf(p) - 1)
+    est = power_mean_expectation(law, PowerMeanSpec(p=p, n=n, alpha=alpha), Route.AUTO)
+    assert est.method is Route.CLOSED
+    assert abs(est.value - complex(g * want)) <= 1e-14 * abs(est.value)
+    mean = power_mean_expectation(law, PowerMeanSpec(p=1.0, n=n, alpha=alpha), Route.CLOSED).value
+    assert abs(mean - (law.mu + alpha)) <= 1e-12  # E[M_1] = E[Z] + alpha
 
 
 @pytest.mark.parametrize("n", [7, 1029])
@@ -1376,20 +1393,27 @@ def test_continuity_scan_records_errors_and_continues():
     assert table.rows[1].estimate is None and "MomentExistenceError" in table.rows[1].error
 
 
+_NO_CLOSED_LAW = Empirical((1 + 1j, -0.5 + 0.5j, 2j))  # no closed power mean
+_FAILING_RULES = QuadratureConfig(max_level=3, rel_tol=1e-14, abs_tol=1e-16)  # FRAC_DERIV raises
+
+
 @pytest.mark.parametrize(
-    "route,alpha,grid",
+    "model,route,alpha,grid,cfg",
     [
-        (Route.MONTE_CARLO, 0.5j, [-1.0, -0.4, -1e-9, 0.0, 1e-9, 0.3, 0.8, 1.0]),
-        (Route.AUTO, 0.3, [-0.6, 0.4]),  # closed at real alpha
+        (POIN, Route.MONTE_CARLO, 0.5j, [-1.0, -0.4, -1e-9, 0.0, 1e-9, 0.3, 0.8, 1.0], None),
+        # no closed form and the node rules fail: each row is Monte Carlo
+        # alone, not grouped by sign as on route MONTE_CARLO
+        (_NO_CLOSED_LAW, Route.AUTO, 0.5j, [-0.6, -0.2, 0.4], _FAILING_RULES),
     ],
     ids=["mc", "auto"],
 )
-def test_scan_rows_equal_single_calls_at_the_scan_seed(route, alpha, grid):
+def test_scan_rows_equal_single_calls_at_the_scan_seed(model, route, alpha, grid, cfg):
     mc = MCConfig(samples=3000, seed=11, batch=1024)
-    table = continuity_scan(POIN, alpha, 2, grid, route, mc=mc)
+    table = continuity_scan(model, alpha, 2, grid, route, cfg, mc)
     for row, p in zip(table.rows, grid):
-        alone = power_mean_expectation(POIN, PowerMeanSpec(p=p, n=2, alpha=alpha), route, mc=mc)
+        alone = power_mean_expectation(model, PowerMeanSpec(p=p, n=2, alpha=alpha), route, cfg, mc)
         assert row.error is None and row.estimate == alone
+        assert row.estimate.method is Route.MONTE_CARLO
 
 
 @pytest.mark.parametrize(
