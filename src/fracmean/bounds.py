@@ -16,8 +16,8 @@ E[Z**p] is taken by frac_moment's AUTO route, which answers in closed form
 for every built-in law.  E[|Z|**p] is taken by the method the law admits,
 recorded as meta["abs_method"]: 'atoms' sums an atomic law exactly, 'nodes'
 sums the node rule of an upper-half-plane density, graded toward the branch
-point 0 of |z|**p, at two levels (the gap plus a few ulps is its
-uncertainty), and 'mc' draws a real-line density, whose rule is not graded
+point 0 of |z|**p, at two nested levels from one build (the gap plus a few
+ulps is its uncertainty), and 'mc' draws a real-line density, whose rule is not graded
 toward 0, and refuses where E[|Z|**(2p)] diverges.
 
 Half-plane support is checked on principal arguments.  The upper closure
@@ -97,11 +97,12 @@ def _abs_moment(model, p, mc):
     if method == "atoms":
         atoms, weights = model.nodes(0)
         return float(np.sum(weights * np.abs(atoms) ** p)), 0.0
-    if method == "nodes":
-        coarse, fine = (
-            float(np.sum(weights * np.abs(points) ** p))
-            for points, weights in (model.nodes(_NODE_LEVEL), model.nodes(_NODE_LEVEL + 1))
-        )
+    if method == "nodes":  # levels 7 and 6 of the nested rule, from one build
+        points, weights, count, start, ratio = model.nested_nodes(_NODE_LEVEL + 1)
+        terms = np.abs(points)
+        terms **= p
+        terms *= weights
+        fine, coarse = float(np.sum(terms[:count])), ratio * float(np.sum(terms[start:]))
         # the ulps cover rounding, where the gap between levels can be exactly 0
         return fine, abs(fine - coarse) + 16.0 * math.ulp(fine)
     try:  # a standard error needs a finite variance of |Z|**p

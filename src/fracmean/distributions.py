@@ -107,9 +107,30 @@ class RouteUnavailableError(ValueError):
 _NODE_FLOOR = 1e-20
 
 
-def _heavy(points, weights):
-    keep = weights > _NODE_FLOOR
-    return points[keep], weights[keep]
+class _NestedRule:
+    """The node rules of a density law, which nest: every node of level
+    L - 1 is a node of level L, bit for bit, at ratio times its level-L
+    weight (ratio a power of 2), unless the floor drops it at one level.
+
+    A law provides _grid(level, alpha): the nodes of the level's grid that
+    either level keeps, as (points, weights, fine, coarse, ratio), fine
+    marking the nodes the level keeps and coarse those level - 1 keeps."""
+
+    def nodes(self, level, alpha=0j):
+        points, weights, count, _, _ = self.nested_nodes(level, alpha)
+        return points[:count], weights[:count]
+
+    def nested_nodes(self, level, alpha=0j):
+        """Both levels of the rule from one build, as (points, weights,
+        count, start, ratio): the nodes only the level keeps, then those both
+        levels keep, then those only level - 1 keeps, each part in grid
+        order, so that points[:count] with weights[:count] is the level's
+        rule and points[start:] with ratio * weights[start:] is the rule of
+        level - 1, bit for bit."""
+        points, weights, fine, coarse, ratio = self._grid(level, alpha)
+        order = np.concatenate([np.flatnonzero(part) for part in (fine & ~coarse, fine & coarse, coarse & ~fine)])
+        start = np.count_nonzero(fine & ~coarse)
+        return points[order], weights[order], np.count_nonzero(fine), start, ratio
 
 
 class _ResidueLaw:
@@ -145,7 +166,7 @@ class _ResidueLaw:
 
 
 @dataclass(frozen=True)
-class _RealLineLaw(_ResidueLaw):
+class _RealLineLaw(_NestedRule, _ResidueLaw):
     """Location-scale law on the real line whose density has its pole at
     gamma = mu + i*sigma.  Subclasses add no fields."""
 
@@ -176,14 +197,17 @@ class _RealLineLaw(_ResidueLaw):
         if complex(alpha).imag == 0.0 and lam.real <= -1.0:
             raise MomentExistenceError("negative orders at real alpha need Re(lam) > -1")
 
-    def nodes(self, level, alpha=0j):
+    def _grid(self, level, alpha):
         """x = mu + sigma tan(theta), tanh-sinh in theta, weighted by the
-        density times dx/dtheta = sigma sec^2(theta); alpha is ignored."""
-        t, dist, w = tanh_sinh_nodes(level, _NODE_FLOOR)
+        density times dx/dtheta = sigma sec^2(theta); alpha is ignored.  The
+        nodes of level - 1 are those of even k, at twice the weight."""
+        t, dist, w, k = tanh_sinh_nodes(level, 0.5 * _NODE_FLOOR)
         tan = np.copysign(1.0, t) / np.tan(0.5 * math.pi * dist)  # tan(pi t / 2)
         x = self.mu + self.sigma * tan
         weights = self._density(x) * self.sigma * (1.0 + tan * tan) * (0.5 * math.pi) * w
-        return _heavy(x + 0.0j, weights)
+        fine = (w > _NODE_FLOOR) & (weights > _NODE_FLOOR)
+        coarse = (k % 2 == 0) & (2.0 * w > _NODE_FLOOR) & (2.0 * weights > _NODE_FLOOR)
+        return x + 0.0j, weights, fine, coarse, 2.0
 
     def to_json(self):
         return {"dist": self.name, "params": {"mu": self.mu, "sigma": self.sigma}}
@@ -246,7 +270,7 @@ class ScaledT3(_RealLineLaw):
 
 
 @dataclass(frozen=True)
-class Poincare(_ResidueLaw):
+class Poincare(_NestedRule, _ResidueLaw):
     a: float
     b: float
     c: float
@@ -294,37 +318,58 @@ class Poincare(_ResidueLaw):
     def geometric_mean(self):
         return self.gamma_point  # exp(E[log Z]) = exp(log beta) = beta
 
-    def nodes(self, level, alpha=0j):
+    def _grid(self, level, alpha):
         """The sampler's factorization as a product rule graded toward the
         branch point -alpha of (z + alpha)**p: y by tanh-sinh in
         log y = log(mean) + atanh(t) against the inverse-Gaussian density, at
         a coarser step since it is smooth; x | y by x = -Re(alpha) + h sinh(v),
-        h = y + Im(alpha), and midpoints in v over +-9 standard deviations s
-        (lighter nodes fall under the weight floor).  The branch points sit
-        at v = +-i pi/2 for every y, however small h is (the sinh
-        transformation of Elliott and Johnston).  Nodes lie h cosh(v) apart
-        in x, widest away from the branch point, so the step is 0.7 s over
-        that spacing 4.5 s beyond the mean, where the slowest-decaying terms
-        of a single-draw transform still carry weight.  Both steps halve per
-        level, so the gap between levels bounds the error."""
+        h = y + Im(alpha), at v = lo + k step from lo at -9 standard
+        deviations s up to +9 s (lighter nodes fall under the weight floor).
+        The branch points sit at v = +-i pi/2 for every y, however small h
+        is (the sinh transformation of Elliott and Johnston).  Nodes lie
+        h cosh(v) apart in x, widest away from the branch point, so the step
+        is 0.7 s over that spacing 4.5 s beyond the mean, where the
+        slowest-decaying terms of a single-draw transform still carry
+        weight.  Both steps halve exactly per level, so the nodes of
+        level - 1 are those of even k on the rows of even tanh-sinh k, at
+        four times the weight, and the gap between levels bounds the
+        error."""
         mean, shape = self.d_const / self.a, 2.0 * self.d_const ** 2 / self.a
-        t, dist, w = tanh_sinh_nodes(level - 2, _NODE_FLOOR)
+        t, dist, w, ky = tanh_sinh_nodes(level - 2, 0.5 * _NODE_FLOOR)
         y = mean * np.sqrt((2.0 - dist) / dist) ** np.copysign(1.0, t)
         ig = np.sqrt(shape / (2.0 * math.pi * y ** 3)) * np.exp(-shape * (y - mean) ** 2 / (2.0 * mean ** 2 * y))
-        y, wy = _heavy(y, ig * y / (dist * (2.0 - dist)) * w)
+        wy = ig * y / (dist * (2.0 - dist)) * w
+        fine_row = (w > _NODE_FLOOR) & (wy > _NODE_FLOOR)
+        coarse_row = (ky % 2 == 0) & (2.0 * w > _NODE_FLOOR) & (2.0 * wy > _NODE_FLOOR)
+        rows = fine_row | coarse_row
+        y, wy, fine_row, coarse_row = y[rows], wy[rows], fine_row[rows], coarse_row[rows]
         centre, sd, height = -self.b / self.a, np.sqrt(y / (2.0 * self.a)), y + alpha.imag
         offset = centre + alpha.real  # the mean of x | y, measured from -Re(alpha)
         lo = np.arcsinh((offset - 9.0 * sd) / height)
         step = 0.7 * 2.0 ** (6 - level) * sd / np.hypot(height, np.abs(offset) + 4.5 * sd)
-        count = np.ceil((np.arcsinh((offset + 9.0 * sd) / height) - lo) / step).astype(int)
+        # k = 0..floor(span / step): the span over half the step is twice as
+        # many steps, so level - 1's range of k doubled lies inside this one's
+        count = np.floor((np.arcsinh((offset + 9.0 * sd) / height) - lo) / step).astype(int) + 1
         row = np.repeat(np.arange(y.size), count)
         k = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
-        v = lo[row] + step[row] * (k + 0.5)
-        x = height[row] * np.sinh(v) - alpha.real
-        # the normal density of x | y times dx/dv = h cosh(v)
+        v = lo[row] + step[row] * k
+        points = np.empty(row.size, dtype=complex)
+        x = np.multiply(height[row], np.sinh(v), out=points.real)
+        x -= alpha.real
+        points.imag = y[row]
+        # the normal density of x | y times dx/dv = h cosh(v), formed in
+        # place as scale * cosh(v) * exp(-a (x - centre)**2 / y)
         scale = np.sqrt(self.a / (math.pi * y)) * wy * step * height
-        weights = scale[row] * np.cosh(v) * np.exp(-self.a * (x - centre) ** 2 / y[row])
-        return _heavy(x + 1j * y[row], weights)
+        weights = np.cosh(v, out=v)
+        weights *= scale[row]
+        density = np.subtract(x, centre)
+        density **= 2
+        density *= -self.a
+        density /= points.imag
+        weights *= np.exp(density, out=density)
+        fine = fine_row[row] & (weights > _NODE_FLOOR)
+        coarse = coarse_row[row] & (k % 2 == 0) & (4.0 * weights > _NODE_FLOOR)
+        return points, weights, fine, coarse, 4.0
 
     def to_json(self):
         return {"dist": self.name, "params": {"a": self.a, "b": self.b, "c": self.c}}

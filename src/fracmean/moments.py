@@ -46,6 +46,7 @@ from .quad import (
     NonConvergenceError,
     QuadratureConfig,
     _EPS,
+    _pair,
     integrate_marchaud,
     integrate_singular_decaying,
     marchaud_unit_interval,  # no caller here: perfbench/tracer.py wraps this name
@@ -138,8 +139,10 @@ class PowerMeanSpec:
 # so the geometric limit is the *accurate* evaluation
 _P_GEOMETRIC_EPS = 1e-8
 
-# level of the node rules behind the single-draw transforms of a density
-# law; the route runs again one level up (two, if needed) and reports the gap
+# the coarser level of the first pair of nested node rules behind the
+# single-draw transforms of a density law: one integral sums the transform at
+# level 7 and its gap to level 6, and, if that gap misses the tolerance, one
+# more the pair (8, 7)
 _NODE_LEVEL = 6
 
 
@@ -305,8 +308,10 @@ def _fractional_power(h, lam, cfg, phase, amplitude=0.0):
     """E[Y**lam] from h(t) = E[Y**k exp(phase t Y)], with k = floor(Re lam)
     for Re(lam) > 0 and k = 0 otherwise; phase is i for Y in the open upper
     half plane, -i in the open lower one; amplitude bounds the terms h sums
-    (the Marchaud rounding), or 0.  Returns (value, uncertainty, evaluations)
-    of
+    (the Marchaud rounding), or 0.  h may return a pair (value, companion),
+    as the integrands of quad do, and the companion goes through the same
+    operator at the same nodes.  Returns (value, uncertainty, evaluations,
+    companion, companion uncertainty) of
 
         Re lam < 0:  phase**lam / Gamma(-lam) int_0^inf t**(-lam-1) h(t) dt
         Re lam > 0:  phase**d d / Gamma(1-d) int_0^inf (h(0) - h(u)) / u**(1+d) du,  d = lam - k
@@ -314,16 +319,23 @@ def _fractional_power(h, lam, cfg, phase, amplitude=0.0):
     """
     if lam.real < 0:
         im_l = lam.imag
-        g = h if im_l == 0.0 else lambda t: np.exp(-1j * im_l * math.log(t)) * h(t)
-        res = integrate_singular_decaying(g, -lam.real - 1.0, cfg)
+
+        def g(t):
+            value, companion = _pair(h(t))
+            turn = np.exp(-1j * im_l * math.log(t))
+            return turn * value, turn * companion
+
+        res = integrate_singular_decaying(h if im_l == 0.0 else g, -lam.real - 1.0, cfg)
         scale = principal_pow(phase, lam) / gamma(-lam)
     else:
         delta = lam - math.floor(lam.real)
         if delta == 0:
-            return complex(h(0.0)), 0.0, 0
+            value, companion = _pair(h(0.0))
+            return complex(value), 0.0, 0, complex(companion), 0.0
         res = integrate_marchaud(h(0.0), h, delta, cfg, amplitude)
         scale = principal_pow(phase, delta) * delta / gamma(1.0 - delta)
-    return scale * res.value, abs(scale) * res.err_estimate, res.evaluations
+    size = abs(scale)
+    return scale * res.value, size * res.err_estimate, res.evaluations, scale * res.companion, size * res.companion_err
 
 
 def _rotated_atoms(points, weights, alpha, lam, k):
@@ -356,7 +368,7 @@ def _rotated_atoms(points, weights, alpha, lam, k):
         # of r times that exponent, unseen by the level gap
         sizes = weights * np.exp((lam * log_z).real)  # |w_j z_j**lam|
         rounding = 8.0 * _EPS * (1.0 + abs(lam)) * float(np.sum(sizes))
-    return (lambda u: complex(kernel(u)[0])), amplitude, rounding
+    return (lambda u: complex(kernel(u)[0, 0])), amplitude, rounding
 
 
 def _quad_moment(model, alpha, lam, cfg):
@@ -384,7 +396,7 @@ def _quad_moment(model, alpha, lam, cfg):
     else:
         h, amplitude, rounding = functools.partial(_shifted_weighted_char, model, alpha, k), 0.0, 0.0
 
-    value, unc, evals = _fractional_power(h, lam, cfg, 1j, amplitude)
+    value, unc, evals, _, _ = _fractional_power(h, lam, cfg, 1j, amplitude)
     meta = {"evaluations": evals, "k": k, "quad": _cfg_meta(cfg)}
     return MomentEstimate(value, unc + rounding, Route.QUAD, meta)
 
@@ -498,31 +510,50 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
 
 
 def _series_power_coeff(g_coeffs, n, k):
-    """k-th Taylor coefficient of (sum_j g_j tau**j)**n, truncated at tau**k."""
-    series = np.zeros(k + 1, dtype=complex)
-    series[: len(g_coeffs)] = g_coeffs[: k + 1]
-    out = np.zeros(k + 1, dtype=complex)
-    out[0] = 1.0
-    for _ in range(n):
-        out = np.convolve(out, series)[: k + 1]
-    return out[k]
+    """k-th Taylor coefficient of (sum_j g_j tau**j)**n, n >= 1, for each row
+    of the (rows, k + 1) array g_coeffs: n - 2 truncated products, then the
+    one coefficient of the last, all rows at once."""
+    power = g_coeffs
+    if n > 2:
+        index, lower = _lower_shift(k)
+        factor = g_coeffs[:, index] * lower  # factor[r, m, i] = g_(m - i) of row r, or 0
+        for _ in range(n - 2):
+            power = (factor * power[:, None, :]).sum(axis=2)
+    if n == 1:
+        return power[:, k]
+    return (power * g_coeffs[:, ::-1]).sum(axis=1)
+
+
+@functools.cache
+def _lower_shift(k):
+    """m - i for m, i = 0..k, clipped at 0, and where i <= m."""
+    shift = np.subtract.outer(np.arange(k + 1), np.arange(k + 1))
+    return np.maximum(shift, 0), shift >= 0
 
 
 class _WeightedPowers:
-    """Moments E[W^j e^{icW}], j = 0..jmax, of a discrete law of W.
+    """Moments E[W^j e^{icW}], j = 0..jmax, of a discrete law of W and of a
+    coarser law that shares most of its points.
 
     Row j holds w_i * W_i**j at the points and weights of the law's node
     rule: exact for atoms, a quadrature sum over a density, whose error
-    shows in the gap to the next level.  The rotated atoms of
-    _quad_moment give it complex weights.  An evaluation forms
-    e^{icW} = e^{-c Im W} e^{ic Re W}, the phasor from one tangent, into
-    reused buffers, then a product and a pairwise sum per row, all on the
-    calling thread: a BLAS product would hand the reduction to a thread
-    pool, and einsum's running sum loses digits that the Marchaud difference
-    quotient then magnifies.
+    shows in the gap to the coarser law, the level below of a nested rule,
+    given as (count, start, ratio): the finer law weighs the first count
+    values, the coarser one the values from start on, at ratio times their
+    weights.  The rotated atoms of _quad_moment give it complex weights.
+    An evaluation forms e^{icW} = e^{-c Im W} e^{ic Re W}, the phasor from
+    one tangent, at every value into a reused buffer, takes one product of
+    the rows with it and a pairwise sum along each row over each law's
+    values, all on the calling thread: a BLAS product would hand the
+    reduction to a thread pool, and einsum's running sum loses digits that
+    the Marchaud difference quotient then magnifies.  It returns both laws'
+    moments as rows 0 and 1 of a (2, jmax + 1) array; without a coarser
+    law, row 1 repeats row 0.
     """
 
-    def __init__(self, values, weights, jmax):
+    def __init__(self, values, weights, jmax, coarse=None):
+        self._coarse = coarse
+        self.count = len(values) if coarse is None else coarse[0]
         self.rows = np.empty((jmax + 1, len(values)), dtype=complex)
         self.rows[0] = weights
         for j in range(1, jmax + 1):
@@ -530,13 +561,20 @@ class _WeightedPowers:
         self._re, self._im = values.real.copy(), values.imag.copy()
         self._mag, self._phi = np.empty(len(values)), np.empty(len(values))
         self._buf = np.empty(len(values), dtype=complex)
-        self._prod = np.empty(len(values), dtype=complex)
+        self._prod = np.empty_like(self.rows)
 
     def __call__(self, c):
         mag = np.exp(np.multiply(self._im, -c, out=self._mag), out=self._mag)
         buf = _scaled_phasor(mag, np.multiply(self._re, c, out=self._phi), out=self._buf)
-        prod = self._prod
-        return np.array([np.multiply(row, buf, out=prod).sum() for row in self.rows])
+        prod = np.multiply(self.rows, buf, out=self._prod)
+        out = np.empty((2, len(prod)), dtype=complex)
+        np.add.reduce(prod[:, : self.count], axis=1, out=out[0])
+        if self._coarse is None:
+            out[1] = out[0]
+        else:
+            _, start, ratio = self._coarse
+            np.multiply(np.add.reduce(prod[:, start:], axis=1, out=out[1]), ratio, out=out[1])
+        return out
 
 
 def _turn(p):
@@ -549,18 +587,24 @@ def _turn(p):
 
 class _SingleDrawTransform:
     """Set-up shared by the single-draw transforms: W = (Z + alpha)**p at the
-    points of the law's node rule, graded toward the branch point -alpha of
-    W, turned by e^{i psi} at p < 0 (_turn), and the kernel of
-    E[W^j e^{icW}], j = 0..jmax."""
+    points of the law's nested node rule at level and level - 1 (or its
+    atoms), graded toward the branch point -alpha of W, turned by e^{i psi}
+    at p < 0 (_turn), and the kernel of E[W^j e^{icW}], j = 0..jmax, under
+    both levels.  Each transform returns a pair: its value under the finer
+    level and the gap to the coarser one, 0 for atoms."""
 
     def __init__(self, model, alpha, p, n, jmax, level):
         self.n = n
-        points, weights = model.nodes(level, alpha)
-        self.kind = "nodes" if _point_masses(model) is None else "atoms"
+        if _point_masses(model) is None:
+            self.kind = "nodes"
+            points, weights, *coarse = model.nested_nodes(level, alpha)
+        else:
+            self.kind = "atoms"
+            (points, weights), coarse = model.nodes(level, alpha), None
         self.atoms = values = np_principal_pow(points + alpha, p)
         if p < 0:
             values *= cmath.exp(1j * _turn(p))
-        self.kernel = _WeightedPowers(values, weights, jmax)
+        self.kernel = _WeightedPowers(values, weights, jmax, coarse)
 
 
 class _NegTransform(_SingleDrawTransform):
@@ -571,7 +615,9 @@ class _NegTransform(_SingleDrawTransform):
         super().__init__(model, alpha, p, n, 0, level)
 
     def __call__(self, u):
-        return complex(self.kernel(-u / self.n)[0]) ** self.n
+        fine, coarse = self.kernel(-u / self.n)[:, 0]
+        value = complex(fine) ** self.n
+        return value, value - complex(coarse) ** self.n
 
 
 class _PosTransformDerivs(_SingleDrawTransform):
@@ -584,25 +630,29 @@ class _PosTransformDerivs(_SingleDrawTransform):
         self._fact = np.array([math.factorial(j) for j in range(jmax + 1)])
 
     def g_derivs(self, u):
-        """[G^(j)(-u)] for j = 0..jmax; G^(j)(-u) = (-i/n)^j E[W^j e^{i(u/n)W}]."""
+        """[G^(j)(-u)] for j = 0..jmax, G^(j)(-u) = (-i/n)^j E[W^j e^{i(u/n)W}],
+        under the finer and the coarser level, as rows 0 and 1."""
         return self._pref * self.kernel(u / self.n)
 
     def f_deriv_k(self, u, k):
-        """F^(k)(-u) with F = G**n, via a truncated series power."""
-        return _series_power_coeff(self.g_derivs(u) / self._fact, self.n, k) * math.factorial(k)
+        """F^(k)(-u) with F = G**n, via a truncated series power, and its gap
+        to the coarser level."""
+        fine, coarse = _series_power_coeff(self.g_derivs(u) / self._fact, self.n, k) * math.factorial(k)
+        return fine, fine - coarse
 
 
 def _pm_frac_deriv(model, spec, cfg):
     """Every transform sums the law's node rule (its atoms, for an atomic
-    law), and reads no closed value.  A transform on a node rule of a
-    density runs at two adjacent levels, and once more one level up when
-    their gap misses cfg's tolerance: the finer value of the first pair that
-    meets it is reported, and its uncertainty adds that gap.  Every result
-    that is not CLOSED carries a rounding allowance."""
+    law), and reads no closed value.  On the nested node rule of a density,
+    one integral sums the pair (h_L, h_L - h_(L-1)) at L = 7: the value and
+    the rule's own gap at the same nodes, each with its own error estimate.
+    If the gap misses cfg's tolerance, one more integral sums the pair at
+    L = 8.  The uncertainty adds the gap and its error to the value's.
+    Every result that is not CLOSED carries a rounding allowance."""
     p, n, alpha = spec.p, spec.n, spec.alpha
     cfg = cfg or QuadratureConfig()
     _check_power_mean(model, spec)
-    gap = 0.0
+    gap = gap_unc = 0.0
     if n == 1:  # M_p = Z + alpha exactly for |p| <= 1, so E[M_p] = E[Z + alpha]
         value = complex(_shifted_weighted_char(model, alpha, 1, 0.0))
         est = MomentEstimate(value, 0.0, Route.FRAC_DERIV, {"geometric": True} if p == 0 else {"n": 1})
@@ -616,20 +666,18 @@ def _pm_frac_deriv(model, spec, cfg):
         meta.update({"geometric": True, "n": n})
         est = MomentEstimate(value, unc, Route.FRAC_DERIV, meta)
     else:
-        level = _NODE_LEVEL
-        est = _pm_frac_deriv_at(model, spec, cfg, level)
-        while est.meta["transform"] == "nodes":
-            level += 1
-            coarse, est = est, _pm_frac_deriv_at(model, spec, cfg, level)
-            gap = abs(est.value - coarse.value)
+        for level in (_NODE_LEVEL + 1, _NODE_LEVEL + 2):
+            est, gap, gap_unc = _pm_frac_deriv_at(model, spec, cfg, level)
+            if est.meta["transform"] == "atoms":
+                break
             if gap <= max(cfg.abs_tol, cfg.rel_tol * abs(est.value)):
                 est.meta.update({"level": level, "level_gap": gap})
                 break
-            if level == _NODE_LEVEL + 2:
-                msg = f"node rules at levels {level - 1} and {level} disagree by {gap:.3e}"
-                raise NonConvergenceError(msg, value=est.value, err_estimate=gap)
+        else:
+            msg = f"node rules at levels {level - 1} and {level} disagree by {gap:.3e}"
+            raise NonConvergenceError(msg, value=est.value, err_estimate=gap)
     # the ulps cover rounding in the transform sums and the series power
-    est.uncertainty += gap + 16.0 * math.ulp(abs(est.value))
+    est.uncertainty += gap + gap_unc + 16.0 * math.ulp(abs(est.value))
     return est
 
 
@@ -637,7 +685,9 @@ def _pm_frac_deriv_at(model, spec, cfg, level):
     """E[M_p] = E[S**(1/p)], S = (1/n) sum_j (Z_j + alpha)**p.  At p < 0 from
     E[exp(-itS')] of S' = e^{i psi} S, which lies below the real axis with
     arg S' = arg S + psi, so S**(1/p) = e^{-i psi / p} S'**(1/p) on the
-    principal branch; else from derivatives of E[exp(iuS)]."""
+    principal branch; else from derivatives of E[exp(iuS)].  Returns the
+    estimate under the node rule at level, and the size of the gap to
+    level - 1 and its uncertainty (0 for atoms)."""
     p, n, alpha = spec.p, spec.n, spec.alpha
     order = 1.0 / p
     if p < 0:
@@ -649,21 +699,25 @@ def _pm_frac_deriv_at(model, spec, cfg, level):
             order = round(order)  # a plain derivative of the transform
         k = math.floor(order)
         transform = _PosTransformDerivs(model, alpha, p, n, k, level)
+        turn = (1, 1j, -1, -1j)[k % 4]
 
-        def h(u):  # i**k F^(k)(-u) = E[S**k exp(iuS)], exactly
-            return (1, 1j, -1, -1j)[k % 4] * transform.f_deriv_k(u, k)
+        def h(u):  # i**k F^(k)(-u) = E[S**k exp(iuS)], exactly, and its gap
+            value, gap = transform.f_deriv_k(u, k)
+            return turn * value, turn * gap
 
     # the transform decays only if every W' lies below the real axis (p < 0),
     # every W above it (p > 0)
     side = -transform.atoms.imag if p < 0 else transform.atoms.imag
     if not np.all(side > 0.0):
         raise SupportError("single-draw transform does not decay: a value (Z + alpha)**p on the wrong side of the real axis; check alpha")
-    value, unc, evals = _fractional_power(h, order, cfg, -1j if p < 0 else 1j)
+    value, unc, evals, gap, gap_unc = _fractional_power(h, order, cfg, -1j if p < 0 else 1j)
     if p < 0:
-        value *= cmath.exp(-1j * _turn(p) / p)
+        value *= cmath.exp(-1j * _turn(p) / p)  # |gap| does not turn
     meta = {"order": order, "transform": transform.kind}
     meta.update({"evaluations": evals} if evals else {"ordinal": True})
-    return MomentEstimate(value, unc, Route.FRAC_DERIV, meta)
+    if transform.kind == "atoms":  # one exact law, no coarser one
+        gap = gap_unc = 0.0
+    return MomentEstimate(value, unc, Route.FRAC_DERIV, meta), float(abs(gap)), gap_unc
 
 
 def _pm_monte_carlo(model, specs, mc):

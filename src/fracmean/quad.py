@@ -11,13 +11,20 @@ Two entry points:
 Both are built on one tanh-sinh (double exponential) trapezoid kernel with
 level refinement.  ``tanh_sinh_nodes`` is the one place the rule is
 computed; the kernel reads each level's nodes from a table cached on first
-use, held as distances from the endpoints.  The
+use, held as distances from the endpoints.  An integrand returns a number or
+a pair (value, companion) of numbers, such as a quantity and the gap between
+two levels of the rule behind it; a number v counts as the pair (v, 0).
+Both components are summed at the same nodes, but the value alone decides
+where a walk stops, when the levels stop and whether the origin is
+Lipschitz, so adding a companion leaves the value's bits unchanged; the
+companion gets its own error estimate.  The
 Marchaud route needs special care at the origin: for small u the difference
 d0 - f(u) drowns in rounding noise while the weight u**(-1-delta) amplifies
 it, so below a fixed cut the ratio (d0 - f(u))/u is replaced by a fitted
 polynomial model whose moments integrate in closed form.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -56,12 +63,18 @@ class QuadratureConfig:
 
 @dataclass
 class IntegralResult:
+    """An integral, its error estimate and the evaluations it took; the
+    companion component of a pair integrand, with its own error estimate,
+    is 0 for a plain one."""
+
     value: complex
     err_estimate: float
     evaluations: int
+    companion: complex = 0j
+    companion_err: float = 0.0
 
     def __post_init__(self):
-        if self.err_estimate < 0 or self.evaluations <= 0:
+        if self.err_estimate < 0 or self.companion_err < 0 or self.evaluations <= 0:
             raise ValueError("malformed integral result")
 
 
@@ -86,17 +99,25 @@ class _EvalCounter:
         self.count = 0
 
 
+def _pair(value):
+    """A value of an integrand as a (value, companion) pair."""
+    return value if type(value) is tuple else (value, 0.0)
+
+
 def tanh_sinh_nodes(level, floor):
     """Tanh-sinh rule on (-1, 1) at spacing h = 2**-level out to |u| = 6, as
-    arrays (t, 1 - |t|, weight) without the nodes lighter than floor; the
-    distances stay resolved where t rounds to +-1."""
+    arrays (t, 1 - |t|, weight, k), k the integer with u = k h, without the
+    nodes lighter than floor; the distances stay resolved where t rounds to
+    +-1.  The rules nest: the nodes of even k are the nodes of level - 1,
+    bit for bit, at half the weight they have there."""
     h = 2.0 ** -level
-    u = h * np.arange(-int(_U_MAX / h), int(_U_MAX / h) + 1)
+    k = np.arange(-int(_U_MAX / h), int(_U_MAX / h) + 1)
+    u = h * k
     w = 0.5 * math.pi * np.sinh(u)
     e = np.exp(-2.0 * np.abs(w))
     weight = 2.0 * math.pi * h * np.cosh(u) * e / (1.0 + e) ** 2  # h (pi/2) cosh(u) sech(w)**2
     keep = weight > floor
-    return np.tanh(w)[keep], (2.0 * e / (1.0 + e))[keep], weight[keep]
+    return np.tanh(w)[keep], (2.0 * e / (1.0 + e))[keep], weight[keep], k[keep]
 
 
 @functools.cache
@@ -104,36 +125,43 @@ def _level_nodes(level):
     """The nodes u = k h, k > 0, that level adds to the rule (every k at
     level 0, odd k above) as (1 - |t|, weight) pairs of Python floats; the
     rule is symmetric, so they serve both endpoints."""
-    _, dist, weight = tanh_sinh_nodes(level, 0.0)
+    _, dist, weight, _ = tanh_sinh_nodes(level, 0.0)
     side = slice(len(dist) // 2 + 1, None, 2 if level else 1)
     return tuple(zip(dist[side].tolist(), weight[side].tolist()))
 
 
 def _de_sum_level(f, a, b, level, counter, reach=(1.0, 1.0)):
-    """The terms that level adds to the tanh-sinh sum of f over (a, b), the
-    sum of their sizes, and per end (b, then a) the |term| and 1 - |t| of
-    its largest term."""
+    """The terms that level adds to the tanh-sinh sums of the pair integrand
+    f over (a, b): the sum of each component, the sum of the sizes of each,
+    and per end (b, then a) the |term| and 1 - |t| of the value's largest
+    term.  A walk stops on the value's terms alone."""
     half = 0.5 * (b - a)
-    total = 0.0 + 0.0j
-    if level == 0:
-        total += f(a + half) * (half * math.pi / 2.0)  # center node u = 0
+    total = other = 0.0 + 0.0j
+    if level == 0:  # center node u = 0
+        value, companion = f(a + half)
+        total += value * (half * math.pi / 2.0)
+        other += companion * (half * math.pi / 2.0)
         counter.count += 1
-    size = abs(total)
+    size, other_size = abs(total), abs(other)
     nodes = _level_nodes(level)
     peaks = []
     for end, sign, limit in ((b, -1.0, reach[0]), (a, 1.0, reach[1])):
         tiny_run, peak = 0, (0.0, 1.0)
         for dist, weight in nodes:
             t = end + sign * half * dist
-            term = f(t) * (half * weight)
+            value, companion = f(t)
+            term = value * (half * weight)
+            extra = companion * (half * weight)
             counter.count += 1
-            if not (math.isfinite(term.real) and math.isfinite(term.imag)):
+            if not (cmath.isfinite(term) and cmath.isfinite(extra)):
                 raise NonConvergenceError(
                     f"integrand not finite at t={t!r}", evaluations=counter.count
                 )
             total += term
+            other += extra
             mag = abs(term)
             size += mag
+            other_size += abs(extra)
             peak = max(peak, (mag, dist))
             if mag <= _EPS * abs(total) + 1e-300:
                 tiny_run += 1
@@ -142,30 +170,34 @@ def _de_sum_level(f, a, b, level, counter, reach=(1.0, 1.0)):
             else:
                 tiny_run = 0
         peaks.append(peak)
-    return total, size, peaks
+    return (total, other), (size, other_size), peaks
 
 
 def _de_finite(f, a, b, cfg, counter):
-    """Tanh-sinh integral of f over (a, b); f is never called at the endpoints.
+    """Tanh-sinh integral of the pair integrand f over (a, b); f is never
+    called at the endpoints.
 
     An integral splits into at most two such segments, each held to half of
-    cfg.abs_tol.  Returns (value, err_estimate, size), size being the sum of
-    |term| of the last level; raises NonConvergenceError when the last two
+    cfg.abs_tol.  Returns (value, err_estimate, size) for each component,
+    size being the sum of |term| of the last level; the value alone decides
+    the levels, and NonConvergenceError is raised when its last two
     refinements still disagree beyond tolerance at cfg.max_level.
     """
     abs_tol = 0.5 * cfg.abs_tol
     rel_tol = cfg.rel_tol
-    value, size, peaks = _de_sum_level(f, a, b, 0, counter)
+    (value, other), (size, other_size), peaks = _de_sum_level(f, a, b, 0, counter)
     # a walk stops after three negligible terms, but not short of its side's largest
     # level-0 term: an integrand held near one end can be negligible at the centre
     reach = tuple(dist if term > _EPS * abs(value) else 1.0 for term, dist in peaks)
-    err = math.inf
+    err = other_err = math.inf
     for level in range(1, cfg.max_level + 1):
-        added, added_size, _ = _de_sum_level(f, a, b, level, counter, reach)
+        (added, added_other), (added_size, added_other_size), _ = _de_sum_level(f, a, b, level, counter, reach)
         refined = 0.5 * value + added
+        refined_other = 0.5 * other + added_other
         size = 0.5 * size + added_size
-        err = abs(refined - value)
-        value = refined
+        other_size = 0.5 * other_size + added_other_size
+        err, other_err = abs(refined - value), abs(refined_other - other)
+        value, other = refined, refined_other
         if level >= 2 and err <= max(abs_tol, rel_tol * abs(value)):
             break
     floor = 4.0 * _EPS * abs(value)
@@ -177,11 +209,12 @@ def _de_finite(f, a, b, cfg, counter):
             err_estimate=err,
             evaluations=counter.count,
         )
-    return value, err, size
+    return (value, err, size), (other, max(other_err, 4.0 * _EPS * abs(other)), other_size)
 
 
 def integrate_singular_decaying(g, s, cfg=None):
-    """int_0^inf t**s g(t) dt for s > -1 and t**s g(t) integrable at infinity.
+    """int_0^inf t**s g(t) dt for s > -1 and t**s g(t) integrable at infinity,
+    for each component of g.
 
     Both stretches run on tanh-sinh over (0, 1]: the singular one as it
     stands, the tail [1, inf) through t = 1/v as int_0^1 v**(-s-2) g(1/v) dv,
@@ -190,7 +223,8 @@ def integrate_singular_decaying(g, s, cfg=None):
     Besides the level gaps, the error estimate carries the rounding of the
     terms, 4 eps (2 + |s|) times the sum of their sizes, since t**s and the
     phases of g lose relative accuracy in proportion to s where the terms
-    cancel.
+    cancel; the companion's adds twice the value's, as for a difference of
+    two quantities of the value's size.
     """
     cfg = cfg or QuadratureConfig()
     s = float(s)
@@ -199,21 +233,27 @@ def integrate_singular_decaying(g, s, cfg=None):
     counter = _EvalCounter()
 
     def head(t):
-        return (t ** s) * g(t)
+        value, companion = _pair(g(t))
+        scale = t ** s
+        return scale * value, scale * companion
 
     def tail(v):
-        term = g(1.0 / v)
-        if term == 0:  # underflowed: v**(-s-2) may be past the float range
-            return 0j
+        value, companion = _pair(g(1.0 / v))
+        if value == 0 and companion == 0:  # underflowed: v**(-s-2) may be past the float range
+            return 0j, 0j
         try:
-            return (v ** (-s - 2.0)) * term
+            scale = v ** (-s - 2.0)
         except OverflowError:  # a term past the float range, reported as a non-finite one
             raise NonConvergenceError(f"integrand not finite at t={1.0 / v!r}", evaluations=counter.count) from None
+        return scale * value, scale * companion
 
-    v1, e1, a1 = _de_finite(head, 0.0, 1.0, cfg, counter)
-    v2, e2, a2 = _de_finite(tail, 0.0, 1.0, cfg, counter)
+    (v1, e1, a1), (c1, ce1, ca1) = _de_finite(head, 0.0, 1.0, cfg, counter)
+    (v2, e2, a2), (c2, ce2, ca2) = _de_finite(tail, 0.0, 1.0, cfg, counter)
     rounding = 4.0 * _EPS * (2.0 + abs(s)) * (a1 + a2)
-    return IntegralResult(v1 + v2, e1 + e2 + rounding, counter.count)
+    # a companion that differences two quantities of the value's size
+    # carries the rounding of both
+    companion_rounding = 4.0 * _EPS * (2.0 + abs(s)) * (ca1 + ca2) + 2.0 * rounding
+    return IntegralResult(v1 + v2, e1 + e2 + rounding, counter.count, c1 + c2, ce1 + ce2 + companion_rounding)
 
 
 _MARCHAUD_CUT = 1e-4          # below this, d0 - f(u) is replaced by the fitted model
@@ -232,20 +272,22 @@ def _fit_window():
 
 
 def _near_origin_model(d0, f, delta, noise, counter):
-    """int_0^cut (d0 - f(u)) / u**(1+delta) du from a least-squares cubic
-    model of the ratio (d0 - f(u))/u near the origin, and its error bound,
-    where noise bounds the rounding of each difference d0 - f(u).
+    """int_0^cut (d0 - f(u)) / u**(1+delta) du for each component of the
+    pair integrand f, from a least-squares cubic model of the ratio
+    (d0 - f(u))/u near the origin, and its error bound, where noise bounds
+    the rounding of each difference d0 - f(u), per component.
 
     Fitting the ratio rather than the difference keeps the fit weights
     uniform across the log-spaced window, so the leading coefficient is not
     distorted by the top of the window.  Also validates the Lipschitz
-    precondition: the ratio must not diverge like a power of 1/u as u -> 0
-    (slow log growth is tolerated and shows up in the residual).
+    precondition on the value: the ratio must not diverge like a power of
+    1/u as u -> 0 (slow log growth is tolerated and shows up in the
+    residual).
     """
     probes = np.logspace(math.log10(_MARCHAUD_PROBE_LO), -1.0, 11)
     ratios = np.empty(len(probes))
     for i, u in enumerate(probes):
-        ratios[i] = abs(d0 - f(u)) / u
+        ratios[i] = abs(d0[0] - _pair(f(u))[0]) / u
         counter.count += 1
     if np.max(ratios) > 0.0:
         mask = ratios > 0.0
@@ -257,76 +299,91 @@ def _near_origin_model(d0, f, delta, noise, counter):
                     f"|d0 - f(u)|/u grows like u^{slope:.2f}"
                 )
     us, basis, pinv = _fit_window()
-    ratio_vals = np.empty(len(us), dtype=complex)
+    ratio_vals = np.empty((2, len(us)), dtype=complex)
     for i, u in enumerate(us):
-        ratio_vals[i] = (d0 - f(u)) / u
+        value, companion = _pair(f(u))
+        ratio_vals[:, i] = (d0[0] - value) / u, (d0[1] - companion) / u
         counter.count += 1
-    coef = pinv @ ratio_vals
-    residual = float(np.max(np.abs(ratio_vals - basis @ coef)))
     # int_0^a (c0 + c1 u + c2 u^2 + c3 u^3) u^(-delta) du, the ratio model
     # times u restoring the difference
     a_cut = _MARCHAUD_CUT
     mom = np.array([principal_pow(a_cut, (m + 1) - delta) / ((m + 1) - delta) for m in range(4)])
     # the model is linear in the ratios, each off by up to noise/u
-    rounding = noise * float(np.abs(mom @ pinv) @ (1.0 / us))
-    return complex(mom @ coef), residual * a_cut ** (1.0 - delta.real) / (1.0 - delta.real) + rounding
+    spread = float(np.abs(mom @ pinv) @ (1.0 / us))
+    out = []
+    for ratios_c, noise_c in zip(ratio_vals, noise):
+        coef = pinv @ ratios_c
+        residual = float(np.max(np.abs(ratios_c - basis @ coef)))
+        err = residual * a_cut ** (1.0 - delta.real) / (1.0 - delta.real) + noise_c * spread
+        out.append((complex(mom @ coef), err))
+    return out
 
 
 def marchaud_unit_interval(d0, f, delta, cfg=None, amplitude=0.0):
     """int_0^1 (d0 - f(u)) / u**(1+delta) du, with the cancellation-safe
-    near-origin treatment but no far field.
+    near-origin treatment but no far field; d0 and f(u) may be pairs.
 
     Below the cut at u = 1e-4 the difference d0 - f(u) drowns in rounding
     noise while u**(-1-delta) amplifies it, so there the ratio model from
     the clean window takes over and its moments integrate in closed form;
     the fit residual joins the error estimate.  So does the rounding of
     d0 - f(u), up to 2 eps max(amplitude, |d0|) at every u, where amplitude
-    bounds the terms that f sums, as the weight magnifies it on both pieces.
+    bounds the terms that f sums, as the weight magnifies it on both pieces;
+    a companion, the difference of two such sums, is allowed twice that.
     """
     cfg = cfg or QuadratureConfig()
     delta = complex(delta)
     if not 0.0 < delta.real < 1.0:
         raise QuadraturePreconditionError("need 0 < Re(delta) < 1")
-    d0 = complex(d0)
+    d0 = tuple(complex(part) for part in _pair(d0))
     counter = _EvalCounter()
-    noise = 2.0 * _EPS * max(amplitude, abs(d0))
-    near, near_err = _near_origin_model(d0, f, delta, noise, counter)
+    noise = 2.0 * _EPS * max(amplitude, abs(d0[0]))
+    noises = (noise, 2.0 * noise)
+    (near, near_err), (near_c, near_c_err) = _near_origin_model(d0, f, delta, noises, counter)
 
     def mid_integrand(u):
-        return (d0 - f(u)) * principal_pow(u, -1.0 - delta)
+        value, companion = _pair(f(u))
+        weight = principal_pow(u, -1.0 - delta)
+        return (d0[0] - value) * weight, (d0[1] - companion) * weight
 
-    mid, mid_err, _ = _de_finite(mid_integrand, _MARCHAUD_CUT, 1.0, cfg, counter)
+    (mid, mid_err, _), (mid_c, mid_c_err, _) = _de_finite(mid_integrand, _MARCHAUD_CUT, 1.0, cfg, counter)
     mid_err += noise * (_MARCHAUD_CUT ** -delta.real - 1.0) / delta.real
-    return IntegralResult(near + mid, near_err + mid_err, counter.count)
+    mid_c_err += 2.0 * noise * (_MARCHAUD_CUT ** -delta.real - 1.0) / delta.real
+    return IntegralResult(near + mid, near_err + mid_err, counter.count, near_c + mid_c, near_c_err + mid_c_err)
 
 
 def integrate_marchaud(d0, f, delta, cfg=None, amplitude=0.0):
-    """int_0^inf (d0 - f(u)) / u**(1+delta) du for 0 < Re(delta) < 1.
+    """int_0^inf (d0 - f(u)) / u**(1+delta) du for 0 < Re(delta) < 1, for
+    each component of the pair d0, f(u) (a number counting as (v, 0)).
 
-    Requires |d0 - f(u)| <= L u near the origin (checked numerically) and
-    d0 - f(u) bounded, with f itself decaying so the far field converges
-    after the exact split int_1^inf d0 u**(-1-delta) du = d0 / delta; the
-    decaying remainder is integrated through the substitution u = 1/v.
-    amplitude is as in marchaud_unit_interval.
+    Requires |d0 - f(u)| <= L u near the origin (checked numerically on the
+    value) and d0 - f(u) bounded, with f itself decaying so the far field
+    converges after the exact split int_1^inf d0 u**(-1-delta) du =
+    d0 / delta; the decaying remainder is integrated through the
+    substitution u = 1/v.  amplitude is as in marchaud_unit_interval.
     """
     cfg = cfg or QuadratureConfig()
     delta = complex(delta)
     if not 0.0 < delta.real < 1.0:
         raise QuadraturePreconditionError("need 0 < Re(delta) < 1")
-    d0 = complex(d0)
+    d0 = tuple(complex(part) for part in _pair(d0))
 
     head = marchaud_unit_interval(d0, f, delta, cfg, amplitude)
     counter = _EvalCounter()
     counter.count = head.evaluations
 
-    far_d0 = d0 / delta
-
     def far_integrand(v):
         if v < 1e-300:
-            return 0.0 + 0.0j
-        return f(1.0 / v) * principal_pow(v, delta - 1.0)
+            return 0j, 0j
+        value, companion = _pair(f(1.0 / v))
+        weight = principal_pow(v, delta - 1.0)
+        return value * weight, companion * weight
 
-    far_f, far_err, _ = _de_finite(far_integrand, 0.0, 1.0, cfg, counter)
-
-    value = head.value + far_d0 - far_f
-    return IntegralResult(value, head.err_estimate + far_err, counter.count)
+    (far, far_err, _), (far_c, far_c_err, _) = _de_finite(far_integrand, 0.0, 1.0, cfg, counter)
+    return IntegralResult(
+        head.value + d0[0] / delta - far,
+        head.err_estimate + far_err,
+        counter.count,
+        head.companion + d0[1] / delta - far_c,
+        head.companion_err + far_c_err,
+    )

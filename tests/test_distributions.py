@@ -333,6 +333,30 @@ def test_poincare_rule_absolute_moments_within_level_gap(law, alpha):
         assert err <= _gap_bound(coarse, fine), (p, err, _gap_bound(coarse, fine))
 
 
+def _sorted_rule(points, weights):
+    """The nodes of a rule as bytes, in an order fixed by the points alone."""
+    order = np.lexsort((points.imag, points.real))
+    return points[order].tobytes(), weights[order].tobytes()
+
+
+@pytest.mark.parametrize("law", [CAUCHY, T3] + GRADED_LAWS, ids=repr)
+@pytest.mark.parametrize("alpha", [0j, 0.5j, 1 + 0.5j, 1 + 0j])
+def test_node_rules_nest(law, alpha):
+    # one build of level L + 1 holds both rules: nodes(L + 1) first, and from
+    # start on the nodes of level L, bit for bit, at ratio times the weights
+    for level in (5, 6, 7):
+        points, weights, count, start, ratio = law.nested_nodes(level + 1, alpha)
+        fine_z, fine_w = law.nodes(level + 1, alpha)
+        coarse_z, coarse_w = law.nodes(level, alpha)
+        assert points[:count].tobytes() == fine_z.tobytes() and weights[:count].tobytes() == fine_w.tobytes()
+        assert ratio in (2.0, 4.0) and start <= count <= len(points)
+        assert _sorted_rule(points[start:], ratio * weights[start:]) == _sorted_rule(coarse_z, coarse_w)
+        for f in (lambda z: np.ones(len(z)), lambda z: np.abs(z + alpha) ** 0.5, lambda z: np_principal_pow(z + alpha, -0.4)):
+            terms = coarse_w * f(coarse_z)
+            nested = ratio * np.sum(weights[start:] * f(points[start:]))
+            assert abs(nested - np.sum(terms)) <= 8.0 * np.finfo(float).eps * np.sum(np.abs(terms))
+
+
 def test_real_line_and_atomic_rules_ignore_alpha():
     for law in (Cauchy(0.5, 2.0), ScaledT3(-1.0, 0.5), TwoPoint(1j, -1.0, 0.25)):
         for got, want in zip(law.nodes(5, 1 + 0.5j), law.nodes(5)):

@@ -646,7 +646,7 @@ def _point_mass_h(y, lam, phase):
 @pytest.mark.parametrize("lam", [-0.5, -0.5 + 0.3j, -1.7, 0.5, 1.5, 0.5 + 0.5j, 2])
 def test_fractional_power_point_mass_upper(lam):
     y = 0.7 + 1.3j
-    value, unc, evals = _fractional_power(_point_mass_h(y, lam, 1j), lam, QuadratureConfig(), 1j)
+    value, unc, evals, _, _ = _fractional_power(_point_mass_h(y, lam, 1j), lam, QuadratureConfig(), 1j)
     assert abs(value - principal_pow(y, lam)) <= 1e-12 * abs(principal_pow(y, lam))
     if lam == 2:
         assert (unc, evals) == (0.0, 0)  # the plain moment, no quadrature
@@ -655,7 +655,7 @@ def test_fractional_power_point_mass_upper(lam):
 @pytest.mark.parametrize("lam", [-0.5, -0.5 + 0.3j, -1.7])
 def test_fractional_power_point_mass_lower(lam):
     y = 0.7 - 1.3j
-    value, _, _ = _fractional_power(_point_mass_h(y, lam, -1j), lam, QuadratureConfig(), -1j)
+    value, *_ = _fractional_power(_point_mass_h(y, lam, -1j), lam, QuadratureConfig(), -1j)
     assert abs(value - principal_pow(y, lam)) <= 1e-12 * abs(principal_pow(y, lam))
 
 
@@ -923,12 +923,13 @@ KERNEL_LAWS = (
 def test_pos_transform_kernel_matches_per_j_loop(law, alpha, level):
     n, jmax = 2, 2
     derivs = _PosTransformDerivs(law, alpha, 0.4, n, jmax, level)
-    values, weights = derivs.atoms, law.nodes(level, alpha)[1]
+    weights = law.nodes(level, alpha)[1]
+    values = derivs.atoms[: len(weights)]  # the finer level's values come first
     pref = np.array([(-1j / n) ** j for j in range(jmax + 1)])
     for u in KERNEL_US:
         v = u / n
         want = _loop_moments(values, weights, jmax, v)
-        _assert_close_to_loop(derivs.g_derivs(u), pref * want, _loop_scale(values, weights, jmax, v))
+        _assert_close_to_loop(derivs.g_derivs(u)[0], pref * want, _loop_scale(values, weights, jmax, v))
     assert np.all(derivs.g_derivs(1e4) == 0)  # every term underflows
 
 
@@ -936,18 +937,19 @@ def test_pos_transform_kernel_matches_per_j_loop(law, alpha, level):
 def test_neg_transform_kernel_matches_loop(law, alpha, level):
     n = 2
     transform = _NegTransform(law, alpha, -0.5, n, level)
-    values, weights = transform.atoms, law.nodes(level, alpha)[1]
+    weights = law.nodes(level, alpha)[1]
+    values = transform.atoms[: len(weights)]  # the finer level's values come first
     for u in KERNEL_US:
         v = -u / n
         want = _loop_moments(values, weights, 0, v)[0]
         scale = _loop_scale(values, weights, 0, v)[0]
-        got = transform(u)
+        got, _ = transform(u)
         if want == 0:
             assert got == 0
         else:
             # (m + e)**n - m**n ~ n m**(n-1) e
             assert abs(got - want**n) <= n * 1e-13 * scale**n, (u, got, want**n)
-    assert transform(1e5) == 0  # every term underflows
+    assert transform(1e5) == (0, 0)  # every term underflows
 
 
 @pytest.mark.parametrize("law, alpha, level", KERNEL_LAWS)
@@ -976,7 +978,7 @@ def test_frac_deriv_atomic_law_matches_enumeration(p, n):
 
 def _rule_moments(law, alpha, p, level, c):
     """[E[W^j exp(icW)] for j = 0, 1, 2] by the law's node rule."""
-    return _PosTransformDerivs(law, alpha, p, 1, 2, level).kernel(c)
+    return _PosTransformDerivs(law, alpha, p, 1, 2, level).kernel(c)[0]
 
 
 def test_t3_node_rule_exact_moments_at_zero():
@@ -1043,6 +1045,60 @@ def test_frac_deriv_poincare_level_gap_well_inside_tolerance(p):
     est = power_mean_expectation(POIN, PowerMeanSpec(p=p, n=2, alpha=0.5j), Route.FRAC_DERIV, cfg)
     assert est.meta["level_gap"] <= cfg.rel_tol * abs(est.value) / 4.0
     assert est.meta["level_gap"] <= 1e-13  # 3.6e-15 at p = -0.5, 2.8e-14 at p = 0.4
+
+
+def _transform_h(law, alpha, p, n, level):
+    """The pair integrand (h_L, h_L - h_(L-1)) of the power-mean route at p,
+    its order and its phase, as _pm_frac_deriv_at forms them."""
+    order = 1.0 / p
+    if p < 0:
+        return _NegTransform(law, alpha, p, n, level), order, -1j
+    k = math.floor(order)
+    transform = _PosTransformDerivs(law, alpha, p, n, k, level)
+    turn = (1, 1j, -1, -1j)[k % 4]
+    return (lambda u: tuple(turn * part for part in transform.f_deriv_k(u, k))), order, 1j
+
+
+PAIR_CELLS = [(T3, 1j, 0.7, 3), (POIN, 0.5j, -0.5, 2), (POIN, 0.5j, 0.4, 2)]
+
+
+@pytest.mark.parametrize("law, alpha, p, n", PAIR_CELLS)
+def test_gap_component_is_the_integral_of_the_level_difference(law, alpha, p, n):
+    cfg = QuadratureConfig()
+    pair, order, phase = _transform_h(law, alpha, p, n, _NODE_LEVEL + 1)
+    value, _, evals, gap, gap_unc = _fractional_power(pair, order, cfg, phase)
+    # the same integral from the two levels' own rules, differenced at each u
+    coarse = _transform_h(law, alpha, p, n, _NODE_LEVEL)[0]
+
+    def separate(u):
+        fine = pair(u)[0]
+        return fine, fine - coarse(u)[0]
+
+    want_value, _, want_evals, want_gap, _ = _fractional_power(separate, order, cfg, phase)
+    assert value == want_value and evals == want_evals  # the value alone picks the u nodes
+    assert abs(gap - want_gap) <= gap_unc  # the coarse sums add their nodes in another order
+
+
+def test_gap_component_error_covers_the_value_driven_nodes():
+    # t3 at alpha = i, p = 0.7, n = 3: h_7 - h_6 oscillates where h_7 does
+    # not, so at the value's u nodes its integral is resolved only to about
+    # the value's own tolerance (1e-10), while a scalar integral of h_7 - h_6
+    # that picks its own nodes (about four times as many) finds 5e-14
+    cfg = QuadratureConfig()
+    pair, order, phase = _transform_h(T3, 1j, 0.7, 3, _NODE_LEVEL + 1)
+    _, _, evals, gap, gap_unc = _fractional_power(pair, order, cfg, phase)
+    alone, alone_unc, alone_evals, _, _ = _fractional_power(lambda u: pair(u)[1], order, cfg, phase)
+    assert alone_evals > 2 * evals and abs(alone) <= 1e-12
+    assert abs(gap - alone) <= gap_unc + alone_unc, (gap, alone, gap_unc, alone_unc)
+
+
+@pytest.mark.parametrize("law, alpha, p, n", PAIR_CELLS)
+def test_frac_deriv_reports_the_rule_gap_and_stays_honest(law, alpha, p, n):
+    spec = PowerMeanSpec(p=p, n=n, alpha=alpha)
+    est = power_mean_expectation(law, spec, Route.FRAC_DERIV)
+    assert est.meta["level"] == _NODE_LEVEL + 1 and type(est.meta["level_gap"]) is float
+    assert est.meta["level_gap"] <= est.uncertainty
+    assert abs(est.value - power_mean_expectation(law, spec, Route.CLOSED).value) <= est.uncertainty
 
 
 def test_frac_deriv_ignores_monte_carlo_config():
@@ -1171,7 +1227,8 @@ def test_many_workers_on_short_switches_merge_every_block_in_order(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
-def test_failing_block_raises_and_leaves_no_thread(monkeypatch, threads):
+def test_domain_guard_raises_before_any_worker_starts(monkeypatch, threads):
+    # a failure inside a worker: test_worker_failure_in_a_middle_group_propagates
     monkeypatch.setenv("FRACMEAN_THREADS", threads)
     law = TwoPoint(0j, 1 + 1j, 0.5)  # a zero draw has no power of order p < 0
     mc = MCConfig(samples=4 * montecarlo._GROUP_ROWS, seed=5, batch=1024)

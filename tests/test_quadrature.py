@@ -52,7 +52,7 @@ def test_mass_near_one_end_survives_a_larger_far_end():
     def g(t):
         return math.exp(-t / 3.0) + 1e-60 * math.exp(-(((t - 2500.0) / 200.0) ** 2))
 
-    value, err, _ = _de_finite(g, 1.0, 3354.0, QuadratureConfig(), _EvalCounter())
+    (value, err, _), _ = _de_finite(lambda t: (g(t), 0.0), 1.0, 3354.0, QuadratureConfig(), _EvalCounter())
     want = 3.0 * math.exp(-1.0 / 3.0)
     assert abs(value - want) <= 1e-9 and err <= 1e-9
 
