@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .principal import FRESH, np_principal_log, np_principal_pow, principal_pow
+from .principal import FRESH, _expm1, _log1p, np_principal_log, np_principal_pow, principal_pow
 from .quad import tanh_sinh_nodes
 
 __all__ = [
@@ -467,12 +467,22 @@ class TwoPoint(AtomicLaw):
             [float(ctx.multiply(ctx.multiply(math.comb(n, k), w_pow[k]), v_pow[n - k])) for k in range(n + 1)]
         )
         k = np.arange(n + 1)
+        z = self.atoms + alpha
         if abs(p) < _P_GEOMETRIC_EPS:
-            log_a, log_b = np_principal_log(self.atoms + alpha)
+            log_a, log_b = np_principal_log(z)
             means = np.exp((k * log_a + (n - k) * log_b) / n)
         else:
-            pow_a, pow_b = np_principal_pow(self.atoms + alpha, p)
+            pow_a, pow_b = np_principal_pow(z, p)
             means = np_principal_pow((k * pow_a + (n - k) * pow_b) / n, 1.0 / p)
+            # where the mean of the powers is near 1, as at every p near 0, it
+            # is 1 + m, m the mean of z**p - 1 = expm1(p log z), which keeps
+            # the digits that 1 + m rounds away, and its power exp(log1p(m) / p)
+            shift, log_z, live = np.full(2, -1.0 + 0j), np_principal_log(z), z != 0  # 0**p = 0
+            shift[live] = _expm1(p * log_z.real[live], p * log_z.imag[live])
+            m = (k * shift[0] + (n - k) * shift[1]) / n
+            near = np.abs(m) < 0.5
+            log_mean = _log1p(m[near])
+            means[near] = np.exp(log_mean.real / p) * np.exp(1j * (log_mean.imag / p))
         return complex(np.sum(weights * means))
 
     def to_json(self):

@@ -33,6 +33,7 @@ from .gammafn import gamma
 from .principal import (
     FRESH,
     BranchDomainError,
+    Workspace,
     _phasor,
     _polar,
     _scaled_phasor,
@@ -46,7 +47,10 @@ from .quad import (
     NonConvergenceError,
     QuadratureConfig,
     _EPS,
+    _composed,
     _pair,
+    chunk_size,
+    chunked,
     integrate_marchaud,
     integrate_singular_decaying,
     marchaud_unit_interval,  # no caller here: perfbench/tracer.py wraps this name
@@ -320,12 +324,11 @@ def _fractional_power(h, lam, cfg, phase, amplitude=0.0):
     if lam.real < 0:
         im_l = lam.imag
 
-        def g(t):
-            value, companion = _pair(h(t))
+        def turned(t, value, companion):
             turn = np.exp(-1j * im_l * math.log(t))
             return turn * value, turn * companion
 
-        res = integrate_singular_decaying(h if im_l == 0.0 else g, -lam.real - 1.0, cfg)
+        res = integrate_singular_decaying(h if im_l == 0.0 else _composed(h, turned), -lam.real - 1.0, cfg)
         scale = principal_pow(phase, lam) / gamma(-lam)
     else:
         delta = lam - math.floor(lam.real)
@@ -368,7 +371,12 @@ def _rotated_atoms(points, weights, alpha, lam, k):
         # of r times that exponent, unseen by the level gap
         sizes = weights * np.exp((lam * log_z).real)  # |w_j z_j**lam|
         rounding = 8.0 * _EPS * (1.0 + abs(lam)) * float(np.sum(sizes))
-    return (lambda u: complex(kernel(u)[0, 0])), amplitude, rounding
+
+    def h(u):  # one u or, as a chunked integrand, a list of them
+        sums = kernel(u)[..., 0, 0].tolist()
+        return (sums, [0.0] * len(sums)) if hasattr(u, "__len__") else sums
+
+    return chunked(h, kernel.width), amplitude, rounding
 
 
 def _quad_moment(model, alpha, lam, cfg):
@@ -511,17 +519,17 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
 
 def _series_power_coeff(g_coeffs, n, k):
     """k-th Taylor coefficient of (sum_j g_j tau**j)**n, n >= 1, for each row
-    of the (rows, k + 1) array g_coeffs: n - 2 truncated products, then the
-    one coefficient of the last, all rows at once."""
+    of the array g_coeffs, whose last axis holds g_0..g_k: n - 2 truncated
+    products, then the one coefficient of the last, all rows at once."""
     power = g_coeffs
     if n > 2:
         index, lower = _lower_shift(k)
-        factor = g_coeffs[:, index] * lower  # factor[r, m, i] = g_(m - i) of row r, or 0
+        factor = g_coeffs[..., index] * lower  # factor[..., m, i] = g_(m - i) of its row, or 0
         for _ in range(n - 2):
-            power = (factor * power[:, None, :]).sum(axis=2)
+            power = (factor * power[..., None, :]).sum(axis=-1)
     if n == 1:
-        return power[:, k]
-    return (power * g_coeffs[:, ::-1]).sum(axis=1)
+        return power[..., k]
+    return (power * g_coeffs[..., ::-1]).sum(axis=-1)
 
 
 @functools.cache
@@ -533,7 +541,8 @@ def _lower_shift(k):
 
 class _WeightedPowers:
     """Moments E[W^j e^{icW}], j = 0..jmax, of a discrete law of W and of a
-    coarser law that shares most of its points.
+    coarser law that shares most of its points, at one c or at each c of a
+    1-d array.
 
     Row j holds w_i * W_i**j at the points and weights of the law's node
     rule: exact for atoms, a quadrature sum over a density, whose error
@@ -542,13 +551,15 @@ class _WeightedPowers:
     values, the coarser one the values from start on, at ratio times their
     weights.  The rotated atoms of _quad_moment give it complex weights.
     An evaluation forms e^{icW} = e^{-c Im W} e^{ic Re W}, the phasor from
-    one tangent, at every value into a reused buffer, takes one product of
-    the rows with it and a pairwise sum along each row over each law's
-    values, all on the calling thread: a BLAS product would hand the
-    reduction to a thread pool, and einsum's running sum loses digits that
-    the Marchaud difference quotient then magnifies.  It returns both laws'
-    moments as rows 0 and 1 of a (2, jmax + 1) array; without a coarser
-    law, row 1 repeats row 0.
+    one tangent, at every c and value as one (c, values) block in reused
+    buffers, takes its product with each row and a pairwise sum along each
+    product over each law's values, all on the calling thread: a BLAS
+    product would hand the reduction to a thread pool, and einsum's running
+    sum loses digits that the Marchaud difference quotient then magnifies.
+    Every entry is computed as it would be at that c alone, so a block of c
+    gives the bits of one call per c.  It returns both laws' moments as
+    rows 0 and 1 of a (2, jmax + 1) array per c, after the shape of c;
+    without a coarser law, row 1 repeats row 0.
     """
 
     def __init__(self, values, weights, jmax, coarse=None):
@@ -558,23 +569,51 @@ class _WeightedPowers:
         self.rows[0] = weights
         for j in range(1, jmax + 1):
             np.multiply(self.rows[j - 1], values, out=self.rows[j])
-        self._re, self._im = values.real.copy(), values.imag.copy()
-        self._mag, self._phi = np.empty(len(values)), np.empty(len(values))
-        self._buf = np.empty(len(values), dtype=complex)
-        self._prod = np.empty_like(self.rows)
+        self._re, self._neg_im = values.real.copy(), -values.imag
+        # the floats held per c and value: the products with the rows, the
+        # first in place of the phasor, with the magnitude and phase it is
+        # formed from in the slot of the second (two each), and the scratch of
+        # the tangent
+        self.width = (2 * max(jmax + 1, 2) + 1) * len(values)
+        # buffers for the largest block quad asks for, made once, so that
+        # blocks of every size reuse the same memory
+        block = (chunk_size(self.width), len(values))
+        self._slots = np.empty((block[0], max(jmax + 1, 2), block[1]), dtype=complex)
+        self._ws = Workspace()  # the tangent's scratch
+        self._ws.take("scratch.2", block)
+        self._blocks = {}
+
+    def _block(self, m):
+        """Views for m values of c: magnitudes, phases, phasors and their
+        products with the rows.  The phasors lie in the slot of the first
+        product, formed in place, and the magnitudes and phases in the slot
+        of the second, formed after them."""
+        block = self._blocks.get(m)
+        if block is None:
+            if m > len(self._slots):  # more c than quad asks for at once
+                self._slots = np.empty((m,) + self._slots.shape[1:], dtype=complex)
+                self._blocks = {}
+            slots, size = self._slots[:m], len(self._re)
+            parts = slots[:, 1].view(float)
+            block = self._blocks[m] = parts[:, :size], parts[:, size:], slots[:, 0], slots[:, : len(self.rows)]
+        return block
 
     def __call__(self, c):
-        mag = np.exp(np.multiply(self._im, -c, out=self._mag), out=self._mag)
-        buf = _scaled_phasor(mag, np.multiply(self._re, c, out=self._phi), out=self._buf)
-        prod = np.multiply(self.rows, buf, out=self._prod)
-        out = np.empty((2, len(prod)), dtype=complex)
-        np.add.reduce(prod[:, : self.count], axis=1, out=out[0])
+        c = np.asarray(c, dtype=float)
+        cs = c.reshape(-1, 1)
+        mag, phi, buf, prod = self._block(len(cs))
+        np.exp(np.multiply(self._neg_im, cs, out=mag), out=mag)
+        _scaled_phasor(mag, np.multiply(self._re, cs, out=phi), buf, self._ws)
+        np.multiply(self.rows[1:], buf[:, None, :], out=prod[:, 1:])
+        np.multiply(self.rows[0], buf, out=buf)
+        out = np.empty((len(cs), 2, len(self.rows)), dtype=complex)
+        np.add.reduce(prod[:, :, : self.count], axis=2, out=out[:, 0])
         if self._coarse is None:
-            out[1] = out[0]
+            out[:, 1] = out[:, 0]
         else:
             _, start, ratio = self._coarse
-            np.multiply(np.add.reduce(prod[:, start:], axis=1, out=out[1]), ratio, out=out[1])
-        return out
+            np.multiply(np.add.reduce(prod[:, :, start:], axis=2, out=out[:, 1]), ratio, out=out[:, 1])
+        return out if c.ndim else out[0]
 
 
 def _turn(p):
@@ -591,7 +630,11 @@ class _SingleDrawTransform:
     atoms), graded toward the branch point -alpha of W, turned by e^{i psi}
     at p < 0 (_turn), and the kernel of E[W^j e^{icW}], j = 0..jmax, under
     both levels.  Each transform returns a pair: its value under the finer
-    level and the gap to the coarser one, 0 for atoms."""
+    level and the gap to the coarser one, 0 for atoms.  A transform is a
+    chunked integrand of quad: given a list of u it returns the pair as two
+    sequences, one entry per u, from one kernel call, and width, the floats
+    the kernel holds per u, sizes the chunks; given one u it returns the
+    pair of numbers."""
 
     def __init__(self, model, alpha, p, n, jmax, level):
         self.n = n
@@ -605,6 +648,18 @@ class _SingleDrawTransform:
         if p < 0:
             values *= cmath.exp(1j * _turn(p))
         self.kernel = _WeightedPowers(values, weights, jmax, coarse)
+        self.width = self.kernel.width
+
+
+def _as_nodes(u):
+    """The u of a transform, a list of them or one, as a 1-d array."""
+    return np.array(u, dtype=float, ndmin=1)
+
+
+def _per_u(u, values, gaps):
+    """A transform's values and gaps, one per u of a list u, or the two
+    numbers at one u."""
+    return (values, gaps) if hasattr(u, "__len__") else (values[0], gaps[0])
 
 
 class _NegTransform(_SingleDrawTransform):
@@ -615,9 +670,10 @@ class _NegTransform(_SingleDrawTransform):
         super().__init__(model, alpha, p, n, 0, level)
 
     def __call__(self, u):
-        fine, coarse = self.kernel(-u / self.n)[:, 0]
-        value = complex(fine) ** self.n
-        return value, value - complex(coarse) ** self.n
+        sums = self.kernel(_as_nodes(u) / -self.n)  # -u / n
+        values = [fine ** self.n for fine in sums[:, 0, 0].tolist()]
+        gaps = [value - coarse ** self.n for value, coarse in zip(values, sums[:, 1, 0].tolist())]
+        return _per_u(u, values, gaps)
 
 
 class _PosTransformDerivs(_SingleDrawTransform):
@@ -631,14 +687,15 @@ class _PosTransformDerivs(_SingleDrawTransform):
 
     def g_derivs(self, u):
         """[G^(j)(-u)] for j = 0..jmax, G^(j)(-u) = (-i/n)^j E[W^j e^{i(u/n)W}],
-        under the finer and the coarser level, as rows 0 and 1."""
-        return self._pref * self.kernel(u / self.n)
+        under the finer and the coarser level, as rows 0 and 1, after the
+        shape of u."""
+        return self._pref * self.kernel(np.divide(u, self.n))
 
     def f_deriv_k(self, u, k):
-        """F^(k)(-u) with F = G**n, via a truncated series power, and its gap
-        to the coarser level."""
-        fine, coarse = _series_power_coeff(self.g_derivs(u) / self._fact, self.n, k) * math.factorial(k)
-        return fine, fine - coarse
+        """F^(k)(-u) with F = G**n, via a truncated series power of every
+        row at once, and its gap to the coarser level."""
+        fine, coarse = (_series_power_coeff(self.g_derivs(_as_nodes(u)) / self._fact, self.n, k) * math.factorial(k)).T
+        return _per_u(u, fine, fine - coarse)
 
 
 def _pm_frac_deriv(model, spec, cfg):
@@ -702,8 +759,10 @@ def _pm_frac_deriv_at(model, spec, cfg, level):
         turn = (1, 1j, -1, -1j)[k % 4]
 
         def h(u):  # i**k F^(k)(-u) = E[S**k exp(iuS)], exactly, and its gap
-            value, gap = transform.f_deriv_k(u, k)
-            return turn * value, turn * gap
+            values, gaps = transform.f_deriv_k(u, k)
+            return turn * values, turn * gaps
+
+        chunked(h, transform.width)
 
     # the transform decays only if every W' lies below the real axis (p < 0),
     # every W above it (p > 0)

@@ -176,6 +176,27 @@ def np_principal_log(z):
     return _log_from_polar(*_polar(z.reshape(-1))).reshape(z.shape)
 
 
+def _expm1(x, y):
+    """e^(x + iy) - 1 for real arrays x and y, accurate where x + iy is
+    small: Re = expm1(x) cos(y) - 2 sin(y/2)**2, Im = e^x sin(y)."""
+    out = np.empty(np.shape(x), dtype=complex)
+    half = np.sin(0.5 * y)
+    out.real = np.expm1(x) * np.cos(y) - 2.0 * half * half
+    out.imag = np.exp(x) * np.sin(y)
+    return out
+
+
+def _log1p(m):
+    """log(1 + m) of a complex array with |m| < 1/2, accurate where m is
+    small, as numpy's complex log1p is not: the modulus is
+    log1p(|1 + m|**2 - 1) / 2 with |1 + m|**2 - 1 = Re m (2 + Re m) +
+    (Im m)**2, free of the cancellation in 1 + Re m."""
+    out = np.empty(m.shape, dtype=complex)
+    out.real = 0.5 * np.log1p(m.real * (2.0 + m.real) + m.imag * m.imag)
+    out.imag = np.arctan2(m.imag, 1.0 + m.real)
+    return out
+
+
 def np_principal_pow(z, lam, out=None, ws=FRESH):
     """Vectorized principal_pow with the 0**lam = 0 convention.  out may be
     z itself; ws lends the scratch arrays."""

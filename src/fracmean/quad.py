@@ -9,19 +9,29 @@ Two entry points:
   ``int_0^inf (d0 - f(u)) / u**(1+delta) du`` with 0 < Re(delta) < 1.
 
 Both are built on one tanh-sinh (double exponential) trapezoid kernel with
-level refinement.  ``tanh_sinh_nodes`` is the one place the rule is
-computed; the kernel reads each level's nodes from a table cached on first
-use, held as distances from the endpoints.  An integrand returns a number or
-a pair (value, companion) of numbers, such as a quantity and the gap between
-two levels of the rule behind it; a number v counts as the pair (v, 0).
-Both components are summed at the same nodes, but the value alone decides
-where a walk stops, when the levels stop and whether the origin is
-Lipschitz, so adding a companion leaves the value's bits unchanged; the
-companion gets its own error estimate.  The
-Marchaud route needs special care at the origin: for small u the difference
-d0 - f(u) drowns in rounding noise while the weight u**(-1-delta) amplifies
-it, so below a fixed cut the ratio (d0 - f(u))/u is replaced by a fitted
-polynomial model whose moments integrate in closed form.
+level refinement.  ``tanh_sinh_nodes`` gives the rule, computed once per
+level and floor, to the laws' node rules; the kernel reads each level's
+nodes from the same computation, held as distances from the endpoints.  An
+integrand returns a number or a pair (value, companion) of numbers, such as
+a quantity and the gap between two levels of the rule behind it; a number v
+counts as the pair (v, 0).  Both components are summed at the same nodes,
+but the value alone decides where a walk stops, when the levels stop and
+whether the origin is Lipschitz, so adding a companion leaves the value's
+bits unchanged; the companion gets its own error estimate.
+
+An integrand may instead take a chunk of nodes per call (``chunked``): a
+list of abscissae in, a pair of sequences out.  The walk then asks it for
+the nodes of a level in a few calls, each within a fixed budget of floats
+over the integrand's width, the first reaching as far as the level before
+walked; it still adds the terms one by one, in the same order, and stops
+where a node-by-node walk stops, so a chunked integrand gives the bits and
+the evaluation count of its scalar form.  A scalar integrand is called at
+one node at a time.
+
+The Marchaud route needs special care at the origin: for small u the
+difference d0 - f(u) drowns in rounding noise while the weight u**(-1-delta)
+amplifies it, so below a fixed cut the ratio (d0 - f(u))/u is replaced by a
+fitted polynomial model whose moments integrate in closed form.
 """
 
 import cmath
@@ -42,10 +52,15 @@ __all__ = [
     "integrate_marchaud",
     "marchaud_unit_interval",
     "tanh_sinh_nodes",
+    "chunked",
+    "chunk_size",
 ]
 
 _EPS = 2.220446049250313e-16
 _U_MAX = 6.0  # tanh-sinh abscissa range; beyond this weights underflow
+# floats one call of a chunked integrand may hold, 960 kB: a larger block
+# falls out of the core's cache
+_CHUNK_FLOATS = 120_000
 
 
 @dataclass(frozen=True)
@@ -104,12 +119,72 @@ def _pair(value):
     return value if type(value) is tuple else (value, 0.0)
 
 
-def tanh_sinh_nodes(level, floor):
-    """Tanh-sinh rule on (-1, 1) at spacing h = 2**-level out to |u| = 6, as
-    arrays (t, 1 - |t|, weight, k), k the integer with u = k h, without the
-    nodes lighter than floor; the distances stay resolved where t rounds to
-    +-1.  The rules nest: the nodes of even k are the nodes of level - 1,
-    bit for bit, at half the weight they have there."""
+def chunked(f, width):
+    """Mark f as an integrand of chunks and return it: f(ts) takes a list of
+    abscissae and returns the pair (values, companions) of sequences, one
+    entry per abscissa; width is how many floats it holds per abscissa,
+    which sets how many abscissae one call is given."""
+    f.width = width
+    return f
+
+
+def chunk_size(width):
+    """The most abscissae one call of a chunked integrand of that width is
+    given."""
+    return max(1, _CHUNK_FLOATS // max(width, 1))
+
+
+def _evaluations(f, nodes, end, step, first):
+    """(t, value, companion, dist, weight) at each (dist, weight) of nodes in
+    turn, t = end + step * dist, from calls of the pair integrand f made as
+    they are consumed: a scalar f is called at one node, a chunked one on
+    the first `first` nodes, then on three at a time, never on more than its
+    chunk size.  A consumer that stops early leaves the later nodes
+    uncomputed."""
+    if not hasattr(f, "width"):
+        for dist, weight in nodes:
+            t = end + step * dist
+            yield (t, *f(t), dist, weight)
+        return
+    size, start = chunk_size(f.width), 0
+    while start < len(nodes):
+        chunk = nodes[start : start + min(size, max(first - start, 3))]
+        ts = [end + step * dist for dist, _ in chunk]
+        values, companions = f(ts)
+        for t, value, companion, (dist, weight) in zip(ts, values, companions, chunk):
+            yield t, value, companion, dist, weight
+        start += len(chunk)
+
+
+def _window(f, us):
+    """_evaluations of the integrand f, a pair one or not, at each u of the
+    positive array us, as a list."""
+    pairs = _composed(f, lambda u, value, companion: (value, companion))
+    return list(_evaluations(pairs, [(u, 0.0) for u in us.tolist()], 0.0, 1.0, len(us)))
+
+
+def _composed(f, post, pre=None):
+    """The integrand t -> post(t, value, companion) of the pair f(x), x =
+    pre(t) or t itself, for a scalar f; for a chunked f, its chunked form of
+    the same width."""
+    if not hasattr(f, "width"):
+        if pre is None:
+            return lambda t: post(t, *_pair(f(t)))
+        return lambda t: post(t, *_pair(f(pre(t))))
+
+    def each(ts):
+        values, companions = f(ts if pre is None else [pre(t) for t in ts])
+        # lists: CPython resizes a tuple built from an iterator of unknown
+        # length, and keeps every one freed on the free list of its new size,
+        # up to 2,000 per size, so varying chunk sizes would pile them up
+        pairs = list(map(post, ts, values, companions))
+        return [value for value, _ in pairs], [companion for _, companion in pairs]
+
+    return chunked(each, f.width)
+
+
+def _tanh_sinh_rule(level, floor):
+    """The rule of tanh_sinh_nodes, computed afresh."""
     h = 2.0 ** -level
     k = np.arange(-int(_U_MAX / h), int(_U_MAX / h) + 1)
     u = h * k
@@ -121,38 +196,54 @@ def tanh_sinh_nodes(level, floor):
 
 
 @functools.cache
+def tanh_sinh_nodes(level, floor):
+    """Tanh-sinh rule on (-1, 1) at spacing h = 2**-level out to |u| = 6, as
+    read-only arrays (t, 1 - |t|, weight, k), k the integer with u = k h,
+    without the nodes lighter than floor; the distances stay resolved where
+    t rounds to +-1.  The rules nest: the nodes of even k are the nodes of
+    level - 1, bit for bit, at half the weight they have there.  Each rule
+    is computed once, for the node rules of the laws."""
+    rule = _tanh_sinh_rule(level, floor)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
+
+
+@functools.cache
 def _level_nodes(level):
     """The nodes u = k h, k > 0, that level adds to the rule (every k at
     level 0, odd k above) as (1 - |t|, weight) pairs of Python floats; the
-    rule is symmetric, so they serve both endpoints."""
-    _, dist, weight, _ = tanh_sinh_nodes(level, 0.0)
+    rule is symmetric, so they serve both endpoints.  The full tables of
+    the finer levels, 0.8 MB up to level 10, are not kept."""
+    _, dist, weight, _ = _tanh_sinh_rule(level, 0.0)
     side = slice(len(dist) // 2 + 1, None, 2 if level else 1)
     return tuple(zip(dist[side].tolist(), weight[side].tolist()))
 
 
-def _de_sum_level(f, a, b, level, counter, reach=(1.0, 1.0)):
+def _de_sum_level(f, a, b, level, counter, reach=(1.0, 1.0), ahead=(6, 6)):
     """The terms that level adds to the tanh-sinh sums of the pair integrand
     f over (a, b): the sum of each component, the sum of the sizes of each,
-    and per end (b, then a) the |term| and 1 - |t| of the value's largest
-    term.  A walk stops on the value's terms alone."""
+    per end (b, then a) the |term| and 1 - |t| of the value's largest term,
+    and per end how many nodes the next level should ask a chunked f for
+    first, ahead giving this level's.  The terms are added one by one,
+    outward from the centre, and a walk stops on the value's terms alone."""
     half = 0.5 * (b - a)
     total = other = 0.0 + 0.0j
     if level == 0:  # center node u = 0
-        value, companion = f(a + half)
+        ((_, value, companion, _, _),) = _evaluations(f, ((1.0, 0.0),), a, half, 1)
         total += value * (half * math.pi / 2.0)
         other += companion * (half * math.pi / 2.0)
         counter.count += 1
     size, other_size = abs(total), abs(other)
     nodes = _level_nodes(level)
-    peaks = []
-    for end, sign, limit in ((b, -1.0, reach[0]), (a, 1.0, reach[1])):
-        tiny_run, peak = 0, (0.0, 1.0)
-        for dist, weight in nodes:
-            t = end + sign * half * dist
-            value, companion = f(t)
+    peaks, plans = [], []
+    for end, sign, limit, first in ((b, -1.0, reach[0], ahead[0]), (a, 1.0, reach[1], ahead[1])):
+        tiny_run, peak, used = 0, (0.0, 1.0), 0
+        for t, value, companion, dist, weight in _evaluations(f, nodes, end, sign * half, first):
             term = value * (half * weight)
             extra = companion * (half * weight)
             counter.count += 1
+            used += 1
             if not (cmath.isfinite(term) and cmath.isfinite(extra)):
                 raise NonConvergenceError(
                     f"integrand not finite at t={t!r}", evaluations=counter.count
@@ -170,12 +261,17 @@ def _de_sum_level(f, a, b, level, counter, reach=(1.0, 1.0)):
             else:
                 tiny_run = 0
         peaks.append(peak)
-    return (total, other), (size, other_size), peaks
+        # the next level puts a node between each two of this walk's, so
+        # 2 used - 5 of its nodes lie short of the last three terms here
+        # (used - 2 after level 0, whose nodes are u = 1, 2, ...): it asks
+        # first for those and three more
+        plans.append(2 * used - 2 if level else used + 1)
+    return (total, other), (size, other_size), peaks, tuple(plans)
 
 
 def _de_finite(f, a, b, cfg, counter):
-    """Tanh-sinh integral of the pair integrand f over (a, b); f is never
-    called at the endpoints.
+    """Tanh-sinh integral of the pair integrand f over (a, b); f, scalar or
+    chunked, is never called at the endpoints.
 
     An integral splits into at most two such segments, each held to half of
     cfg.abs_tol.  Returns (value, err_estimate, size) for each component,
@@ -185,13 +281,15 @@ def _de_finite(f, a, b, cfg, counter):
     """
     abs_tol = 0.5 * cfg.abs_tol
     rel_tol = cfg.rel_tol
-    (value, other), (size, other_size), peaks = _de_sum_level(f, a, b, 0, counter)
+    (value, other), (size, other_size), peaks, ahead = _de_sum_level(f, a, b, 0, counter)
     # a walk stops after three negligible terms, but not short of its side's largest
     # level-0 term: an integrand held near one end can be negligible at the centre
     reach = tuple(dist if term > _EPS * abs(value) else 1.0 for term, dist in peaks)
     err = other_err = math.inf
     for level in range(1, cfg.max_level + 1):
-        (added, added_other), (added_size, added_other_size), _ = _de_sum_level(f, a, b, level, counter, reach)
+        (added, added_other), (added_size, added_other_size), _, ahead = _de_sum_level(
+            f, a, b, level, counter, reach, ahead
+        )
         refined = 0.5 * value + added
         refined_other = 0.5 * other + added_other
         size = 0.5 * size + added_size
@@ -232,23 +330,21 @@ def integrate_singular_decaying(g, s, cfg=None):
         raise QuadraturePreconditionError("need s > -1 for integrability at 0")
     counter = _EvalCounter()
 
-    def head(t):
-        value, companion = _pair(g(t))
+    def head_term(t, value, companion):
         scale = t ** s
         return scale * value, scale * companion
 
-    def tail(v):
-        value, companion = _pair(g(1.0 / v))
+    def tail_term(v, value, companion):
         if value == 0 and companion == 0:  # underflowed: v**(-s-2) may be past the float range
             return 0j, 0j
         try:
             scale = v ** (-s - 2.0)
-        except OverflowError:  # a term past the float range, reported as a non-finite one
-            raise NonConvergenceError(f"integrand not finite at t={1.0 / v!r}", evaluations=counter.count) from None
+        except OverflowError:  # past the float range: a term the walk reports as not finite
+            return complex(math.inf), complex(math.inf)
         return scale * value, scale * companion
 
-    (v1, e1, a1), (c1, ce1, ca1) = _de_finite(head, 0.0, 1.0, cfg, counter)
-    (v2, e2, a2), (c2, ce2, ca2) = _de_finite(tail, 0.0, 1.0, cfg, counter)
+    (v1, e1, a1), (c1, ce1, ca1) = _de_finite(_composed(g, head_term), 0.0, 1.0, cfg, counter)
+    (v2, e2, a2), (c2, ce2, ca2) = _de_finite(_composed(g, tail_term, lambda v: 1.0 / v), 0.0, 1.0, cfg, counter)
     rounding = 4.0 * _EPS * (2.0 + abs(s)) * (a1 + a2)
     # a companion that differences two quantities of the value's size
     # carries the rounding of both
@@ -285,10 +381,8 @@ def _near_origin_model(d0, f, delta, noise, counter):
     residual).
     """
     probes = np.logspace(math.log10(_MARCHAUD_PROBE_LO), -1.0, 11)
-    ratios = np.empty(len(probes))
-    for i, u in enumerate(probes):
-        ratios[i] = abs(d0[0] - _pair(f(u))[0]) / u
-        counter.count += 1
+    ratios = np.array([abs(d0[0] - value) / u for u, value, *_ in _window(f, probes)])
+    counter.count += len(probes)
     if np.max(ratios) > 0.0:
         mask = ratios > 0.0
         if mask.sum() >= 4:
@@ -299,11 +393,12 @@ def _near_origin_model(d0, f, delta, noise, counter):
                     f"|d0 - f(u)|/u grows like u^{slope:.2f}"
                 )
     us, basis, pinv = _fit_window()
-    ratio_vals = np.empty((2, len(us)), dtype=complex)
-    for i, u in enumerate(us):
-        value, companion = _pair(f(u))
-        ratio_vals[:, i] = (d0[0] - value) / u, (d0[1] - companion) / u
-        counter.count += 1
+    window = _window(f, us)
+    ratio_vals = np.array([
+        [(d0[0] - value) / u for u, value, *_ in window],
+        [(d0[1] - companion) / u for u, _, companion, *_ in window],
+    ], dtype=complex)
+    counter.count += len(us)
     # int_0^a (c0 + c1 u + c2 u^2 + c3 u^3) u^(-delta) du, the ratio model
     # times u restoring the difference
     a_cut = _MARCHAUD_CUT
@@ -341,12 +436,11 @@ def marchaud_unit_interval(d0, f, delta, cfg=None, amplitude=0.0):
     noises = (noise, 2.0 * noise)
     (near, near_err), (near_c, near_c_err) = _near_origin_model(d0, f, delta, noises, counter)
 
-    def mid_integrand(u):
-        value, companion = _pair(f(u))
+    def mid_term(u, value, companion):
         weight = principal_pow(u, -1.0 - delta)
         return (d0[0] - value) * weight, (d0[1] - companion) * weight
 
-    (mid, mid_err, _), (mid_c, mid_c_err, _) = _de_finite(mid_integrand, _MARCHAUD_CUT, 1.0, cfg, counter)
+    (mid, mid_err, _), (mid_c, mid_c_err, _) = _de_finite(_composed(f, mid_term), _MARCHAUD_CUT, 1.0, cfg, counter)
     mid_err += noise * (_MARCHAUD_CUT ** -delta.real - 1.0) / delta.real
     mid_c_err += 2.0 * noise * (_MARCHAUD_CUT ** -delta.real - 1.0) / delta.real
     return IntegralResult(near + mid, near_err + mid_err, counter.count, near_c + mid_c, near_c_err + mid_c_err)
@@ -372,13 +466,13 @@ def integrate_marchaud(d0, f, delta, cfg=None, amplitude=0.0):
     counter = _EvalCounter()
     counter.count = head.evaluations
 
-    def far_integrand(v):
-        if v < 1e-300:
-            return 0j, 0j
-        value, companion = _pair(f(1.0 / v))
+    def far_term(v, value, companion):
         weight = principal_pow(v, delta - 1.0)
         return value * weight, companion * weight
 
+    # every node of the rule on (0, 1) lies 6e-276 or more from the ends,
+    # short of where its weight underflows, so 1/v is finite
+    far_integrand = _composed(f, far_term, lambda v: 1.0 / v)
     (far, far_err, _), (far_c, far_c_err, _) = _de_finite(far_integrand, 0.0, 1.0, cfg, counter)
     return IntegralResult(
         head.value + d0[0] / delta - far,

@@ -603,6 +603,22 @@ def test_two_point_power_mean_weights_within_float_range_unchanged(p, n):
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1e-3, -1e-3, 1e-5, -1e-5, 1e-7, -1e-7])
+def test_two_point_power_mean_near_the_geometric_mean(p, n):
+    # a 50-digit enumeration: near p = 0 the mean of the powers is 1 + O(p),
+    # and its power 1/p must not magnify the rounding of that 1
+    law = TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3)
+    with mpmath.workdps(50):
+        a, b, w, q = mpmath.mpc(law.z1), mpmath.mpc(law.z2), mpmath.mpf(law.w), mpmath.mpf(p)
+        want = complex(sum(
+            mpmath.binomial(n, k) * w**k * (1 - w) ** (n - k) * ((k * a**q + (n - k) * b**q) / n) ** (1 / q)
+            for k in range(n + 1)
+        ))
+    got = power_mean_expectation(law, PowerMeanSpec(p=p, n=n), Route.CLOSED).value
+    assert abs(got - want) <= 4e-15 * abs(want), abs(got - want) / abs(want)
+
+
 @pytest.mark.parametrize("p", [-0.5, 0.5])
 def test_frac_deriv_poincare_criterion_cells(p):
     est = power_mean_expectation(POIN, PowerMeanSpec(p=p, n=2), Route.FRAC_DERIV)
@@ -1099,6 +1115,38 @@ def test_frac_deriv_reports_the_rule_gap_and_stays_honest(law, alpha, p, n):
     assert est.meta["level"] == _NODE_LEVEL + 1 and type(est.meta["level_gap"]) is float
     assert est.meta["level_gap"] <= est.uncertainty
     assert abs(est.value - power_mean_expectation(law, spec, Route.CLOSED).value) <= est.uncertainty
+
+
+# the fracderiv_sampled benchmark cells and the slow t3 one, with the
+# evaluations their walks take
+WALK_CELLS = [
+    (T3, 1j, 0.4, 596),
+    (POIN, 0.5j, -0.5, 241),
+    (POIN, 0.5j, 0.4, 578),
+    (T3, 1j, 0.9, 5805),
+]
+
+
+@pytest.mark.parametrize("law, alpha, p, evaluations", WALK_CELLS)
+def test_frac_deriv_kernel_computes_little_past_the_walk(monkeypatch, law, alpha, p, evaluations):
+    computed = []
+    kernel = _WeightedPowers.__call__
+    monkeypatch.setattr(_WeightedPowers, "__call__", lambda self, c: computed.append(np.size(c)) or kernel(self, c))
+    est = power_mean_expectation(law, PowerMeanSpec(p=p, n=2, alpha=alpha), Route.FRAC_DERIV)
+    assert est.meta["evaluations"] == evaluations
+    assert evaluations <= sum(computed) <= 1.1 * evaluations
+    assert len(computed) < evaluations / 1.9  # most calls take a chunk of u
+
+
+@pytest.mark.parametrize("law, alpha, level", KERNEL_LAWS)
+def test_transforms_of_a_chunk_give_the_bits_of_one_u_at_a_time(law, alpha, level):
+    us = [0.0, 1e-6, 0.3, 1.0, 37.5, 1e4]
+    neg = _NegTransform(law, alpha, -0.5, 3, level)
+    values, gaps = neg(us)
+    assert [list(values), list(gaps)] == [list(part) for part in zip(*map(neg, us))]
+    pos = _PosTransformDerivs(law, alpha, 0.4, 3, 2, level)
+    values, gaps = pos.f_deriv_k(us, 2)
+    assert [list(values), list(gaps)] == [list(part) for part in zip(*(pos.f_deriv_k(u, 2) for u in us))]
 
 
 def test_frac_deriv_ignores_monte_carlo_config():

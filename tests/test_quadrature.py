@@ -8,13 +8,16 @@ import pytest
 from fracmean.gammafn import gamma
 from fracmean.principal import principal_pow
 from fracmean.quad import (
+    _CHUNK_FLOATS,
     NonConvergenceError,
     QuadraturePreconditionError,
     QuadratureConfig,
     _de_finite,
     _EvalCounter,
+    chunked,
     integrate_marchaud,
     integrate_singular_decaying,
+    tanh_sinh_nodes,
 )
 
 SQRT_PI = 1.7724538509055159
@@ -167,3 +170,67 @@ def test_config_validation():
         QuadratureConfig(max_level=2)
     with pytest.raises(ValueError):
         QuadratureConfig(max_level=15)
+
+
+def _pair_integrand(t):
+    # a value that decays and a companion that oscillates, as a level gap does
+    return cmath.exp((1j - 1.0) * t), 1e-3 * cmath.exp((5j - 0.5) * t)
+
+
+def _chunked_form(f, width, calls):
+    """f as an integrand of chunks of the given width, recording the size of
+    each call."""
+
+    def each(ts):
+        calls.append(len(ts))
+        pairs = [f(t) for t in ts]
+        return [value for value, _ in pairs], [companion for _, companion in pairs]
+
+    return chunked(each, width)
+
+
+# chunks of one node, of five, and as many as a level asks for
+CHUNK_WIDTHS = (_CHUNK_FLOATS, _CHUNK_FLOATS // 5, 1)
+
+
+@pytest.mark.parametrize("width", CHUNK_WIDTHS)
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1e-4, 1.0), (1.0, 3354.0)])
+def test_chunked_walk_matches_the_node_by_node_walk(width, a, b):
+    cfg = QuadratureConfig()
+    want_counter, counter, calls = _EvalCounter(), _EvalCounter(), []
+    want = _de_finite(_pair_integrand, a, b, cfg, want_counter)
+    got = _de_finite(_chunked_form(_pair_integrand, width, calls), a, b, cfg, counter)
+    assert got == want  # value, error and size of each component, bit for bit
+    assert counter.count == want_counter.count
+    assert max(calls) <= max(1, _CHUNK_FLOATS // width)
+    # the walk asks for little more than it uses
+    assert counter.count <= sum(calls) <= 1.25 * counter.count
+
+
+@pytest.mark.parametrize("width", CHUNK_WIDTHS)
+def test_chunked_integrands_give_the_bits_of_scalar_ones(width):
+    # both public integrators, the Marchaud fit windows included
+    cfg = QuadratureConfig()
+    for integrate in (
+        lambda f: integrate_singular_decaying(f, -0.5, cfg),
+        lambda f: integrate_marchaud((1.0, 1e-3), f, 0.3 + 0.1j, cfg),
+    ):
+        want = integrate(_pair_integrand)
+        got = integrate(_chunked_form(_pair_integrand, width, []))
+        assert got == want
+
+
+def test_an_overflowing_tail_term_is_not_finite_for_either_kind_of_integrand():
+    # t**400 leaves the float range in the tail: the walk reports the term
+    # that overflows, a chunked integrand as a scalar one
+    for f in (lambda t: math.exp(-t), _chunked_form(lambda t: (math.exp(-t), 0.0), 1, [])):
+        with pytest.raises(NonConvergenceError, match="not finite"):
+            integrate_singular_decaying(f, 400.0)
+
+
+def test_node_table_is_computed_once_and_read_only():
+    rule = tanh_sinh_nodes(5, 1e-300)
+    assert tanh_sinh_nodes(5, 1e-300) is rule
+    for part in rule:
+        with pytest.raises(ValueError):
+            part[0] = 0
