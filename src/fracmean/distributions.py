@@ -23,7 +23,7 @@ Each class is the one place that knows its family's formulas.  The routes in
   density (and at Re(lam) <= -1 for real alpha), at a negative order where
   an atom of positive weight sits at -alpha, and never for Poincare;
 * ``density(z)``, ``char_deriv(k, t)`` = (-i)^k E[Z^k exp(itZ)] for t >= 0
-  (k = 0 gives E[exp(itZ)]), and ``sample(streams, out, ws)``,
+  (k = 0 gives E[exp(itZ)]; a density law also takes an array of t), and ``sample(streams, out, ws)``,
   which fills ``out`` with draws, part by part from each (generator, count)
   pair of ``streams`` in turn, taking its scratch arrays from the workspace
   ``ws``;
@@ -51,7 +51,6 @@ by its conditional factorization x | y ~ Normal(-b/a, y/(2a)) with
 y ~ InverseGaussian(mean D/a, shape 2 D^2 / a).
 """
 
-import cmath
 import csv
 import decimal
 import json
@@ -221,7 +220,7 @@ class Cauchy(_RealLineLaw):
         return self.sigma / math.pi / ((x - self.mu) ** 2 + self.sigma ** 2)
 
     def char_deriv(self, k, t):
-        return (-1.0) ** k * ((1j * self.gamma_point) ** k * cmath.exp(1j * self.gamma_point * t))
+        return (-1.0) ** k * ((1j * self.gamma_point) ** k * np.exp(1j * self.gamma_point * t))
 
     def sample(self, streams, out, ws):
         x = _per_stream(streams, ws.take("scratch.0", out.size), _uniforms)
@@ -242,7 +241,7 @@ class ScaledT3(_RealLineLaw):
     def char_deriv(self, k, t):
         # (-1)^k phi^(k)(t) for phi(t) = (1 + sigma t) exp(c t)
         c = complex(0.0, self.mu) - self.sigma
-        base = cmath.exp(c * t)
+        base = np.exp(c * t)
         if k == 0:
             phik = (1.0 + self.sigma * t) * base
         else:
@@ -300,7 +299,7 @@ class Poincare(_NestedRule, _ResidueLaw):
 
     def char_deriv(self, k, t):
         beta = self.gamma_point
-        return (-1j * beta) ** k * cmath.exp(1j * t * beta)
+        return (-1j * beta) ** k * np.exp(1j * t * beta)
 
     def sample(self, streams, out, ws):
         d_const = self.d_const
@@ -540,15 +539,17 @@ def char_fn(model, t):
 def char_fn_derivative(model, k, t):
     """k-th derivative of f(s) = E[exp(-isZ)] at s = -t, for t >= 0, which
     equals (-i)^k E[Z^k exp(itZ)]: the half-line where the transform of an
-    upper-half-plane variable converges."""
+    upper-half-plane variable converges.  A law with a density also takes a
+    1-d array of t and returns the array of derivatives, which numpy's
+    vector arithmetic may round an ulp away from the ones at one t."""
     if k < 0 or k != int(k):
         raise ValueError("derivative order must be a non-negative integer")
     k = int(k)
-    t = float(t)
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
         raise SupportError("char_fn_derivative is defined on t >= 0")
     model.check_moment(0j, k)
-    return model.char_deriv(k, t)
+    return model.char_deriv(k, t) if t.ndim else complex(model.char_deriv(k, float(t)))
 
 
 def stream_generator(seed, stream=0):

@@ -268,7 +268,8 @@ def closed_moment(model, alpha, lam):
 
 
 def _shifted_weighted_char(model, alpha, k, u):
-    """E[(Z + alpha)**k exp(iu (Z + alpha))] via the transform derivatives."""
+    """E[(Z + alpha)**k exp(iu (Z + alpha))] via the transform derivatives,
+    at one u or, for a law with a density, at each u of a 1-d array."""
     alpha = complex(alpha)
     total = 0.0 + 0.0j
     for j in range(k + 1):
@@ -379,6 +380,18 @@ def _rotated_atoms(points, weights, alpha, lam, k):
     return chunked(h, kernel.width), amplitude, rounding
 
 
+def _closed_char(model, alpha, k):
+    """u -> E[(Z + alpha)**k exp(iu (Z + alpha))] of a law with a density,
+    from its closed transform derivatives, at one u or, as a chunked
+    integrand, at a list of them; it holds k + 3 complex numbers per u."""
+
+    def h(u):
+        values = _shifted_weighted_char(model, alpha, k, _as_nodes(u)).tolist()
+        return (values, [0.0] * len(values)) if hasattr(u, "__len__") else values[0]
+
+    return chunked(h, 2 * (k + 3))
+
+
 def _quad_moment(model, alpha, lam, cfg):
     """E[(Z + alpha)**lam], Re(lam) not zero or a positive integer, from the
     fractional operator on h(u) = E[Z'**k exp(iuZ')], Z' = Z + alpha,
@@ -402,7 +415,7 @@ def _quad_moment(model, alpha, lam, cfg):
     if atoms is not None:
         h, amplitude, rounding = _rotated_atoms(*atoms, alpha, lam, k)
     else:
-        h, amplitude, rounding = functools.partial(_shifted_weighted_char, model, alpha, k), 0.0, 0.0
+        h, amplitude, rounding = _closed_char(model, alpha, k), 0.0, 0.0
 
     value, unc, evals, _, _ = _fractional_power(h, lam, cfg, 1j, amplitude)
     meta = {"evaluations": evals, "k": k, "quad": _cfg_meta(cfg)}

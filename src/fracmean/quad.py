@@ -25,8 +25,9 @@ the nodes of a level in a few calls, each within a fixed budget of floats
 over the integrand's width, the first reaching as far as the level before
 walked; it still adds the terms one by one, in the same order, and stops
 where a node-by-node walk stops, so a chunked integrand gives the bits and
-the evaluation count of its scalar form.  A scalar integrand is called at
-one node at a time.
+the evaluation count of its scalar form.  A scalar integrand runs on the
+same walk, adapted once into a chunked one that is given one node per
+call.
 
 The Marchaud route needs special care at the origin: for small u the
 difference d0 - f(u) drowns in rounding noise while the weight u**(-1-delta)
@@ -58,8 +59,9 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 _U_MAX = 6.0  # tanh-sinh abscissa range; beyond this weights underflow
-# floats one call of a chunked integrand may hold, 960 kB: a larger block
-# falls out of the core's cache
+# floats one call of a chunked integrand may hold, 960 kB: on the t3 and
+# Poincare fractional-derivative power means, budgets of 60,000 and 480,000
+# floats ran slower and 240,000 about as fast
 _CHUNK_FLOATS = 120_000
 
 
@@ -134,18 +136,26 @@ def chunk_size(width):
     return max(1, _CHUNK_FLOATS // max(width, 1))
 
 
+def _chunks_of(f):
+    """f as an integrand of chunks: f itself if it is one, else the scalar
+    (or pair) integrand f called at each abscissa of a chunk, at a width
+    that fills a call's budget, so that each call is given one abscissa."""
+    if hasattr(f, "width"):
+        return f
+
+    def each(ts):
+        pairs = [_pair(f(t)) for t in ts]
+        return [value for value, _ in pairs], [companion for _, companion in pairs]
+
+    return chunked(each, _CHUNK_FLOATS)
+
+
 def _evaluations(f, nodes, end, step, first):
     """(t, value, companion, dist, weight) at each (dist, weight) of nodes in
-    turn, t = end + step * dist, from calls of the pair integrand f made as
-    they are consumed: a scalar f is called at one node, a chunked one on
-    the first `first` nodes, then on three at a time, never on more than its
-    chunk size.  A consumer that stops early leaves the later nodes
-    uncomputed."""
-    if not hasattr(f, "width"):
-        for dist, weight in nodes:
-            t = end + step * dist
-            yield (t, *f(t), dist, weight)
-        return
+    turn, t = end + step * dist, from calls of the chunked integrand f made
+    as they are consumed: on the first `first` nodes, then on three at a
+    time, never on more than its chunk size.  A consumer that stops early
+    leaves the later nodes uncomputed."""
     size, start = chunk_size(f.width), 0
     while start < len(nodes):
         chunk = nodes[start : start + min(size, max(first - start, 3))]
@@ -164,13 +174,9 @@ def _window(f, us):
 
 
 def _composed(f, post, pre=None):
-    """The integrand t -> post(t, value, companion) of the pair f(x), x =
-    pre(t) or t itself, for a scalar f; for a chunked f, its chunked form of
-    the same width."""
-    if not hasattr(f, "width"):
-        if pre is None:
-            return lambda t: post(t, *_pair(f(t)))
-        return lambda t: post(t, *_pair(f(pre(t))))
+    """The chunked integrand t -> post(t, value, companion) of the pair f(x),
+    x = pre(t) or t itself, of the width of f's chunked form."""
+    f = _chunks_of(f)
 
     def each(ts):
         values, companions = f(ts if pre is None else [pre(t) for t in ts])
@@ -221,11 +227,11 @@ def _level_nodes(level):
 
 
 def _de_sum_level(f, a, b, level, counter, reach=(1.0, 1.0), ahead=(6, 6)):
-    """The terms that level adds to the tanh-sinh sums of the pair integrand
-    f over (a, b): the sum of each component, the sum of the sizes of each,
-    per end (b, then a) the |term| and 1 - |t| of the value's largest term,
-    and per end how many nodes the next level should ask a chunked f for
-    first, ahead giving this level's.  The terms are added one by one,
+    """The terms that level adds to the tanh-sinh sums of the chunked pair
+    integrand f over (a, b): the sum of each component, the sum of the sizes
+    of each, per end (b, then a) the |term| and 1 - |t| of the value's
+    largest term, and per end how many nodes the next level should ask f
+    for first, ahead giving this level's.  The terms are added one by one,
     outward from the centre, and a walk stops on the value's terms alone."""
     half = 0.5 * (b - a)
     total = other = 0.0 + 0.0j
@@ -271,7 +277,8 @@ def _de_sum_level(f, a, b, level, counter, reach=(1.0, 1.0), ahead=(6, 6)):
 
 def _de_finite(f, a, b, cfg, counter):
     """Tanh-sinh integral of the pair integrand f over (a, b); f, scalar or
-    chunked, is never called at the endpoints.
+    chunked (a scalar one is adapted by _chunks_of), is never called at the
+    endpoints.
 
     An integral splits into at most two such segments, each held to half of
     cfg.abs_tol.  Returns (value, err_estimate, size) for each component,
@@ -279,6 +286,7 @@ def _de_finite(f, a, b, cfg, counter):
     the levels, and NonConvergenceError is raised when its last two
     refinements still disagree beyond tolerance at cfg.max_level.
     """
+    f = _chunks_of(f)
     abs_tol = 0.5 * cfg.abs_tol
     rel_tol = cfg.rel_tol
     (value, other), (size, other_size), peaks, ahead = _de_sum_level(f, a, b, 0, counter)

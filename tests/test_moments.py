@@ -47,6 +47,7 @@ from fracmean.moments import (
     _NegTransform,
     _PosTransformDerivs,
     _WeightedPowers,
+    _closed_char,
     _fractional_power,
     _pm_monte_carlo,
 )
@@ -1147,6 +1148,16 @@ def test_transforms_of_a_chunk_give_the_bits_of_one_u_at_a_time(law, alpha, leve
     pos = _PosTransformDerivs(law, alpha, 0.4, 3, 2, level)
     values, gaps = pos.f_deriv_k(us, 2)
     assert [list(values), list(gaps)] == [list(part) for part in zip(*(pos.f_deriv_k(u, 2) for u in us))]
+
+
+@pytest.mark.parametrize("law, orders", [(CAUCHY, (0,)), (T3, (0, 1, 2)), (POIN, (0, 1, 2))])
+def test_closed_transform_of_a_chunk_gives_the_bits_of_one_u_at_a_time(law, orders):
+    us = [0.0, 1e-6, 0.3, 1.0, 37.5, 1e4]
+    for alpha in (1j, 1 + 0.5j):
+        for k in orders:
+            h = _closed_char(law, alpha, k)
+            values, companions = h(us)
+            assert values == [h(u) for u in us] and companions == [0.0] * len(us)
 
 
 def test_frac_deriv_ignores_monte_carlo_config():
