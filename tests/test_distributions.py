@@ -181,6 +181,20 @@ def test_char_fn_derivative_matches_finite_differences():
                 assert abs(got - fd) < 1e-7 * max(1.0, abs(got))
 
 
+def test_char_fn_derivative_of_an_array_is_the_one_at_each_t():
+    # numpy's vector arithmetic may round differently from the scalar one,
+    # by about an ulp of each of the few products it forms
+    ts = [0.0, 1e-6, 0.3, 1.0, 37.5, 400.0]
+    for model, orders in ((Cauchy(0.3, 1.7), (0,)), (ScaledT3(-0.5, 2.0), (0, 1, 2)), (Poincare(1.0, 0.2, 1.5), (0, 1, 2))):
+        for k in orders:
+            got = char_fn_derivative(model, k, np.array(ts))
+            for t, value in zip(ts, got):
+                want = char_fn_derivative(model, k, t)
+                assert abs(value - want) <= 8.0 * np.finfo(float).eps * abs(want), (model, k, t)
+    with pytest.raises(SupportError):
+        char_fn_derivative(T3, 0, np.array([1.0, -1e-9]))
+
+
 def test_char_fn_derivative_sampler_cross_check():
     draws = sample(POIN, 99, 400_000)
     vals = -1j * draws
