@@ -533,7 +533,7 @@ def char_fn(model, t):
     t = float(t)
     if t < 0:
         raise SupportError("char_fn is defined on t >= 0")
-    return model.char_deriv(0, t)
+    return complex(model.char_deriv(0, t))
 
 
 def char_fn_derivative(model, k, t):
