@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from .distributions import AtomicLaw, MomentExistenceError, RouteUnavailableError, SupportError, TwoPoint, stream_generator
+from .distributions import MomentExistenceError, RouteUnavailableError, SupportError, TwoPoint, _point_masses, stream_generator
 from .moments import _NODE_LEVEL, MCConfig, Route, frac_moment
 from .montecarlo import _block_draws
 # np_principal_pow, principal_log and principal_pow have no caller here:
@@ -85,7 +85,7 @@ def _support_class(model):
 
 
 def _abs_method(model):
-    if isinstance(model, AtomicLaw):
+    if _point_masses(model) is not None:
         return "atoms"
     return "nodes" if model.support == "upper" else "mc"
 

@@ -47,7 +47,6 @@ from .quad import (
     NonConvergenceError,
     QuadratureConfig,
     _EPS,
-    _composed,
     _pair,
     chunk_size,
     chunked,
@@ -323,20 +322,14 @@ def _fractional_power(h, lam, cfg, phase, amplitude=0.0):
         integer lam: h(0), with no quadrature
     """
     if lam.real < 0:
-        im_l = lam.imag
-
-        def turned(t, value, companion):
-            turn = np.exp(-1j * im_l * math.log(t))
-            return turn * value, turn * companion
-
-        res = integrate_singular_decaying(h if im_l == 0.0 else _composed(h, turned), -lam.real - 1.0, cfg)
+        res = integrate_singular_decaying(h, -lam - 1.0, cfg)
         scale = principal_pow(phase, lam) / gamma(-lam)
     else:
         delta = lam - math.floor(lam.real)
+        d0 = _pair(h(0.0))
         if delta == 0:
-            value, companion = _pair(h(0.0))
-            return complex(value), 0.0, 0, complex(companion), 0.0
-        res = integrate_marchaud(h(0.0), h, delta, cfg, amplitude)
+            return complex(d0[0]), 0.0, 0, complex(d0[1]), 0.0
+        res = integrate_marchaud(d0, h, delta, cfg, amplitude)
         scale = principal_pow(phase, delta) * delta / gamma(1.0 - delta)
     size = abs(scale)
     return scale * res.value, size * res.err_estimate, res.evaluations, scale * res.companion, size * res.companion_err
@@ -531,7 +524,7 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
 
 
 def _series_power_coeff(g_coeffs, n, k):
-    """k-th Taylor coefficient of (sum_j g_j tau**j)**n, n >= 1, for each row
+    """k-th Taylor coefficient of (sum_j g_j tau**j)**n, n >= 2, for each row
     of the array g_coeffs, whose last axis holds g_0..g_k: n - 2 truncated
     products, then the one coefficient of the last, all rows at once."""
     power = g_coeffs
@@ -540,8 +533,6 @@ def _series_power_coeff(g_coeffs, n, k):
         factor = g_coeffs[..., index] * lower  # factor[..., m, i] = g_(m - i) of its row, or 0
         for _ in range(n - 2):
             power = (factor * power[..., None, :]).sum(axis=-1)
-    if n == 1:
-        return power[..., k]
     return (power * g_coeffs[..., ::-1]).sum(axis=-1)
 
 
@@ -712,13 +703,17 @@ class _PosTransformDerivs(_SingleDrawTransform):
 
 
 def _pm_frac_deriv(model, spec, cfg):
-    """Every transform sums the law's node rule (its atoms, for an atomic
-    law), and reads no closed value.  On the nested node rule of a density,
-    one integral sums the pair (h_L, h_L - h_(L-1)) at L = 7: the value and
-    the rule's own gap at the same nodes, each with its own error estimate.
-    If the gap misses cfg's tolerance, one more integral sums the pair at
-    L = 8.  The uncertainty adds the gap and its error to the value's.
-    Every result that is not CLOSED carries a rounding allowance."""
+    """E[M_p] = E[S**(1/p)], S = (1/n) sum_j (Z_j + alpha)**p: at p < 0 from
+    E[exp(-itS')] of S' = e^{i psi} S, which lies below the real axis, so
+    S**(1/p) = e^{-i psi / p} S'**(1/p) on the principal branch; else from
+    derivatives of E[exp(iuS)].  The transform sums the law's atoms or its
+    nested node rule: one integral sums the pair (h_L, h_L - h_(L-1)) at
+    L = 7, the value and the rule's own gap at the same nodes, and, if the
+    gap misses cfg's tolerance, one more at L = 8; meta["evaluations"] and a
+    NonConvergenceError count both.  The uncertainty adds the gap, its error
+    and a rounding allowance to the value's.  Two cases read the law's
+    closed transform instead: n = 1 takes E[Z + alpha] from
+    char_fn_derivative at u = 0, and p = 0 takes E[Z**(1/n)] by QUAD."""
     p, n, alpha = spec.p, spec.n, spec.alpha
     cfg = cfg or QuadratureConfig()
     _check_power_mean(model, spec)
@@ -736,60 +731,55 @@ def _pm_frac_deriv(model, spec, cfg):
         meta.update({"geometric": True, "n": n})
         est = MomentEstimate(value, unc, Route.FRAC_DERIV, meta)
     else:
+        order = 1.0 / p
+        if p > 0:
+            if order >= 171:
+                raise RouteUnavailableError(f"1/p = {order:g} needs {math.floor(order)}!, past the float range")
+            if abs(order - round(order)) < 1e-12:
+                order = round(order)  # a plain derivative of the transform
+            k = math.floor(order)
+            turn = (1, 1j, -1, -1j)[k % 4]
+        evals = 0
         for level in (_NODE_LEVEL + 1, _NODE_LEVEL + 2):
-            est, gap, gap_unc = _pm_frac_deriv_at(model, spec, cfg, level)
-            if est.meta["transform"] == "atoms":
-                break
-            if gap <= max(cfg.abs_tol, cfg.rel_tol * abs(est.value)):
-                est.meta.update({"level": level, "level_gap": gap})
+            if p < 0:
+                h = transform = _NegTransform(model, alpha, p, n, level)
+            else:
+                transform = _PosTransformDerivs(model, alpha, p, n, k, level)
+
+                def h(u):  # i**k F^(k)(-u) = E[S**k exp(iuS)], exactly, and its gap
+                    values, gaps = transform.f_deriv_k(u, k)
+                    return turn * values, turn * gaps
+
+                chunked(h, transform.width)
+            # the transform decays only if every W' lies below the real axis
+            # (p < 0), every W above it (p > 0)
+            side = -transform.atoms.imag if p < 0 else transform.atoms.imag
+            if not np.all(side > 0.0):
+                raise SupportError("single-draw transform does not decay: a value (Z + alpha)**p on the wrong side of the real axis; check alpha")
+            try:
+                value, unc, used, gap, gap_unc = _fractional_power(h, order, cfg, -1j if p < 0 else 1j)
+            except NonConvergenceError as exc:
+                exc.evaluations += evals
+                raise
+            evals += used
+            if p < 0:
+                value *= cmath.exp(-1j * _turn(p) / p)  # |gap| does not turn
+            gap = float(abs(gap))
+            if transform.kind == "atoms":  # one exact law, no coarser one
+                gap = gap_unc = 0.0
+            if gap <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
                 break
         else:
             msg = f"node rules at levels {level - 1} and {level} disagree by {gap:.3e}"
-            raise NonConvergenceError(msg, value=est.value, err_estimate=gap)
+            raise NonConvergenceError(msg, value=value, err_estimate=gap, evaluations=evals)
+        meta = {"order": order, "transform": transform.kind}
+        meta.update({"evaluations": evals} if evals else {"ordinal": True})
+        if transform.kind == "nodes":
+            meta.update({"level": level, "level_gap": gap})
+        est = MomentEstimate(value, unc, Route.FRAC_DERIV, meta)
     # the ulps cover rounding in the transform sums and the series power
     est.uncertainty += gap + gap_unc + 16.0 * math.ulp(abs(est.value))
     return est
-
-
-def _pm_frac_deriv_at(model, spec, cfg, level):
-    """E[M_p] = E[S**(1/p)], S = (1/n) sum_j (Z_j + alpha)**p.  At p < 0 from
-    E[exp(-itS')] of S' = e^{i psi} S, which lies below the real axis with
-    arg S' = arg S + psi, so S**(1/p) = e^{-i psi / p} S'**(1/p) on the
-    principal branch; else from derivatives of E[exp(iuS)].  Returns the
-    estimate under the node rule at level, and the size of the gap to
-    level - 1 and its uncertainty (0 for atoms)."""
-    p, n, alpha = spec.p, spec.n, spec.alpha
-    order = 1.0 / p
-    if p < 0:
-        h = transform = _NegTransform(model, alpha, p, n, level)
-    else:
-        if order >= 171:
-            raise RouteUnavailableError(f"1/p = {order:g} needs {math.floor(order)}!, past the float range")
-        if abs(order - round(order)) < 1e-12:
-            order = round(order)  # a plain derivative of the transform
-        k = math.floor(order)
-        transform = _PosTransformDerivs(model, alpha, p, n, k, level)
-        turn = (1, 1j, -1, -1j)[k % 4]
-
-        def h(u):  # i**k F^(k)(-u) = E[S**k exp(iuS)], exactly, and its gap
-            values, gaps = transform.f_deriv_k(u, k)
-            return turn * values, turn * gaps
-
-        chunked(h, transform.width)
-
-    # the transform decays only if every W' lies below the real axis (p < 0),
-    # every W above it (p > 0)
-    side = -transform.atoms.imag if p < 0 else transform.atoms.imag
-    if not np.all(side > 0.0):
-        raise SupportError("single-draw transform does not decay: a value (Z + alpha)**p on the wrong side of the real axis; check alpha")
-    value, unc, evals, gap, gap_unc = _fractional_power(h, order, cfg, -1j if p < 0 else 1j)
-    if p < 0:
-        value *= cmath.exp(-1j * _turn(p) / p)  # |gap| does not turn
-    meta = {"order": order, "transform": transform.kind}
-    meta.update({"evaluations": evals} if evals else {"ordinal": True})
-    if transform.kind == "atoms":  # one exact law, no coarser one
-        gap = gap_unc = 0.0
-    return MomentEstimate(value, unc, Route.FRAC_DERIV, meta), float(abs(gap)), gap_unc
 
 
 def _pm_monte_carlo(model, specs, mc):
@@ -828,7 +818,9 @@ def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
     the route that ran.  CLOSED covers the residue laws at every p and alpha
     (and exact enumeration for two-point laws); FRAC_DERIV applies the
     fractional operators to the n-th power of the single-draw transform,
-    deterministically (it takes no mc), also at p = 0 and n = 1;
+    deterministically (it takes no mc), summing the law's node rule, except
+    at n = 1, where it reads E[Z + alpha] from the law's closed transform,
+    and at p = 0, where it takes E[Z**(1/n)]**n from the QUAD route;
     MONTE_CARLO averages power means over replications of n fresh draws.
     """
     if not isinstance(spec, PowerMeanSpec):

@@ -3,7 +3,7 @@
 Two entry points:
 
 * ``integrate_singular_decaying`` handles ``int_0^inf t**s g(t) dt`` where the
-  algebraic factor t**s (s > -1) carries an endpoint singularity; the tail
+  algebraic factor t**s (Re s > -1) carries an endpoint singularity; the tail
   [1, inf) is mapped onto (0, 1] by t = 1/v, so g needs no known decay rate.
 * ``integrate_marchaud`` handles the difference quotient
   ``int_0^inf (d0 - f(u)) / u**(1+delta) du`` with 0 < Re(delta) < 1.
@@ -319,8 +319,9 @@ def _de_finite(f, a, b, cfg, counter):
 
 
 def integrate_singular_decaying(g, s, cfg=None):
-    """int_0^inf t**s g(t) dt for s > -1 and t**s g(t) integrable at infinity,
-    for each component of g.
+    """int_0^inf t**s g(t) dt for complex s, Re s > -1, and t**s g(t)
+    integrable at infinity, for each component of g; t**s is principal,
+    t**Re(s) e^{i Im(s) log t}, and a real s stays a float.
 
     Both stretches run on tanh-sinh over (0, 1]: the singular one as it
     stands, the tail [1, inf) through t = 1/v as int_0^1 v**(-s-2) g(1/v) dv,
@@ -328,14 +329,15 @@ def integrate_singular_decaying(g, s, cfg=None):
     that decays only algebraically is as welcome as an exponential one.
     Besides the level gaps, the error estimate carries the rounding of the
     terms, 4 eps (2 + |s|) times the sum of their sizes, since t**s and the
-    phases of g lose relative accuracy in proportion to s where the terms
+    phases of g lose relative accuracy in proportion to |s| where the terms
     cancel; the companion's adds twice the value's, as for a difference of
     two quantities of the value's size.
     """
     cfg = cfg or QuadratureConfig()
-    s = float(s)
-    if s <= -1.0:
-        raise QuadraturePreconditionError("need s > -1 for integrability at 0")
+    s = complex(s)
+    s = s.real if s.imag == 0 else s
+    if s.real <= -1.0:
+        raise QuadraturePreconditionError("need Re s > -1 for integrability at 0")
     counter = _EvalCounter()
 
     def head_term(t, value, companion):

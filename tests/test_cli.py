@@ -116,6 +116,35 @@ def test_characterize_blaschke(capsys):
     assert blob["result"]["verdict"] == "divergence_indicated"
 
 
+def test_characterize_muntz(capsys):
+    blob = run_json(capsys, ["characterize", "muntz", "--sequence", "harmonic"])
+    assert blob["config"]["command"] == "characterize.muntz"
+    assert blob["result"]["verdict"] == "divergence_indicated"
+
+
+SEQUENCE_FILES = {
+    "alpha": {"kind": "alpha", "a": 1.0, "points": [[0.0, 2.0 + k] for k in range(20)]},
+    "lambda": {"kind": "lambda", "points": [[-(k + 1.0), 0.0] for k in range(20)]},
+}
+
+
+@pytest.mark.parametrize("check, kind, code", [
+    ("blaschke", "alpha", 0),
+    ("blaschke", "lambda", 2),
+    ("muntz", "lambda", 0),
+    ("muntz", "alpha", 2),
+])
+def test_characterize_sequence_from_file(capsys, tmp_path, check, kind, code):
+    path = tmp_path / "sequence.json"
+    path.write_text(json.dumps(SEQUENCE_FILES[kind]))
+    assert main(["characterize", check, "--sequence", f"@{path}"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert json.loads(err)["error"]["type"] == "ConfigError"
+    else:
+        assert len(json.loads(out)["result"]["partial_sums"]) == 20
+
+
 def test_characterize_distinguish(capsys):
     blob = run_json(
         capsys,
@@ -149,6 +178,19 @@ def test_bounds_command(capsys):
     )
     assert blob["result"]["satisfied"] is True
     assert abs(blob["result"]["slack"]) < 1e-12
+
+
+def test_general_bounds_command(capsys):
+    # atoms 1 and -1 at p = 1/4: |E[Z**p]| = cos(pi/8), and the divisor is cos(p pi)
+    blob = run_json(
+        capsys,
+        ["bounds", "--check", "general", "--dist", "twopoint",
+         "--params", "z1=1+0i,z2=-1+0i,w=0.5", "--p", "0.25"],
+    )
+    result = blob["result"]
+    assert result["satisfied"] is True and result["meta"]["support"] == "complex"
+    assert abs(result["moment_abs"] - math.cos(math.pi / 8.0)) <= 1e-15
+    assert abs(result["bound"] - result["moment_abs"] / math.cos(math.pi / 4.0)) <= 1e-15
 
 
 def test_slln_command(capsys):
@@ -316,6 +358,14 @@ def test_shifted_poincare_power_mean_is_closed(capsys):
 
 def test_empty_p_grid_exits_2(capsys):
     code = main(["scan", "--dist", "poincare", "--params", "a=1,b=0,c=1", "--p-grid", "0.5:-0.5:0.1",
+                 "--n", "2", "--mc-samples", "1000"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("grid", ["0:1", "0:1:-0.1"])
+def test_malformed_p_grid_exits_2(capsys, grid):
+    code = main(["scan", "--dist", "poincare", "--params", "a=1,b=0,c=1", "--p-grid", grid,
                  "--n", "2", "--mc-samples", "1000"])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"

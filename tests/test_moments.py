@@ -1066,7 +1066,7 @@ def test_frac_deriv_poincare_level_gap_well_inside_tolerance(p):
 
 def _transform_h(law, alpha, p, n, level):
     """The pair integrand (h_L, h_L - h_(L-1)) of the power-mean route at p,
-    its order and its phase, as _pm_frac_deriv_at forms them."""
+    its order and its phase, as _pm_frac_deriv forms them."""
     order = 1.0 / p
     if p < 0:
         return _NegTransform(law, alpha, p, n, level), order, -1j
@@ -1116,6 +1116,48 @@ def test_frac_deriv_reports_the_rule_gap_and_stays_honest(law, alpha, p, n):
     assert est.meta["level"] == _NODE_LEVEL + 1 and type(est.meta["level_gap"]) is float
     assert est.meta["level_gap"] <= est.uncertainty
     assert abs(est.value - power_mean_expectation(law, spec, Route.CLOSED).value) <= est.uncertainty
+
+
+def test_frac_deriv_counts_the_evaluations_of_both_levels():
+    # the level-7 gap misses the tolerance here, so the pair (8, 7) runs too:
+    # 2,368 evaluations at level 7 and 330 at level 8
+    spec = PowerMeanSpec(p=0.7, n=2, alpha=1j)
+    est = power_mean_expectation(ScaledT3(-0.5, 2.0), spec, Route.FRAC_DERIV)
+    assert est.meta["level"] == _NODE_LEVEL + 2 and est.meta["evaluations"] == 2698
+
+
+@pytest.mark.parametrize("fail", ["gap", "quadrature"])
+def test_frac_deriv_failure_counts_the_evaluations_of_both_levels(monkeypatch, fail):
+    used = []
+    fractional_power = moments._fractional_power
+
+    def failing(*args):  # the levels disagree, or level 8's quadrature fails
+        value, unc, evals, gap, gap_unc = fractional_power(*args)
+        used.append(evals)
+        if fail == "quadrature" and len(used) == 2:
+            raise NonConvergenceError("level 8 failed", evaluations=evals)
+        return value, unc, evals, 1.0, gap_unc
+
+    monkeypatch.setattr(moments, "_fractional_power", failing)
+    with pytest.raises(NonConvergenceError) as info:
+        power_mean_expectation(T3, PowerMeanSpec(p=0.4, n=2, alpha=1j), Route.FRAC_DERIV)
+    assert len(used) == 2 and info.value.evaluations == sum(used) and used[0] > 0
+
+
+@pytest.mark.parametrize("law, fallback", [
+    (TwoPoint(1.0, 2.0, 0.5), Route.CLOSED),
+    (Empirical((1.0, 2.0, 3.0)), Route.MONTE_CARLO),
+])
+def test_frac_deriv_refuses_a_transform_that_does_not_decay(law, fallback):
+    # at alpha = 0 every (Z + alpha)**p of these atoms is real, on neither
+    # side of the real axis, so the single-draw transform does not decay
+    spec = PowerMeanSpec(p=0.5, n=2, alpha=0j)
+    with pytest.raises(SupportError, match="does not decay"):
+        power_mean_expectation(law, spec, Route.FRAC_DERIV)
+    est = power_mean_expectation(law, spec, Route.AUTO, mc=MCConfig(samples=20_000, seed=3))
+    assert est.method is fallback
+    want = np.mean([power_mean([a, b], 0.5) for a in law.atoms for b in law.atoms])
+    assert abs(est.value - want) <= max(4.0 * est.uncertainty, 1e-15)
 
 
 # the fracderiv_sampled benchmark cells and the slow t3 one, with the

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from fracmean.gammafn import gamma
@@ -45,6 +46,17 @@ def test_oscillatory_decaying_matches_gamma_times_power():
     res = integrate_singular_decaying(lambda t: cmath.exp((1j - 1.0) * t), -0.5)
     want = gamma(0.5) * principal_pow(1.0 - 1j, -0.5)
     assert abs(res.value - want) <= 1e-9
+
+
+def test_complex_exponent_is_principal():
+    # int_0^inf t**s e^-t dt = Gamma(1 + s), with t**s = t**Re(s) e^{i Im(s) log t}
+    for s in (-0.5 + 0.3j, -0.9 - 0.7j, 1.3 + 0.4j):
+        res = integrate_singular_decaying(lambda t: math.exp(-t), s)
+        assert abs(res.value - complex(mpmath.gamma(1 + s))) <= res.err_estimate
+    real = integrate_singular_decaying(lambda t: math.exp(-t), -0.5)
+    assert integrate_singular_decaying(lambda t: math.exp(-t), complex(-0.5, -0.0)) == real
+    with pytest.raises(QuadraturePreconditionError):
+        integrate_singular_decaying(lambda t: math.exp(-t), -1.0 + 0.5j)
 
 
 def test_mass_near_one_end_survives_a_larger_far_end():
