@@ -47,9 +47,7 @@ from .quad import (
     NonConvergenceError,
     QuadratureConfig,
     _EPS,
-    _pair,
-    chunk_size,
-    chunked,
+    _evaluate,
     integrate_marchaud,
     integrate_singular_decaying,
     marchaud_unit_interval,  # no caller here: perfbench/tracer.py wraps this name
@@ -312,10 +310,9 @@ def _fractional_power(h, lam, cfg, phase, amplitude=0.0):
     """E[Y**lam] from h(t) = E[Y**k exp(phase t Y)], with k = floor(Re lam)
     for Re(lam) > 0 and k = 0 otherwise; phase is i for Y in the open upper
     half plane, -i in the open lower one; amplitude bounds the terms h sums
-    (the Marchaud rounding), or 0.  h may return a pair (value, companion),
-    as the integrands of quad do, and the companion goes through the same
-    operator at the same nodes.  Returns (value, uncertainty, evaluations,
-    companion, companion uncertainty) of
+    (the Marchaud rounding), or 0.  h is an integrand of quad, at an array
+    of t; a companion goes through the same operator at the same nodes.
+    Returns (value, uncertainty, evaluations, companion, its uncertainty) of
 
         Re lam < 0:  phase**lam / Gamma(-lam) int_0^inf t**(-lam-1) h(t) dt
         Re lam > 0:  phase**d d / Gamma(1-d) int_0^inf (h(0) - h(u)) / u**(1+d) du,  d = lam - k
@@ -326,9 +323,9 @@ def _fractional_power(h, lam, cfg, phase, amplitude=0.0):
         scale = principal_pow(phase, lam) / gamma(-lam)
     else:
         delta = lam - math.floor(lam.real)
-        d0 = _pair(h(0.0))
+        d0 = tuple(complex(np.ravel(part)[0]) for part in _evaluate(h, np.zeros(1)))
         if delta == 0:
-            return complex(d0[0]), 0.0, 0, complex(d0[1]), 0.0
+            return d0[0], 0.0, 0, d0[1], 0.0
         res = integrate_marchaud(d0, h, delta, cfg, amplitude)
         scale = principal_pow(phase, delta) * delta / gamma(1.0 - delta)
     size = abs(scale)
@@ -366,23 +363,7 @@ def _rotated_atoms(points, weights, alpha, lam, k):
         sizes = weights * np.exp((lam * log_z).real)  # |w_j z_j**lam|
         rounding = 8.0 * _EPS * (1.0 + abs(lam)) * float(np.sum(sizes))
 
-    def h(u):  # one u or, as a chunked integrand, a list of them
-        sums = kernel(u)[..., 0, 0].tolist()
-        return (sums, [0.0] * len(sums)) if hasattr(u, "__len__") else sums
-
-    return chunked(h, kernel.width), amplitude, rounding
-
-
-def _closed_char(model, alpha, k):
-    """u -> E[(Z + alpha)**k exp(iu (Z + alpha))] of a law with a density,
-    from its closed transform derivatives, at one u or, as a chunked
-    integrand, at a list of them; it holds k + 3 complex numbers per u."""
-
-    def h(u):
-        values = _shifted_weighted_char(model, alpha, k, _as_nodes(u)).tolist()
-        return (values, [0.0] * len(values)) if hasattr(u, "__len__") else values[0]
-
-    return chunked(h, 2 * (k + 3))
+    return (lambda u: kernel(u)[..., 0, 0]), amplitude, rounding
 
 
 def _quad_moment(model, alpha, lam, cfg):
@@ -408,7 +389,7 @@ def _quad_moment(model, alpha, lam, cfg):
     if atoms is not None:
         h, amplitude, rounding = _rotated_atoms(*atoms, alpha, lam, k)
     else:
-        h, amplitude, rounding = _closed_char(model, alpha, k), 0.0, 0.0
+        h, amplitude, rounding = functools.partial(_shifted_weighted_char, model, alpha, k), 0.0, 0.0
 
     value, unc, evals, _, _ = _fractional_power(h, lam, cfg, 1j, amplitude)
     meta = {"evaluations": evals, "k": k, "quad": _cfg_meta(cfg)}
@@ -543,6 +524,12 @@ def _lower_shift(k):
     return np.maximum(shift, 0), shift >= 0
 
 
+# floats one block of c of _WeightedPowers may hold, 960 kB: on the t3 and
+# Poincare fractional-derivative power means, budgets of 60,000 and 480,000
+# floats ran slower and 240,000 about as fast
+_BLOCK_FLOATS = 120_000
+
+
 class _WeightedPowers:
     """Moments E[W^j e^{icW}], j = 0..jmax, of a discrete law of W and of a
     coarser law that shares most of its points, at one c or at each c of a
@@ -555,15 +542,17 @@ class _WeightedPowers:
     values, the coarser one the values from start on, at ratio times their
     weights.  The rotated atoms of _quad_moment give it complex weights.
     An evaluation forms e^{icW} = e^{-c Im W} e^{ic Re W}, the phasor from
-    one tangent, at every c and value as one (c, values) block in reused
-    buffers, takes its product with each row and a pairwise sum along each
-    product over each law's values, all on the calling thread: a BLAS
-    product would hand the reduction to a thread pool, and einsum's running
-    sum loses digits that the Marchaud difference quotient then magnifies.
-    Every entry is computed as it would be at that c alone, so a block of c
-    gives the bits of one call per c.  It returns both laws' moments as
-    rows 0 and 1 of a (2, jmax + 1) array per c, after the shape of c;
-    without a coarser law, row 1 repeats row 0.
+    one tangent, at every c and value of a block of c as one (c, values)
+    array in reused buffers, takes its product with each row and a pairwise
+    sum along each product over each law's values, all on the calling
+    thread: a BLAS product would hand the reduction to a thread pool, and
+    einsum's running sum loses digits that the Marchaud difference quotient
+    then magnifies.  The blocks hold at most _BLOCK_FLOATS floats, so a long
+    array of c is split here, whoever asks for it.  Every entry is computed
+    as it would be at that c alone, so an array of c gives the bits of one
+    call per c.  It returns both laws' moments as rows 0 and 1 of a
+    (2, jmax + 1) array per c, after the shape of c; without a coarser law,
+    row 1 repeats row 0.
     """
 
     def __init__(self, values, weights, jmax, coarse=None):
@@ -578,13 +567,12 @@ class _WeightedPowers:
         # first in place of the phasor, with the magnitude and phase it is
         # formed from in the slot of the second (two each), and the scratch of
         # the tangent
-        self.width = (2 * max(jmax + 1, 2) + 1) * len(values)
-        # buffers for the largest block quad asks for, made once, so that
-        # blocks of every size reuse the same memory
-        block = (chunk_size(self.width), len(values))
-        self._slots = np.empty((block[0], max(jmax + 1, 2), block[1]), dtype=complex)
+        self._size = max(1, _BLOCK_FLOATS // ((2 * max(jmax + 1, 2) + 1) * len(values)))
+        # buffers for the largest block, made once, so that blocks of every
+        # size reuse the same memory
+        self._slots = np.empty((self._size, max(jmax + 1, 2), len(values)), dtype=complex)
         self._ws = Workspace()  # the tangent's scratch
-        self._ws.take("scratch.2", block)
+        self._ws.take("scratch.2", (self._size, len(values)))
         self._blocks = {}
 
     def _block(self, m):
@@ -594,9 +582,6 @@ class _WeightedPowers:
         of the second, formed after them."""
         block = self._blocks.get(m)
         if block is None:
-            if m > len(self._slots):  # more c than quad asks for at once
-                self._slots = np.empty((m,) + self._slots.shape[1:], dtype=complex)
-                self._blocks = {}
             slots, size = self._slots[:m], len(self._re)
             parts = slots[:, 1].view(float)
             block = self._blocks[m] = parts[:, :size], parts[:, size:], slots[:, 0], slots[:, : len(self.rows)]
@@ -605,19 +590,21 @@ class _WeightedPowers:
     def __call__(self, c):
         c = np.asarray(c, dtype=float)
         cs = c.reshape(-1, 1)
-        mag, phi, buf, prod = self._block(len(cs))
-        np.exp(np.multiply(self._neg_im, cs, out=mag), out=mag)
-        _scaled_phasor(mag, np.multiply(self._re, cs, out=phi), buf, self._ws)
-        np.multiply(self.rows[1:], buf[:, None, :], out=prod[:, 1:])
-        np.multiply(self.rows[0], buf, out=buf)
-        out = np.empty((len(cs), 2, len(self.rows)), dtype=complex)
-        np.add.reduce(prod[:, :, : self.count], axis=2, out=out[:, 0])
-        if self._coarse is None:
-            out[:, 1] = out[:, 0]
-        else:
-            _, start, ratio = self._coarse
-            np.multiply(np.add.reduce(prod[:, :, start:], axis=2, out=out[:, 1]), ratio, out=out[:, 1])
-        return out if c.ndim else out[0]
+        moments = np.empty((len(cs), 2, len(self.rows)), dtype=complex)
+        for first in range(0, len(cs), self._size):
+            block, out = cs[first : first + self._size], moments[first : first + self._size]
+            mag, phi, buf, prod = self._block(len(block))
+            np.exp(np.multiply(self._neg_im, block, out=mag), out=mag)
+            _scaled_phasor(mag, np.multiply(self._re, block, out=phi), buf, self._ws)
+            np.multiply(self.rows[1:], buf[:, None, :], out=prod[:, 1:])
+            np.multiply(self.rows[0], buf, out=buf)
+            np.add.reduce(prod[:, :, : self.count], axis=2, out=out[:, 0])
+            if self._coarse is None:
+                out[:, 1] = out[:, 0]
+            else:
+                _, start, ratio = self._coarse
+                np.multiply(np.add.reduce(prod[:, :, start:], axis=2, out=out[:, 1]), ratio, out=out[:, 1])
+        return moments.reshape(c.shape + moments.shape[1:])
 
 
 def _turn(p):
@@ -634,11 +621,10 @@ class _SingleDrawTransform:
     atoms), graded toward the branch point -alpha of W, turned by e^{i psi}
     at p < 0 (_turn), and the kernel of E[W^j e^{icW}], j = 0..jmax, under
     both levels.  Each transform returns a pair: its value under the finer
-    level and the gap to the coarser one, 0 for atoms.  A transform is a
-    chunked integrand of quad: given a list of u it returns the pair as two
-    sequences, one entry per u, from one kernel call, and width, the floats
-    the kernel holds per u, sizes the chunks; given one u it returns the
-    pair of numbers."""
+    level and the gap to the coarser one, 0 for atoms.  A transform is an
+    integrand of quad: given an array of u it returns the pair as two arrays
+    of u's shape, from one kernel call, which blocks the u within the
+    kernel's own memory budget."""
 
     def __init__(self, model, alpha, p, n, jmax, level):
         self.n = n
@@ -652,18 +638,6 @@ class _SingleDrawTransform:
         if p < 0:
             values *= cmath.exp(1j * _turn(p))
         self.kernel = _WeightedPowers(values, weights, jmax, coarse)
-        self.width = self.kernel.width
-
-
-def _as_nodes(u):
-    """The u of a transform, a list of them or one, as a 1-d array."""
-    return np.array(u, dtype=float, ndmin=1)
-
-
-def _per_u(u, values, gaps):
-    """A transform's values and gaps, one per u of a list u, or the two
-    numbers at one u."""
-    return (values, gaps) if hasattr(u, "__len__") else (values[0], gaps[0])
 
 
 class _NegTransform(_SingleDrawTransform):
@@ -674,10 +648,9 @@ class _NegTransform(_SingleDrawTransform):
         super().__init__(model, alpha, p, n, 0, level)
 
     def __call__(self, u):
-        sums = self.kernel(_as_nodes(u) / -self.n)  # -u / n
-        values = [fine ** self.n for fine in sums[:, 0, 0].tolist()]
-        gaps = [value - coarse ** self.n for value, coarse in zip(values, sums[:, 1, 0].tolist())]
-        return _per_u(u, values, gaps)
+        sums = self.kernel(np.divide(u, -self.n))  # -u / n
+        values = sums[..., 0, 0] ** self.n
+        return values, values - sums[..., 1, 0] ** self.n
 
 
 class _PosTransformDerivs(_SingleDrawTransform):
@@ -698,8 +671,8 @@ class _PosTransformDerivs(_SingleDrawTransform):
     def f_deriv_k(self, u, k):
         """F^(k)(-u) with F = G**n, via a truncated series power of every
         row at once, and its gap to the coarser level."""
-        fine, coarse = (_series_power_coeff(self.g_derivs(_as_nodes(u)) / self._fact, self.n, k) * math.factorial(k)).T
-        return _per_u(u, fine, fine - coarse)
+        fine, coarse = (_series_power_coeff(self.g_derivs(u) / self._fact, self.n, k) * math.factorial(k)).T
+        return fine, fine - coarse
 
 
 def _pm_frac_deriv(model, spec, cfg):
@@ -750,7 +723,6 @@ def _pm_frac_deriv(model, spec, cfg):
                     values, gaps = transform.f_deriv_k(u, k)
                     return turn * values, turn * gaps
 
-                chunked(h, transform.width)
             # the transform decays only if every W' lies below the real axis
             # (p < 0), every W above it (p > 0)
             side = -transform.atoms.imag if p < 0 else transform.atoms.imag

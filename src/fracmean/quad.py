@@ -11,23 +11,18 @@ Two entry points:
 Both are built on one tanh-sinh (double exponential) trapezoid kernel with
 level refinement.  ``tanh_sinh_nodes`` gives the rule, computed once per
 level and floor, to the laws' node rules; the kernel reads each level's
-nodes from the same computation, held as distances from the endpoints.  An
-integrand returns a number or a pair (value, companion) of numbers, such as
-a quantity and the gap between two levels of the rule behind it; a number v
-counts as the pair (v, 0).  Both components are summed at the same nodes,
-but the value alone decides where a walk stops, when the levels stop and
-whether the origin is Lipschitz, so adding a companion leaves the value's
-bits unchanged; the companion gets its own error estimate.
+nodes from the same computation, held as distances from the endpoints.
 
-An integrand may instead take a chunk of nodes per call (``chunked``): a
-list of abscissae in, a pair of sequences out.  The walk then asks it for
-the nodes of a level in a few calls, each within a fixed budget of floats
-over the integrand's width, the first reaching as far as the level before
-walked; it still adds the terms one by one, in the same order, and stops
-where a node-by-node walk stops, so a chunked integrand gives the bits and
-the evaluation count of its scalar form.  A scalar integrand runs on the
-same walk, adapted once into a chunked one that is given one node per
-call.
+An integrand takes a 1-d float array of abscissae and returns an array, or
+a pair (value, companion) of arrays such as a quantity and the gap between
+two levels of the rule behind it, each a scalar or of the abscissae's shape
+(QuadraturePreconditionError otherwise); a plain output v counts as (v, 0).
+Both components are summed at the same nodes, but the value alone decides
+where a walk stops, when the levels stop and whether the origin is
+Lipschitz, so adding a companion leaves the value's bits unchanged; the
+companion gets its own error estimate.  Each end of a level is one call for
+its new nodes, rarely more, and the nodes past the stop are dropped; what an
+integrand holds in memory per abscissa is its own concern.
 
 The Marchaud route needs special care at the origin: for small u the
 difference d0 - f(u) drowns in rounding noise while the weight u**(-1-delta)
@@ -53,16 +48,10 @@ __all__ = [
     "integrate_marchaud",
     "marchaud_unit_interval",
     "tanh_sinh_nodes",
-    "chunked",
-    "chunk_size",
 ]
 
 _EPS = 2.220446049250313e-16
 _U_MAX = 6.0  # tanh-sinh abscissa range; beyond this weights underflow
-# floats one call of a chunked integrand may hold, 960 kB: on the t3 and
-# Poincare fractional-derivative power means, budgets of 60,000 and 480,000
-# floats ran slower and 240,000 about as fast
-_CHUNK_FLOATS = 120_000
 
 
 @dataclass(frozen=True)
@@ -109,84 +98,30 @@ class QuadraturePreconditionError(ValueError):
     """The integrand visibly violates the contract of the routine."""
 
 
-class _EvalCounter:
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-
-def _pair(value):
-    """A value of an integrand as a (value, companion) pair."""
-    return value if type(value) is tuple else (value, 0.0)
-
-
-def chunked(f, width):
-    """Mark f as an integrand of chunks and return it: f(ts) takes a list of
-    abscissae and returns the pair (values, companions) of sequences, one
-    entry per abscissa; width is how many floats it holds per abscissa,
-    which sets how many abscissae one call is given."""
-    f.width = width
-    return f
+def _evaluate(f, ts):
+    """The integrand f at the 1-d float array ts as (values, companions),
+    each a scalar or an array of ts's shape; f returns one of those or a
+    pair of them, a plain output v counting as (v, 0)."""
+    out = f(ts)
+    parts = out if type(out) is tuple else (out, 0.0)
+    if len(parts) != 2 or any(np.shape(part) not in ((), ts.shape) for part in parts):
+        shapes = [np.shape(part) for part in (parts if out is parts else (out,))]
+        raise QuadraturePreconditionError(
+            f"an integrand given {len(ts)} abscissae must return a scalar or an array of their "
+            f"shape, or a pair of those; it returned the shapes {shapes}"
+        )
+    return parts
 
 
-def chunk_size(width):
-    """The most abscissae one call of a chunked integrand of that width is
-    given."""
-    return max(1, _CHUNK_FLOATS // max(width, 1))
+def _components(d0):
+    """d0, a number v or a pair, as a pair of complex numbers, v as (v, 0)."""
+    return tuple(complex(part) for part in (d0 if type(d0) is tuple else (d0, 0.0)))
 
 
-def _chunks_of(f):
-    """f as an integrand of chunks: f itself if it is one, else the scalar
-    (or pair) integrand f called at each abscissa of a chunk, at a width
-    that fills a call's budget, so that each call is given one abscissa."""
-    if hasattr(f, "width"):
-        return f
-
-    def each(ts):
-        pairs = [_pair(f(t)) for t in ts]
-        return [value for value, _ in pairs], [companion for _, companion in pairs]
-
-    return chunked(each, _CHUNK_FLOATS)
-
-
-def _evaluations(f, nodes, end, step, first):
-    """(t, value, companion, dist, weight) at each (dist, weight) of nodes in
-    turn, t = end + step * dist, from calls of the chunked integrand f made
-    as they are consumed: on the first `first` nodes, then on three at a
-    time, never on more than its chunk size.  A consumer that stops early
-    leaves the later nodes uncomputed."""
-    size, start = chunk_size(f.width), 0
-    while start < len(nodes):
-        chunk = nodes[start : start + min(size, max(first - start, 3))]
-        ts = [end + step * dist for dist, _ in chunk]
-        values, companions = f(ts)
-        for t, value, companion, (dist, weight) in zip(ts, values, companions, chunk):
-            yield t, value, companion, dist, weight
-        start += len(chunk)
-
-
-def _window(f, us):
-    """_evaluations of the integrand f, a pair one or not, at each u of the
-    positive array us, as a list."""
-    pairs = _composed(f, lambda u, value, companion: (value, companion))
-    return list(_evaluations(pairs, [(u, 0.0) for u in us.tolist()], 0.0, 1.0, len(us)))
-
-
-def _composed(f, post, pre=None):
-    """The chunked integrand t -> post(t, value, companion) of the pair f(x),
-    x = pre(t) or t itself, of the width of f's chunked form."""
-    f = _chunks_of(f)
-
-    def each(ts):
-        values, companions = f(ts if pre is None else [pre(t) for t in ts])
-        # lists: CPython resizes a tuple built from an iterator of unknown
-        # length, and keeps every one freed on the free list of its new size,
-        # up to 2,000 per size, so varying chunk sizes would pile them up
-        pairs = list(map(post, ts, values, companions))
-        return [value for value, _ in pairs], [companion for _, companion in pairs]
-
-    return chunked(each, f.width)
+def _power(x, lam):
+    """x**lam at the positive float array x: real for a real lam, else
+    principal."""
+    return x ** lam if type(lam) is float else np.exp(lam * np.log(x))
 
 
 def _tanh_sinh_rule(level, floor):
@@ -218,85 +153,107 @@ def tanh_sinh_nodes(level, floor):
 @functools.cache
 def _level_nodes(level):
     """The nodes u = k h, k > 0, that level adds to the rule (every k at
-    level 0, odd k above) as (1 - |t|, weight) pairs of Python floats; the
-    rule is symmetric, so they serve both endpoints.  The full tables of
-    the finer levels, 0.8 MB up to level 10, are not kept."""
+    level 0, odd k above) as arrays (1 - |t|, weight); the rule is
+    symmetric, so they serve both endpoints.  The full tables of the finer
+    levels, 0.8 MB up to level 10, are not kept."""
     _, dist, weight, _ = _tanh_sinh_rule(level, 0.0)
     side = slice(len(dist) // 2 + 1, None, 2 if level else 1)
-    return tuple(zip(dist[side].tolist(), weight[side].tolist()))
+    return dist[side].copy(), weight[side].copy()
 
 
-def _de_sum_level(f, a, b, level, counter, reach=(1.0, 1.0), ahead=(6, 6)):
-    """The terms that level adds to the tanh-sinh sums of the chunked pair
-    integrand f over (a, b): the sum of each component, the sum of the sizes
-    of each, per end (b, then a) the |term| and 1 - |t| of the value's
-    largest term, and per end how many nodes the next level should ask f
-    for first, ahead giving this level's.  The terms are added one by one,
-    outward from the centre, and a walk stops on the value's terms alone."""
+def _running_sums(start, terms, sizes):
+    """start plus each prefix of the rows of terms, then of sizes, added in
+    turn, with start itself in column 0."""
+    out = np.empty((len(start), terms.shape[1] + 1), dtype=complex)
+    out[:, 0] = start
+    out[: len(terms), 1:] = terms
+    out[len(terms) :, 1:] = sizes
+    return np.add.accumulate(out, axis=1, out=out)
+
+
+@np.errstate(all="ignore")
+def _de_sum_level(f, a, b, level, evaluations, reach=(1.0, 1.0), ahead=(6, 6)):
+    """The terms that level adds to the tanh-sinh sums of the pair integrand
+    f over (a, b): the sum of each component, the sum of the sizes of each,
+    per end (b, then a) the |term| and 1 - |t| of the value's largest term,
+    per end how many nodes the next level should ask f for first, ahead
+    giving this level's, and the evaluations so far.
+
+    Each end asks f for its nodes in one call, as far as ahead says, and
+    for three more at a time only while no stop lies inside what it has.
+    Its terms add up in turn, outward from the centre, and its walk stops,
+    on the value's terms alone, at the first run of three terms negligible
+    against the running total, short of reach.  The nodes past the stop are
+    dropped, so terms are formed without floating-point warnings and only
+    those up to the stop must be finite."""
     half = 0.5 * (b - a)
-    total = other = 0.0 + 0.0j
+
+    def terms(ts, scale):  # the value's and the companion's terms at ts, as two rows
+        values, companions = f(ts)
+        return np.array((values * scale, companions * scale), dtype=complex)
+
+    # the sums of the value's terms and of the companion's, then of their sizes
+    sums = np.zeros(4, dtype=complex)
     if level == 0:  # center node u = 0
-        ((_, value, companion, _, _),) = _evaluations(f, ((1.0, 0.0),), a, half, 1)
-        total += value * (half * math.pi / 2.0)
-        other += companion * (half * math.pi / 2.0)
-        counter.count += 1
-    size, other_size = abs(total), abs(other)
-    nodes = _level_nodes(level)
+        center = terms(np.array([a + half]), np.array([half * math.pi / 2.0]))[:, 0]
+        sums = np.concatenate((center, np.abs(center)))
+        evaluations += 1
+    dists, weights = _level_nodes(level)
     peaks, plans = [], []
     for end, sign, limit, first in ((b, -1.0, reach[0], ahead[0]), (a, 1.0, reach[1], ahead[1])):
-        tiny_run, peak, used = 0, (0.0, 1.0), 0
-        for t, value, companion, dist, weight in _evaluations(f, nodes, end, sign * half, first):
-            term = value * (half * weight)
-            extra = companion * (half * weight)
-            counter.count += 1
-            used += 1
-            if not (cmath.isfinite(term) and cmath.isfinite(extra)):
+        found = terms(end + sign * half * dists[: max(first, 3)], half * weights[: max(first, 3)])
+        while True:
+            mags = np.abs(found)
+            running = _running_sums(sums, found, mags)
+            tiny = mags[0] <= _EPS * np.abs(running[0, 1:]) + 1e-300
+            stops = np.flatnonzero(tiny[2:] & tiny[1:-1] & tiny[:-2] & (dists[2 : len(tiny)] < limit))
+            used = int(stops[0]) + 3 if len(stops) else len(tiny)
+            # a term that is not finite leaves every later sum not finite
+            if not all(map(cmath.isfinite, running[:2, used].tolist())):
+                bad = int(np.isfinite(running[:2, 1:]).all(axis=0).argmin())
                 raise NonConvergenceError(
-                    f"integrand not finite at t={t!r}", evaluations=counter.count
+                    f"integrand not finite at t={float(end + sign * half * dists[bad])!r}",
+                    evaluations=evaluations + bad + 1,
                 )
-            total += term
-            other += extra
-            mag = abs(term)
-            size += mag
-            other_size += abs(extra)
-            peak = max(peak, (mag, dist))
-            if mag <= _EPS * abs(total) + 1e-300:
-                tiny_run += 1
-                if tiny_run >= 3 and dist < limit:
-                    break
-            else:
-                tiny_run = 0
-        peaks.append(peak)
+            if len(stops) or len(tiny) == len(dists):
+                break
+            new = slice(len(tiny), len(tiny) + 3)
+            found = np.concatenate((found, terms(end + sign * half * dists[new], half * weights[new])), axis=1)
+        evaluations += used
+        sums = running[:, used]
+        top = int(mags[0, :used].argmax())  # the nearest the centre of the largest, as 1 - |t| falls
+        peaks.append((float(mags[0, top]), float(dists[top])) if mags[0, top] > 0 else (0.0, 1.0))
         # the next level puts a node between each two of this walk's, so
         # 2 used - 5 of its nodes lie short of the last three terms here
         # (used - 2 after level 0, whose nodes are u = 1, 2, ...): it asks
         # first for those and three more
         plans.append(2 * used - 2 if level else used + 1)
-    return (total, other), (size, other_size), peaks, tuple(plans)
+    return sums[:2].tolist(), sums.real[2:].tolist(), peaks, tuple(plans), evaluations
 
 
-def _de_finite(f, a, b, cfg, counter):
-    """Tanh-sinh integral of the pair integrand f over (a, b); f, scalar or
-    chunked (a scalar one is adapted by _chunks_of), is never called at the
-    endpoints.
+def _de_finite(f, a, b, cfg, evaluations=0):
+    """Tanh-sinh integral of the pair integrand f over (a, b), f taking a
+    1-d array of abscissae and returning two arrays, or scalars, for them;
+    it is never called at the endpoints.
 
     An integral splits into at most two such segments, each held to half of
     cfg.abs_tol.  Returns (value, err_estimate, size) for each component,
-    size being the sum of |term| of the last level; the value alone decides
-    the levels, and NonConvergenceError is raised when its last two
-    refinements still disagree beyond tolerance at cfg.max_level.
+    size being the sum of |term| of the last level, and the evaluations
+    added to those given; the value alone decides the levels, and
+    NonConvergenceError, counting the evaluations given too, is raised when
+    its last two refinements still disagree beyond tolerance at
+    cfg.max_level.
     """
-    f = _chunks_of(f)
     abs_tol = 0.5 * cfg.abs_tol
     rel_tol = cfg.rel_tol
-    (value, other), (size, other_size), peaks, ahead = _de_sum_level(f, a, b, 0, counter)
+    (value, other), (size, other_size), peaks, ahead, evaluations = _de_sum_level(f, a, b, 0, evaluations)
     # a walk stops after three negligible terms, but not short of its side's largest
     # level-0 term: an integrand held near one end can be negligible at the centre
     reach = tuple(dist if term > _EPS * abs(value) else 1.0 for term, dist in peaks)
     err = other_err = math.inf
     for level in range(1, cfg.max_level + 1):
-        (added, added_other), (added_size, added_other_size), _, ahead = _de_sum_level(
-            f, a, b, level, counter, reach, ahead
+        (added, added_other), (added_size, added_other_size), _, ahead, evaluations = _de_sum_level(
+            f, a, b, level, evaluations, reach, ahead
         )
         refined = 0.5 * value + added
         refined_other = 0.5 * other + added_other
@@ -313,15 +270,16 @@ def _de_finite(f, a, b, cfg, counter):
             f"tanh-sinh on ({a:g}, {b:g}) did not converge: err={err:.3e}",
             value=value,
             err_estimate=err,
-            evaluations=counter.count,
+            evaluations=evaluations,
         )
-    return (value, err, size), (other, max(other_err, 4.0 * _EPS * abs(other)), other_size)
+    return (value, err, size), (other, max(other_err, 4.0 * _EPS * abs(other)), other_size), evaluations
 
 
 def integrate_singular_decaying(g, s, cfg=None):
     """int_0^inf t**s g(t) dt for complex s, Re s > -1, and t**s g(t)
-    integrable at infinity, for each component of g; t**s is principal,
-    t**Re(s) e^{i Im(s) log t}, and a real s stays a float.
+    integrable at infinity, for each component of g, an integrand as the
+    module describes; t**s is principal, t**Re(s) e^{i Im(s) log t}, and a
+    real s stays real.
 
     Both stretches run on tanh-sinh over (0, 1]: the singular one as it
     stands, the tail [1, inf) through t = 1/v as int_0^1 v**(-s-2) g(1/v) dv,
@@ -338,28 +296,27 @@ def integrate_singular_decaying(g, s, cfg=None):
     s = s.real if s.imag == 0 else s
     if s.real <= -1.0:
         raise QuadraturePreconditionError("need Re s > -1 for integrability at 0")
-    counter = _EvalCounter()
 
-    def head_term(t, value, companion):
-        scale = t ** s
-        return scale * value, scale * companion
+    def head(t):
+        values, companions = _evaluate(g, t)
+        scale = _power(t, s)
+        return scale * values, scale * companions
 
-    def tail_term(v, value, companion):
-        if value == 0 and companion == 0:  # underflowed: v**(-s-2) may be past the float range
-            return 0j, 0j
-        try:
-            scale = v ** (-s - 2.0)
-        except OverflowError:  # past the float range: a term the walk reports as not finite
-            return complex(math.inf), complex(math.inf)
-        return scale * value, scale * companion
+    def tail(v):
+        values, companions = _evaluate(g, 1.0 / v)
+        # where both have underflowed, v**(-s-2) may be past the float range:
+        # those terms are 0, and a scale past it elsewhere gives a term the
+        # walk reports as not finite
+        scale = np.where((values == 0) & (companions == 0), 0.0, _power(v, -s - 2.0))
+        return scale * values, scale * companions
 
-    (v1, e1, a1), (c1, ce1, ca1) = _de_finite(_composed(g, head_term), 0.0, 1.0, cfg, counter)
-    (v2, e2, a2), (c2, ce2, ca2) = _de_finite(_composed(g, tail_term, lambda v: 1.0 / v), 0.0, 1.0, cfg, counter)
+    (v1, e1, a1), (c1, ce1, ca1), evaluations = _de_finite(head, 0.0, 1.0, cfg)
+    (v2, e2, a2), (c2, ce2, ca2), evaluations = _de_finite(tail, 0.0, 1.0, cfg, evaluations)
     rounding = 4.0 * _EPS * (2.0 + abs(s)) * (a1 + a2)
     # a companion that differences two quantities of the value's size
     # carries the rounding of both
     companion_rounding = 4.0 * _EPS * (2.0 + abs(s)) * (ca1 + ca2) + 2.0 * rounding
-    return IntegralResult(v1 + v2, e1 + e2 + rounding, counter.count, c1 + c2, ce1 + ce2 + companion_rounding)
+    return IntegralResult(v1 + v2, e1 + e2 + rounding, evaluations, c1 + c2, ce1 + ce2 + companion_rounding)
 
 
 _MARCHAUD_CUT = 1e-4          # below this, d0 - f(u) is replaced by the fitted model
@@ -377,11 +334,11 @@ def _fit_window():
     return us, basis, np.linalg.lstsq(basis, np.eye(len(us)), rcond=None)[0]
 
 
-def _near_origin_model(d0, f, delta, noise, counter):
+def _near_origin_model(d0, f, delta, noise):
     """int_0^cut (d0 - f(u)) / u**(1+delta) du for each component of the
-    pair integrand f, from a least-squares cubic model of the ratio
-    (d0 - f(u))/u near the origin, and its error bound, where noise bounds
-    the rounding of each difference d0 - f(u), per component.
+    integrand f, from a least-squares cubic model of the ratio (d0 - f(u))/u
+    near the origin, and its error bound, where noise bounds the rounding of
+    each difference d0 - f(u), per component; then the evaluations of f.
 
     Fitting the ratio rather than the difference keeps the fit weights
     uniform across the log-spaced window, so the leading coefficient is not
@@ -391,8 +348,7 @@ def _near_origin_model(d0, f, delta, noise, counter):
     residual).
     """
     probes = np.logspace(math.log10(_MARCHAUD_PROBE_LO), -1.0, 11)
-    ratios = np.array([abs(d0[0] - value) / u for u, value, *_ in _window(f, probes)])
-    counter.count += len(probes)
+    ratios = np.abs(d0[0] - _evaluate(f, probes)[0]) / probes
     if np.max(ratios) > 0.0:
         mask = ratios > 0.0
         if mask.sum() >= 4:
@@ -403,12 +359,7 @@ def _near_origin_model(d0, f, delta, noise, counter):
                     f"|d0 - f(u)|/u grows like u^{slope:.2f}"
                 )
     us, basis, pinv = _fit_window()
-    window = _window(f, us)
-    ratio_vals = np.array([
-        [(d0[0] - value) / u for u, value, *_ in window],
-        [(d0[1] - companion) / u for u, _, companion, *_ in window],
-    ], dtype=complex)
-    counter.count += len(us)
+    ratio_vals = np.array([(d0_c - part) / us for d0_c, part in zip(d0, _evaluate(f, us))], dtype=complex)
     # int_0^a (c0 + c1 u + c2 u^2 + c3 u^3) u^(-delta) du, the ratio model
     # times u restoring the difference
     a_cut = _MARCHAUD_CUT
@@ -421,12 +372,13 @@ def _near_origin_model(d0, f, delta, noise, counter):
         residual = float(np.max(np.abs(ratios_c - basis @ coef)))
         err = residual * a_cut ** (1.0 - delta.real) / (1.0 - delta.real) + noise_c * spread
         out.append((complex(mom @ coef), err))
-    return out
+    return (*out, len(probes) + len(us))
 
 
 def marchaud_unit_interval(d0, f, delta, cfg=None, amplitude=0.0):
     """int_0^1 (d0 - f(u)) / u**(1+delta) du, with the cancellation-safe
-    near-origin treatment but no far field; d0 and f(u) may be pairs.
+    near-origin treatment but no far field; d0 and f(u) may be pairs, f an
+    integrand as the module describes.
 
     Below the cut at u = 1e-4 the difference d0 - f(u) drowns in rounding
     noise while u**(-1-delta) amplifies it, so there the ratio model from
@@ -440,25 +392,25 @@ def marchaud_unit_interval(d0, f, delta, cfg=None, amplitude=0.0):
     delta = complex(delta)
     if not 0.0 < delta.real < 1.0:
         raise QuadraturePreconditionError("need 0 < Re(delta) < 1")
-    d0 = tuple(complex(part) for part in _pair(d0))
-    counter = _EvalCounter()
+    d0 = _components(d0)
     noise = 2.0 * _EPS * max(amplitude, abs(d0[0]))
-    noises = (noise, 2.0 * noise)
-    (near, near_err), (near_c, near_c_err) = _near_origin_model(d0, f, delta, noises, counter)
+    (near, near_err), (near_c, near_c_err), evaluations = _near_origin_model(d0, f, delta, (noise, 2.0 * noise))
 
-    def mid_term(u, value, companion):
-        weight = principal_pow(u, -1.0 - delta)
-        return (d0[0] - value) * weight, (d0[1] - companion) * weight
+    def mid_integrand(u):
+        values, companions = _evaluate(f, u)
+        weight = _power(u, -1.0 - delta)
+        return (d0[0] - values) * weight, (d0[1] - companions) * weight
 
-    (mid, mid_err, _), (mid_c, mid_c_err, _) = _de_finite(_composed(f, mid_term), _MARCHAUD_CUT, 1.0, cfg, counter)
+    (mid, mid_err, _), (mid_c, mid_c_err, _), evaluations = _de_finite(mid_integrand, _MARCHAUD_CUT, 1.0, cfg, evaluations)
     mid_err += noise * (_MARCHAUD_CUT ** -delta.real - 1.0) / delta.real
     mid_c_err += 2.0 * noise * (_MARCHAUD_CUT ** -delta.real - 1.0) / delta.real
-    return IntegralResult(near + mid, near_err + mid_err, counter.count, near_c + mid_c, near_c_err + mid_c_err)
+    return IntegralResult(near + mid, near_err + mid_err, evaluations, near_c + mid_c, near_c_err + mid_c_err)
 
 
 def integrate_marchaud(d0, f, delta, cfg=None, amplitude=0.0):
     """int_0^inf (d0 - f(u)) / u**(1+delta) du for 0 < Re(delta) < 1, for
-    each component of the pair d0, f(u) (a number counting as (v, 0)).
+    each component of the pair d0, f(u) (a number counting as (v, 0)), f an
+    integrand as the module describes.
 
     Requires |d0 - f(u)| <= L u near the origin (checked numerically on the
     value) and d0 - f(u) bounded, with f itself decaying so the far field
@@ -468,26 +420,21 @@ def integrate_marchaud(d0, f, delta, cfg=None, amplitude=0.0):
     """
     cfg = cfg or QuadratureConfig()
     delta = complex(delta)
-    if not 0.0 < delta.real < 1.0:
-        raise QuadraturePreconditionError("need 0 < Re(delta) < 1")
-    d0 = tuple(complex(part) for part in _pair(d0))
+    d0 = _components(d0)
+    head = marchaud_unit_interval(d0, f, delta, cfg, amplitude)  # which checks delta
 
-    head = marchaud_unit_interval(d0, f, delta, cfg, amplitude)
-    counter = _EvalCounter()
-    counter.count = head.evaluations
+    def far_integrand(v):
+        # every node of the rule on (0, 1) lies 6e-276 or more from the ends,
+        # short of where its weight underflows, so 1/v is finite
+        values, companions = _evaluate(f, 1.0 / v)
+        weight = _power(v, delta - 1.0)
+        return values * weight, companions * weight
 
-    def far_term(v, value, companion):
-        weight = principal_pow(v, delta - 1.0)
-        return value * weight, companion * weight
-
-    # every node of the rule on (0, 1) lies 6e-276 or more from the ends,
-    # short of where its weight underflows, so 1/v is finite
-    far_integrand = _composed(f, far_term, lambda v: 1.0 / v)
-    (far, far_err, _), (far_c, far_c_err, _) = _de_finite(far_integrand, 0.0, 1.0, cfg, counter)
+    (far, far_err, _), (far_c, far_c_err, _), evaluations = _de_finite(far_integrand, 0.0, 1.0, cfg, head.evaluations)
     return IntegralResult(
         head.value + d0[0] / delta - far,
         head.err_estimate + far_err,
-        counter.count,
+        evaluations,
         head.companion + d0[1] / delta - far_c,
         head.companion_err + far_c_err,
     )

@@ -47,8 +47,8 @@ from fracmean.moments import (
     _NegTransform,
     _PosTransformDerivs,
     _WeightedPowers,
-    _closed_char,
     _fractional_power,
+    _shifted_weighted_char,
     _pm_monte_carlo,
 )
 from fracmean.principal import BranchDomainError, np_principal_pow, principal_log, principal_pow
@@ -657,7 +657,7 @@ def test_frac_deriv_ordinal_matches_mc():
 def _point_mass_h(y, lam, phase):
     """h(t) = E[Y**k exp(phase t Y)] for Y = y, k = floor(Re lam) or 0."""
     k = math.floor(lam.real) if lam.real > 0 else 0
-    return lambda t: y ** k * cmath.exp(phase * t * y)
+    return lambda t: y ** k * np.exp(phase * t * y)
 
 
 @pytest.mark.parametrize("lam", [-0.5, -0.5 + 0.3j, -1.7, 0.5, 1.5, 0.5 + 0.5j, 2])
@@ -1181,25 +1181,37 @@ def test_frac_deriv_kernel_computes_little_past_the_walk(monkeypatch, law, alpha
     assert len(computed) < evaluations / 1.9  # most calls take a chunk of u
 
 
+def _assert_bits_of_one_element_arrays(h, us):
+    """h at the array us gives, element for element, the bits of h at
+    one-element arrays, for each part of its pair."""
+    whole = np.array(h(us))
+    alone = np.concatenate([np.array(h(us[i : i + 1])) for i in range(len(us))], axis=-1)
+    assert whole.shape == alone.shape and whole.tobytes() == alone.tobytes()
+
+
+TRANSFORM_US = np.array([0.0, 1e-6, 0.3, 1.0, 37.5, 1e4])
+
+
 @pytest.mark.parametrize("law, alpha, level", KERNEL_LAWS)
-def test_transforms_of_a_chunk_give_the_bits_of_one_u_at_a_time(law, alpha, level):
-    us = [0.0, 1e-6, 0.3, 1.0, 37.5, 1e4]
-    neg = _NegTransform(law, alpha, -0.5, 3, level)
-    values, gaps = neg(us)
-    assert [list(values), list(gaps)] == [list(part) for part in zip(*map(neg, us))]
+def test_transforms_of_an_array_give_the_bits_of_one_element_arrays(law, alpha, level):
+    _assert_bits_of_one_element_arrays(_NegTransform(law, alpha, -0.5, 3, level), TRANSFORM_US)
     pos = _PosTransformDerivs(law, alpha, 0.4, 3, 2, level)
-    values, gaps = pos.f_deriv_k(us, 2)
-    assert [list(values), list(gaps)] == [list(part) for part in zip(*(pos.f_deriv_k(u, 2) for u in us))]
+    _assert_bits_of_one_element_arrays(lambda u: pos.f_deriv_k(u, 2), TRANSFORM_US)
 
 
 @pytest.mark.parametrize("law, orders", [(CAUCHY, (0,)), (T3, (0, 1, 2)), (POIN, (0, 1, 2))])
-def test_closed_transform_of_a_chunk_gives_the_bits_of_one_u_at_a_time(law, orders):
-    us = [0.0, 1e-6, 0.3, 1.0, 37.5, 1e4]
+def test_closed_transform_of_an_array_gives_the_bits_of_one_element_arrays(law, orders):
     for alpha in (1j, 1 + 0.5j):
         for k in orders:
-            h = _closed_char(law, alpha, k)
-            values, companions = h(us)
-            assert values == [h(u) for u in us] and companions == [0.0] * len(us)
+            _assert_bits_of_one_element_arrays(lambda u: _shifted_weighted_char(law, alpha, k, u), TRANSFORM_US)
+
+
+def test_kernel_splits_a_long_array_into_blocks_of_the_same_bits():
+    # the kernel holds at most its budget of floats at once, whatever it is asked
+    kernel = _PosTransformDerivs(POIN, 0.5j, 0.4, 2, 2, _NODE_LEVEL + 1).kernel
+    cs = np.linspace(0.0, 40.0, 3 * kernel._size + 7)
+    assert kernel._size < len(cs)
+    _assert_bits_of_one_element_arrays(lambda c: np.moveaxis(kernel(c), 0, -1), cs)
 
 
 def test_frac_deriv_ignores_monte_carlo_config():
