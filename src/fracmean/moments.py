@@ -608,26 +608,28 @@ class _WeightedPowers:
 
 
 def _turn(p):
-    """The angle psi = -pi (1 + p) / 2 by which a negative order turns W:
-    for Z + alpha in the closed upper half plane, arg W lies in [p pi, 0],
-    so arg(e^{i psi} W) lies in [-pi (1 - p) / 2, -pi (1 + p) / 2], strictly
-    below the real axis and centred on -pi / 2."""
+    """The angle psi = -pi (1 + p) / 2 by which W is turned at either sign of
+    p: for Z + alpha in the closed upper half plane, arg W lies between 0 and
+    p pi, so for 0 < |p| < 1 arg(e^{i psi} W) lies between -pi (1 + p) / 2
+    and -pi (1 - p) / 2, strictly below the real axis, centred on -pi / 2."""
     return -0.5 * math.pi * (1.0 + p)
 
 
 class _SingleDrawTransform:
-    """Set-up shared by the single-draw transforms: W = (Z + alpha)**p at the
-    points of the law's nested node rule at level and level - 1 (or its
-    atoms), graded toward the branch point -alpha of W, turned by e^{i psi}
-    at p < 0 (_turn), and the kernel of E[W^j e^{icW}], j = 0..jmax, under
-    both levels.  Each transform returns a pair: its value under the finer
-    level and the gap to the coarser one, 0 for atoms.  A transform is an
-    integrand of quad: given an array of u it returns the pair as two arrays
-    of u's shape, from one kernel call, which blocks the u within the
-    kernel's own memory budget."""
+    """u -> (i**k F^(k)(u), its gap), F = G**n, G(u) = E[exp(-i(u/n) W')]:
+    i**k F^(k)(u) = E[S'**k exp(-iuS')] for the mean S' of n turned values
+    W' = e^{i psi} (Z + alpha)**p (_turn), which decays as u grows wherever
+    every W' lies below the real axis.  W' is taken at the points of the
+    law's nested node rule at level and level - 1 (or its atoms), graded
+    toward the branch point -alpha of W; the kernel sums E[W'^j e^{icW'}],
+    j = 0..k, under both levels, and one truncated series power of every
+    row gives the k-th coefficient.  The gap is to the coarser level, 0 for
+    atoms.  As an integrand of quad it takes an array of u and returns the
+    pair as two arrays of u's shape, from one kernel call, which blocks the
+    u within the kernel's own memory budget."""
 
-    def __init__(self, model, alpha, p, n, jmax, level):
-        self.n = n
+    def __init__(self, model, alpha, p, n, k, level):
+        self.n, self.k = n, k
         if _point_masses(model) is None:
             self.kind = "nodes"
             points, weights, *coarse = model.nested_nodes(level, alpha)
@@ -635,54 +637,34 @@ class _SingleDrawTransform:
             self.kind = "atoms"
             (points, weights), coarse = model.nodes(level, alpha), None
         self.atoms = values = np_principal_pow(points + alpha, p)
-        if p < 0:
-            values *= cmath.exp(1j * _turn(p))
-        self.kernel = _WeightedPowers(values, weights, jmax, coarse)
-
-
-class _NegTransform(_SingleDrawTransform):
-    """u -> E[exp(-i(u/n) W')]**n with W' = e^{i psi} (Z+alpha)**p, p < 0,
-    which decays as u grows because every W' lies below the real axis."""
-
-    def __init__(self, model, alpha, p, n, level):
-        super().__init__(model, alpha, p, n, 0, level)
+        values *= cmath.exp(1j * _turn(p))
+        self.kernel = _WeightedPowers(values, weights, k, coarse)
+        # G^(j)(u) / j! = (-i)^j E[W'^j e^{-i(u/n)W'}] / (n^j j!), and the
+        # (-i)^j leave the k-th coefficient of G**n as (-i)^k, which i**k undoes
+        self._taylor = np.array([1.0 / (n**j * math.factorial(j)) for j in range(k + 1)])
 
     def __call__(self, u):
-        sums = self.kernel(np.divide(u, -self.n))  # -u / n
-        values = sums[..., 0, 0] ** self.n
-        return values, values - sums[..., 1, 0] ** self.n
-
-
-class _PosTransformDerivs(_SingleDrawTransform):
-    """j-th derivatives of G(t) = E[exp(-i(t/n) W)] at t = -u, for
-    W = (Z+alpha)**p with p > 0; used to assemble F = G**n."""
-
-    def __init__(self, model, alpha, p, n, jmax, level):
-        super().__init__(model, alpha, p, n, jmax, level)
-        self._pref = np.array([(-1j / n) ** j for j in range(jmax + 1)])
-        self._fact = np.array([math.factorial(j) for j in range(jmax + 1)])
-
-    def g_derivs(self, u):
-        """[G^(j)(-u)] for j = 0..jmax, G^(j)(-u) = (-i/n)^j E[W^j e^{i(u/n)W}],
-        under the finer and the coarser level, as rows 0 and 1, after the
-        shape of u."""
-        return self._pref * self.kernel(np.divide(u, self.n))
-
-    def f_deriv_k(self, u, k):
-        """F^(k)(-u) with F = G**n, via a truncated series power of every
-        row at once, and its gap to the coarser level."""
-        fine, coarse = (_series_power_coeff(self.g_derivs(u) / self._fact, self.n, k) * math.factorial(k)).T
+        coeffs = self.kernel(np.divide(u, -self.n)) * self._taylor  # at -u / n
+        fine, coarse = (_series_power_coeff(coeffs, self.n, self.k) * math.factorial(self.k)).T
         return fine, fine - coarse
+
+    f_deriv_k = __call__
+
+
+# the names perfbench/tracer.py wraps; a call runs __call__ alone, one span
+_NegTransform = _PosTransformDerivs = _SingleDrawTransform
 
 
 def _pm_frac_deriv(model, spec, cfg):
-    """E[M_p] = E[S**(1/p)], S = (1/n) sum_j (Z_j + alpha)**p: at p < 0 from
-    E[exp(-itS')] of S' = e^{i psi} S, which lies below the real axis, so
-    S**(1/p) = e^{-i psi / p} S'**(1/p) on the principal branch; else from
-    derivatives of E[exp(iuS)].  The transform sums the law's atoms or its
-    nested node rule: one integral sums the pair (h_L, h_L - h_(L-1)) at
-    L = 7, the value and the rule's own gap at the same nodes, and, if the
-    gap misses cfg's tolerance, one more at L = 8; meta["evaluations"] and a
+    """E[M_p] = E[S**(1/p)], S = (1/n) sum_j (Z_j + alpha)**p, at either sign
+    of p from E[S'**k exp(-iuS')], k = max(floor(1/p), 0), of the turned
+    mean S' = e^{i psi} S below the real axis (_turn), as S**(1/p) =
+    e^{-i psi / p} S'**(1/p) on the principal branch; where an integral runs,
+    a turned value on the real axis (p = -1, real Z + alpha) raises
+    SupportError.  The transform sums the law's atoms or its nested node
+    rule: one integral sums the pair (h_L, h_L - h_(L-1)) at L = 7, the
+    value and the rule's own gap at the same nodes, and, if the gap misses
+    cfg's tolerance, one more at L = 8; meta["evaluations"] and a
     NonConvergenceError count both.  The uncertainty adds the gap, its error
     and a rounding allowance to the value's.  Two cases read the law's
     closed transform instead: n = 1 takes E[Z + alpha] from
@@ -705,37 +687,24 @@ def _pm_frac_deriv(model, spec, cfg):
         est = MomentEstimate(value, unc, Route.FRAC_DERIV, meta)
     else:
         order = 1.0 / p
-        if p > 0:
-            if order >= 171:
-                raise RouteUnavailableError(f"1/p = {order:g} needs {math.floor(order)}!, past the float range")
-            if abs(order - round(order)) < 1e-12:
-                order = round(order)  # a plain derivative of the transform
-            k = math.floor(order)
-            turn = (1, 1j, -1, -1j)[k % 4]
+        if order >= 171:
+            raise RouteUnavailableError(f"1/p = {order:g} needs {math.floor(order)}!, past the float range")
+        if order > 0 and abs(order - round(order)) < 1e-12:
+            order = round(order)  # a plain derivative of the transform
+        k = max(math.floor(order), 0)
         evals = 0
         for level in (_NODE_LEVEL + 1, _NODE_LEVEL + 2):
-            if p < 0:
-                h = transform = _NegTransform(model, alpha, p, n, level)
-            else:
-                transform = _PosTransformDerivs(model, alpha, p, n, k, level)
-
-                def h(u):  # i**k F^(k)(-u) = E[S**k exp(iuS)], exactly, and its gap
-                    values, gaps = transform.f_deriv_k(u, k)
-                    return turn * values, turn * gaps
-
-            # the transform decays only if every W' lies below the real axis
-            # (p < 0), every W above it (p > 0)
-            side = -transform.atoms.imag if p < 0 else transform.atoms.imag
-            if not np.all(side > 0.0):
-                raise SupportError("single-draw transform does not decay: a value (Z + alpha)**p on the wrong side of the real axis; check alpha")
+            transform = _SingleDrawTransform(model, alpha, p, n, k, level)
+            # an integral converges only if every W' lies below the real axis
+            if order != k and not np.all(transform.atoms.imag < 0.0):
+                raise SupportError("single-draw transform does not decay: a turned value e^{i psi} (Z + alpha)**p not below the real axis; check alpha")
             try:
-                value, unc, used, gap, gap_unc = _fractional_power(h, order, cfg, -1j if p < 0 else 1j)
+                value, unc, used, gap, gap_unc = _fractional_power(transform, order, cfg, -1j)
             except NonConvergenceError as exc:
                 exc.evaluations += evals
                 raise
             evals += used
-            if p < 0:
-                value *= cmath.exp(-1j * _turn(p) / p)  # |gap| does not turn
+            value *= cmath.exp(-1j * _turn(p) / p)  # |gap| does not turn
             gap = float(abs(gap))
             if transform.kind == "atoms":  # one exact law, no coarser one
                 gap = gap_unc = 0.0

@@ -280,6 +280,14 @@ def test_negative_order_power_mean_of_one_cauchy_draw_exits_4(capsys, route):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "MomentExistenceError"
 
 
+def test_fracderiv_turned_value_on_the_real_axis_exits_4(capsys):
+    # at p = -1 the turn is 1, so real atoms at alpha = 0 stay on the real axis
+    code = main(["powermean", "--dist", "twopoint", "--params", "z1=1+0i,z2=2+0i,w=0.5",
+                 "--p", "-1", "--n", "2", "--route", "fracderiv"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "SupportError"
+
+
 @pytest.mark.parametrize("route", ["closed", "quad", "mc", "auto"])
 def test_zero_atom_at_negative_order_exits_4(capsys, route):
     # E|Z|^-0.5 diverges when an atom of positive weight sits at 0

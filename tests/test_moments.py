@@ -1,6 +1,7 @@
 """Fractional moments and power-mean expectations: routes against oracles."""
 
 import cmath
+import itertools
 import math
 import sys
 import threading
@@ -44,8 +45,7 @@ from fracmean.moments import (
 )
 from fracmean.moments import (
     _NODE_LEVEL,
-    _NegTransform,
-    _PosTransformDerivs,
+    _SingleDrawTransform,
     _WeightedPowers,
     _fractional_power,
     _shifted_weighted_char,
@@ -936,36 +936,28 @@ KERNEL_LAWS = (
 )
 
 
+@pytest.mark.parametrize("p, k", [(-0.5, 0), (0.4, 2)])
 @pytest.mark.parametrize("law, alpha, level", KERNEL_LAWS)
-def test_pos_transform_kernel_matches_per_j_loop(law, alpha, level):
-    n, jmax = 2, 2
-    derivs = _PosTransformDerivs(law, alpha, 0.4, n, jmax, level)
-    weights = law.nodes(level, alpha)[1]
-    values = derivs.atoms[: len(weights)]  # the finer level's values come first
-    pref = np.array([(-1j / n) ** j for j in range(jmax + 1)])
-    for u in KERNEL_US:
-        v = u / n
-        want = _loop_moments(values, weights, jmax, v)
-        _assert_close_to_loop(derivs.g_derivs(u)[0], pref * want, _loop_scale(values, weights, jmax, v))
-    assert np.all(derivs.g_derivs(1e4) == 0)  # every term underflows
-
-
-@pytest.mark.parametrize("law, alpha, level", KERNEL_LAWS)
-def test_neg_transform_kernel_matches_loop(law, alpha, level):
+def test_transform_matches_per_j_loop(law, alpha, level, p, k):
+    # over two draws, E[S'**k exp(-iuS')] = sum_j C(k, j) M_j M_(k-j) / 2**k
+    # with M_j = E[W'**j exp(-i(u/2)W')] of the turned values
     n = 2
-    transform = _NegTransform(law, alpha, -0.5, n, level)
+    transform = _SingleDrawTransform(law, alpha, p, n, k, level)
     weights = law.nodes(level, alpha)[1]
     values = transform.atoms[: len(weights)]  # the finer level's values come first
+    assert np.all(values.imag < 0)  # turned below the real axis
     for u in KERNEL_US:
         v = -u / n
-        want = _loop_moments(values, weights, 0, v)[0]
-        scale = _loop_scale(values, weights, 0, v)[0]
+        moments, scale = _loop_moments(values, weights, k, v), _loop_scale(values, weights, k, v)
+        want = sum(math.comb(k, j) * moments[j] * moments[k - j] for j in range(k + 1)) / n**k
+        size = sum(math.comb(k, j) * scale[j] * scale[k - j] for j in range(k + 1)) / n**k
         got, _ = transform(u)
         if want == 0:
             assert got == 0
         else:
-            # (m + e)**n - m**n ~ n m**(n-1) e
-            assert abs(got - want**n) <= n * 1e-13 * scale**n, (u, got, want**n)
+            # each M_j within 1e-13 of its sum of |terms|, so each product
+            # within about twice that of the product of those sums
+            assert abs(got - want) <= n * 1e-13 * size, (u, got, want)
     assert transform(1e5) == (0, 0)  # every term underflows
 
 
@@ -995,7 +987,8 @@ def test_frac_deriv_atomic_law_matches_enumeration(p, n):
 
 def _rule_moments(law, alpha, p, level, c):
     """[E[W^j exp(icW)] for j = 0, 1, 2] by the law's node rule."""
-    return _PosTransformDerivs(law, alpha, p, 1, 2, level).kernel(c)[0]
+    points, weights, *coarse = law.nested_nodes(level, alpha)
+    return _WeightedPowers(np_principal_pow(points + alpha, p), weights, 2, coarse)(c)[0]
 
 
 def test_t3_node_rule_exact_moments_at_zero():
@@ -1068,12 +1061,7 @@ def _transform_h(law, alpha, p, n, level):
     """The pair integrand (h_L, h_L - h_(L-1)) of the power-mean route at p,
     its order and its phase, as _pm_frac_deriv forms them."""
     order = 1.0 / p
-    if p < 0:
-        return _NegTransform(law, alpha, p, n, level), order, -1j
-    k = math.floor(order)
-    transform = _PosTransformDerivs(law, alpha, p, n, k, level)
-    turn = (1, 1j, -1, -1j)[k % 4]
-    return (lambda u: tuple(turn * part for part in transform.f_deriv_k(u, k))), order, 1j
+    return _SingleDrawTransform(law, alpha, p, n, max(math.floor(order), 0), level), order, -1j
 
 
 PAIR_CELLS = [(T3, 1j, 0.7, 3), (POIN, 0.5j, -0.5, 2), (POIN, 0.5j, 0.4, 2)]
@@ -1097,16 +1085,17 @@ def test_gap_component_is_the_integral_of_the_level_difference(law, alpha, p, n)
 
 
 def test_gap_component_error_covers_the_value_driven_nodes():
-    # t3 at alpha = i, p = 0.7, n = 3: h_7 - h_6 oscillates where h_7 does
-    # not, so at the value's u nodes its integral is resolved only to about
-    # the value's own tolerance (1e-10), while a scalar integral of h_7 - h_6
-    # that picks its own nodes (about four times as many) finds 5e-14
+    # t3 at alpha = i, p = 0.9, n = 2: h_7 - h_6 oscillates where h_7 does
+    # not, so at the value's u nodes its integral reads 2.9e-12, while a
+    # scalar integral of h_7 - h_6 that picks its own nodes (about 4.6 times
+    # as many) finds 5e-15; the gap and its error, which the uncertainty
+    # adds, cover that
     cfg = QuadratureConfig()
-    pair, order, phase = _transform_h(T3, 1j, 0.7, 3, _NODE_LEVEL + 1)
+    pair, order, phase = _transform_h(T3, 1j, 0.9, 2, _NODE_LEVEL + 1)
     _, _, evals, gap, gap_unc = _fractional_power(pair, order, cfg, phase)
     alone, alone_unc, alone_evals, _, _ = _fractional_power(lambda u: pair(u)[1], order, cfg, phase)
     assert alone_evals > 2 * evals and abs(alone) <= 1e-12
-    assert abs(gap - alone) <= gap_unc + alone_unc, (gap, alone, gap_unc, alone_unc)
+    assert abs(alone) <= abs(gap) + gap_unc + alone_unc, (gap, alone, gap_unc, alone_unc)
 
 
 @pytest.mark.parametrize("law, alpha, p, n", PAIR_CELLS)
@@ -1120,10 +1109,10 @@ def test_frac_deriv_reports_the_rule_gap_and_stays_honest(law, alpha, p, n):
 
 def test_frac_deriv_counts_the_evaluations_of_both_levels():
     # the level-7 gap misses the tolerance here, so the pair (8, 7) runs too:
-    # 2,368 evaluations at level 7 and 330 at level 8
-    spec = PowerMeanSpec(p=0.7, n=2, alpha=1j)
-    est = power_mean_expectation(ScaledT3(-0.5, 2.0), spec, Route.FRAC_DERIV)
-    assert est.meta["level"] == _NODE_LEVEL + 2 and est.meta["evaluations"] == 2698
+    # 249 evaluations at level 7 and 257 at level 8
+    spec = PowerMeanSpec(p=-0.9, n=2, alpha=0.5 + 0.5j)
+    est = power_mean_expectation(Cauchy(0.3, 2.0), spec, Route.FRAC_DERIV)
+    assert est.meta["level"] == _NODE_LEVEL + 2 and est.meta["evaluations"] == 506
 
 
 @pytest.mark.parametrize("fail", ["gap", "quadrature"])
@@ -1144,29 +1133,53 @@ def test_frac_deriv_failure_counts_the_evaluations_of_both_levels(monkeypatch, f
     assert len(used) == 2 and info.value.evaluations == sum(used) and used[0] > 0
 
 
-@pytest.mark.parametrize("law, fallback", [
-    (TwoPoint(1.0, 2.0, 0.5), Route.CLOSED),
-    (Empirical((1.0, 2.0, 3.0)), Route.MONTE_CARLO),
-])
-def test_frac_deriv_refuses_a_transform_that_does_not_decay(law, fallback):
-    # at alpha = 0 every (Z + alpha)**p of these atoms is real, on neither
-    # side of the real axis, so the single-draw transform does not decay
-    spec = PowerMeanSpec(p=0.5, n=2, alpha=0j)
+def _enumerated_power_mean(law, p, n):
+    """E[M_p] over every n-tuple of the law's atoms."""
+    points, weights = law.nodes(0)
+    return sum(
+        math.prod(weights[i] for i in tup) * power_mean(points[list(tup)], p)
+        for tup in itertools.product(range(len(points)), repeat=n)
+    )
+
+
+REAL_ATOMS = [TwoPoint(1.0, 2.0, 0.5), Empirical((1.0, 2.0, 3.0)), Empirical((-1.0, 2.0, 0.5j))]
+
+
+@pytest.mark.parametrize("law", REAL_ATOMS, ids=repr)
+def test_frac_deriv_meets_enumeration_on_atoms_on_the_real_axis(law):
+    # at alpha = 0 a real atom's W = (Z + alpha)**p lies on the real axis or
+    # on the ray of angle p pi; turned, every W lies strictly below the axis
+    for p in (0.3, 0.4, 0.5, 0.7):
+        for n in (2, 3):
+            est = power_mean_expectation(law, PowerMeanSpec(p=p, n=n, alpha=0j), Route.FRAC_DERIV)
+            err = abs(est.value - _enumerated_power_mean(law, p, n))
+            assert est.meta["transform"] == "atoms" and err <= est.uncertainty, (p, n, err, est.uncertainty)
+
+
+@pytest.mark.parametrize("law", REAL_ATOMS[:2], ids=repr)
+def test_frac_deriv_at_p_one_on_real_atoms_is_the_mean(law):
+    # an integer order runs no integral, so no decay check refuses it
+    points, weights = law.nodes(0)
+    for n in (2, 3):
+        est = power_mean_expectation(law, PowerMeanSpec(p=1.0, n=n, alpha=0j), Route.FRAC_DERIV)
+        assert est.meta["ordinal"] is True
+        assert est.value.real == np.dot(weights, points).real and abs(est.value.imag) <= 1e-30  # the turn's rounding
+
+
+def test_frac_deriv_refuses_a_turned_value_on_the_real_axis():
+    # at p = -1 the turn is 1, so a real Z + alpha gives W' on the real axis,
+    # and the Riemann-Liouville integral of its transform would not converge
     with pytest.raises(SupportError, match="does not decay"):
-        power_mean_expectation(law, spec, Route.FRAC_DERIV)
-    est = power_mean_expectation(law, spec, Route.AUTO, mc=MCConfig(samples=20_000, seed=3))
-    assert est.method is fallback
-    want = np.mean([power_mean([a, b], 0.5) for a in law.atoms for b in law.atoms])
-    assert abs(est.value - want) <= max(4.0 * est.uncertainty, 1e-15)
+        power_mean_expectation(TwoPoint(1.0, 2.0, 0.5), PowerMeanSpec(p=-1.0, n=2, alpha=0j), Route.FRAC_DERIV)
 
 
-# the fracderiv_sampled benchmark cells and the slow t3 one, with the
+# the fracderiv_sampled benchmark cells and t3 at p = 0.9, with the
 # evaluations their walks take
 WALK_CELLS = [
-    (T3, 1j, 0.4, 596),
+    (T3, 1j, 0.4, 362),
     (POIN, 0.5j, -0.5, 241),
-    (POIN, 0.5j, 0.4, 578),
-    (T3, 1j, 0.9, 5805),
+    (POIN, 0.5j, 0.4, 362),
+    (T3, 1j, 0.9, 322),
 ]
 
 
@@ -1194,9 +1207,8 @@ TRANSFORM_US = np.array([0.0, 1e-6, 0.3, 1.0, 37.5, 1e4])
 
 @pytest.mark.parametrize("law, alpha, level", KERNEL_LAWS)
 def test_transforms_of_an_array_give_the_bits_of_one_element_arrays(law, alpha, level):
-    _assert_bits_of_one_element_arrays(_NegTransform(law, alpha, -0.5, 3, level), TRANSFORM_US)
-    pos = _PosTransformDerivs(law, alpha, 0.4, 3, 2, level)
-    _assert_bits_of_one_element_arrays(lambda u: pos.f_deriv_k(u, 2), TRANSFORM_US)
+    _assert_bits_of_one_element_arrays(_SingleDrawTransform(law, alpha, -0.5, 3, 0, level), TRANSFORM_US)
+    _assert_bits_of_one_element_arrays(_SingleDrawTransform(law, alpha, 0.4, 3, 2, level), TRANSFORM_US)
 
 
 @pytest.mark.parametrize("law, orders", [(CAUCHY, (0,)), (T3, (0, 1, 2)), (POIN, (0, 1, 2))])
@@ -1208,7 +1220,7 @@ def test_closed_transform_of_an_array_gives_the_bits_of_one_element_arrays(law, 
 
 def test_kernel_splits_a_long_array_into_blocks_of_the_same_bits():
     # the kernel holds at most its budget of floats at once, whatever it is asked
-    kernel = _PosTransformDerivs(POIN, 0.5j, 0.4, 2, 2, _NODE_LEVEL + 1).kernel
+    kernel = _SingleDrawTransform(POIN, 0.5j, 0.4, 2, 2, _NODE_LEVEL + 1).kernel
     cs = np.linspace(0.0, 40.0, 3 * kernel._size + 7)
     assert kernel._size < len(cs)
     _assert_bits_of_one_element_arrays(lambda c: np.moveaxis(kernel(c), 0, -1), cs)
