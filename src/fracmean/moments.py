@@ -279,11 +279,14 @@ def _shifted_weighted_char(model, alpha, k, u):
 # domain guards, run first on every route; moments also run check_moment
 
 
-def _check_real_shift(model, alpha, order):
-    """Negative orders of a real-line density at real alpha, where Z + alpha
-    meets the branch cut of its power: refused on every route."""
-    if order.real < 0 and alpha.imag <= 0 and model.support == "real" and _point_masses(model) is None:
-        raise SupportError("a real-line density needs Im(alpha) > 0 at negative orders")
+def _check_real_shift(model, alpha, order, node_rule=False):
+    """A real-line density at real alpha, where Z + alpha meets the branch
+    point of its power: refused at negative orders on every route, and at
+    every order on the law's node rule (node_rule), graded toward -alpha only
+    off the real line."""
+    if (order.real < 0 or node_rule) and alpha.imag <= 0 and model.support == "real" and _point_masses(model) is None:
+        where = "at negative orders" if order.real < 0 else "on its node rule"
+        raise SupportError(f"a real-line density needs Im(alpha) > 0 {where}")
 
 
 def _check_power_mean(model, spec):
@@ -640,8 +643,9 @@ class _SingleDrawTransform:
         values *= cmath.exp(1j * _turn(p))
         self.kernel = _WeightedPowers(values, weights, k, coarse)
         # G^(j)(u) / j! = (-i)^j E[W'^j e^{-i(u/n)W'}] / (n^j j!), and the
-        # (-i)^j leave the k-th coefficient of G**n as (-i)^k, which i**k undoes
-        self._taylor = np.array([1.0 / (n**j * math.factorial(j)) for j in range(k + 1)])
+        # (-i)^j leave the k-th coefficient of G**n as (-i)^k, which i**k
+        # undoes; 1 / (n^j j!) is formed in floats, which underflow, not overflow
+        self._taylor = np.cumprod(np.r_[1.0, 1.0 / (n * np.arange(1.0, k + 1))])
 
     def __call__(self, u):
         coeffs = self.kernel(np.divide(u, -self.n)) * self._taylor  # at -u / n
@@ -659,9 +663,10 @@ def _pm_frac_deriv(model, spec, cfg):
     """E[M_p] = E[S**(1/p)], S = (1/n) sum_j (Z_j + alpha)**p, at either sign
     of p from E[S'**k exp(-iuS')], k = max(floor(1/p), 0), of the turned
     mean S' = e^{i psi} S below the real axis (_turn), as S**(1/p) =
-    e^{-i psi / p} S'**(1/p) on the principal branch; where an integral runs,
-    a turned value on the real axis (p = -1, real Z + alpha) raises
-    SupportError.  The transform sums the law's atoms or its nested node
+    e^{-i psi / p} S'**(1/p) on the principal branch.  SupportError refuses
+    a real-line density at real alpha, whose node rule is graded toward
+    -alpha only off the real line, and, where an integral runs, a turned
+    value on the real axis (p = -1, real Z + alpha).  The transform sums the law's atoms or its nested node
     rule: one integral sums the pair (h_L, h_L - h_(L-1)) at L = 7, the
     value and the rule's own gap at the same nodes, and, if the gap misses
     cfg's tolerance, one more at L = 8; meta["evaluations"] and a
@@ -672,7 +677,7 @@ def _pm_frac_deriv(model, spec, cfg):
     p, n, alpha = spec.p, spec.n, spec.alpha
     cfg = cfg or QuadratureConfig()
     _check_power_mean(model, spec)
-    gap = gap_unc = 0.0
+    gap, gap_unc, k = 0.0, 0.0, 0
     if n == 1:  # M_p = Z + alpha exactly for |p| <= 1, so E[M_p] = E[Z + alpha]
         value = complex(_shifted_weighted_char(model, alpha, 1, 0.0))
         est = MomentEstimate(value, 0.0, Route.FRAC_DERIV, {"geometric": True} if p == 0 else {"n": 1})
@@ -686,6 +691,7 @@ def _pm_frac_deriv(model, spec, cfg):
         meta.update({"geometric": True, "n": n})
         est = MomentEstimate(value, unc, Route.FRAC_DERIV, meta)
     else:
+        _check_real_shift(model, alpha, p, True)  # on the node rule
         order = 1.0 / p
         if order >= 171:
             raise RouteUnavailableError(f"1/p = {order:g} needs {math.floor(order)}!, past the float range")
@@ -718,8 +724,9 @@ def _pm_frac_deriv(model, spec, cfg):
         if transform.kind == "nodes":
             meta.update({"level": level, "level_gap": gap})
         est = MomentEstimate(value, unc, Route.FRAC_DERIV, meta)
-    # the ulps cover rounding in the transform sums and the series power
-    est.uncertainty += gap + gap_unc + 16.0 * math.ulp(abs(est.value))
+    # the ulps cover rounding in the transform sums and the series power, and
+    # in each turned value, which S'**k and the turn back magnify k times
+    est.uncertainty += gap + gap_unc + (16.0 + 4.0 * k) * math.ulp(abs(est.value))
     return est
 
 

@@ -250,7 +250,7 @@ def _de_finite(f, a, b, cfg, evaluations=0):
     # a walk stops after three negligible terms, but not short of its side's largest
     # level-0 term: an integrand held near one end can be negligible at the centre
     reach = tuple(dist if term > _EPS * abs(value) else 1.0 for term, dist in peaks)
-    err = other_err = math.inf
+    err, others = math.inf, [other]
     for level in range(1, cfg.max_level + 1):
         (added, added_other), (added_size, added_other_size), _, ahead, evaluations = _de_sum_level(
             f, a, b, level, evaluations, reach, ahead
@@ -259,8 +259,9 @@ def _de_finite(f, a, b, cfg, evaluations=0):
         refined_other = 0.5 * other + added_other
         size = 0.5 * size + added_size
         other_size = 0.5 * other_size + added_other_size
-        err, other_err = abs(refined - value), abs(refined_other - other)
+        err = abs(refined - value)
         value, other = refined, refined_other
+        others.append(other)
         if level >= 2 and err <= max(abs_tol, rel_tol * abs(value)):
             break
     floor = 4.0 * _EPS * abs(value)
@@ -272,7 +273,13 @@ def _de_finite(f, a, b, cfg, evaluations=0):
             err_estimate=err,
             evaluations=evaluations,
         )
-    return (value, err, size), (other, max(other_err, 4.0 * _EPS * abs(other)), other_size), evaluations
+    # the companion's last difference bounds its error where its sums converge,
+    # each of its last two differences at most half the one before; where they
+    # do not yet, at the levels its value chose, it may be off by its sums' size
+    diffs = [math.inf] + [abs(later - earlier) for earlier, later in zip(others, others[1:])]
+    if diffs[-1] > 0.5 * diffs[-2] or diffs[-2] > 0.5 * diffs[-3]:
+        diffs[-1] += max(abs(others[-1]), abs(others[-2]))
+    return (value, err, size), (other, max(diffs[-1], 4.0 * _EPS * abs(other)), other_size), evaluations
 
 
 def integrate_singular_decaying(g, s, cfg=None):

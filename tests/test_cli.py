@@ -288,6 +288,14 @@ def test_fracderiv_turned_value_on_the_real_axis_exits_4(capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "SupportError"
 
 
+def test_fracderiv_real_line_density_at_real_alpha_exits_4(capsys):
+    # the t3 node rules are graded toward -alpha only off the real line
+    code = main(["powermean", "--dist", "t3", "--params", "mu=0,sigma=1", "--alpha", "0.7",
+                 "--p", "0.4", "--n", "2", "--route", "fracderiv"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "SupportError"
+
+
 @pytest.mark.parametrize("route", ["closed", "quad", "mc", "auto"])
 def test_zero_atom_at_negative_order_exits_4(capsys, route):
     # E|Z|^-0.5 diverges when an atom of positive weight sits at 0

@@ -1088,14 +1088,26 @@ def test_gap_component_error_covers_the_value_driven_nodes():
     # t3 at alpha = i, p = 0.9, n = 2: h_7 - h_6 oscillates where h_7 does
     # not, so at the value's u nodes its integral reads 2.9e-12, while a
     # scalar integral of h_7 - h_6 that picks its own nodes (about 4.6 times
-    # as many) finds 5e-15; the gap and its error, which the uncertainty
-    # adds, cover that
+    # as many) finds 5e-15; the gap's error estimate covers the difference
     cfg = QuadratureConfig()
     pair, order, phase = _transform_h(T3, 1j, 0.9, 2, _NODE_LEVEL + 1)
     _, _, evals, gap, gap_unc = _fractional_power(pair, order, cfg, phase)
     alone, alone_unc, alone_evals, _, _ = _fractional_power(lambda u: pair(u)[1], order, cfg, phase)
     assert alone_evals > 2 * evals and abs(alone) <= 1e-12
-    assert abs(alone) <= abs(gap) + gap_unc + alone_unc, (gap, alone, gap_unc, alone_unc)
+    assert abs(gap - alone) <= gap_unc + alone_unc, (gap, alone, gap_unc, alone_unc)
+
+
+@pytest.mark.parametrize("law, alpha", [(T3, 1j), (ScaledT3(-0.5, 2.0), 0.5j), (ScaledT3(0.3, 0.7), 0.5j)], ids=repr)
+def test_gap_component_error_covers_unresolved_sums_at_p_near_one(law, alpha):
+    # at p = 0.95 the gap reads 2e-10 to 2.4e-9 at the value's u nodes
+    # against 2e-14 or less alone; its sums there have not begun to converge,
+    # and the estimate says so
+    cfg = QuadratureConfig()
+    pair, order, phase = _transform_h(law, alpha, 0.95, 2, _NODE_LEVEL + 1)
+    _, _, evals, gap, gap_unc = _fractional_power(pair, order, cfg, phase)
+    alone, alone_unc, alone_evals, _, _ = _fractional_power(lambda u: pair(u)[1], order, cfg, phase)
+    assert alone_evals > 2 * evals and abs(alone) <= 1e-12 and abs(gap) >= 1e-10
+    assert abs(gap - alone) <= gap_unc + alone_unc, (gap, alone, gap_unc, alone_unc)
 
 
 @pytest.mark.parametrize("law, alpha, p, n", PAIR_CELLS)
@@ -1171,6 +1183,60 @@ def test_frac_deriv_refuses_a_turned_value_on_the_real_axis():
     # and the Riemann-Liouville integral of its transform would not converge
     with pytest.raises(SupportError, match="does not decay"):
         power_mean_expectation(TwoPoint(1.0, 2.0, 0.5), PowerMeanSpec(p=-1.0, n=2, alpha=0j), Route.FRAC_DERIV)
+
+
+@pytest.mark.parametrize("alpha", [0j, 0.7 + 0j])
+def test_frac_deriv_refuses_a_real_line_density_at_real_alpha(monkeypatch, alpha):
+    # the node rules are graded toward -alpha only off the real line, so no
+    # integral runs, and AUTO falls back to Monte Carlo at once
+    def no_integral(*args):
+        raise AssertionError("an integral ran")
+
+    monkeypatch.setattr(moments, "_fractional_power", no_integral)
+    spec = PowerMeanSpec(p=0.4, n=2, alpha=alpha)
+    with pytest.raises(SupportError, match="Im\\(alpha\\) > 0"):
+        power_mean_expectation(T3, spec, Route.FRAC_DERIV)
+    est = power_mean_expectation(T3, spec, Route.AUTO, mc=MCConfig(samples=2000, seed=3))
+    assert est.method is Route.MONTE_CARLO and est.meta["auto"] is True
+
+
+def _counted_power_mean(law, p, n):
+    """E[M_p] of n draws from a law of positive real atoms, summed over how
+    often each atom is drawn, at 50 digits."""
+    points, weights = law.nodes(0)
+    with mpmath.workdps(50):
+        q = mpmath.mpf(p)
+        powers = [mpmath.mpf(z.real) ** q for z in points]
+        total = mpmath.mpf(0)
+        for counts in itertools.product(range(n + 1), repeat=len(points)):
+            if sum(counts) == n:
+                ways = mpmath.factorial(n) / mpmath.fprod(mpmath.factorial(c) for c in counts)
+                odds = mpmath.fprod(mpmath.mpf(w.real) ** c for w, c in zip(weights, counts))
+                total += ways * odds * (mpmath.fsum(c * w for c, w in zip(counts, powers)) / n) ** (1 / q)
+        return complex(total)
+
+
+@pytest.mark.parametrize("p, n", [(0.0065, 2), (0.01, 50)])
+def test_frac_deriv_answers_orders_past_a_hundred(p, n):
+    # 1/p = 153.8 and 100: 1 / (n^j j!) falls below the float range before
+    # j reaches 1/p, and must underflow, not overflow
+    law = Empirical((1.0, 2.0, 3.0))
+    want = _counted_power_mean(law, p, n)
+    for route in (Route.FRAC_DERIV, Route.AUTO):
+        est = power_mean_expectation(law, PowerMeanSpec(p=p, n=n, alpha=0j), route)
+        err = abs(est.value - want)
+        assert est.method is Route.FRAC_DERIV and err <= est.uncertainty, (route, err, est.uncertainty)
+
+
+@pytest.mark.parametrize("p", [1 / 20, 1 / 50, 1 / 100, 1 / 150])
+def test_frac_deriv_integer_orders_cover_their_rounding(p):
+    # no integral runs, but S'**k magnifies the rounding of the turned values
+    law = TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3)
+    for n in (2, 5):
+        spec = PowerMeanSpec(p=p, n=n, alpha=0j)
+        est = power_mean_expectation(law, spec, Route.FRAC_DERIV)
+        err = abs(est.value - power_mean_expectation(law, spec, Route.CLOSED).value)
+        assert est.meta["ordinal"] is True and err <= est.uncertainty, (n, err, est.uncertainty)
 
 
 # the fracderiv_sampled benchmark cells and t3 at p = 0.9, with the
