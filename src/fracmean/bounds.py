@@ -14,11 +14,11 @@ E[Z**p] = 0 while E[|Z|**p] = 1.
 
 E[Z**p] is taken by frac_moment's AUTO route, which answers in closed form
 for every built-in law.  E[|Z|**p] is taken by the method the law admits,
-recorded as meta["abs_method"]: 'atoms' sums an atomic law exactly, 'nodes'
-sums the node rule of an upper-half-plane density, graded toward the branch
-point 0 of |z|**p, at two nested levels from one build (the gap plus a few
-ulps is its uncertainty), and 'mc' draws a real-line density, whose rule is not graded
-toward 0, and refuses where E[|Z|**(2p)] diverges.
+recorded as meta["abs_method"]: the law's ``rule``, 'atoms' or the 'nodes' of
+an upper-half-plane density, graded toward the branch point 0 of |z|**p,
+summed at two nested levels from one build (the gap, exactly 0 for atoms,
+plus a few ulps is its uncertainty), or 'mc' for a real-line density, whose
+rule is not graded toward 0, which refuses where E[|Z|**(2p)] diverges.
 
 Half-plane support is checked on principal arguments.  The upper closure
 {Im z >= 0} is always admissible, but a lower law may not touch the open
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments
-from .distributions import MomentExistenceError, RouteUnavailableError, SupportError, TwoPoint, _point_masses, stream_generator
+from .distributions import MomentExistenceError, RouteUnavailableError, SupportError, TwoPoint, stream_generator
 from .moments import _NODE_LEVEL, MCConfig, Route, frac_moment
 from .montecarlo import _block_draws
 # np_principal_pow, principal_log and principal_pow have no caller here:
@@ -84,20 +84,14 @@ def _support_class(model):
     )
 
 
-def _abs_method(model):
-    if _point_masses(model) is not None:
-        return "atoms"
-    return "nodes" if model.support == "upper" else "mc"
+def _abs_method(model):  # a real-line density's rule is not graded toward 0
+    return "mc" if model.rule == "nodes" and model.support == "real" else model.rule
 
 
 def _abs_moment(model, p, mc):
     """(E[|Z|**p], uncertainty) by the law's _abs_method."""
     model.check_moment(0j, p)
-    method = _abs_method(model)
-    if method == "atoms":
-        atoms, weights = model.nodes(0)
-        return float(np.sum(weights * np.abs(atoms) ** p)), 0.0
-    if method == "nodes":  # levels 7 and 6 of the nested rule, from one build
+    if _abs_method(model) != "mc":  # levels 7 and 6 of the nested rule, from one build
         points, weights, count, start, ratio = model.nested_nodes(_NODE_LEVEL + 1)
         terms = np.abs(points)
         terms **= p

@@ -34,10 +34,12 @@ Each class is the one place that knows its family's formulas.  The routes in
 * ``geometric_mean()`` = exp(E[log Z]), for the laws that can lie in the
   upper half plane (Poincare and the atomic laws);
 * ``nodes(level, alpha)``: points and weights of a rule for E f(Z), finer
-  as the level grows: the atoms, or quadrature over the density, which uses
-  no pole or closed value, so the (seedless) routes built on it check the
-  closed forms; the Poincare rule is sinh-graded toward the branch point
-  -alpha of (z + alpha)**p, the others ignore alpha;
+  as the level grows, and ``nested_nodes(level, alpha)``, the level and
+  level - 1 from one build: the atoms at both levels (``rule`` 'atoms'), or
+  quadrature over the density (``rule`` 'nodes'), which uses no pole or
+  closed value, so the (seedless) routes built on it check the closed
+  forms; the Poincare rule is sinh-graded toward the branch point -alpha of
+  (z + alpha)**p, the others ignore alpha;
 * ``name`` (the family tag of the JSON form) and ``to_json()``.
 
 Adding a family means writing one class with these methods.  The
@@ -99,6 +101,13 @@ class RouteUnavailableError(ValueError):
     """The requested route does not apply to this model/parameter combination."""
 
 
+def _check_finite(what, *values):
+    """ValueError unless every value, real or complex, is finite: a nan or an
+    inf would pass the range checks and come out of every route as nan."""
+    if not np.all(np.isfinite(np.array(values, dtype=complex))):
+        raise ValueError(f"{what} must be finite")
+
+
 # rules drop nodes lighter than this: they barely move a moment, but the
 # farthest would set how slowly a single-draw transform decays.  The density
 # factors put on tanh-sinh weights are about 1 at most, so lighter table
@@ -114,6 +123,8 @@ class _NestedRule:
     A law provides _grid(level, alpha): the nodes of the level's grid that
     either level keeps, as (points, weights, fine, coarse, ratio), fine
     marking the nodes the level keeps and coarse those level - 1 keeps."""
+
+    rule = "nodes"
 
     def nodes(self, level, alpha=0j):
         points, weights, count, _, _ = self.nested_nodes(level, alpha)
@@ -175,6 +186,7 @@ class _RealLineLaw(_NestedRule, _ResidueLaw):
     support = "real"
 
     def __post_init__(self):
+        _check_finite(f"{type(self).__name__} parameters", self.mu, self.sigma)
         if not self.sigma > 0:
             raise ValueError(f"{type(self).__name__} needs sigma > 0")
 
@@ -278,6 +290,7 @@ class Poincare(_NestedRule, _ResidueLaw):
     support = "upper"
 
     def __post_init__(self):
+        _check_finite("Poincare parameters", self.a, self.b, self.c)
         if not (self.a > 0 and self.c > 0 and self.a * self.c - self.b ** 2 > 0):
             raise ValueError("Poincare needs a > 0, c > 0 and ac - b^2 > 0")
 
@@ -380,6 +393,8 @@ class AtomicLaw:
     atoms of positive weight, ``nodes(0)``: an atom of weight 0 never occurs,
     and its term 0 * inf would make the sum nan."""
 
+    rule = "atoms"
+
     @property
     def support(self):
         atoms = self.nodes(0)[0]
@@ -422,6 +437,11 @@ class AtomicLaw:
         weights = self.weights
         return self.atoms[weights > 0], weights[weights > 0]
 
+    def nested_nodes(self, level, alpha=0j):
+        """The atoms as both levels of a nested rule, which agree bit for bit."""
+        points, weights = self.nodes(level, alpha)
+        return points, weights, len(points), 0, 1.0
+
     def geometric_mean(self):
         atoms, weights = self.nodes(0)
         if np.any(atoms == 0):
@@ -438,6 +458,7 @@ class TwoPoint(AtomicLaw):
     name = "twopoint"
 
     def __post_init__(self):
+        _check_finite("TwoPoint atoms and weight", self.z1, self.z2, self.w)
         if not 0.0 <= self.w <= 1.0:
             raise ValueError("TwoPoint weight must lie in [0, 1]")
 
@@ -499,6 +520,7 @@ class Empirical(AtomicLaw):
         if len(self.samples) == 0:
             raise ValueError("Empirical needs at least one sample")
         object.__setattr__(self, "samples", tuple(complex(z) for z in self.samples))
+        _check_finite("Empirical samples", *self.samples)
 
     @property
     def atoms(self):
@@ -515,7 +537,7 @@ class Empirical(AtomicLaw):
 
 def _point_masses(model):
     """(points, weights) of an atomic law's atoms of positive weight, else None."""
-    return model.nodes(0) if isinstance(model, AtomicLaw) else None
+    return model.nodes(0) if model.rule == "atoms" else None
 
 
 def density(model, point):
@@ -642,9 +664,11 @@ def parse_complex(text):
     if not s or " " in s:
         raise ValueError(f"bad complex number {text!r}: {_COMPLEX_GRAMMAR}")
     try:
-        return complex(s.replace("i", "j"))
+        z = complex(s.replace("i", "j"))
     except ValueError:
         raise ValueError(f"bad complex number {text!r}: {_COMPLEX_GRAMMAR}") from None
+    _check_finite(f"complex number {text!r}", z)
+    return z
 
 
 def parse_params(text):

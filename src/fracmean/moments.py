@@ -25,6 +25,7 @@ from .distributions import (
     MomentExistenceError,
     RouteUnavailableError,
     SupportError,
+    _check_finite,
     _point_masses,
     char_fn,  # no caller here: perfbench/tracer.py wraps this name
     char_fn_derivative,
@@ -128,6 +129,7 @@ class PowerMeanSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
+        _check_finite("p and alpha", self.p, self.alpha)
         if self.n < 1:
             raise ValueError("need n >= 1")
         if not self.exploratory and not -1.0 <= self.p <= 1.0:
@@ -492,6 +494,7 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
     """
     alpha = complex(alpha)
     lam = complex(lam)
+    _check_finite("alpha and lambda", alpha, lam)  # here, not in a step that AUTO would skip
 
     def closed():
         return MomentEstimate(closed_moment(model, alpha, lam), 0.0, Route.CLOSED)
@@ -508,9 +511,11 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
 
 
 def _series_power_coeff(g_coeffs, n, k):
-    """k-th Taylor coefficient of (sum_j g_j tau**j)**n, n >= 2, for each row
-    of the array g_coeffs, whose last axis holds g_0..g_k: n - 2 truncated
-    products, then the one coefficient of the last, all rows at once."""
+    """k-th Taylor coefficient of (sum_j g_j tau**j)**n, n >= 1, for each row
+    of the array g_coeffs, whose last axis holds g_0..g_k: g_k at n = 1, else
+    n - 2 truncated products, then one coefficient of the last, all rows at once."""
+    if n == 1:
+        return g_coeffs[..., k]
     power = g_coeffs
     if n > 2:
         index, lower = _lower_shift(k)
@@ -623,22 +628,17 @@ class _SingleDrawTransform:
     i**k F^(k)(u) = E[S'**k exp(-iuS')] for the mean S' of n turned values
     W' = e^{i psi} (Z + alpha)**p (_turn), which decays as u grows wherever
     every W' lies below the real axis.  W' is taken at the points of the
-    law's nested node rule at level and level - 1 (or its atoms), graded
+    law's nested rule (model.nested_nodes) at level and level - 1, graded
     toward the branch point -alpha of W; the kernel sums E[W'^j e^{icW'}],
     j = 0..k, under both levels, and one truncated series power of every
-    row gives the k-th coefficient.  The gap is to the coarser level, 0 for
-    atoms.  As an integrand of quad it takes an array of u and returns the
-    pair as two arrays of u's shape, from one kernel call, which blocks the
-    u within the kernel's own memory budget."""
+    row gives the k-th coefficient.  The gap is to the coarser level, exactly
+    0 for atoms, whose levels agree.  As an integrand of quad it takes an
+    array of u and returns the pair as two arrays of u's shape, from one
+    kernel call, which blocks the u within the kernel's own memory budget."""
 
     def __init__(self, model, alpha, p, n, k, level):
         self.n, self.k = n, k
-        if _point_masses(model) is None:
-            self.kind = "nodes"
-            points, weights, *coarse = model.nested_nodes(level, alpha)
-        else:
-            self.kind = "atoms"
-            (points, weights), coarse = model.nodes(level, alpha), None
+        points, weights, *coarse = model.nested_nodes(level, alpha)
         self.atoms = values = np_principal_pow(points + alpha, p)
         values *= cmath.exp(1j * _turn(p))
         self.kernel = _WeightedPowers(values, weights, k, coarse)
@@ -663,35 +663,31 @@ def _pm_frac_deriv(model, spec, cfg):
     """E[M_p] = E[S**(1/p)], S = (1/n) sum_j (Z_j + alpha)**p, at either sign
     of p from E[S'**k exp(-iuS')], k = max(floor(1/p), 0), of the turned
     mean S' = e^{i psi} S below the real axis (_turn), as S**(1/p) =
-    e^{-i psi / p} S'**(1/p) on the principal branch.  SupportError refuses
-    a real-line density at real alpha, whose node rule is graded toward
-    -alpha only off the real line, and, where an integral runs, a turned
-    value on the real axis (p = -1, real Z + alpha).  The transform sums the law's atoms or its nested node
-    rule: one integral sums the pair (h_L, h_L - h_(L-1)) at L = 7, the
-    value and the rule's own gap at the same nodes, and, if the gap misses
-    cfg's tolerance, one more at L = 8; meta["evaluations"] and a
-    NonConvergenceError count both.  The uncertainty adds the gap, its error
-    and a rounding allowance to the value's.  Two cases read the law's
-    closed transform instead: n = 1 takes E[Z + alpha] from
-    char_fn_derivative at u = 0, and p = 0 takes E[Z**(1/n)] by QUAD."""
-    p, n, alpha = spec.p, spec.n, spec.alpha
+    e^{-i psi / p} S'**(1/p) on the principal branch.  One draw runs at
+    p = 1, since M_p = Z + alpha = M_1 at n = 1.  SupportError refuses a
+    real-line density at real alpha, whose node rule is graded toward
+    -alpha only off the real line, except at p = 1, where W = Z + alpha has
+    no branch point, and, where an integral runs, a turned value on the
+    real axis (p = -1, real Z + alpha).  The transform sums the law's nested
+    rule (model.nested_nodes): one integral sums the pair (h_L, h_L -
+    h_(L-1)) at L = 7, the value and the rule's own gap at the same nodes,
+    and, if the gap misses cfg's tolerance, one more at L = 8;
+    meta["evaluations"] and a NonConvergenceError count both.  The
+    uncertainty adds the gap, its error and a rounding allowance to the
+    value's.  Only p = 0 reads the closed transform: E[Z**(1/n)] by QUAD."""
+    p, n, alpha = spec.p if spec.n > 1 else 1.0, spec.n, spec.alpha
     cfg = cfg or QuadratureConfig()
     _check_power_mean(model, spec)
     gap, gap_unc, k = 0.0, 0.0, 0
-    if n == 1:  # M_p = Z + alpha exactly for |p| <= 1, so E[M_p] = E[Z + alpha]
-        value = complex(_shifted_weighted_char(model, alpha, 1, 0.0))
-        est = MomentEstimate(value, 0.0, Route.FRAC_DERIV, {"geometric": True} if p == 0 else {"n": 1})
-    elif abs(p) < _P_GEOMETRIC_EPS:
+    if abs(p) < _P_GEOMETRIC_EPS:
         # geometric mean: E[prod Z_j**(1/n)] = E[Z**(1/n)]**n, no fractional
         # operator at p itself
         inner = frac_moment_pos(model, alpha, 1.0 / n, cfg)
         value = principal_pow(inner.value, float(n))
         unc = n * abs(inner.value) ** (n - 1) * inner.uncertainty
-        meta = dict(inner.meta)
-        meta.update({"geometric": True, "n": n})
-        est = MomentEstimate(value, unc, Route.FRAC_DERIV, meta)
+        est = MomentEstimate(value, unc, Route.FRAC_DERIV, {**inner.meta, "geometric": True, "n": n})
     else:
-        _check_real_shift(model, alpha, p, True)  # on the node rule
+        _check_real_shift(model, alpha, p, p != 1)  # on the node rule
         order = 1.0 / p
         if order >= 171:
             raise RouteUnavailableError(f"1/p = {order:g} needs {math.floor(order)}!, past the float range")
@@ -712,17 +708,13 @@ def _pm_frac_deriv(model, spec, cfg):
             evals += used
             value *= cmath.exp(-1j * _turn(p) / p)  # |gap| does not turn
             gap = float(abs(gap))
-            if transform.kind == "atoms":  # one exact law, no coarser one
-                gap = gap_unc = 0.0
             if gap <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
                 break
         else:
             msg = f"node rules at levels {level - 1} and {level} disagree by {gap:.3e}"
             raise NonConvergenceError(msg, value=value, err_estimate=gap, evaluations=evals)
-        meta = {"order": order, "transform": transform.kind}
+        meta = {"order": order, "transform": model.rule, "level": level, "level_gap": gap}
         meta.update({"evaluations": evals} if evals else {"ordinal": True})
-        if transform.kind == "nodes":
-            meta.update({"level": level, "level_gap": gap})
         est = MomentEstimate(value, unc, Route.FRAC_DERIV, meta)
     # the ulps cover rounding in the transform sums and the series power, and
     # in each turned value, which S'**k and the turn back magnify k times
@@ -766,9 +758,9 @@ def power_mean_expectation(model, spec, route=Route.AUTO, cfg=None, mc=None):
     the route that ran.  CLOSED covers the residue laws at every p and alpha
     (and exact enumeration for two-point laws); FRAC_DERIV applies the
     fractional operators to the n-th power of the single-draw transform,
-    deterministically (it takes no mc), summing the law's node rule, except
-    at n = 1, where it reads E[Z + alpha] from the law's closed transform,
-    and at p = 0, where it takes E[Z**(1/n)]**n from the QUAD route;
+    deterministically (it takes no mc), summing the law's nested rule (its
+    atoms for an atomic law) at every n, except at p = 0 and n >= 2, where
+    it takes E[Z**(1/n)]**n from the QUAD route;
     MONTE_CARLO averages power means over replications of n fresh draws.
     """
     if not isinstance(spec, PowerMeanSpec):

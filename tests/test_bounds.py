@@ -61,7 +61,9 @@ def test_zero_atom_absolute_moments():
         _abs_moment(TwoPoint(0j, 1j, 0.5), -0.5, MCConfig())
     with pytest.raises(MomentExistenceError):
         half_plane_bound_check(TwoPoint(0j, 1j, 0.5), -0.5)
-    assert _abs_moment(TwoPoint(0j, 1j, 0.5), 0.5, MCConfig()) == (0.5, 0.0)
+    # the atoms' rule sum is exact; its uncertainty is the rule's rounding allowance
+    value, unc = _abs_moment(TwoPoint(0j, 1j, 0.5), 0.5, MCConfig())
+    assert value == 0.5 and 0.0 < unc <= 16.0 * math.ulp(0.5)
 
 
 def test_support_reads_atoms_of_positive_weight_only():

@@ -352,6 +352,39 @@ def test_non_finite_tolerance_exits_2(capsys, option, value):
     assert "finite" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moment", "--dist", "cauchy", "--params", "mu=nan,sigma=1", "--alpha", "0+1i", "--lambda", "-0.5",
+         "--route", "closed"],
+        ["powermean", "--dist", "poincare", "--params", "a=1,c=1", "--alpha", "nan+1i", "--p", "-0.5", "--n", "2",
+         "--route", "closed"],
+        ["moment", "--dist", "poincare", "--params", "a=1,c=1", "--alpha", "0+1i", "--lambda", "nan"],
+        ["characterize", "distinguish", "--dist-a", "cauchy", "--dist-b", "t3", "--fix", "alpha",
+         "--value", "nan+1i", "--points", "-0.5+0i", "--route", "quad"],
+        ["characterize", "distinguish", "--dist-a", "cauchy", "--dist-b", "t3", "--fix", "alpha",
+         "--value", "0+1i", "--points", "-0.5+0i,0.5+nani", "--route", "quad"],
+    ],
+    ids=["params", "alpha", "lambda", "value", "points"],
+)
+def test_non_finite_inputs_exit_2(capsys, argv):
+    # a nan would otherwise come out as a NaN token, sometimes with uncertainty 0
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "config" and "finite" in error["message"]
+
+
+def test_non_finite_sample_exits_2(capsys, tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("re,im\n1.0,0.5\nnan,0\n")
+    code = main(["moment", "--dist", "empirical", "--params", f"file={path}", "--alpha", "0+1i",
+                 "--lambda", "0.5+0i", "--route", "mc", "--mc-samples", "1000"])
+    assert code == 2
+    assert "finite" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
 def test_two_point_power_mean_past_the_float_range_of_binomials(capsys):
     # comb(2000, 1000) exceeds the float range
     blob = run_json(capsys, ["powermean", "--dist", "twopoint", "--params", "z1=1+1i,z2=-1+1i,w=0.5",

@@ -371,6 +371,25 @@ def test_node_rules_nest(law, alpha):
             assert abs(nested - np.sum(terms)) <= 8.0 * np.finfo(float).eps * np.sum(np.abs(terms))
 
 
+ATOMIC_LAWS = [TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), TwoPoint(0j, 1j, 0.0), Empirical((1 + 1j, -0.5 + 0.2j, 2 + 0.3j))]
+
+
+@pytest.mark.parametrize("law", ATOMIC_LAWS, ids=repr)
+def test_atomic_laws_answer_nested_nodes(law):
+    # the atoms of positive weight are both levels of a nested rule, whose
+    # sums then agree bit for bit
+    assert law.rule == "atoms"
+    for level in (6, 7):
+        points, weights, count, start, ratio = law.nested_nodes(level, 0.5j)
+        atoms, masses = law.nodes(level, 0.5j)
+        assert points.tobytes() == atoms.tobytes() and weights.tobytes() == masses.tobytes()
+        assert (count, start, ratio) == (len(atoms), 0, 1.0)
+
+
+def test_density_laws_name_the_node_rule():
+    assert [law.rule for law in [CAUCHY, T3] + GRADED_LAWS] == ["nodes"] * (2 + len(GRADED_LAWS))
+
+
 def test_real_line_and_atomic_rules_ignore_alpha():
     for law in (Cauchy(0.5, 2.0), ScaledT3(-1.0, 0.5), TwoPoint(1j, -1.0, 0.25)):
         for got, want in zip(law.nodes(5, 1 + 0.5j), law.nodes(5)):
@@ -402,6 +421,46 @@ def test_model_support_classes():
     assert TwoPoint(1.0, -2.0, 0.5).support == "real"
     assert TwoPoint(1j, 1.0, 0.5).support == "upper"
     assert TwoPoint(1j, -1j, 0.5).support == "complex"
+
+
+def test_no_isinstance_dispatch_on_law_bases():
+    # the routes read a law's rule attribute, not its class
+    bases = {"AtomicLaw", "_NestedRule", "_RealLineLaw", "_ResidueLaw"}
+    sites = []
+    for path in sorted(pathlib.Path(fracmean.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+                if named & bases:
+                    sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Cauchy(0.0, math.inf),
+        lambda: Cauchy(math.nan, 1.0),
+        lambda: ScaledT3(math.nan, 1.0),
+        lambda: Poincare(math.inf, 0.0, 1.0),
+        lambda: Poincare(1.0, math.nan, 1.0),
+        lambda: TwoPoint(math.nan, 1.0, 0.5),
+        lambda: TwoPoint(1.0, complex(0.0, math.inf), 0.5),
+        lambda: Empirical((1.0, complex(math.inf, 1.0))),
+    ],
+    ids=["cauchy-sigma-inf", "cauchy-mu-nan", "t3-mu-nan", "poincare-a-inf", "poincare-b-nan",
+         "twopoint-z1-nan", "twopoint-z2-inf", "empirical-inf"],
+)
+def test_laws_refuse_non_finite_parameters(build):
+    # a nan or inf passes every range check and comes out of each route as nan
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("text", ["nan+1i", "1+nani", "nan"])
+def test_parse_complex_refuses_non_finite_numbers(text):
+    with pytest.raises(ValueError, match="finite"):
+        parse_complex(text)
 
 
 def test_no_isinstance_dispatch_on_families():

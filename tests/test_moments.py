@@ -710,11 +710,11 @@ def test_frac_deriv_geometric_mean_of_cauchy(n):
     "law, spec",
     [
         (POIN, PowerMeanSpec(p=-0.5, n=2, alpha=0.5j)),  # node rule at two levels
-        (CAUCHY, PowerMeanSpec(p=-0.5, n=2, alpha=1j)),  # closed single-draw transform
+        (CAUCHY, PowerMeanSpec(p=-0.5, n=2, alpha=1j)),  # node rule of a real-line law
         (CAUCHY, PowerMeanSpec(p=0.0, n=2, alpha=1j)),  # geometric mean by E[Z**(1/n)]
         (POIN, PowerMeanSpec(p=0.0, n=1)),  # geometric mean of one draw
     ],
-    ids=["nodes", "single-draw", "geometric", "geometric-n1"],
+    ids=["nodes", "real-line-nodes", "geometric", "geometric-n1"],
 )
 def test_frac_deriv_estimates_name_their_route(law, spec):
     est = power_mean_expectation(law, spec, Route.FRAC_DERIV)
@@ -728,7 +728,7 @@ def test_frac_deriv_estimates_name_their_route(law, spec):
 def test_frac_deriv_exact_transform_carries_rounding_allowance(p, n):
     law, spec = TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), PowerMeanSpec(p=p, n=n)
     est = power_mean_expectation(law, spec, Route.FRAC_DERIV)
-    assert est.meta.get("transform") == ("atoms" if n > 1 else None)  # n = 1 takes E[Z + alpha]
+    assert est.meta.get("transform") == "atoms"  # n = 1 sums the atoms at p = 1
     assert 0.0 < est.uncertainty <= 1e-14
     assert abs(est.value - power_mean_expectation(law, spec, Route.CLOSED).value) <= est.uncertainty
 
@@ -750,6 +750,57 @@ def test_frac_deriv_of_one_draw_is_the_mean(law, mean, p):
     # M_p = Z + alpha for n = 1 at every |p| <= 1
     est = power_mean_expectation(law, PowerMeanSpec(p=p, n=1, alpha=0.5j), Route.FRAC_DERIV)
     assert abs(est.value - (mean + 0.5j)) <= est.uncertainty <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "law, mean",
+    [(T3, 0j), (POIN, 1j), (TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), -0.05 + 0.65j),
+     (Empirical((1 + 1j, -0.5 + 0.2j, 2 + 0.3j)), (2.5 + 1.5j) / 3)],
+    ids=repr,
+)
+@pytest.mark.parametrize("p", [-0.5, 0.0, 0.4])
+def test_frac_deriv_of_one_draw_reads_no_closed_transform(monkeypatch, law, mean, p):
+    # one draw runs at p = 1 on the law's rule: M_p = Z + alpha = M_1
+    def closed(*args):
+        raise RuntimeError("FRAC_DERIV read the closed transform")
+
+    monkeypatch.setattr(moments, "char_fn_derivative", closed)
+    monkeypatch.setattr(moments, "_shifted_weighted_char", closed)
+    est = power_mean_expectation(law, PowerMeanSpec(p=p, n=1, alpha=0.5j), Route.FRAC_DERIV)
+    assert est.meta["transform"] == law.rule and est.meta["level"] == _NODE_LEVEL + 1
+    assert abs(est.value - (mean + 0.5j)) <= est.uncertainty
+
+
+@pytest.mark.parametrize("law", [TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), Empirical((1 + 1j, -0.5 + 0.2j, 2 + 0.3j))], ids=repr)
+@pytest.mark.parametrize("p", [-0.5, 0.4, 1.0])
+def test_frac_deriv_on_atoms_reports_a_zero_gap(law, p):
+    # the atoms are both levels of their rule, so the two sums are equal
+    est = power_mean_expectation(law, PowerMeanSpec(p=p, n=2, alpha=0.5j), Route.FRAC_DERIV)
+    assert est.meta["transform"] == "atoms" and est.meta["level"] == _NODE_LEVEL + 1
+    assert est.meta["level_gap"] == 0.0
+
+
+def test_frac_deriv_at_p_one_answers_a_real_line_law_at_real_alpha():
+    # W = Z + alpha has no branch point at p = 1, so the rule needs no grading
+    # toward -alpha: E[M_1] = mu + alpha
+    est = power_mean_expectation(ScaledT3(-0.5, 2.0), PowerMeanSpec(p=1.0, n=2, alpha=0.7), Route.FRAC_DERIV)
+    assert abs(est.value - 0.2) <= est.uncertainty <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "fields", [dict(p=math.nan, n=2, exploratory=True), dict(p=-0.5, n=2, alpha=complex(math.nan, 1.0))], ids=["p", "alpha"]
+)
+def test_power_mean_spec_refuses_non_finite_fields(fields):
+    with pytest.raises(ValueError, match="finite"):
+        PowerMeanSpec(**fields)
+
+
+@pytest.mark.parametrize("route", [Route.AUTO, Route.CLOSED, Route.QUAD, Route.MONTE_CARLO])
+@pytest.mark.parametrize("alpha, lam", [(math.nan, -0.5), (1j, complex(-0.5, math.inf))], ids=["alpha", "lam"])
+def test_frac_moment_refuses_non_finite_arguments(route, alpha, lam):
+    # checked before the routes, since AUTO would skip a ValueError of one step
+    with pytest.raises(ValueError, match="finite"):
+        frac_moment(POIN, alpha, lam, route, mc=MCConfig(samples=1000, seed=1))
 
 
 @pytest.mark.parametrize("route", [Route.CLOSED, Route.FRAC_DERIV, Route.MONTE_CARLO, Route.AUTO])
