@@ -1,9 +1,10 @@
 """One fractional moment, three independent computations.
 
 E[(Z + alpha)**lam] is evaluated by closed form, by fractional-order
-differentiation of the characteristic transform (a Riemann-Liouville
-integral for Re(lam) < 0, a Marchaud difference quotient for Re(lam) > 0),
-and by plain Monte Carlo.  The quadrature agrees with the closed forms to
+differentiation of the characteristic transform (one Riemann-Liouville
+integral at every order: at Re(lam) > 0 of the transform weighted by
+(Z + alpha)**k, k = ceil(Re lam), at the order lam - k in (-1, 0)), and by
+plain Monte Carlo.  The quadrature agrees with the closed forms to
 far better than the Monte Carlo noise floor, which is the point: the three
 routes police one another.  Monte Carlo refuses a moment whose samples have
 no finite variance (the t3 law at lambda = 1.5, where E|Z + i|^3 diverges),

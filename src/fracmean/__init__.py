@@ -19,7 +19,6 @@ from .quad import (
     NonConvergenceError,
     QuadraturePreconditionError,
     QuadratureConfig,
-    integrate_marchaud,
     integrate_singular_decaying,
 )
 from .distributions import (

@@ -4,8 +4,9 @@ Routes, cross-checking one another:
 
 * closed forms where a family admits them,
 * fractional-order differentiation of the half-line characteristic
-  transform, realized as quadrature (a Riemann-Liouville integral for
-  Re(lam) < 0, a Marchaud difference quotient for Re(lam) > 0),
+  transform, realized as quadrature: one Riemann-Liouville integral of
+  order lam - k, Re(lam - k) in (-1, 0) at Re(lam) > 0, of the transform
+  weighted by Z'**k, k = max(ceil(Re lam), 0),
 * Monte Carlo with componentwise standard errors and deterministic,
   stream-split batching.
 
@@ -27,7 +28,7 @@ from .distributions import (
     SupportError,
     _check_finite,
     _point_masses,
-    char_fn,  # no caller here: perfbench/tracer.py wraps this name
+    char_fn,  # no caller here: perfbench/tracer.py wraps these names
     char_fn_derivative,
 )
 from .gammafn import gamma
@@ -49,9 +50,7 @@ from .quad import (
     QuadratureConfig,
     _EPS,
     _evaluate,
-    integrate_marchaud,
     integrate_singular_decaying,
-    marchaud_unit_interval,  # no caller here: perfbench/tracer.py wraps this name
 )
 
 __all__ = [
@@ -76,9 +75,8 @@ __all__ = [
 
 class Route(enum.Enum):
     """A route, and the method of every estimate it makes: QUAD (moments) and
-    FRAC_DERIV (power means) run the fractional operators, Riemann-Liouville
-    at negative orders and Marchaud at positive ones; AUTO takes the first
-    route that answers and is never a method."""
+    FRAC_DERIV (power means) run one Riemann-Liouville operator at every
+    order; AUTO takes the first route that answers and is never a method."""
 
     CLOSED = "closed"
     QUAD = "quad"
@@ -267,12 +265,15 @@ def closed_moment(model, alpha, lam):
 
 
 def _shifted_weighted_char(model, alpha, k, u):
-    """E[(Z + alpha)**k exp(iu (Z + alpha))] via the transform derivatives,
-    at one u or, for a law with a density, at each u of a 1-d array."""
+    """E[(Z + alpha)**k exp(iu (Z + alpha))] via the transform derivatives of
+    a law with a density, at each u >= 0 of a 1-d array.  The caller checks
+    a moment of order above k - 1, so k may be the tail index, where the
+    derivative exists at u > 0 and its closed form gives the limit at u = 0+
+    (char_fn_derivative refuses u = 0 there)."""
     alpha = complex(alpha)
     total = 0.0 + 0.0j
     for j in range(k + 1):
-        ezj = 1j ** j * char_fn_derivative(model, j, u)
+        ezj = 1j ** j * model.char_deriv(j, u)
         total += math.comb(k, j) * alpha ** (k - j) * ezj
     return np.exp(1j * u * alpha) * total
 
@@ -311,44 +312,41 @@ def _cfg_meta(cfg):
     return {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "max_level": cfg.max_level}
 
 
-def _fractional_power(h, lam, cfg, phase, amplitude=0.0):
-    """E[Y**lam] from h(t) = E[Y**k exp(phase t Y)], with k = floor(Re lam)
-    for Re(lam) > 0 and k = 0 otherwise; phase is i for Y in the open upper
-    half plane, -i in the open lower one; amplitude bounds the terms h sums
-    (the Marchaud rounding), or 0.  h is an integrand of quad, at an array
-    of t; a companion goes through the same operator at the same nodes.
-    Returns (value, uncertainty, evaluations, companion, its uncertainty) of
+def _fractional_power(h, d, cfg, phase):
+    """E[Y**(k + d)] from h(t) = E[Y**k exp(phase t Y)], Re d < 0 or d = 0;
+    for an order lam the callers take k = max(ceil(Re lam), 0), so that
+    Re d lies in (-1, 0) at Re lam > 0, as E[Y**lam] = E[Y**k Y**(lam - k)]
+    integrates by parts.  phase is i for Y in the open upper half plane, -i
+    in the open lower one.  h is an integrand of quad, at an array of t; a
+    companion goes through the same operator at the same nodes.  Returns
+    (value, uncertainty, evaluations, companion, its uncertainty) of
 
-        Re lam < 0:  phase**lam / Gamma(-lam) int_0^inf t**(-lam-1) h(t) dt
-        Re lam > 0:  phase**d d / Gamma(1-d) int_0^inf (h(0) - h(u)) / u**(1+d) du,  d = lam - k
-        integer lam: h(0), with no quadrature
+        Re d < 0:  phase**d / Gamma(-d) int_0^inf t**(-d-1) h(t) dt
+        d = 0:     h(0), with no quadrature
+
+    A d below the least normal float is 0 to every digit, since phase**d and
+    Gamma(1 - d) round to 1, while h(0)/(-d) would pass the float range; h(0)
+    then carries the floor of an integral's error, 4 eps |h(0)|.
     """
-    if lam.real < 0:
-        res = integrate_singular_decaying(h, -lam - 1.0, cfg)
-        scale = principal_pow(phase, lam) / gamma(-lam)
-    else:
-        delta = lam - math.floor(lam.real)
-        d0 = tuple(complex(np.ravel(part)[0]) for part in _evaluate(h, np.zeros(1)))
-        if delta == 0:
-            return d0[0], 0.0, 0, d0[1], 0.0
-        res = integrate_marchaud(d0, h, delta, cfg, amplitude)
-        scale = principal_pow(phase, delta) * delta / gamma(1.0 - delta)
+    if abs(d) < 2.2250738585072014e-308:
+        start = tuple(complex(np.ravel(part)[0]) for part in _evaluate(h, np.zeros(1)))
+        return start[0], 4.0 * _EPS * abs(start[0]) if d else 0.0, 0, start[1], 0.0
+    res = integrate_singular_decaying(h, -d, cfg)
+    scale = principal_pow(phase, d) / gamma(-d)
     size = abs(scale)
     return scale * res.value, size * res.err_estimate, res.evaluations, scale * res.companion, size * res.companion_err
 
 
 def _rotated_atoms(points, weights, alpha, lam, k):
-    """(h, amplitude, rounding) for an atomic law, with every atom z of
-    Z' = Z + alpha moved onto its steepest-descent ray u = e^{i phi} r,
-    phi = pi/2 - arg z, where e^{iuz} = e^{-|z| r}.  Between the two rays
-    |e^{iuz}| <= 1, so by Cauchy's theorem, with d = lam - k,
+    """(h, rounding) for an atomic law, with every atom z of Z' = Z + alpha
+    moved onto its steepest-descent ray u = e^{i phi} r, phi = pi/2 - arg z,
+    where e^{iuz} = e^{-|z| r}.  Between the two rays |e^{iuz}| <= 1, so by
+    Cauchy's theorem, with d = lam - k, Re d < 0,
 
-        Re d < 0:  int_0^inf u**(-1-d) e^{iuz} du = e^{-i phi d} int_0^inf r**(-1-d) e^{-|z| r} dr,
-        Re d > 0:  int_0^inf (1 - e^{iuz}) u**(-1-d) du = e^{-i phi d} int_0^inf (1 - e^{-|z| r}) r**(-1-d) dr,
+        int_0^inf u**(-1-d) e^{iuz} du = e^{-i phi d} int_0^inf r**(-1-d) e^{-|z| r} dr,
 
     and h(u) = sum_j c_j e^{-|z_j| u}, c_j = w_j z_j**k e^{-i phi_j d}, is a
-    sum of exponentials decaying at the rate min_j |z_j|: no term oscillates.
-    Its amplitude sum_j |c_j| bounds the terms h sums."""
+    sum of exponentials decaying at the rate min_j |z_j|: no term oscillates."""
     z = points + alpha
     if np.any(z.imag < 0):
         raise SupportError("shifted atoms must stay in the closed upper half plane")
@@ -357,25 +355,20 @@ def _rotated_atoms(points, weights, alpha, lam, k):
     log_z = np_principal_log(z)  # the principal arg, so -x - 0i rotates like -x + 0i
     d = lam - k
     coef = weights * np.exp(k * log_z - 1j * d * (0.5 * math.pi - log_z.imag))
-    rates = np.abs(z)
-    kernel = _WeightedPowers(1j * rates, coef, 0)
-    amplitude = float(np.sum(np.abs(coef)))
-    rounding = 0.0  # at Re(lam) > 0 the Marchaud integral bounds it from amplitude
-    if lam.real < 0:
-        # each term w_j z_j**lam sums r**(-1-lam) e^{-|z_j| r} over nodes where
-        # |z_j| r reaches a few |lam|, and e^{-|z_j| r} inherits the rounding
-        # of r times that exponent, unseen by the level gap
-        sizes = weights * np.exp((lam * log_z).real)  # |w_j z_j**lam|
-        rounding = 8.0 * _EPS * (1.0 + abs(lam)) * float(np.sum(sizes))
-
-    return (lambda u: kernel(u)[..., 0, 0]), amplitude, rounding
+    kernel = _WeightedPowers(1j * np.abs(z), coef, 0)
+    # each term w_j z_j**lam sums r**(-1-d) e^{-|z_j| r} over nodes where
+    # |z_j| r reaches a few |d|, and e^{-|z_j| r} inherits the rounding of r
+    # times that exponent, unseen by the level gap
+    sizes = weights * np.exp((lam * log_z).real)  # |w_j z_j**lam|
+    rounding = 8.0 * _EPS * (1.0 + abs(lam)) * float(np.sum(sizes))
+    return (lambda u: kernel(u)[..., 0, 0]), rounding
 
 
 def _quad_moment(model, alpha, lam, cfg):
     """E[(Z + alpha)**lam], Re(lam) not zero or a positive integer, from the
-    fractional operator on h(u) = E[Z'**k exp(iuZ')], Z' = Z + alpha,
-    k = floor(Re lam) for Re(lam) > 0 and k = 0 otherwise, with the atoms of
-    an atomic law on rotated rays."""
+    Riemann-Liouville operator of order lam - k on h(u) = E[Z'**k exp(iuZ')],
+    Z' = Z + alpha, k = max(ceil(Re lam), 0), with the atoms of an atomic law
+    on rotated rays."""
     cfg = cfg or QuadratureConfig()
     alpha = complex(alpha)
     lam = complex(lam)
@@ -389,14 +382,14 @@ def _quad_moment(model, alpha, lam, cfg):
     if alpha.imag < 0:
         raise SupportError("alpha must lie in the closed upper half plane")
 
-    k = max(math.floor(lam.real), 0)
+    k = max(math.ceil(lam.real), 0)
     atoms = _point_masses(model)
     if atoms is not None:
-        h, amplitude, rounding = _rotated_atoms(*atoms, alpha, lam, k)
+        h, rounding = _rotated_atoms(*atoms, alpha, lam, k)
     else:
-        h, amplitude, rounding = functools.partial(_shifted_weighted_char, model, alpha, k), 0.0, 0.0
+        h, rounding = functools.partial(_shifted_weighted_char, model, alpha, k), 0.0
 
-    value, unc, evals, _, _ = _fractional_power(h, lam, cfg, 1j, amplitude)
+    value, unc, evals, _, _ = _fractional_power(h, lam - k, cfg, 1j)
     meta = {"evaluations": evals, "k": k, "quad": _cfg_meta(cfg)}
     return MomentEstimate(value, unc + rounding, Route.QUAD, meta)
 
@@ -411,8 +404,8 @@ def frac_moment_neg(model, alpha, lam, cfg=None):
 
 def frac_moment_pos(model, alpha, lam, cfg=None):
     """E[(Z + alpha)**lam] for Re(lam) > 0, Re(lam) not an integer: the
-    Marchaud difference quotient of E[Z'**k exp(iuZ')], Z' = Z + alpha,
-    k = floor(Re lam)."""
+    Riemann-Liouville integral of order lam - k, Re(lam - k) in (-1, 0), of
+    E[Z'**k exp(iuZ')], Z' = Z + alpha, k = ceil(Re lam)."""
     if complex(lam).real <= 0:
         raise ValueError("frac_moment_pos needs Re(lam) > 0")
     return _quad_moment(model, alpha, lam, cfg)
@@ -554,9 +547,10 @@ class _WeightedPowers:
     array in reused buffers, takes its product with each row and a pairwise
     sum along each product over each law's values, all on the calling
     thread: a BLAS product would hand the reduction to a thread pool, and
-    einsum's running sum loses digits that the Marchaud difference quotient
-    then magnifies.  The blocks hold at most _BLOCK_FLOATS floats, so a long
-    array of c is split here, whoever asks for it.  Every entry is computed
+    einsum's running sum loses digits that the difference h(t) - h(0) of
+    the Riemann-Liouville integral then magnifies.  The blocks hold at most
+    _BLOCK_FLOATS floats, so a long array of c is split here, whoever asks
+    for it.  Every entry is computed
     as it would be at that c alone, so an array of c gives the bits of one
     call per c.  It returns both laws' moments as rows 0 and 1 of a
     (2, jmax + 1) array per c, after the shape of c; without a coarser law,
@@ -657,11 +651,13 @@ class _SingleDrawTransform:
 
 # the names perfbench/tracer.py wraps; a call runs __call__ alone, one span
 _NegTransform = _PosTransformDerivs = _SingleDrawTransform
+# the names perfbench/tracer.py wraps for the Marchaud integrals; nothing calls them
+integrate_marchaud = marchaud_unit_interval = integrate_singular_decaying
 
 
 def _pm_frac_deriv(model, spec, cfg):
     """E[M_p] = E[S**(1/p)], S = (1/n) sum_j (Z_j + alpha)**p, at either sign
-    of p from E[S'**k exp(-iuS')], k = max(floor(1/p), 0), of the turned
+    of p from E[S'**k exp(-iuS')], k = max(ceil(1/p), 0), of the turned
     mean S' = e^{i psi} S below the real axis (_turn), as S**(1/p) =
     e^{-i psi / p} S'**(1/p) on the principal branch.  One draw runs at
     p = 1, since M_p = Z + alpha = M_1 at n = 1.  SupportError refuses a
@@ -689,11 +685,11 @@ def _pm_frac_deriv(model, spec, cfg):
     else:
         _check_real_shift(model, alpha, p, p != 1)  # on the node rule
         order = 1.0 / p
-        if order >= 171:
-            raise RouteUnavailableError(f"1/p = {order:g} needs {math.floor(order)}!, past the float range")
         if order > 0 and abs(order - round(order)) < 1e-12:
             order = round(order)  # a plain derivative of the transform
-        k = max(math.floor(order), 0)
+        k = max(math.ceil(order), 0)
+        if k > 170:
+            raise RouteUnavailableError(f"1/p = {order:g} needs {k}!, past the float range")
         evals = 0
         for level in (_NODE_LEVEL + 1, _NODE_LEVEL + 2):
             transform = _SingleDrawTransform(model, alpha, p, n, k, level)
@@ -701,7 +697,7 @@ def _pm_frac_deriv(model, spec, cfg):
             if order != k and not np.all(transform.atoms.imag < 0.0):
                 raise SupportError("single-draw transform does not decay: a turned value e^{i psi} (Z + alpha)**p not below the real axis; check alpha")
             try:
-                value, unc, used, gap, gap_unc = _fractional_power(transform, order, cfg, -1j)
+                value, unc, used, gap, gap_unc = _fractional_power(transform, order - k, cfg, -1j)
             except NonConvergenceError as exc:
                 exc.evaluations += evals
                 raise

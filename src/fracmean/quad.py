@@ -1,33 +1,25 @@
-"""Semi-infinite quadrature for the two integral shapes of fractional calculus.
+"""Semi-infinite quadrature for the integral shape of fractional calculus.
 
-Two entry points:
-
-* ``integrate_singular_decaying`` handles ``int_0^inf t**s g(t) dt`` where the
-  algebraic factor t**s (Re s > -1) carries an endpoint singularity; the tail
-  [1, inf) is mapped onto (0, 1] by t = 1/v, so g needs no known decay rate.
-* ``integrate_marchaud`` handles the difference quotient
-  ``int_0^inf (d0 - f(u)) / u**(1+delta) du`` with 0 < Re(delta) < 1.
-
-Both are built on one tanh-sinh (double exponential) trapezoid kernel with
-level refinement.  ``tanh_sinh_nodes`` gives the rule, computed once per
-level and floor, to the laws' node rules; the kernel reads each level's
-nodes from the same computation, held as distances from the endpoints.
+``integrate_singular_decaying`` handles the Mellin integral
+``int_0^inf t**(a-1) g(t) dt``, Re a > 0, where the algebraic factor carries
+an endpoint singularity: on (0, 1] it integrates t**(a-1) (g(t) - g(0)) and
+adds g(0)/a, with a exact, and the tail [1, inf) is mapped onto (0, 1] by
+t = 1/v, so g needs no known decay rate.  It runs on one tanh-sinh (double
+exponential) trapezoid kernel with level refinement.  ``tanh_sinh_nodes``
+gives the rule, computed once per level and floor, to the laws' node rules;
+the kernel reads each level's nodes from the same computation, held as
+distances from the endpoints.
 
 An integrand takes a 1-d float array of abscissae and returns an array, or
 a pair (value, companion) of arrays such as a quantity and the gap between
 two levels of the rule behind it, each a scalar or of the abscissae's shape
 (QuadraturePreconditionError otherwise); a plain output v counts as (v, 0).
-Both components are summed at the same nodes, but the value alone decides
-where a walk stops, when the levels stop and whether the origin is
-Lipschitz, so adding a companion leaves the value's bits unchanged; the
+Both components are summed at the same nodes.  The value alone decides
+where a walk stops and whether the integral converged; the levels stop once
+both components' error estimates meet the value's tolerance, and the
 companion gets its own error estimate.  Each end of a level is one call for
 its new nodes, rarely more, and the nodes past the stop are dropped; what an
 integrand holds in memory per abscissa is its own concern.
-
-The Marchaud route needs special care at the origin: for small u the
-difference d0 - f(u) drowns in rounding noise while the weight u**(-1-delta)
-amplifies it, so below a fixed cut the ratio (d0 - f(u))/u is replaced by a
-fitted polynomial model whose moments integrate in closed form.
 """
 
 import cmath
@@ -37,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .principal import principal_pow
+from .principal import principal_pow  # no caller here: perfbench/tracer.py wraps this name
 
 __all__ = [
     "QuadratureConfig",
@@ -45,8 +37,6 @@ __all__ = [
     "NonConvergenceError",
     "QuadraturePreconditionError",
     "integrate_singular_decaying",
-    "integrate_marchaud",
-    "marchaud_unit_interval",
     "tanh_sinh_nodes",
 ]
 
@@ -111,11 +101,6 @@ def _evaluate(f, ts):
             f"shape, or a pair of those; it returned the shapes {shapes}"
         )
     return parts
-
-
-def _components(d0):
-    """d0, a number v or a pair, as a pair of complex numbers, v as (v, 0)."""
-    return tuple(complex(part) for part in (d0 if type(d0) is tuple else (d0, 0.0)))
 
 
 def _power(x, lam):
@@ -239,7 +224,9 @@ def _de_finite(f, a, b, cfg, evaluations=0):
     An integral splits into at most two such segments, each held to half of
     cfg.abs_tol.  Returns (value, err_estimate, size) for each component,
     size being the sum of |term| of the last level, and the evaluations
-    added to those given; the value alone decides the levels, and
+    added to those given.  The levels stop once the value's last refinement
+    and the companion's error estimate (_companion_err) both meet the
+    value's tolerance; the value alone decides convergence, and
     NonConvergenceError, counting the evaluations given too, is raised when
     its last two refinements still disagree beyond tolerance at
     cfg.max_level.
@@ -262,7 +249,7 @@ def _de_finite(f, a, b, cfg, evaluations=0):
         err = abs(refined - value)
         value, other = refined, refined_other
         others.append(other)
-        if level >= 2 and err <= max(abs_tol, rel_tol * abs(value)):
+        if level >= 2 and max(err, _companion_err(others)) <= max(abs_tol, rel_tol * abs(value)):
             break
     floor = 4.0 * _EPS * abs(value)
     err = max(err, floor)
@@ -273,175 +260,81 @@ def _de_finite(f, a, b, cfg, evaluations=0):
             err_estimate=err,
             evaluations=evaluations,
         )
-    # the companion's last difference bounds its error where its sums converge,
-    # each of its last two differences at most half the one before; where they
-    # do not yet, at the levels its value chose, it may be off by its sums' size
-    diffs = [math.inf] + [abs(later - earlier) for earlier, later in zip(others, others[1:])]
+    return (value, err, size), (other, max(_companion_err(others), 4.0 * _EPS * abs(other)), other_size), evaluations
+
+
+def _companion_err(sums):
+    """The error of the last of a companion's sums over the levels: its last
+    difference where its sums converge, each of its last two differences at
+    most half the one before; where they do not yet, it may be off by its
+    sums' size."""
+    diffs = [math.inf] + [abs(later - earlier) for earlier, later in zip(sums, sums[1:])]
     if diffs[-1] > 0.5 * diffs[-2] or diffs[-2] > 0.5 * diffs[-3]:
-        diffs[-1] += max(abs(others[-1]), abs(others[-2]))
-    return (value, err, size), (other, max(diffs[-1], 4.0 * _EPS * abs(other)), other_size), evaluations
+        return diffs[-1] + max(abs(sums[-1]), abs(sums[-2]))
+    return diffs[-1]
 
 
-def integrate_singular_decaying(g, s, cfg=None):
-    """int_0^inf t**s g(t) dt for complex s, Re s > -1, and t**s g(t)
+def integrate_singular_decaying(g, a, cfg=None):
+    """int_0^inf t**(a-1) g(t) dt for complex a, Re a > 0, and t**(a-1) g(t)
     integrable at infinity, for each component of g, an integrand as the
-    module describes; t**s is principal, t**Re(s) e^{i Im(s) log t}, and a
-    real s stays real.
+    module describes that is finite at t = 0; t**(a-1) is principal,
+    t**Re(a-1) e^{i Im(a) log t}, and a real a stays real.
 
-    Both stretches run on tanh-sinh over (0, 1]: the singular one as it
-    stands, the tail [1, inf) through t = 1/v as int_0^1 v**(-s-2) g(1/v) dv,
-    so no decay rate, truncation point or tail bound enters: an integrand
-    that decays only algebraically is as welcome as an exponential one.
-    Besides the level gaps, the error estimate carries the rounding of the
-    terms, 4 eps (2 + |s|) times the sum of their sizes, since t**s and the
-    phases of g lose relative accuracy in proportion to |s| where the terms
-    cancel; the companion's adds twice the value's, as for a difference of
-    two quantities of the value's size.
+    Both stretches run on tanh-sinh over (0, 1]: the singular one as
+    g(0)/a + int_0^1 t**(a-1) (g(t) - g(0)) dt, whose integrand vanishes at
+    0 for g Lipschitz there, so the mass below the innermost node is not
+    lost however small Re a is, and a is taken as given, not as 1 + (a - 1),
+    so a small a keeps its digits; the tail [1, inf) through t = 1/v as
+    int_0^1 v**(-a-1) g(1/v) dv, so no decay rate, truncation point or tail
+    bound enters: an integrand that decays only algebraically is as welcome
+    as an exponential one.  Besides the level gaps, the error estimate
+    carries the rounding of the terms, 4 eps (2 + |a - 1|) times the sum of
+    their sizes, since t**(a-1) and the phases of g lose relative accuracy
+    in proportion to |a - 1| where the terms cancel, and of g(0)/a and each
+    difference g(t) - g(0) over the head; a companion with a
+    term that is not 0 adds twice the value's, as for a difference of two
+    quantities of the value's size.
     """
     cfg = cfg or QuadratureConfig()
-    s = complex(s)
-    s = s.real if s.imag == 0 else s
-    if s.real <= -1.0:
-        raise QuadraturePreconditionError("need Re s > -1 for integrability at 0")
+    a = complex(a)
+    a = a.real if a.imag == 0 else a
+    if a.real <= 0.0:
+        raise QuadraturePreconditionError("need Re a > 0 for integrability at 0")
+    s = a - 1.0
+    start = tuple(complex(np.ravel(part)[0]) for part in _evaluate(g, np.zeros(1)))
+    if not all(map(cmath.isfinite, start)):
+        raise NonConvergenceError("integrand not finite at t=0.0", evaluations=1)
 
     def head(t):
         values, companions = _evaluate(g, t)
         scale = _power(t, s)
-        return scale * values, scale * companions
+        return scale * (values - start[0]), scale * (companions - start[1])
 
     def tail(v):
         values, companions = _evaluate(g, 1.0 / v)
-        # where both have underflowed, v**(-s-2) may be past the float range:
+        # where both have underflowed, v**(-a-1) may be past the float range:
         # those terms are 0, and a scale past it elsewhere gives a term the
         # walk reports as not finite
-        scale = np.where((values == 0) & (companions == 0), 0.0, _power(v, -s - 2.0))
+        scale = np.where((values == 0) & (companions == 0), 0.0, _power(v, -a - 1.0))
         return scale * values, scale * companions
 
-    (v1, e1, a1), (c1, ce1, ca1), evaluations = _de_finite(head, 0.0, 1.0, cfg)
+    (v1, e1, a1), (c1, ce1, ca1), evaluations = _de_finite(head, 0.0, 1.0, cfg, 1)
     (v2, e2, a2), (c2, ce2, ca2), evaluations = _de_finite(tail, 0.0, 1.0, cfg, evaluations)
-    rounding = 4.0 * _EPS * (2.0 + abs(s)) * (a1 + a2)
+    factor = 4.0 * _EPS * (2.0 + abs(s))
+    # g(0)/a rounds by up to |g(0)/a| eps and each g(t) - g(0) by up to
+    # |g(0)| eps, where the head's weights times t**(Re a - 1) sum to at most
+    # 1/Re(a), and to at most the sum of w/t over its nodes, 1,003 at level 0
+    # and less at every later one
+    spread = 1.0 / abs(a) + min(1.0 / a.real, 1003.0)
+    rounding = factor * (a1 + a2 + abs(start[0]) * spread)
+    companion_sizes = ca1 + ca2 + abs(start[1]) * spread
     # a companion that differences two quantities of the value's size
-    # carries the rounding of both
-    companion_rounding = 4.0 * _EPS * (2.0 + abs(s)) * (ca1 + ca2) + 2.0 * rounding
-    return IntegralResult(v1 + v2, e1 + e2 + rounding, evaluations, c1 + c2, ce1 + ce2 + companion_rounding)
-
-
-_MARCHAUD_CUT = 1e-4          # below this, d0 - f(u) is replaced by the fitted model
-_MARCHAUD_FIT_LO = 3e-5       # fit window (log-spaced) for the model of (d0-f)/u
-_MARCHAUD_FIT_HI = 1e-2
-_MARCHAUD_PROBE_LO = 1e-6     # probe window for the Lipschitz precondition
-
-
-@functools.cache
-def _fit_window():
-    """Abscissae of the near-origin fit, the cubic basis on them and its
-    pseudo-inverse, from lstsq: np.linalg.pinv's SVD maps more of LAPACK."""
-    us = np.logspace(math.log10(_MARCHAUD_FIT_LO), math.log10(_MARCHAUD_FIT_HI), 12)
-    basis = np.stack([np.ones_like(us), us, us ** 2, us ** 3], axis=1)
-    return us, basis, np.linalg.lstsq(basis, np.eye(len(us)), rcond=None)[0]
-
-
-def _near_origin_model(d0, f, delta, noise):
-    """int_0^cut (d0 - f(u)) / u**(1+delta) du for each component of the
-    integrand f, from a least-squares cubic model of the ratio (d0 - f(u))/u
-    near the origin, and its error bound, where noise bounds the rounding of
-    each difference d0 - f(u), per component; then the evaluations of f.
-
-    Fitting the ratio rather than the difference keeps the fit weights
-    uniform across the log-spaced window, so the leading coefficient is not
-    distorted by the top of the window.  Also validates the Lipschitz
-    precondition on the value: the ratio must not diverge like a power of
-    1/u as u -> 0 (slow log growth is tolerated and shows up in the
-    residual).
-    """
-    probes = np.logspace(math.log10(_MARCHAUD_PROBE_LO), -1.0, 11)
-    ratios = np.abs(d0[0] - _evaluate(f, probes)[0]) / probes
-    if np.max(ratios) > 0.0:
-        mask = ratios > 0.0
-        if mask.sum() >= 4:
-            slope = np.polyfit(np.log(probes[mask]), np.log(ratios[mask]), 1)[0]
-            if slope < -0.2 and ratios[0] > 10.0 * (ratios[-1] + 1e-300):
-                raise QuadraturePreconditionError(
-                    "d0 - f(u) is not Lipschitz at the origin: "
-                    f"|d0 - f(u)|/u grows like u^{slope:.2f}"
-                )
-    us, basis, pinv = _fit_window()
-    ratio_vals = np.array([(d0_c - part) / us for d0_c, part in zip(d0, _evaluate(f, us))], dtype=complex)
-    # int_0^a (c0 + c1 u + c2 u^2 + c3 u^3) u^(-delta) du, the ratio model
-    # times u restoring the difference
-    a_cut = _MARCHAUD_CUT
-    mom = np.array([principal_pow(a_cut, (m + 1) - delta) / ((m + 1) - delta) for m in range(4)])
-    # the model is linear in the ratios, each off by up to noise/u
-    spread = float(np.abs(mom @ pinv) @ (1.0 / us))
-    out = []
-    for ratios_c, noise_c in zip(ratio_vals, noise):
-        coef = pinv @ ratios_c
-        residual = float(np.max(np.abs(ratios_c - basis @ coef)))
-        err = residual * a_cut ** (1.0 - delta.real) / (1.0 - delta.real) + noise_c * spread
-        out.append((complex(mom @ coef), err))
-    return (*out, len(probes) + len(us))
-
-
-def marchaud_unit_interval(d0, f, delta, cfg=None, amplitude=0.0):
-    """int_0^1 (d0 - f(u)) / u**(1+delta) du, with the cancellation-safe
-    near-origin treatment but no far field; d0 and f(u) may be pairs, f an
-    integrand as the module describes.
-
-    Below the cut at u = 1e-4 the difference d0 - f(u) drowns in rounding
-    noise while u**(-1-delta) amplifies it, so there the ratio model from
-    the clean window takes over and its moments integrate in closed form;
-    the fit residual joins the error estimate.  So does the rounding of
-    d0 - f(u), up to 2 eps max(amplitude, |d0|) at every u, where amplitude
-    bounds the terms that f sums, as the weight magnifies it on both pieces;
-    a companion, the difference of two such sums, is allowed twice that.
-    """
-    cfg = cfg or QuadratureConfig()
-    delta = complex(delta)
-    if not 0.0 < delta.real < 1.0:
-        raise QuadraturePreconditionError("need 0 < Re(delta) < 1")
-    d0 = _components(d0)
-    noise = 2.0 * _EPS * max(amplitude, abs(d0[0]))
-    (near, near_err), (near_c, near_c_err), evaluations = _near_origin_model(d0, f, delta, (noise, 2.0 * noise))
-
-    def mid_integrand(u):
-        values, companions = _evaluate(f, u)
-        weight = _power(u, -1.0 - delta)
-        return (d0[0] - values) * weight, (d0[1] - companions) * weight
-
-    (mid, mid_err, _), (mid_c, mid_c_err, _), evaluations = _de_finite(mid_integrand, _MARCHAUD_CUT, 1.0, cfg, evaluations)
-    mid_err += noise * (_MARCHAUD_CUT ** -delta.real - 1.0) / delta.real
-    mid_c_err += 2.0 * noise * (_MARCHAUD_CUT ** -delta.real - 1.0) / delta.real
-    return IntegralResult(near + mid, near_err + mid_err, evaluations, near_c + mid_c, near_c_err + mid_c_err)
-
-
-def integrate_marchaud(d0, f, delta, cfg=None, amplitude=0.0):
-    """int_0^inf (d0 - f(u)) / u**(1+delta) du for 0 < Re(delta) < 1, for
-    each component of the pair d0, f(u) (a number counting as (v, 0)), f an
-    integrand as the module describes.
-
-    Requires |d0 - f(u)| <= L u near the origin (checked numerically on the
-    value) and d0 - f(u) bounded, with f itself decaying so the far field
-    converges after the exact split int_1^inf d0 u**(-1-delta) du =
-    d0 / delta; the decaying remainder is integrated through the
-    substitution u = 1/v.  amplitude is as in marchaud_unit_interval.
-    """
-    cfg = cfg or QuadratureConfig()
-    delta = complex(delta)
-    d0 = _components(d0)
-    head = marchaud_unit_interval(d0, f, delta, cfg, amplitude)  # which checks delta
-
-    def far_integrand(v):
-        # every node of the rule on (0, 1) lies 6e-276 or more from the ends,
-        # short of where its weight underflows, so 1/v is finite
-        values, companions = _evaluate(f, 1.0 / v)
-        weight = _power(v, delta - 1.0)
-        return values * weight, companions * weight
-
-    (far, far_err, _), (far_c, far_c_err, _), evaluations = _de_finite(far_integrand, 0.0, 1.0, cfg, head.evaluations)
+    # carries the rounding of both; one that is 0 at every node carries none
+    companion_rounding = factor * companion_sizes + 2.0 * rounding if companion_sizes else 0.0
     return IntegralResult(
-        head.value + d0[0] / delta - far,
-        head.err_estimate + far_err,
-        evaluations,
-        head.companion + d0[1] / delta - far_c,
-        head.companion_err + far_c_err,
+        start[0] / a + v1 + v2, e1 + e2 + rounding, evaluations, start[1] / a + c1 + c2, ce1 + ce2 + companion_rounding
     )
+
+
+# the name perfbench/tracer.py wraps for a near-origin fit no integral has now
+_near_origin_model = _de_finite

@@ -116,7 +116,7 @@ def test_distinguish_cauchy_vs_t3_closed_value():
 
 
 def test_distinguish_by_quadrature_at_both_signs_of_lambda():
-    # one quadrature route takes the Riemann-Liouville and the Marchaud points alike
+    # one quadrature route takes the points of both signs alike
     mode = FixAlpha(1j, (-0.5, 0.5))
     quad = distinguish(CAUCHY, T3, mode, Route.QUAD)
     closed = distinguish(CAUCHY, T3, mode, Route.CLOSED)

@@ -12,7 +12,7 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracmean.distributions import Empirical
+from fracmean.distributions import Cauchy, Empirical, Poincare, ScaledT3
 from fracmean.gammafn import gamma
 from fracmean.moments import closed_moment, frac_moment_neg, frac_moment_pos
 from fracmean.principal import _scaled_phasor, np_principal_pow, principal_pow
@@ -100,11 +100,11 @@ upper_atoms = st.tuples(atom_moduli, st.floats(min_value=0.0, max_value=math.pi)
 @settings(max_examples=400, deadline=None)
 @given(
     st.lists(st.one_of(real_atoms, upper_atoms), min_size=1, max_size=7),
-    st.one_of(st.floats(min_value=-2.99, max_value=-0.1), st.floats(min_value=0.01, max_value=2.99)),
+    st.one_of(st.floats(min_value=-2.99, max_value=-1e-4), st.floats(min_value=1e-4, max_value=2.99)),
     st.floats(min_value=-1.0, max_value=1.0),
     st.sampled_from([0.0, 0.5]),
 )
-# the rounding of d0 - f(u) that the near-origin model extrapolates to u = 0
+# once understated by the rounding of a near-origin fit of the positive orders
 @example(
     [0.9172890062609872 + 0j, 0.9172890062609872 + 0j, cmath.rect(0.25, 1.617679733056225),
      cmath.rect(0.25, 2.97265625), 0.9140625 + 0j],
@@ -112,12 +112,11 @@ upper_atoms = st.tuples(atom_moduli, st.floats(min_value=0.0, max_value=math.pi)
 )
 def test_rotated_atom_moments_match_closed_form(atoms, a, b, shift):
     # atoms on the real axis and in the upper half plane, every one on its
-    # own steepest-descent ray inside one Riemann-Liouville or Marchaud
-    # integral.  A shift moves the law down by shift*i and alpha = shift*i
-    # moves it back, so real atoms come from a law with complex support.
-    # Orders within 0.1 below zero are left out: there t**(-1-Re lam) is
-    # barely integrable at the origin, for density laws as for atoms.
-    hypothesis.assume(a < 0 or abs(a - round(a)) >= 0.02)
+    # own steepest-descent ray inside one Riemann-Liouville integral, of
+    # order lam - k just below 0 where lam lies just below an integer k or 0.
+    # A shift moves the law down by shift*i and alpha = shift*i moves it
+    # back, so real atoms come from a law with complex support.
+    hypothesis.assume(a < 0 or abs(a - round(a)) >= 1e-4)
     lam = complex(a, b)
     law = Empirical(tuple(z - 1j * shift for z in atoms))
     alpha = 1j * shift
@@ -127,3 +126,28 @@ def test_rotated_atom_moments_match_closed_form(atoms, a, b, shift):
     err = abs(est.value - want)
     assert err <= est.uncertainty, (atoms, lam, shift, err, est.uncertainty)
     assert err <= 1e-8 * size, (atoms, lam, shift, err, size)
+
+
+DENSITY_LAWS = [(Cauchy(0.0, 1.0), 1j), (Cauchy(0.3, 2.0), 0.5 + 0.5j), (ScaledT3(0.0, 1.0), 1j),
+                (ScaledT3(-0.5, 2.0), 0.2j), (Poincare(1.0, 0.0, 1.0), 0j), (Poincare(2.0, 1.0, 1.0), 0.3 + 0.1j)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(DENSITY_LAWS),
+    st.integers(min_value=-2, max_value=2),
+    st.one_of(st.floats(min_value=-0.03, max_value=-1e-4), st.floats(min_value=1e-4, max_value=0.03),
+              st.floats(min_value=-0.97, max_value=0.97)),
+    st.one_of(st.just(0.0), st.floats(min_value=-1.0, max_value=1.0)),
+)
+def test_quad_moments_of_density_laws_match_closed_form(law_alpha, whole, offset, b):
+    # Re lam in (-3, 3), within 0.03 of 0 and of each integer among the
+    # rest, where the Riemann-Liouville order lam - k reaches 0 or -1
+    law, alpha = law_alpha
+    lam = complex(whole + offset, b)
+    hypothesis.assume(-3.0 < lam.real < getattr(law, "max_moment", 3.0))
+    hypothesis.assume(lam.real != 0 and (lam.real < 0 or lam.real != int(lam.real)))
+    est = (frac_moment_neg if lam.real < 0 else frac_moment_pos)(law, alpha, lam)
+    want = closed_moment(law, alpha, lam)
+    err = abs(est.value - want)
+    assert err <= est.uncertainty <= 1e-8 * max(1.0, abs(want)), (law, alpha, lam, err, est.uncertainty)

@@ -1,4 +1,4 @@
-"""The two semi-infinite integrators against Gamma-integral ground truth."""
+"""The semi-infinite integrator against Gamma-integral ground truth."""
 
 import math
 import warnings
@@ -14,7 +14,6 @@ from fracmean.quad import (
     QuadraturePreconditionError,
     QuadratureConfig,
     _de_finite,
-    integrate_marchaud,
     integrate_singular_decaying,
     tanh_sinh_nodes,
 )
@@ -23,7 +22,7 @@ SQRT_PI = 1.7724538509055159
 
 
 def test_gamma_integral_singular_endpoint():
-    res = integrate_singular_decaying(lambda t: np.exp(-t), -0.5)
+    res = integrate_singular_decaying(lambda t: np.exp(-t), 0.5)
     assert abs(res.value - SQRT_PI) <= 1e-9
     assert res.err_estimate >= abs(res.value - SQRT_PI)
     assert res.evaluations > 0
@@ -32,42 +31,79 @@ def test_gamma_integral_singular_endpoint():
 def test_power_overflow_is_nonconvergence():
     # t**400 leaves the float range past t ~ 5.9, inside the integration range
     with pytest.raises(NonConvergenceError, match="not finite"):
-        integrate_singular_decaying(lambda t: np.exp(-t), 400.0)
+        integrate_singular_decaying(lambda t: np.exp(-t), 401.0)
 
 
 def test_tail_past_the_float_range_neither_warns_nor_raises():
-    # at s = 100 the tail's v**(-102) overflows at nodes where e^(-1/v) has
-    # already underflowed to 0, and those terms are 0; at s = 400 it overflows
+    # at a = 101 the tail's v**(-102) overflows at nodes where e^(-1/v) has
+    # already underflowed to 0, and those terms are 0; at a = 401 it overflows
     # where e^(-1/v) is not 0 yet, a term the walk reports as not finite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = integrate_singular_decaying(lambda t: np.exp(-t), 100.0)
+        res = integrate_singular_decaying(lambda t: np.exp(-t), 101.0)
         want = math.factorial(100)
         assert abs(res.value - want) <= 1e-12 * want
         with pytest.raises(NonConvergenceError, match="not finite"):
-            integrate_singular_decaying(lambda t: np.exp(-t), 400.0)
+            integrate_singular_decaying(lambda t: np.exp(-t), 401.0)
 
 
 def test_plain_exponential():
-    res = integrate_singular_decaying(lambda t: np.exp(-t), 0.0)
+    res = integrate_singular_decaying(lambda t: np.exp(-t), 1.0)
     assert abs(res.value - 1.0) <= 1e-10
 
 
 def test_oscillatory_decaying_matches_gamma_times_power():
-    res = integrate_singular_decaying(lambda t: np.exp((1j - 1.0) * t), -0.5)
+    res = integrate_singular_decaying(lambda t: np.exp((1j - 1.0) * t), 0.5)
     want = gamma(0.5) * principal_pow(1.0 - 1j, -0.5)
     assert abs(res.value - want) <= 1e-9
 
 
 def test_complex_exponent_is_principal():
-    # int_0^inf t**s e^-t dt = Gamma(1 + s), with t**s = t**Re(s) e^{i Im(s) log t}
-    for s in (-0.5 + 0.3j, -0.9 - 0.7j, 1.3 + 0.4j):
-        res = integrate_singular_decaying(lambda t: np.exp(-t), s)
-        assert abs(res.value - complex(mpmath.gamma(1 + s))) <= res.err_estimate
-    real = integrate_singular_decaying(lambda t: np.exp(-t), -0.5)
-    assert integrate_singular_decaying(lambda t: np.exp(-t), complex(-0.5, -0.0)) == real
+    # int_0^inf t**(a-1) e^-t dt = Gamma(a), with t**(a-1) = t**Re(a-1) e^{i Im(a) log t}
+    for a in (0.5 + 0.3j, 0.1 - 0.7j, 2.3 + 0.4j):
+        res = integrate_singular_decaying(lambda t: np.exp(-t), a)
+        assert abs(res.value - complex(mpmath.gamma(a))) <= res.err_estimate
+    real = integrate_singular_decaying(lambda t: np.exp(-t), 0.5)
+    assert integrate_singular_decaying(lambda t: np.exp(-t), complex(0.5, -0.0)) == real
     with pytest.raises(QuadraturePreconditionError):
-        integrate_singular_decaying(lambda t: np.exp(-t), -1.0 + 0.5j)
+        integrate_singular_decaying(lambda t: np.exp(-t), 0.5j)
+
+
+@pytest.mark.parametrize("a", [1e-4, 1e-2, 0.0255])
+def test_a_small_order_keeps_its_digits(a):
+    # int_0^inf t**(a-1) e^-t dt = Gamma(a), about 1/a: g(0)/a is split off
+    # the head, whose integrand then vanishes at 0, and a is taken as given,
+    # not as 1 + (a - 1), so the mass below the innermost node is not lost
+    res = integrate_singular_decaying(lambda t: np.exp(-t), a)
+    want = float(mpmath.gamma(a))
+    assert abs(res.value - want) <= res.err_estimate <= 1e-13 * want
+
+
+def test_a_plain_integrand_carries_no_companion_error():
+    # a companion that is 0 at every node, and at t = 0, has no rounding to carry
+    for a in (0.5, 1e-4, 2.3 + 0.4j):
+        res = integrate_singular_decaying(lambda t: np.exp((1j - 1.0) * t), a)
+        assert res.companion == 0 and res.companion_err == 0.0
+    res = integrate_singular_decaying(lambda t: (np.exp(-t), np.zeros_like(t)), 0.5)
+    assert res.companion == 0 and res.companion_err == 0.0
+
+
+def test_an_integrand_not_finite_at_the_origin_is_refused():
+    # the head subtracts g(0), so g must be finite there
+    with pytest.raises(NonConvergenceError, match="not finite at t=0"):
+        integrate_singular_decaying(lambda t: np.where(t == 0, np.inf, np.exp(-t)), 0.5)
+
+
+def test_the_levels_wait_for_the_companion():
+    # e^-t converges by level 3, while 1e-3 e^{(10i - 1/2) t} needs about four
+    # more; the levels stop only when both meet the value's tolerance, so the
+    # companion is resolved too (it erred by 6e-5 at the value's levels)
+    want = 1e-3 / (0.5 - 10j)
+    res = integrate_singular_decaying(lambda t: (np.exp(-t), 1e-3 * np.exp((10j - 0.5) * t)), 1.0)
+    alone = integrate_singular_decaying(lambda t: np.exp(-t), 1.0)
+    assert res.evaluations > 4 * alone.evaluations
+    assert abs(res.companion - want) <= res.companion_err <= 1e-9
+    assert abs(res.value - 1.0) <= res.err_estimate
 
 
 def test_mass_near_one_end_survives_a_larger_far_end():
@@ -85,22 +121,22 @@ def test_mass_near_one_end_survives_a_larger_far_end():
 
 def test_algebraic_tail():
     # int_0^inf t**(-1/2) (1 + t)**-2 dt = B(1/2, 3/2) = pi / 2: no exponential decay
-    res = integrate_singular_decaying(lambda t: (1.0 + t) ** -2, -0.5)
+    res = integrate_singular_decaying(lambda t: (1.0 + t) ** -2, 0.5)
     assert abs(res.value - 0.5 * math.pi) <= 1e-9
     assert res.err_estimate >= abs(res.value - 0.5 * math.pi)
 
 
-@pytest.mark.parametrize("s", [-0.9, -0.5, -0.1, 0.0])
-def test_gamma_self_test_grid(s):
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9, 1.0])
+def test_gamma_self_test_grid(a):
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
-    res = integrate_singular_decaying(lambda t: np.exp(-t), s, cfg)
-    want = gamma(s + 1.0).real
+    res = integrate_singular_decaying(lambda t: np.exp(-t), a, cfg)
+    want = gamma(a).real
     assert abs(res.value - want) <= cfg.rel_tol * abs(want) + cfg.abs_tol
 
 
 def test_positive_power_weight():
     # t**3 e^-2t integrates to Gamma(4)/2**4
-    res = integrate_singular_decaying(lambda t: np.exp(-2.0 * t), 3.0)
+    res = integrate_singular_decaying(lambda t: np.exp(-2.0 * t), 4.0)
     want = 6.0 / 16.0
     assert abs(res.value - want) <= 1e-9
 
@@ -110,8 +146,8 @@ def test_linearity():
     g1 = lambda t: np.exp(-t)
     g2 = lambda t: np.exp((2j - 1.0) * t)
     a, b = 2.0 - 1j, 0.5j
-    combined = integrate_singular_decaying(lambda t: a * g1(t) + b * g2(t), -0.3, cfg)
-    parts = a * integrate_singular_decaying(g1, -0.3, cfg).value + b * integrate_singular_decaying(g2, -0.3, cfg).value
+    combined = integrate_singular_decaying(lambda t: a * g1(t) + b * g2(t), 0.7, cfg)
+    parts = a * integrate_singular_decaying(g1, 0.7, cfg).value + b * integrate_singular_decaying(g2, 0.7, cfg).value
     tol = 3.0 * (combined.err_estimate + 1e-10)
     assert abs(combined.value - parts) <= tol
 
@@ -123,7 +159,7 @@ def test_refinement_monotonicity_of_error_estimate():
     for cap in (4, 5, 6):
         cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300, max_level=cap)
         try:
-            res = integrate_singular_decaying(lambda t: np.exp((5j - 1.0) * t), -0.5, cfg)
+            res = integrate_singular_decaying(lambda t: np.exp((5j - 1.0) * t), 0.5, cfg)
             errs.append(res.err_estimate)
         except NonConvergenceError as exc:
             errs.append(exc.err_estimate)
@@ -132,53 +168,13 @@ def test_refinement_monotonicity_of_error_estimate():
 
 def test_precondition_s_out_of_range():
     with pytest.raises(QuadraturePreconditionError):
-        integrate_singular_decaying(lambda t: np.exp(-t), -1.0)
+        integrate_singular_decaying(lambda t: np.exp(-t), 0.0)
 
 
 def test_nonconvergence_raises_at_level_cap():
     cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-15, max_level=3)
     with pytest.raises(NonConvergenceError):
-        integrate_singular_decaying(lambda t: np.exp(-t), -0.9, cfg)
-
-
-def test_marchaud_basic_identity():
-    # int (1 - e^-t) t^(-1-d) dt = Gamma(1-d)/d
-    res = integrate_marchaud(1.0, lambda u: np.exp(-u), 0.5)
-    assert abs(res.value - 2.0 * SQRT_PI) <= 1e-9
-    res = integrate_marchaud(1.0, lambda u: np.exp(-u), 0.3)
-    want = gamma(0.7).real / 0.3
-    assert abs(res.value - want) <= 1e-9
-
-
-def test_marchaud_zero_integrand():
-    res = integrate_marchaud(1.0, lambda u: 1.0, 0.4)
-    assert abs(res.value) <= 1e-12
-
-
-def test_marchaud_complex_phase():
-    # f(u) = exp(iu * i) = exp(-u), delta = 0.3, same identity
-    res = integrate_marchaud(1.0, lambda u: np.exp(1j * u * 1j), 0.3)
-    want = gamma(0.7).real / 0.3
-    assert abs(res.value - want) <= 1e-9
-
-
-def test_marchaud_complex_order():
-    # exact value Gamma(1-d)/d holds for complex d as well
-    delta = 0.5 + 0.2j
-    res = integrate_marchaud(1.0, lambda u: np.exp(-u), delta)
-    want = gamma(1.0 - delta) / delta
-    assert abs(res.value - want) <= 1e-8 * abs(want)
-
-
-def test_marchaud_lipschitz_violation_detected():
-    with pytest.raises(QuadraturePreconditionError):
-        integrate_marchaud(1.0, lambda u: 1.0 - np.sqrt(u), 0.5)
-
-
-def test_marchaud_delta_out_of_range():
-    for bad in (0.0, 1.0, -0.2, 1.3):
-        with pytest.raises(QuadraturePreconditionError):
-            integrate_marchaud(1.0, lambda u: np.exp(-u), bad)
+        integrate_singular_decaying(lambda t: np.exp(-t), 0.1, cfg)
 
 
 def test_config_validation():
@@ -236,11 +232,11 @@ def test_array_walk_matches_a_walk_of_one_element_calls(integrand, a, b):
 
 @pytest.mark.parametrize("integrand", INTEGRANDS)
 def test_array_integrands_give_the_bits_of_one_element_calls(integrand):
-    # both public integrators, the Marchaud fit windows included
+    # the start value g(0) included
     cfg = QuadratureConfig()
     for integrate in (
-        lambda f: integrate_singular_decaying(f, -0.5, cfg),
-        lambda f: integrate_marchaud((1.0, 1e-3), f, 0.3 + 0.1j, cfg),
+        lambda f: integrate_singular_decaying(f, 0.5, cfg),
+        lambda f: integrate_singular_decaying(f, 0.7 - 0.1j, cfg),
     ):
         want = integrate(_one_at_a_time(INTEGRANDS[integrand]))
         got = integrate(INTEGRANDS[integrand])
@@ -253,14 +249,14 @@ def test_an_overflowing_tail_term_is_not_finite_whether_given_an_array_or_one_ab
     errors = []
     for f in (lambda t: np.exp(-t), _one_at_a_time(lambda t: np.exp(-t))):
         with pytest.raises(NonConvergenceError, match="not finite") as info:
-            integrate_singular_decaying(f, 400.0)
+            integrate_singular_decaying(f, 401.0)
         errors.append((str(info.value), info.value.evaluations))
     assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("integrate", [
-    lambda f: integrate_singular_decaying(f, -0.5),
-    lambda f: integrate_marchaud(1.0, f, 0.5),
+    lambda f: integrate_singular_decaying(f, 0.5),
+    lambda f: integrate_singular_decaying(f, 1e-4),
 ])
 def test_an_integrand_of_the_wrong_shape_is_refused(integrate):
     # three values whatever the abscissae, a companion of its own shape, or
