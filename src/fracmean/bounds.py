@@ -16,9 +16,12 @@ E[Z**p] is taken by frac_moment's AUTO route, which answers in closed form
 for every built-in law.  E[|Z|**p] is taken by the method the law admits,
 recorded as meta["abs_method"]: the law's ``rule``, 'atoms' or the 'nodes' of
 an upper-half-plane density, graded toward the branch point 0 of |z|**p,
-summed at two nested levels from one build (the gap, exactly 0 for atoms,
-plus a few ulps is its uncertainty), or 'mc' for a real-line density, whose
-rule is not graded toward 0, which refuses where E[|Z|**(2p)] diverges.
+summed at two nested levels from one build, or 'mc' for a real-line density,
+whose rule is not graded toward 0, which refuses where E[|Z|**(2p)] diverges.
+The nested levels share their y rows, so their gap (exactly 0 for atoms)
+sees the error of x alone; the uncertainty adds the relative gap of y's level
+to the next (``y_rule``) times the value and a few ulps.  A rule also records
+meta["nodes"], its level-7 node count, and meta["y_level"].
 
 Half-plane support is checked on principal arguments.  The upper closure
 {Im z >= 0} is always admissible, but a lower law may not touch the open
@@ -88,17 +91,22 @@ def _abs_method(model):  # a real-line density's rule is not graded toward 0
     return "mc" if model.rule == "nodes" and model.support == "real" else model.rule
 
 
-def _abs_moment(model, p, mc):
-    """(E[|Z|**p], uncertainty) by the law's _abs_method."""
+def _abs_moment(model, p, mc, meta=None):
+    """(E[|Z|**p], uncertainty) by the law's _abs_method; a rule's node
+    count and y level go into meta, when given."""
     model.check_moment(0j, p)
     if _abs_method(model) != "mc":  # levels 7 and 6 of the nested rule, from one build
         points, weights, count, start, ratio = model.nested_nodes(_NODE_LEVEL + 1)
+        y_level, y_gap = model.y_rule()
+        if meta is not None:
+            meta.update(nodes=count, y_level=y_level)
         terms = np.abs(points)
         terms **= p
         terms *= weights
         fine, coarse = float(np.sum(terms[:count])), ratio * float(np.sum(terms[start:]))
-        # the ulps cover rounding, where the gap between levels can be exactly 0
-        return fine, abs(fine - coarse) + 16.0 * math.ulp(fine)
+        # the level gap sees x's error, y's gap y's; the ulps cover rounding,
+        # where both gaps can be exactly 0
+        return fine, abs(fine - coarse) + y_gap * fine + 16.0 * math.ulp(fine)
     try:  # a standard error needs a finite variance of |Z|**p
         model.check_moment(0j, 2 * p)
     except MomentExistenceError as exc:
@@ -119,7 +127,8 @@ def _bound_report(model, p, divisor, mc, support_declared):
     mc = mc or MCConfig()
     est = frac_moment(model, 0.0, complex(p), route=Route.AUTO, mc=mc)
     moment_abs, m_err = abs(est.value), est.uncertainty
-    abs_mom, a_err = _abs_moment(model, p, mc)
+    meta = {"p": p, "abs_method": _abs_method(model), "support": support_declared}
+    abs_mom, a_err = _abs_moment(model, p, mc, meta)
 
     if divisor <= 0.0:
         bound = math.inf
@@ -138,7 +147,7 @@ def _bound_report(model, p, divisor, mc, support_declared):
         satisfied=satisfied,
         slack=slack,
         tolerance=tol,
-        meta={"p": p, "abs_method": _abs_method(model), "support": support_declared},
+        meta=meta,
     )
 
 

@@ -39,7 +39,9 @@ Each class is the one place that knows its family's formulas.  The routes in
   quadrature over the density (``rule`` 'nodes'), which uses no pole or
   closed value, so the (seedless) routes built on it check the closed
   forms; the Poincare rule is sinh-graded toward the branch point -alpha of
-  (z + alpha)**p, the others ignore alpha;
+  (z + alpha)**p, the others ignore alpha; ``y_rule(alpha)``, the level of
+  the Poincare rule's y and the relative gap to the next, which the level
+  gap does not see ((None, 0.0) for the other laws);
 * ``name`` (the family tag of the JSON form) and ``to_json()``.
 
 Adding a family means writing one class with these methods.  The
@@ -55,6 +57,7 @@ y ~ InverseGaussian(mean D/a, shape 2 D^2 / a).
 
 import csv
 import decimal
+import functools
 import json
 import math
 import numbers
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .principal import FRESH, _expm1, _log1p, np_principal_log, np_principal_pow, principal_pow
+from .principal import FRESH, _expm1, _root1p, np_principal_log, np_principal_pow, principal_pow
 from .quad import tanh_sinh_nodes
 
 __all__ = [
@@ -115,16 +118,33 @@ def _check_finite(what, *values):
 _NODE_FLOOR = 1e-20
 
 
+# a Poincare rule stands y at the coarsest level m whose sums agree with
+# those at m + 1 to this relative gap: the 16 ulps that the node-rule routes
+# allow for rounding, so that the level gap plus that allowance stays an
+# honest uncertainty without y's gap, which the routes add too.  Level 4
+# meets it on 496 of criterion 9's 500 laws.  At the routes' default absolute
+# tolerance, 1e-12, Poincare(2.5, 0.7, 0.2) stood at level 4, where its power
+# means err by up to 1.4e-13, three times the gap of the sums that chose it.
+_Y_GAP_TOL = 16.0 * math.ulp(1.0)
+# the levels of y tried, coarsest first; level 3's gap was 5e-11 or more on
+# every law measured
+_Y_LEVELS = range(4, 9)
+
+
 class _NestedRule:
     """The node rules of a density law, which nest: every node of level
-    L - 1 is a node of level L, bit for bit, at ratio times its level-L
-    weight (ratio a power of 2), unless the floor drops it at one level.
+    L - 1 is a node of level L, bit for bit, at ratio = 2 times its level-L
+    weight, unless the floor drops it at one level.
 
     A law provides _grid(level, alpha): the nodes of the level's grid that
     either level keeps, as (points, weights, fine, coarse, ratio), fine
     marking the nodes the level keeps and coarse those level - 1 keeps."""
 
     rule = "nodes"
+
+    def y_rule(self, alpha=0j):
+        """(None, 0.0): a real-line rule has no y of its own."""
+        return None, 0.0
 
     def nodes(self, level, alpha=0j):
         points, weights, count, _, _ = self.nested_nodes(level, alpha)
@@ -139,8 +159,8 @@ class _NestedRule:
         level - 1, bit for bit."""
         points, weights, fine, coarse, ratio = self._grid(level, alpha)
         order = np.concatenate([np.flatnonzero(part) for part in (fine & ~coarse, fine & coarse, coarse & ~fine)])
-        start = np.count_nonzero(fine & ~coarse)
-        return points[order], weights[order], np.count_nonzero(fine), start, ratio
+        start = int(np.count_nonzero(fine & ~coarse))
+        return points[order], weights[order], int(np.count_nonzero(fine)), start, ratio
 
 
 class _ResidueLaw:
@@ -330,38 +350,49 @@ class Poincare(_NestedRule, _ResidueLaw):
     def geometric_mean(self):
         return self.gamma_point  # exp(E[log Z]) = exp(log beta) = beta
 
-    def _grid(self, level, alpha):
-        """The sampler's factorization as a product rule graded toward the
-        branch point -alpha of (z + alpha)**p: y by tanh-sinh in
-        log y = log(mean) + atanh(t) against the inverse-Gaussian density, at
-        a coarser step since it is smooth; x | y by x = -Re(alpha) + h sinh(v),
-        h = y + Im(alpha), at v = lo + k step from lo at -9 standard
-        deviations s up to +9 s (lighter nodes fall under the weight floor).
-        The branch points sit at v = +-i pi/2 for every y, however small h
-        is (the sinh transformation of Elliott and Johnston).  Nodes lie
-        h cosh(v) apart in x, widest away from the branch point, so the step
-        is 0.7 s over that spacing 4.5 s beyond the mean, where the
-        slowest-decaying terms of a single-draw transform still carry
-        weight.  Both steps halve exactly per level, so the nodes of
-        level - 1 are those of even k on the rows of even tanh-sinh k, at
-        four times the weight, and the gap between levels bounds the
-        error."""
+    def y_rule(self, alpha=0j):
+        """(m, gap): the tanh-sinh level m of y at which the rule stands for
+        this alpha at every level, and the relative gap of y's sums at m to
+        those at m + 1 (_poincare_y_rule)."""
+        return _poincare_y_rule(self, complex(alpha).imag)
+
+    def _y_rows(self, m):
+        """The rows of the rule as (y, weights, k): tanh-sinh at level m in
+        log y = log(mean) + atanh(t) against the inverse-Gaussian density,
+        without the rows lighter than the floor; k is the integer of the
+        tanh-sinh node."""
         mean, shape = self.d_const / self.a, 2.0 * self.d_const ** 2 / self.a
-        t, dist, w, ky = tanh_sinh_nodes(level - 2, 0.5 * _NODE_FLOOR)
+        t, dist, w, k = tanh_sinh_nodes(m, 0.5 * _NODE_FLOOR)
         y = mean * np.sqrt((2.0 - dist) / dist) ** np.copysign(1.0, t)
         ig = np.sqrt(shape / (2.0 * math.pi * y ** 3)) * np.exp(-shape * (y - mean) ** 2 / (2.0 * mean ** 2 * y))
         wy = ig * y / (dist * (2.0 - dist)) * w
-        fine_row = (w > _NODE_FLOOR) & (wy > _NODE_FLOOR)
-        coarse_row = (ky % 2 == 0) & (2.0 * w > _NODE_FLOOR) & (2.0 * wy > _NODE_FLOOR)
-        rows = fine_row | coarse_row
-        y, wy, fine_row, coarse_row = y[rows], wy[rows], fine_row[rows], coarse_row[rows]
+        keep = (w > _NODE_FLOOR) & (wy > _NODE_FLOOR)
+        return y[keep], wy[keep], k[keep]
+
+    def _grid(self, level, alpha):
+        """The sampler's factorization as a product rule graded toward the
+        branch point -alpha of (z + alpha)**p: y on the rows of _y_rows at
+        the level of y_rule(alpha), the same at every level of the rule;
+        x | y by x = -Re(alpha) + h sinh(v), h = y + Im(alpha), at
+        v = lo + k step from lo at -8.5 standard deviations s up to +8.5 s,
+        beyond which a normal holds 2e-17 of its mass (lighter nodes fall
+        under the weight floor).  The branch points sit at v = +-i pi/2 for
+        every y, however small h is (the sinh transformation of Elliott and
+        Johnston).  Nodes lie h cosh(v) apart in x, widest away from the
+        branch point, so the step is 0.7 s over that spacing 4.5 s beyond
+        the mean, where the slowest-decaying terms of a single-draw
+        transform still carry weight.  Only the x step halves per level, so
+        the nodes of level - 1 are those of even k on the same rows, at
+        twice the weight: the gap between levels bounds x's error, and
+        y_rule's gap y's."""
+        y, wy, _ = self._y_rows(self.y_rule(alpha)[0])
         centre, sd, height = -self.b / self.a, np.sqrt(y / (2.0 * self.a)), y + alpha.imag
         offset = centre + alpha.real  # the mean of x | y, measured from -Re(alpha)
-        lo = np.arcsinh((offset - 9.0 * sd) / height)
+        lo = np.arcsinh((offset - 8.5 * sd) / height)
         step = 0.7 * 2.0 ** (6 - level) * sd / np.hypot(height, np.abs(offset) + 4.5 * sd)
         # k = 0..floor(span / step): the span over half the step is twice as
         # many steps, so level - 1's range of k doubled lies inside this one's
-        count = np.floor((np.arcsinh((offset + 9.0 * sd) / height) - lo) / step).astype(int) + 1
+        count = np.floor((np.arcsinh((offset + 8.5 * sd) / height) - lo) / step).astype(int) + 1
         row = np.repeat(np.arange(y.size), count)
         k = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
         v = lo[row] + step[row] * k
@@ -379,12 +410,33 @@ class Poincare(_NestedRule, _ResidueLaw):
         density *= -self.a
         density /= points.imag
         weights *= np.exp(density, out=density)
-        fine = fine_row[row] & (weights > _NODE_FLOOR)
-        coarse = coarse_row[row] & (k % 2 == 0) & (4.0 * weights > _NODE_FLOOR)
-        return points, weights, fine, coarse, 4.0
+        return points, weights, weights > _NODE_FLOOR, (k % 2 == 0) & (2.0 * weights > _NODE_FLOOR), 2.0
 
     def to_json(self):
         return {"dist": self.name, "params": {"a": self.a, "b": self.b, "c": self.c}}
+
+
+# a FRAC_DERIV call asks three times for one law and height, and criterion 9
+# once for each of 500 laws, where 1,024 entries held 70 kB at the peak
+@functools.lru_cache(maxsize=32)
+def _poincare_y_rule(law, lift):
+    """(m, gap) for the rows of law at height h = y + lift: the coarsest m
+    of _Y_LEVELS whose row sums of h**q, q = -1, 0, 1, agree with those at
+    m + 1 within the relative gap _Y_GAP_TOL, else the finest, with its
+    gap.  The rows of m are those of even k at m + 1, at twice the weight,
+    so one build of rows serves both.  The sums need no x nodes: with x at
+    a coarse level, its aliasing, which differs from row to row, swamps
+    y's gap (6e-6 against an error of 2e-16 at alpha = 0 for
+    Poincare(0.4, -0.7, 3.1)).  The result depends on law and lift alone,
+    so every level of a rule stands on the same rows."""
+    for m in _Y_LEVELS:
+        y, wy, k = law._y_rows(m + 1)
+        terms = np.array([wy / (y + lift), wy, wy * (y + lift)])
+        fine, coarse = terms.sum(axis=1), 2.0 * terms[:, k % 2 == 0].sum(axis=1)
+        gap = float(np.max(np.abs(fine - coarse) / fine))
+        if gap <= _Y_GAP_TOL:
+            break
+    return m, gap
 
 
 class AtomicLaw:
@@ -441,6 +493,9 @@ class AtomicLaw:
         """The atoms as both levels of a nested rule, which agree bit for bit."""
         points, weights = self.nodes(level, alpha)
         return points, weights, len(points), 0, 1.0
+
+    def y_rule(self, alpha=0j):
+        return None, 0.0
 
     def geometric_mean(self):
         atoms, weights = self.nodes(0)
@@ -501,8 +556,7 @@ class TwoPoint(AtomicLaw):
             shift[live] = _expm1(p * log_z.real[live], p * log_z.imag[live])
             m = (k * shift[0] + (n - k) * shift[1]) / n
             near = np.abs(m) < 0.5
-            log_mean = _log1p(m[near])
-            means[near] = np.exp(log_mean.real / p) * np.exp(1j * (log_mean.imag / p))
+            means[near] = _root1p(m[near], p)
         return complex(np.sum(weights * means))
 
     def to_json(self):

@@ -36,8 +36,10 @@ from .principal import (
     FRESH,
     BranchDomainError,
     Workspace,
+    _expm1,
     _phasor,
     _polar,
+    _root1p,
     _scaled_phasor,
     np_principal_log,
     np_principal_pow,
@@ -140,6 +142,11 @@ class PowerMeanSpec:
 # so the geometric limit is the *accurate* evaluation
 _P_GEOMETRIC_EPS = 1e-8
 
+# below this |p| (above _P_GEOMETRIC_EPS) a power mean is formed from
+# m = mean of expm1(p log z) as (1 + m)**(1/p): z**p - 1 loses about eps/|p|
+# of relative accuracy, 20 ulps at this order and 2e-9 at p = 1e-7
+_P_SMALL = 0.05
+
 # the coarser level of the first pair of nested node rules behind the
 # single-draw transforms of a density law: one integral sums the transform at
 # level 7 and its gap to level 6, and, if that gap misses the tolerance, one
@@ -162,7 +169,8 @@ def _power_mean_rows(draws, ps, ws=FRESH, out=None):
     """Power means along axis 1 of an (R, n) complex array: one row of R per
     order in ps, all from one polar form of the draws, into out when given.
     The draws are spent: for each order their memory holds the real and
-    imaginary parts of the powers, whose columns are then summed in place."""
+    imaginary parts of the powers (of z**p - 1 below _P_SMALL), whose
+    columns are then summed in place."""
     reps, n = draws.shape
     flat = draws.reshape(-1)
     log_r, theta, zero = _polar(flat, ws, "scratch")
@@ -172,7 +180,17 @@ def _power_mean_rows(draws, ps, ws=FRESH, out=None):
     re, im = parts
     out = np.empty((len(ps), reps), dtype=complex) if out is None else out
     for row, p in zip(out, ps):
-        if abs(p) < _P_GEOMETRIC_EPS:  # exp of the mean of log z
+        if _P_GEOMETRIC_EPS <= abs(p) < _P_SMALL:  # 1 + m, m the mean of z**p - 1
+            shift = _expm1(p * log_r, p * theta)
+            if zero is not None:
+                shift[zero] = -1.0  # 0**p - 1, at p > 0
+            np.copyto(re, shift.real)
+            np.copyto(im, shift.imag)
+            m = _row_means(parts.reshape(2, reps, n), row)
+            near = np.abs(m) < 0.5
+            row[~near] = np_principal_pow(1.0 + m[~near], 1.0 / p)
+            row[near] = _root1p(m[near], p)
+        elif abs(p) < _P_GEOMETRIC_EPS:  # exp of the mean of log z
             np.copyto(re, log_r)
             np.copyto(im, theta)
             if zero is not None:
@@ -668,9 +686,12 @@ def _pm_frac_deriv(model, spec, cfg):
     rule (model.nested_nodes): one integral sums the pair (h_L, h_L -
     h_(L-1)) at L = 7, the value and the rule's own gap at the same nodes,
     and, if the gap misses cfg's tolerance, one more at L = 8;
-    meta["evaluations"] and a NonConvergenceError count both.  The
-    uncertainty adds the gap, its error and a rounding allowance to the
-    value's.  Only p = 0 reads the closed transform: E[Z**(1/n)] by QUAD."""
+    meta["evaluations"] and a NonConvergenceError count both, and
+    meta["nodes"] counts the level-L rule.  The uncertainty adds the gap,
+    its error, the relative gap of the rule's y (model.y_rule, in
+    meta["y_level"] and meta["y_gap"]) times |value| and a rounding
+    allowance to the value's.  Only p = 0 reads the closed transform:
+    E[Z**(1/n)] by QUAD."""
     p, n, alpha = spec.p if spec.n > 1 else 1.0, spec.n, spec.alpha
     cfg = cfg or QuadratureConfig()
     _check_power_mean(model, spec)
@@ -709,9 +730,12 @@ def _pm_frac_deriv(model, spec, cfg):
         else:
             msg = f"node rules at levels {level - 1} and {level} disagree by {gap:.3e}"
             raise NonConvergenceError(msg, value=value, err_estimate=gap, evaluations=evals)
+        y_level, y_gap = model.y_rule(alpha)
         meta = {"order": order, "transform": model.rule, "level": level, "level_gap": gap}
+        meta.update({"nodes": transform.kernel.count, "y_level": y_level, "y_gap": y_gap})
         meta.update({"evaluations": evals} if evals else {"ordinal": True})
         est = MomentEstimate(value, unc, Route.FRAC_DERIV, meta)
+        gap += y_gap * abs(value)  # the level gap sees x's error, not y's
     # the ulps cover rounding in the transform sums and the series power, and
     # in each turned value, which S'**k and the turn back magnify k times
     est.uncertainty += gap + gap_unc + (16.0 + 4.0 * k) * math.ulp(abs(est.value))

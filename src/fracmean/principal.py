@@ -197,6 +197,14 @@ def _log1p(m):
     return out
 
 
+def _root1p(m, p):
+    """(1 + m)**(1/p) of a complex array with |m| < 1/2, as exp(log1p(m) / p),
+    which keeps the digits that 1 + m rounds away: with m the mean of
+    expm1(p log z), a power mean near p = 0 keeps its digits."""
+    log_mean = _log1p(m)
+    return np.exp(log_mean.real / p) * np.exp(1j * (log_mean.imag / p))
+
+
 def np_principal_pow(z, lam, out=None, ws=FRESH):
     """Vectorized principal_pow with the 0**lam = 0 convention.  out may be
     z itself; ws lends the scratch arrays."""

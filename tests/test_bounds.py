@@ -66,6 +66,22 @@ def test_zero_atom_absolute_moments():
     assert value == 0.5 and 0.0 < unc <= 16.0 * math.ulp(0.5)
 
 
+def test_bound_reports_the_size_of_the_rule():
+    rep = half_plane_bound_check(POIN, -0.5)
+    assert rep.meta["nodes"] == POIN.nested_nodes(7)[2] and rep.meta["y_level"] == POIN.y_rule()[0] == 4
+    rep = half_plane_bound_check(TwoPoint(1j, 2j, 0.5), 0.5)
+    assert (rep.meta["nodes"], rep.meta["y_level"]) == (2, None)
+    rep = half_plane_bound_check(ScaledT3(0.0, 1.0), 0.4, mc=MCConfig(samples=4096, seed=1))
+    assert "nodes" not in rep.meta and "y_level" not in rep.meta  # Monte Carlo
+
+
+def test_abs_moment_uncertainty_carries_the_y_gap(monkeypatch):
+    value, unc = _abs_moment(POIN, 0.5, None)
+    monkeypatch.setattr(Poincare, "y_rule", lambda self, alpha=0j: (4, 1e-9))
+    widened_value, widened_unc = _abs_moment(POIN, 0.5, None)
+    assert widened_value == value and widened_unc - unc == pytest.approx(1e-9 * value, rel=1e-6)
+
+
 def test_support_reads_atoms_of_positive_weight_only():
     assert TwoPoint(-1j, 1j, 0.0).support == "upper"  # the point mass at i
     rep = half_plane_bound_check(TwoPoint(1j, -1j, 0.0), 0.5)  # the point mass at -i

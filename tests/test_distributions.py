@@ -371,6 +371,58 @@ def test_node_rules_nest(law, alpha):
             assert abs(nested - np.sum(terms)) <= 8.0 * np.finfo(float).eps * np.sum(np.abs(terms))
 
 
+@pytest.mark.parametrize("law", GRADED_LAWS + [POIN], ids=repr)
+@pytest.mark.parametrize("alpha", [0j, 0.5j, 1 + 0.5j])
+def test_poincare_rule_refines_x_alone_on_rows_of_one_y_level(law, alpha):
+    # every level stands on the rows of y_rule's level, and only the x step
+    # halves, so the node count about doubles per level (it quadrupled
+    # when y was refined with x)
+    rows = law._y_rows(law.y_rule(alpha)[0])[0]
+    counts = []
+    for level in (6, 7, 8):
+        points, _ = law.nodes(level, alpha)
+        assert np.isin(points.imag, rows).all()
+        counts.append(len(points))
+    assert 1.9 < counts[1] / counts[0] < 2.1 and 1.9 < counts[2] / counts[1] < 2.1
+
+
+def _y_gap(law, alpha, m):
+    """The largest relative gap of the row sums of h**q, q = -1, 0, 1, between
+    y's levels m and m + 1, each from its own rows."""
+    sums = []
+    for level in (m, m + 1):
+        y, wy, _ = law._y_rows(level)
+        h = y + alpha.imag
+        sums.append(np.array([np.sum(wy / h), np.sum(wy), np.sum(wy * h)]))
+    return np.max(np.abs(sums[0] - sums[1]) / sums[1])
+
+
+@pytest.mark.parametrize(
+    "law, level",
+    [(POIN, 4), (Poincare(2.0, 1.0, 1.0), 4), (Poincare(0.4, -0.7, 3.1), 4), (Poincare(2.5, 0.7, 0.2), 5)],
+    ids=repr,
+)
+def test_poincare_y_level_is_the_coarsest_within_the_rounding_allowance(law, level):
+    # one level for every alpha here; Poincare(2.5, 0.7, 0.2), whose D is 0.1,
+    # misses the 16 ulps at level 4 (by 3.9e-14 at alpha = 0.5i)
+    for alpha in (0j, 0.2j, 0.5j, 1 + 1j):
+        m, gap = law.y_rule(alpha)
+        assert m == level and gap <= 16.0 * math.ulp(1.0), (alpha, m, gap)
+        assert _y_gap(law, alpha, m) <= 20.0 * math.ulp(1.0)
+        if m > 4:
+            assert _y_gap(law, alpha, m - 1) > 16.0 * math.ulp(1.0)
+
+
+def test_only_the_poincare_rule_has_a_y_level():
+    for law in (CAUCHY, T3, TwoPoint(1j, -1.0, 0.25)):
+        assert law.y_rule(0.5j) == (None, 0.0)
+
+
+def test_level_7_poincare_rule_has_half_the_nodes_it_had():
+    # 5,556 nodes when y was refined with x, at one level finer
+    assert POIN.nested_nodes(7, 0.5j)[2] <= 2778
+
+
 ATOMIC_LAWS = [TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3), TwoPoint(0j, 1j, 0.0), Empirical((1 + 1j, -0.5 + 0.2j, 2 + 0.3j))]
 
 

@@ -1,6 +1,7 @@
 """Fractional moments and power-mean expectations: routes against oracles."""
 
 import cmath
+import hashlib
 import itertools
 import math
 import sys
@@ -100,6 +101,26 @@ def test_power_mean_zero_rejection():
         power_mean([1j, 0.0], 0.0)
     # p > 0 tolerates zeros through the 0**p = 0 convention
     assert abs(power_mean([0.0, 4.0], 0.5) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("p", [1e-3, 1e-5, 1e-7, -1e-3, -1e-5, -1e-7])
+def test_power_mean_keeps_its_digits_near_p_zero(p):
+    # z**p - 1 would lose about eps/|p|: 1e-13 at p = 1e-3, 6e-10 at 1e-7
+    vals = [1 + 2j, 0.5 - 0.3j, 3 + 0.1j, -2 + 1j]
+    with mpmath.workdps(50):
+        mean = sum(mpmath.power(mpmath.mpc(z.real, z.imag), p) for z in vals) / len(vals)
+        want = complex(mpmath.power(mean, 1 / mpmath.mpf(p)))
+    assert abs(power_mean(vals, p) - want) <= 4 * np.finfo(float).eps * abs(want)
+
+
+def test_power_mean_rows_keep_their_bits_at_larger_orders():
+    # every order from 0.05 on, and p = 0, runs the code it ran before the
+    # small orders were formed from expm1; the sha256 was taken with it
+    rng = np.random.default_rng(29)
+    draws = rng.standard_normal((64, 3)) + 1j * rng.exponential(size=(64, 3))
+    rows = moments._power_mean_rows(draws, (-1.0, -0.5, -0.1, -0.05, 0.0, 0.05, 0.1, 0.4, 0.5, 1.0))
+    digest = "4e4101b3dbe0ba24bb77ce2c0cf067e81082041b672804f958804748763f61ad"
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
 def test_power_mean_holder_bound_exact():
@@ -1125,6 +1146,36 @@ def test_frac_deriv_graded_rule_gives_beta_plus_alpha(law, alpha):
         assert est.meta["transform"] == "nodes"
         err = abs(est.value - (law.gamma_point + alpha))
         assert err <= est.uncertainty, (p, n, err, est.uncertainty)
+
+
+@pytest.mark.parametrize("law", [POIN, Poincare(2.0, 1.0, 1.0), Poincare(2.5, 0.7, 0.2)], ids=repr)
+@pytest.mark.parametrize("alpha", [0.5j, 1j, 0.2j, 1 + 0.5j])
+def test_frac_deriv_poincare_grid_answers_at_level_7_within_its_uncertainty(law, alpha):
+    # y stands at its own level, so the level gap sees x alone: the
+    # uncertainty must still cover the error, y's gap included
+    for p, n in itertools.product((-0.9, -0.5, 0.4, 0.7), (2, 3)):
+        spec = PowerMeanSpec(p=p, n=n, alpha=alpha)
+        est = power_mean_expectation(law, spec, Route.FRAC_DERIV)
+        err = abs(est.value - power_mean_expectation(law, spec, Route.CLOSED).value)
+        assert est.meta["level"] == _NODE_LEVEL + 1 and err <= est.uncertainty, (p, n, err, est.uncertainty)
+
+
+@pytest.mark.parametrize("law", [T3, POIN, TwoPoint(1 + 1j, -0.5 + 0.5j, 0.3)], ids=repr)
+def test_frac_deriv_reports_the_size_of_its_rule(law):
+    est = power_mean_expectation(law, PowerMeanSpec(p=-0.5, n=2, alpha=0.5j), Route.FRAC_DERIV)
+    level = est.meta["level"]
+    assert est.meta["nodes"] == law.nested_nodes(level, 0.5j)[2]
+    assert (est.meta["y_level"], est.meta["y_gap"]) == law.y_rule(0.5j)
+    assert (est.meta["y_level"] is None) == (law is not POIN)
+
+
+def test_frac_deriv_uncertainty_carries_the_y_gap(monkeypatch):
+    spec = PowerMeanSpec(p=-0.5, n=2, alpha=0.5j)
+    base = power_mean_expectation(POIN, spec, Route.FRAC_DERIV)
+    monkeypatch.setattr(Poincare, "y_rule", lambda self, alpha=0j: (4, 1e-9))
+    est = power_mean_expectation(POIN, spec, Route.FRAC_DERIV)
+    assert est.value == base.value and est.meta["y_gap"] == 1e-9
+    assert est.uncertainty - base.uncertainty >= 0.99e-9 * abs(est.value)
 
 
 @pytest.mark.parametrize("p", [-0.5, 0.4])
