@@ -331,28 +331,33 @@ def _cfg_meta(cfg):
 
 
 def _fractional_power(h, d, cfg, phase):
-    """E[Y**(k + d)] from h(t) = E[Y**k exp(phase t Y)], Re d < 0 or d = 0;
-    for an order lam the callers take k = max(ceil(Re lam), 0), so that
-    Re d lies in (-1, 0) at Re lam > 0, as E[Y**lam] = E[Y**k Y**(lam - k)]
-    integrates by parts.  phase is i for Y in the open upper half plane, -i
-    in the open lower one.  h is an integrand of quad, at an array of t; a
-    companion goes through the same operator at the same nodes.  Returns
-    (value, uncertainty, evaluations, companion, its uncertainty) of
+    """E[Y**lam], lam = k + d, from h(t) = E[Y**k exp(phase t Y)] with the
+    callers' k = _whole_order(lam), as E[Y**lam] = E[Y**k Y**(lam - k)]
+    integrates by parts.  phase is i for Y in the open upper half plane, -i in the open
+    lower one.  h is an integrand of quad, at an array of t; a companion
+    goes through the same operator at the same nodes.  Returns (value,
+    uncertainty, evaluations, companion, its uncertainty) of
 
         Re d < 0:  phase**d / Gamma(-d) int_0^inf t**(-d-1) h(t) dt
-        d = 0:     h(0), with no quadrature
+        d = 0:     h(0), with no quadrature, and 4 eps |h(0)|, the floor of an integral's error
 
     A d below the least normal float is 0 to every digit, since phase**d and
-    Gamma(1 - d) round to 1, while h(0)/(-d) would pass the float range; h(0)
-    then carries the floor of an integral's error, 4 eps |h(0)|.
+    Gamma(1 - d) round to 1, while h(0)/(-d) would pass the float range.
     """
     if abs(d) < 2.2250738585072014e-308:
         start = tuple(complex(np.ravel(part)[0]) for part in _evaluate(h, np.zeros(1)))
-        return start[0], 4.0 * _EPS * abs(start[0]) if d else 0.0, 0, start[1], 0.0
+        return start[0], 4.0 * _EPS * abs(start[0]), 0, start[1], 0.0
     res = integrate_singular_decaying(h, -d, cfg)
     scale = principal_pow(phase, d) / gamma(-d)
     size = abs(scale)
     return scale * res.value, size * res.err_estimate, res.evaluations, scale * res.companion, size * res.companion_err
+
+
+def _whole_order(lam):
+    """k of E[Y**lam] = E[Y**k Y**(lam - k)]: max(ceil(Re lam), 0), one more where
+    lam - k would be a nonzero imaginary number, so that Re(lam - k) < 0 unless lam = k."""
+    k = max(math.ceil(lam.real), 0)
+    return k + (lam.real == k and lam.imag != 0)
 
 
 def _rotated_atoms(points, weights, alpha, lam, k):
@@ -368,7 +373,7 @@ def _rotated_atoms(points, weights, alpha, lam, k):
     z = points + alpha
     if np.any(z.imag < 0):
         raise SupportError("shifted atoms must stay in the closed upper half plane")
-    keep = z != 0  # 0**lam = 0 contributes nothing at Re(lam) > 0
+    keep = z != 0  # 0**lam = 0 contributes nothing at Re(lam) >= 0
     z, weights = z[keep], weights[keep]
     log_z = np_principal_log(z)  # the principal arg, so -x - 0i rotates like -x + 0i
     d = lam - k
@@ -383,29 +388,26 @@ def _rotated_atoms(points, weights, alpha, lam, k):
 
 
 def _quad_moment(model, alpha, lam, cfg):
-    """E[(Z + alpha)**lam], Re(lam) not zero or a positive integer, from the
-    Riemann-Liouville operator of order lam - k on h(u) = E[Z'**k exp(iuZ')],
-    Z' = Z + alpha, k = max(ceil(Re lam), 0), with the atoms of an atomic law
-    on rotated rays."""
+    """E[(Z + alpha)**lam] at any order, from the Riemann-Liouville operator
+    of order lam - k on h(u) = E[Z'**k exp(iuZ')], Z' = Z + alpha,
+    k = _whole_order(lam), with the atoms of an atomic law on rotated rays;
+    h(0) itself at lam = k."""
     cfg = cfg or QuadratureConfig()
     alpha = complex(alpha)
     lam = complex(lam)
-    if lam.real > 0 and lam.real == int(lam.real):
-        raise ValueError(
-            "integer Re(lam) is an ordinary moment; compute it directly "
-            "from the transform derivatives instead of the fractional route"
-        )
     model.check_moment(alpha, lam)
     _check_real_shift(model, alpha, lam)
     if alpha.imag < 0:
         raise SupportError("alpha must lie in the closed upper half plane")
 
-    k = max(math.ceil(lam.real), 0)
+    k = _whole_order(lam)
     atoms = _point_masses(model)
     if atoms is not None:
         h, rounding = _rotated_atoms(*atoms, alpha, lam, k)
     else:
-        h, rounding = functools.partial(_shifted_weighted_char, model, alpha, k), 0.0
+        h = functools.partial(_shifted_weighted_char, model, alpha, k)  # k + 1 terms, which may cancel
+        sizes = [math.comb(k, j) * abs(alpha) ** (k - j) * abs(model.char_deriv(j, 0.0)) for j in range(k + 1)]
+        rounding = 4.0 * _EPS * (k + 1) * sum(sizes)  # their rounding, from their sizes at u = 0
 
     value, unc, evals, _, _ = _fractional_power(h, lam - k, cfg, 1j)
     meta = {"evaluations": evals, "k": k, "quad": _cfg_meta(cfg)}
@@ -421,9 +423,9 @@ def frac_moment_neg(model, alpha, lam, cfg=None):
 
 
 def frac_moment_pos(model, alpha, lam, cfg=None):
-    """E[(Z + alpha)**lam] for Re(lam) > 0, Re(lam) not an integer: the
-    Riemann-Liouville integral of order lam - k, Re(lam - k) in (-1, 0), of
-    E[Z'**k exp(iuZ')], Z' = Z + alpha, k = ceil(Re lam)."""
+    """E[(Z + alpha)**lam] for Re(lam) > 0: the Riemann-Liouville integral of
+    order lam - k, Re(lam - k) in [-1, 0), of E[Z'**k exp(iuZ')], Z' = Z + alpha,
+    k = _whole_order(lam), or that transform at u = 0 if lam = k."""
     if complex(lam).real <= 0:
         raise ValueError("frac_moment_pos needs Re(lam) > 0")
     return _quad_moment(model, alpha, lam, cfg)
@@ -510,10 +512,8 @@ def frac_moment(model, alpha, lam, route=Route.AUTO, cfg=None, mc=None):
     def closed():
         return MomentEstimate(closed_moment(model, alpha, lam), 0.0, Route.CLOSED)
 
-    steps = [(Route.CLOSED, closed)]
-    if lam.real != 0:
-        steps.append((Route.QUAD, lambda: _quad_moment(model, alpha, lam, cfg)))
-    steps.append((Route.MONTE_CARLO, lambda: frac_moment_mc(model, alpha, lam, mc)))
+    steps = [(Route.CLOSED, closed), (Route.QUAD, lambda: _quad_moment(model, alpha, lam, cfg)),
+             (Route.MONTE_CARLO, lambda: frac_moment_mc(model, alpha, lam, mc))]
     return _first_route(route, steps)
 
 
@@ -708,7 +708,7 @@ def _pm_frac_deriv(model, spec, cfg):
         order = 1.0 / p
         if order > 0 and abs(order - round(order)) < 1e-12:
             order = round(order)  # a plain derivative of the transform
-        k = max(math.ceil(order), 0)
+        k = _whole_order(order)
         if k > 170:
             raise RouteUnavailableError(f"1/p = {order:g} needs {k}!, past the float range")
         evals = 0

@@ -51,6 +51,7 @@ from fracmean.moments import (
     _fractional_power,
     _shifted_weighted_char,
     _pm_monte_carlo,
+    _whole_order,
 )
 from fracmean.principal import BranchDomainError, np_principal_pow, principal_log, principal_pow
 from fracmean.quad import NonConvergenceError, QuadratureConfig
@@ -268,8 +269,31 @@ def test_frac_moment_pos_rejections():
         frac_moment_pos(CAUCHY, 1j, 1.5)  # E|Z|^1.5 diverges
     with pytest.raises(MomentExistenceError):
         frac_moment_pos(T3, 1j, 3.2)
-    with pytest.raises(ValueError):
-        frac_moment_pos(POIN, 0.0, 2.0)  # integer order: not a fractional route
+    est = frac_moment_pos(POIN, 0.0, 2.0)  # an integer order is the transform's own derivative at 0
+    assert est.meta["evaluations"] == 0
+    assert abs(est.value - closed_moment(POIN, 0.0, 2.0)) <= est.uncertainty
+
+
+@pytest.mark.parametrize(
+    "law, alpha",
+    [(CAUCHY, 1j), (T3, 0.5j), (POIN, 0.5j), (Poincare(2.5, 0.7, 0.2), 0.3), (TwoPoint(1.0, -0.5 + 0.3j, 0.4), 0.2j)],
+    ids=repr,
+)
+@pytest.mark.parametrize("lam", [0, 1, 2, 0.7j, -1.3j, 0.05j, 1 + 0.4j, 2 - 0.3j])
+def test_quad_answers_the_mellin_line_and_integer_orders(law, alpha, lam):
+    # k = max(ceil(Re lam), 0), one more where lam - k would be imaginary, so the
+    # Mellin line integrates at Re(lam - k) = -1, and lam = k reads h(0) alone;
+    # a moment past the tail index is still refused, as Cauchy's at 1 and 1 + 0.4i
+    if complex(lam).real >= getattr(law, "max_moment", math.inf):
+        with pytest.raises(MomentExistenceError):
+            frac_moment(law, alpha, lam, Route.QUAD)
+        return
+    est = frac_moment(law, alpha, lam, Route.QUAD)
+    want = closed_moment(law, alpha, lam)
+    assert abs(est.value - want) <= est.uncertainty <= 1e-8 * max(1.0, abs(want))
+    k = est.meta["k"]
+    assert (k - lam).real > 0 or k == lam
+    assert (est.meta["evaluations"] == 0) == (k == lam)
 
 
 @pytest.mark.parametrize("law, alpha", [(CAUCHY, 1j), (CAUCHY, 0.3), (CAUCHY, 0.0), (Cauchy(0.4, 2.0), 0.5j)])
@@ -703,19 +727,19 @@ def test_frac_deriv_ordinal_matches_mc():
 
 
 def _point_mass_h(y, lam, phase):
-    """h(t) = E[Y**k exp(phase t Y)] for Y = y, k = max(ceil(Re lam), 0), and
+    """h(t) = E[Y**k exp(phase t Y)] for Y = y, k = _whole_order(lam), and
     the order lam - k of the operator on it."""
-    k = max(math.ceil(complex(lam).real), 0)
+    k = _whole_order(complex(lam))
     return (lambda t: y ** k * np.exp(phase * t * y)), lam - k
 
 
-@pytest.mark.parametrize("lam", [-0.5, -0.5 + 0.3j, -1.7, 0.5, 1.5, 0.5 + 0.5j, 2])
+@pytest.mark.parametrize("lam", [-0.5, -0.5 + 0.3j, -1.7, 0.5, 1.5, 0.5 + 0.5j, 2, 0.7j, 1 + 0.4j])
 def test_fractional_power_point_mass_upper(lam):
     y = 0.7 + 1.3j
     value, unc, evals, _, _ = _fractional_power(*_point_mass_h(y, lam, 1j), QuadratureConfig(), 1j)
     assert abs(value - principal_pow(y, lam)) <= 1e-12 * abs(principal_pow(y, lam))
-    if lam == 2:
-        assert (unc, evals) == (0.0, 0)  # the plain moment, no quadrature
+    if lam == 2:  # the plain moment, no quadrature, with a rounding allowance
+        assert evals == 0 and abs(value - y * y) <= unc <= 1e-14
 
 
 @pytest.mark.parametrize("lam", [-0.5, -0.5 + 0.3j, -1.7])
@@ -1191,7 +1215,7 @@ def _transform_h(law, alpha, p, n, level):
     """The pair integrand (h_L, h_L - h_(L-1)) of the power-mean route at p,
     the order of its operator and its phase, as _pm_frac_deriv forms them."""
     order = 1.0 / p
-    k = max(math.ceil(order), 0)
+    k = _whole_order(order)
     return _SingleDrawTransform(law, alpha, p, n, k, level), order - k, -1j
 
 

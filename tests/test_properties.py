@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fracmean.distributions import Cauchy, Empirical, Poincare, ScaledT3
 from fracmean.gammafn import gamma
-from fracmean.moments import closed_moment, frac_moment_neg, frac_moment_pos
+from fracmean.moments import Route, closed_moment, frac_moment, frac_moment_neg, frac_moment_pos
 from fracmean.principal import _scaled_phasor, np_principal_pow, principal_pow
 
 finite = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False, allow_infinity=False)
@@ -110,13 +110,15 @@ upper_atoms = st.tuples(atom_moduli, st.floats(min_value=0.0, max_value=math.pi)
      cmath.rect(0.25, 2.97265625), 0.9140625 + 0j],
     2.9175879834558676, 0.0, 0.0,
 )
+@example([1.5 + 0j, -0.25 + 0j, cmath.rect(2.0, 0.3)], 2.0, 0.0, 0.5)  # lam = k: h(0) alone
+@example([1.5 + 0j, -0.25 + 0j, cmath.rect(2.0, 0.3)], 1.0, 0.4, 0.0)  # Re(lam - k) = -1
 def test_rotated_atom_moments_match_closed_form(atoms, a, b, shift):
     # atoms on the real axis and in the upper half plane, every one on its
     # own steepest-descent ray inside one Riemann-Liouville integral, of
-    # order lam - k just below 0 where lam lies just below an integer k or 0.
+    # order lam - k just below 0 where lam lies just below an integer k or 0,
+    # or -1 where lam - k would be a nonzero imaginary number; at lam = k, no integral.
     # A shift moves the law down by shift*i and alpha = shift*i moves it
     # back, so real atoms come from a law with complex support.
-    hypothesis.assume(a < 0 or abs(a - round(a)) >= 1e-4)
     lam = complex(a, b)
     law = Empirical(tuple(z - 1j * shift for z in atoms))
     alpha = 1j * shift
@@ -142,12 +144,12 @@ DENSITY_LAWS = [(Cauchy(0.0, 1.0), 1j), (Cauchy(0.3, 2.0), 0.5 + 0.5j), (ScaledT
 )
 def test_quad_moments_of_density_laws_match_closed_form(law_alpha, whole, offset, b):
     # Re lam in (-3, 3), within 0.03 of 0 and of each integer among the
-    # rest, where the Riemann-Liouville order lam - k reaches 0 or -1
+    # rest, where the Riemann-Liouville order lam - k reaches 0 or -1, and
+    # on them: the Mellin line and the integer orders
     law, alpha = law_alpha
     lam = complex(whole + offset, b)
     hypothesis.assume(-3.0 < lam.real < getattr(law, "max_moment", 3.0))
-    hypothesis.assume(lam.real != 0 and (lam.real < 0 or lam.real != int(lam.real)))
-    est = (frac_moment_neg if lam.real < 0 else frac_moment_pos)(law, alpha, lam)
+    est = frac_moment(law, alpha, lam, Route.QUAD)
     want = closed_moment(law, alpha, lam)
     err = abs(est.value - want)
     assert err <= est.uncertainty <= 1e-8 * max(1.0, abs(want)), (law, alpha, lam, err, est.uncertainty)
